@@ -17,8 +17,8 @@ import time
 from fractions import Fraction
 from typing import List, Optional
 
-from .engine import naive_plan, _Engine
-from .fast import fast_plan
+from .engine import naive_plan
+from .fast import _FastEngine, fast_plan
 from .geometry import Scene, validate_path
 from .oracle import bench_scene, oracle_plan, random_scene
 from .scenario import ScenarioError, load_scene, _enc_num
@@ -165,7 +165,7 @@ def _cmd_render(args) -> int:
     res = fast_plan(scene)
     trace = None
     if args.trace:
-        eng = _Engine(scene, trace=True)
+        eng = _FastEngine(scene, trace=True)
         eng.run()
         k = eng.sc.coord_scale
         trace = []

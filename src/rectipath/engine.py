@@ -44,7 +44,7 @@ class WaveletStats:
     point_wavelets: int = 0
     segment_wavelets: int = 0
     narrows: int = 0
-    expands: int = 0
+    expands: int = 0  # no engine expands; kept because perfbench/worker.py reads it
 
 
 @dataclass
@@ -111,7 +111,7 @@ class PointWavelet:
 
 
 class SegWavelet:
-    __slots__ = ("lo", "hi", "lo_open", "hi_open", "line", "key", "dir", "node", "dead")
+    __slots__ = ("lo", "hi", "lo_open", "hi_open", "line", "key", "dir", "node")
 
     def __init__(self, lo, hi, lo_open, hi_open, line, key, dir, node):
         self.lo = lo
@@ -122,7 +122,6 @@ class SegWavelet:
         self.key = key
         self.dir = dir
         self.node = node
-        self.dead = False  # set when an expansion swallows a queued front
 
 
 class _Engine:
@@ -297,9 +296,6 @@ class _Engine:
             self._push(tau, _RANK_SEGMENT, (clip_hi, e.line), ("sw", rw))
             self.stats.segment_wavelets += 1
 
-    def _do_extra(self, item):
-        raise AssertionError("unknown queue item %r" % (item[0],))
-
     # -- main loop ------------------------------------------------------------
 
     def run(self, stop_at_dest: bool = True):
@@ -329,24 +325,12 @@ class _Engine:
                 self._do_point(item[1])
             elif kind == "sw":
                 self._do_segment(item[1])
-            elif kind == "fan":
+            else:  # "fan"
                 _, fp, edge_idx, parent_src = item
                 node = SrcNode("wait", fp, key, via=parent_src, host=edge_idx)
                 self._spawn_arrangement(fp, key, node)
-            else:
-                self._do_extra(item)
         if stop_at_dest and self.dest not in self.labels:
             raise AssertionError("queue exhausted before the destination settled")
-
-
-def initial_wavelets(scene: Scene) -> List[PointWavelet]:
-    """The up-to-four diagonal wavelets departing the source at time 0, with
-    search regions in scaled units (identity scale for integer unit-speed
-    scenes)."""
-    eng = _Engine(scene)
-    root = SrcNode("start", eng.source, 0)
-    eng.labels[eng.source] = (0, root)
-    return eng._spawn_arrangement(eng.source, 0, root)
 
 
 def naive_plan(scene: Scene) -> PlanResult:

@@ -1,20 +1,8 @@
-"""Expand-and-narrow planner: the wavefront sweep with near-linear growth.
+"""Narrowing planner: the wavefront sweep with near-linear growth.
 
-Two devices tame the plain engine's quadratic wavelet count without changing
-any arrival time.
-
-Expansion.  Every flat front waiting on edge E departs at E's disappearance,
-so all of them surface in the queue at the same key.  The first one extracted
-swallows its queued siblings and re-emerges as a single expanded front per
-sweep direction spanning the whole edge.  What the siblings knew is kept in a
-balanced tree of root sources keyed by cross coordinate: a source stored as
-(coordinate k, offset f) reaches cross column x of a line at height L no
-earlier than f + |x - k| + L (signs folded into f), which makes the per-key
-minimum, predecessor/successor lookups, and whole-range transfers between
-edges meaningful.  A claim from an expanded front at v is then
-max(wait-and-cross, earliest direct arrival via the nearest stored source on
-either side); when the front stops, the blocked key range of sources moves
-into the stopping edge's tree and the clipped front waits there in turn.
+The sweep is the plain engine's continuous Dijkstra, point wavelets and flat
+fronts alike, plus one device that tames its quadratic point-wavelet count
+without changing any arrival time.
 
 Narrowing.  Diagonal point wavelets sweeping the same direction overlap; once
 two of them find the same vertex, the one arriving later at the overlap's
@@ -22,58 +10,29 @@ near corner is redundant there, so its region is cut down to the part the
 dominant one does not cover (at most four rectangles).  A registry of
 (vertex, direction) -> first claimant detects the pairs.
 
-Arrivals are identical to naive_plan on every scene; only the wavelet counts
-and the work differ.
+Narrowed pieces keep their wavelet's root source and flat fronts keep the
+plain engine's provenance chains, so plans and maps are witnessed by the
+same path reconstruction as naive_plan.  Arrivals are identical to
+naive_plan on every scene; only the wavelet counts and the work differ.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .engine import (
     _DIAG_SIGNS,
     _NEAREST_CORNER,
     _RANK_POINT,
-    _RANK_SEGMENT,
     PlanResult,
     PointWavelet,
-    SegNode,
-    SegWavelet,
     WaveletStats,
     _Engine,
 )
-from .geometry import Scene, TimedPath, TransientEdge, Waypoint, l1_distance
+from .geometry import Scene, TimedPath, Waypoint
 from .rangeindex import CornerWeightedVertices
-from .stopindex import _DIR_INFO
-from .treap import RootSourceTree
 
 Rect = Tuple[int, int, int, int]  # (xlo, xhi, ylo, yhi), closed
-
-
-def arrival_via_edge(u, t, edge: TransientEdge, v, vmax=1):
-    """Earliest time at v for a robot at u at time t whose route next meets
-    edge: ride to the edge, wait out its window if it is still there, cross,
-    and finish straight; or arrive after the window and pass unhindered.
-    Exact over ints and Fractions."""
-    lo, hi = edge.span
-    line = edge.line_coord
-    vc, vp = (v[0], v[1]) if edge.horizontal else (v[1], v[0])
-    dev = abs(vp - line) + max(lo - vc, vc - hi, 0)
-    duv = l1_distance(u, v)
-    tprime = t + Fraction(duv - dev) / vmax
-    return max(edge.disappear, tprime) + Fraction(dev) / vmax
-
-
-def candidate_sources(tree: RootSourceTree, key: int):
-    """The at most two stored sources flanking a cross coordinate: the ones
-    with the largest key <= query and the smallest key >= query."""
-    return tree.neighbors(key)
-
-
-def transfer_key_range(src: RootSourceTree, dst: RootSourceTree, lo: int, hi: int):
-    """Move every source with lo <= key <= hi from src into dst."""
-    dst.absorb(src.extract_range(lo, hi))
 
 
 def _isect(r1: Rect, r2: Rect) -> Rect:
@@ -124,192 +83,14 @@ def narrow(w1: PointWavelet, w2: PointWavelet):
     return win, replacement_rects(win.rect, lose.rect)
 
 
-class ExpWavelet:
-    """Flat front spanning (part of) a whole edge, answering claims from the
-    edge's root source tree.  edge stays the originating edge across
-    remainders; line/key track the current row and its flat arrival."""
-
-    __slots__ = ("lo", "hi", "lo_open", "hi_open", "line", "key", "dir", "edge", "tree_key")
-
-    def __init__(self, lo, hi, lo_open, hi_open, line, key, dir, edge, tree_key):
-        self.lo = lo
-        self.hi = hi
-        self.lo_open = lo_open
-        self.hi_open = hi_open
-        self.line = line
-        self.key = key
-        self.dir = dir
-        self.edge = edge
-        self.tree_key = tree_key
-
-
-class ExpSuccessor:
-    """Pending transfer: when the stopping edge expands, sources keyed in
-    [lo, hi] move from from_tree into its tree."""
-
-    __slots__ = ("lo", "hi", "edge", "dir", "from_tree", "key", "dead")
-
-    def __init__(self, lo, hi, edge, dir, from_tree, key):
-        self.lo = lo
-        self.hi = hi
-        self.edge = edge
-        self.dir = dir
-        self.from_tree = from_tree
-        self.key = key
-        self.dead = False
-
-
 class _FastEngine(_Engine):
     def __init__(self, scene: Scene, trace: bool = False):
         super().__init__(scene, trace)
-        self.trees = {}  # (edge index, sweep dir) -> RootSourceTree
-        self.pending = {}  # same key -> queued fronts waiting to be expanded
         self.registry = {}  # (vertex, diagonal) -> first claimant wavelet
-        self.tick = 0  # deterministic dedup order for stored sources
         # Settled vertices leave self.drm; this copy keeps them so a sweep
         # that reaches one can be cut against that vertex's own wavelet.
         verts = sorted(self.vert_payload)
         self.drm_all = CornerWeightedVertices(self.bbox, [(p, i) for i, p in enumerate(verts)])
-
-    # -- queue hooks --------------------------------------------------------
-
-    def _push(self, key, rank, tie, item):
-        kind = item[0]
-        if kind == "sw":
-            w = item[1]
-            self.pending.setdefault((w.node.edge, w.dir), []).append(w)
-        elif kind == "xs":
-            x = item[1]
-            self.pending.setdefault((x.edge, x.dir), []).append(x)
-        super()._push(key, rank, tie, item)
-
-    def _do_extra(self, item):
-        kind = item[0]
-        if kind == "xw":
-            self._do_expanded(item[1])
-        else:
-            x = item[1]
-            if not x.dead:
-                self._expand(x.edge, x.dir)
-
-    # -- expansion ------------------------------------------------------------
-
-    def _source_item(self, node, d):
-        s, horizontal = _DIR_INFO[d]
-        key = node.point[0] if horizontal else node.point[1]
-        perp = node.point[1] if horizontal else node.point[0]
-        self.tick += 1
-        return key, (node.time - s * perp, self.tick, node)
-
-    def _expand(self, edge_idx, d):
-        e = self.edges[edge_idx]
-        tree = self.trees.setdefault((edge_idx, d), RootSourceTree())
-        for it in self.pending.pop((edge_idx, d), []):
-            if it.dead:
-                continue
-            it.dead = True
-            if isinstance(it, SegWavelet):
-                key, val = self._source_item(it.node.src, d)
-                tree.insert(key, val)
-            else:
-                donor = self.trees.get(it.from_tree)
-                if donor is not None:
-                    transfer_key_range(donor, tree, it.lo, it.hi)
-        w = ExpWavelet(e.lo, e.hi, False, False, e.line, e.td, d, edge_idx, (edge_idx, d))
-        self._push(e.td, _RANK_SEGMENT, (e.lo, e.line), ("xw", w))
-        self.stats.segment_wavelets += 1
-        self.stats.expands += 1
-
-    def _do_segment(self, w: SegWavelet):
-        if w.dead:
-            return
-        # Only accessible-part fronts are queued here; the expansion replaces
-        # w itself along with its queued siblings.
-        assert w.node.kind == "piece"
-        self._expand(w.node.edge, w.dir)
-
-    # -- expanded front propagation -------------------------------------------
-
-    def _corridor_value(self, w: ExpWavelet, cross, pv):
-        sgn = 1 if w.dir in ("N", "E") else -1
-        wait_term = w.key + sgn * (pv - w.line)
-        tree = self.trees.get(w.tree_key)
-        best = None
-        if tree is not None:
-            for cand in tree.neighbors(cross):
-                if cand is None:
-                    continue
-                k, (off, tick, node) = cand
-                late = off + abs(cross - k) + sgn * pv
-                if best is None or (late, tick) < best[:2]:
-                    best = (late, tick, node)
-        if best is not None and best[0] <= wait_term:
-            return wait_term, "wait", best[2]
-        if best is not None:
-            return best[0], "late", best[2]
-        return wait_term, "wait", None
-
-    def _corridor_via(self, w: ExpWavelet, cross, branch, node):
-        if branch == "late":
-            shell = PointWavelet(node.point, node.time, w.key, None, w.dir, (None, None), False, node)
-            return ("p", shell)
-        e = self.edges[w.edge]
-        # node None: no stored source backs the claim; the shell then carries
-        # no staircase chain and path building falls back to the plain engine.
-        seg = SegNode("piece", w.dir, e.line, e.td, src=node, edge=w.edge)
-        shell = SegWavelet(cross, cross, False, False, e.line, e.td, w.dir, seg)
-        return ("s", shell)
-
-    def _do_expanded(self, w: ExpWavelet):
-        s, horizontal = _DIR_INFO[w.dir]
-        hit = self.stop.stop_drag(w.lo, w.hi, w.line, w.key, w.dir)
-        if hit is not None:
-            edge_idx, tau = hit
-            e = self.edges[edge_idx]
-            reach = e.line
-        else:
-            xlo, xhi, ylo, yhi = self.bbox
-            if horizontal:
-                reach = yhi if s > 0 else ylo
-            else:
-                reach = xhi if s > 0 else xlo
-            tau = w.key + abs(reach - w.line)
-        if self.trace is not None:
-            self.trace.append(
-                ("flat", w.lo, w.hi, w.lo_open, w.hi_open, w.line, w.key, w.dir, reach, None)
-            )
-        dx, dy = self.dest
-        cross, perp = (dx, dy) if horizontal else (dy, dx)
-        in_span = (w.lo < cross or (not w.lo_open and w.lo == cross)) and (
-            cross < w.hi or (not w.hi_open and cross == w.hi)
-        )
-        if in_span and ((s > 0 and w.line < perp <= reach) or (s < 0 and reach <= perp < w.line)):
-            val, branch, node = self._corridor_value(w, cross, perp)
-            self._claim(self.dest, val, self._corridor_via(w, cross, branch, node))
-        if horizontal:
-            rect = (w.lo, w.hi, min(w.line, reach), max(w.line, reach))
-            open_sides = (w.lo_open, w.hi_open, s > 0, s < 0)
-        else:
-            rect = (min(w.line, reach), max(w.line, reach), w.lo, w.hi)
-            open_sides = (s > 0, s < 0, w.lo_open, w.hi_open)
-        for wp in self.drm.report(rect, open_sides):
-            vc, vp = (wp.x, wp.y) if horizontal else (wp.y, wp.x)
-            val, branch, node = self._corridor_value(w, vc, vp)
-            self._claim((wp.x, wp.y), val, self._corridor_via(w, vc, branch, node))
-        if hit is None:
-            return
-        clip_lo, clip_hi = max(w.lo, e.lo), min(w.hi, e.hi)
-        xs = ExpSuccessor(clip_lo, clip_hi, edge_idx, w.dir, w.tree_key, e.td)
-        self._push(e.td, _RANK_SEGMENT, (clip_lo, e.line), ("xs", xs))
-        self.stats.segment_wavelets += 1
-        if w.lo < clip_lo:
-            rw = ExpWavelet(w.lo, clip_lo, w.lo_open, True, e.line, tau, w.dir, w.edge, w.tree_key)
-            self._push(tau, _RANK_SEGMENT, (w.lo, e.line), ("xw", rw))
-            self.stats.segment_wavelets += 1
-        if clip_hi < w.hi:
-            rw = ExpWavelet(clip_hi, w.hi, True, w.hi_open, e.line, tau, w.dir, w.edge, w.tree_key)
-            self._push(tau, _RANK_SEGMENT, (clip_hi, e.line), ("xw", rw))
-            self.stats.segment_wavelets += 1
 
     # -- narrowing ------------------------------------------------------------
 
@@ -441,7 +222,7 @@ class _FastEngine(_Engine):
 
 
 def fast_plan(scene: Scene) -> PlanResult:
-    """Same contract as naive_plan; expanded and narrowed propagation."""
+    """Same contract as naive_plan; narrowed propagation."""
     from .pathrec import build_path
 
     eng = _FastEngine(scene)
@@ -450,16 +231,7 @@ def fast_plan(scene: Scene) -> PlanResult:
         return PlanResult(0, TimedPath((wp,)), eng.stats)
     eng.run(stop_at_dest=True)
     t, _node = eng.labels[eng.dest]
-    try:
-        path = build_path(eng)
-    except Exception:
-        # A claim backed by no stored source has no staircase chain to
-        # materialize; rebuild the witness with the plain engine.
-        ref = _Engine(scene)
-        ref.run(stop_at_dest=True)
-        assert ref.labels[ref.dest][0] == t
-        path = build_path(ref)
-    return PlanResult(eng.sc.time_out(t), path, eng.stats)
+    return PlanResult(eng.sc.time_out(t), build_path(eng), eng.stats)
 
 
 def wavelet_stats(scene: Scene) -> WaveletStats:

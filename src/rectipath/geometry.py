@@ -460,9 +460,3 @@ class ScaledScene:
         if x.denominator != 1 or y.denominator != 1:
             return None  # not representable on the integer grid
         return (int(x), int(y))
-
-
-def scene_diameter(scene: Scene) -> Coord:
-    """L1 diameter of the scene bounding box."""
-    xlo, xhi, ylo, yhi = scene.bbox
-    return (xhi - xlo) + (yhi - ylo)

@@ -580,9 +580,3 @@ class CornerWeightedVertices:
 
     def report(self, rect, open_sides=_CLOSED) -> List[WeightedPoint]:
         return self.trees["SW"].report(rect, open_sides)
-
-
-def nearest_vertex_in_rect(vertices: CornerWeightedVertices, rect, corner: str):
-    """Point in rect minimizing L1 distance to the named corner of rect."""
-    hit = vertices.nearest(rect, corner)
-    return None if hit is None else (hit.x, hit.y)

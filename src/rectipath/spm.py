@@ -1,11 +1,11 @@
 """Arrival-time map for a fixed source, answering point queries in log time.
 
-The exhaustive sweep leaves a trace of everything it swept: cones (a point
-source covering a rectangle of its diagonal quadrant) and flat bands (a front
-sliding off an edge across a strip).  Each trace record is an achievable
-arrival time over a closed rectangle, and every point's true optimum is the
-value of the record that swept it first, so the map is the lower envelope of
-the records.
+The narrowing planner's exhaustive sweep leaves a trace of everything it
+swept: cones (a point source covering a rectangle of its diagonal quadrant)
+and flat bands (a front sliding off an edge across a strip).  Each trace
+record is an achievable arrival time over a closed rectangle, and every
+point's true optimum is the value of the record that swept it first, so the
+map is the lower envelope of the records.
 
 Within one sweep direction a record's value is offset + g . q with a fixed
 gradient g (the four diagonal cone classes, the four axial flat classes), so
@@ -27,7 +27,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from .engine import _DIAG_SIGNS, SegNode, SrcNode, _Engine
+from .engine import _DIAG_SIGNS, SegNode, SrcNode
+from .fast import _FastEngine
 from .geometry import ScaledScene, Scene, TimedPath, Waypoint
 from .pathrec import _from_flat, _from_source, _host_of, _staircase
 from .rangeindex import RectStabber, WeightedRect
@@ -184,7 +185,7 @@ def _harvest(trace) -> List:
 
 def build_spm(scene: Scene) -> ShortestPathMap:
     """Sweep the whole bounding box from the source and index the trace."""
-    eng = _Engine(scene, trace=True)
+    eng = _FastEngine(scene, trace=True)
     eng.run(stop_at_dest=False)
     return ShortestPathMap(scene, _harvest(eng.trace))
 

@@ -19,41 +19,15 @@ Built once per scene from integer-scaled edges; all queries are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .geometry import IntEdge, TransientEdge
+from .geometry import IntEdge
 from .rangeindex import RectStabber, WeightedRect, _SideRange
 
 DIRS = ("N", "S", "E", "W")
 
 # (sign, edges are horizontal) per direction
 _DIR_INFO = {"N": (1, True), "S": (-1, True), "E": (1, False), "W": (-1, False)}
-
-
-class WrongOrientation(ValueError):
-    """Edge orientation does not match the travel direction."""
-
-
-def shadow_point(p, t, direction: str, vmax=1):
-    """Transform a point source to (cross, tau) space for the given direction."""
-    s, horizontal = _DIR_INFO[direction]
-    if horizontal:
-        return (p[0], t - s * Fraction(p[1]) / vmax)
-    return (p[1], t - s * Fraction(p[0]) / vmax)
-
-
-def shadow_range(edge: TransientEdge, direction: str, vmax=1) -> WeightedRect:
-    """The rectangle of shadow points whose rays the edge blocks, weighted by line."""
-    s, horizontal = _DIR_INFO[direction]
-    if edge.horizontal != horizontal:
-        raise WrongOrientation(f"edge {edge.id} cannot block travel to the {direction}")
-    w = s * edge.line_coord
-    lo, hi = edge.span
-    return WeightedRect(
-        lo, hi, edge.appear - Fraction(w) / vmax, edge.disappear - Fraction(w) / vmax,
-        w, edge.id,
-    )
 
 
 @dataclass(frozen=True)
@@ -81,10 +55,6 @@ class StopOracle:
         self._stab = {}
         self._lo_bounds = {}
         self._hi_bounds = {}
-        self.hline = {}
-        self.vline = {}
-        for i, e in enumerate(self.edges):
-            (self.hline if e.horizontal else self.vline)[e.line] = i
         for d in DIRS:
             s, horizontal = _DIR_INFO[d]
             rects, lo_segs, hi_segs = [], [], []
@@ -178,26 +148,3 @@ class StopOracle:
             if a <= b:
                 out.append((a, b))
         return out
-
-    def edge_on_hline(self, y: int) -> Optional[int]:
-        return self.hline.get(y)
-
-    def edge_on_vline(self, x: int) -> Optional[int]:
-        return self.vline.get(x)
-
-    # -- segment-source wrapper ------------------------------------------
-
-    def stop_segment(self, lo: int, hi: int, line: int, t: int, d: str):
-        """Stop sub-segment for a dragged segment source: ((p1, p2), edge_index,
-        arrival), the clip of the first blocking edge to the drag corridor."""
-        hit = self.stop_drag(lo, hi, line, t, d)
-        if hit is None:
-            return None
-        edge_index, arrival = hit
-        e = self.edges[edge_index]
-        a, b = max(lo, e.lo), min(hi, e.hi)
-        if e.horizontal:
-            seg = ((a, e.line), (b, e.line))
-        else:
-            seg = ((e.line, a), (e.line, b))
-        return seg, edge_index, arrival

@@ -1,6 +1,10 @@
 """Ordered map from root coordinate to best shadow offset, as a treap.
 
-The fast planner keeps, per swept edge face, the set of chain roots that feed
+No planner uses this module any more: it held the root sources of the
+removed expansion device and is kept only because perfbench/tracer.py
+imports it and patches RootSourceTree.
+
+The planner kept, per swept edge face, the set of chain roots that feed
 robots onto that edge.  Keys are the roots' cross coordinates; the value kept
 per key is the smallest shadow offset (departure time minus signed travel
 coordinate), since every arrival formula is increasing in it.  The operations

@@ -157,27 +157,35 @@ def test_criterion_6_map_queries_exact_and_scalable():
             assert m.arrival(q) == want, f"map disagrees with oracle on seed {seed} at {q}"
             checked += 1
 
-    per_query = {}
+    maps, queries = {}, {}
     for n in (100, 800):
         scene = bench_scene(1, n)
-        m = build_spm(scene)
+        maps[n] = build_spm(scene)
         xlo, xhi, ylo, yhi = _hull(scene)
-        qs = [(rng.randint(xlo, xhi), rng.randint(ylo, yhi)) for _ in range(2000)]
-        for q in qs[:200]:
-            m.arrival(q)  # warmup, untimed
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            for q in qs:
-                m.arrival(q)
-            per_query[n] = (time.perf_counter() - t0) / len(qs)
-        finally:
-            gc.enable()
+        queries[n] = [(rng.randint(xlo, xhi), rng.randint(ylo, yhi)) for _ in range(2000)]
+        for q in queries[n][:200]:
+            maps[n].arrival(q)  # warmup, untimed
+    # As in criterion 5, the timed passes are interleaved round-robin and
+    # compared by median, so machine-load drift lands on both sizes instead
+    # of on one size's single pass.
+    times = {n: [] for n in maps}
+    gc.collect()
+    gc.disable()
+    try:
+        for _rnd in range(5):
+            for n, m in maps.items():
+                qs = queries[n]
+                t0 = time.perf_counter()
+                for q in qs:
+                    m.arrival(q)
+                times[n].append((time.perf_counter() - t0) / len(qs))
+    finally:
+        gc.enable()
+    per_query = {n: statistics.median(ts) for n, ts in times.items()}
     ratio = per_query[800] / per_query[100]
     print(
         f"criterion 6: {checked} queries exact; query time n=800/n=100 = {ratio:.2f} "
-        f"({per_query[100] * 1e6:.0f}us -> {per_query[800] * 1e6:.0f}us)"
+        f"({per_query[100] * 1e6:.0f}us -> {per_query[800] * 1e6:.0f}us, medians of 5 passes)"
     )
     if ratio > 4.0:
         _soft_fail(f"query time ratio {ratio:.2f} above 4.0")

@@ -11,7 +11,6 @@ from rectipath.rangeindex import (
     WeightedPoint,
     WeightedRect,
     WeightedSegment,
-    nearest_vertex_in_rect,
 )
 
 
@@ -225,13 +224,18 @@ def test_drmin_survives_rebuild():
 # ----- corner-weighted vertex lookup ----------------------------------------
 
 
+def _nearest(cw, rect, corner):
+    hit = cw.nearest(rect, corner)
+    return None if hit is None else (hit.x, hit.y)
+
+
 def test_nearest_vertex_examples():
     verts = [((1, 1), 0), ((2, 5), 1), ((6, 2), 2)]
     cw = CornerWeightedVertices((0, 7, 0, 7), verts)
-    assert nearest_vertex_in_rect(cw, (0, 7, 0, 7), "SW") == (1, 1)
-    assert nearest_vertex_in_rect(cw, (0, 7, 0, 7), "NE") == (6, 2)
+    assert _nearest(cw, (0, 7, 0, 7), "SW") == (1, 1)
+    assert _nearest(cw, (0, 7, 0, 7), "NE") == (6, 2)
     empty = CornerWeightedVertices((0, 7, 0, 7), [])
-    assert nearest_vertex_in_rect(empty, (0, 7, 0, 7), "SW") is None
+    assert _nearest(empty, (0, 7, 0, 7), "SW") is None
 
 
 def test_nearest_vertex_tie_is_lexicographic():
@@ -239,7 +243,7 @@ def test_nearest_vertex_tie_is_lexicographic():
     # provided payloads follow that order.
     verts = [((1, 3), 0), ((3, 1), 1)]
     cw = CornerWeightedVertices((0, 9, 0, 9), verts)
-    assert nearest_vertex_in_rect(cw, (0, 9, 0, 9), "SW") == (1, 3)
+    assert _nearest(cw, (0, 9, 0, 9), "SW") == (1, 3)
 
 
 def test_nearest_vertex_translation_invariance():
@@ -254,8 +258,8 @@ def test_nearest_vertex_translation_invariance():
         cw2 = CornerWeightedVertices((-5 + dx, 35 + dx, -5 + dy, 35 + dy), shifted)
         for corner in ("SW", "SE", "NW", "NE"):
             r = (2, 20, 4, 27)
-            a = nearest_vertex_in_rect(cw, r, corner)
-            b = nearest_vertex_in_rect(cw2, (2 + dx, 20 + dx, 4 + dy, 27 + dy), corner)
+            a = _nearest(cw, r, corner)
+            b = _nearest(cw2, (2 + dx, 20 + dx, 4 + dy, 27 + dy), corner)
             if a is None:
                 assert b is None
             else:
@@ -276,7 +280,7 @@ def test_nearest_vertex_brute_force():
         for corner in ("SW", "SE", "NW", "NE"):
             x1, x2 = sorted(rng.randrange(0, 31) for _ in range(2))
             y1, y2 = sorted(rng.randrange(0, 31) for _ in range(2))
-            got = nearest_vertex_in_rect(cw, (x1, x2, y1, y2), corner)
+            got = _nearest(cw, (x1, x2, y1, y2), corner)
             cx, cy = corner_of[corner]((x1, x2, y1, y2))
             inside = [p for p in pts if x1 <= p[0] <= x2 and y1 <= p[1] <= y2]
             if not inside:

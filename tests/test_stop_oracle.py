@@ -1,16 +1,7 @@
 import random
-from fractions import Fraction
 
-import pytest
-
-from rectipath.geometry import IntEdge, TransientEdge
-from rectipath.stopindex import (
-    DIRS,
-    StopOracle,
-    WrongOrientation,
-    shadow_point,
-    shadow_range,
-)
+from rectipath.geometry import IntEdge
+from rectipath.stopindex import DIRS, StopOracle
 
 
 def hedge(i, x1, x2, y, ta, td):
@@ -19,28 +10,6 @@ def hedge(i, x1, x2, y, ta, td):
 
 def vedge(i, y1, y2, x, ta, td):
     return IntEdge(id=i, horizontal=False, line=x, lo=min(y1, y2), hi=max(y1, y2), ta=ta, td=td)
-
-
-def test_shadow_point():
-    assert shadow_point((4, 1), 2, "N") == (4, 1)
-    assert shadow_point((0, 0), 0, "N") == (0, 0)
-    assert shadow_point((3, 2), 5, "S") == (3, 7)
-    assert shadow_point((3, 2), 5, "E") == (2, 2)
-    assert shadow_point((3, 2), 5, "W") == (2, 8)
-    assert shadow_point((4, 1), 2, "N", vmax=2) == (4, Fraction(3, 2))
-
-
-def test_shadow_range():
-    e = TransientEdge(0, (2, 5), (8, 5), 3, 7)
-    r = shadow_range(e, "N")
-    assert (r.xlo, r.xhi, r.ylo, r.yhi, r.weight) == (2, 8, -2, 2, 5)
-    r = shadow_range(e, "S")
-    assert (r.xlo, r.xhi, r.ylo, r.yhi, r.weight) == (2, 8, 8, 12, -5)
-    v = TransientEdge(1, (2, 0), (2, 9), 3, 7)
-    with pytest.raises(WrongOrientation):
-        shadow_range(v, "N")
-    r = shadow_range(v, "E")
-    assert (r.xlo, r.xhi, r.ylo, r.yhi, r.weight) == (0, 9, 1, 5, 2)
 
 
 def test_stop_point_examples():
@@ -217,13 +186,13 @@ def test_accessible_matches_pointwise_scan():
             assert member == want, (e, p, t, c, spans)
 
 
-def test_stop_segment_examples():
+def test_stop_drag_examples():
     so = StopOracle([hedge(0, -5, 5, 5, 0, 20)])
-    assert so.stop_segment(-2, 2, 0, 0, "N") == (((-2, 5), (2, 5)), 0, 5)
+    assert so.stop_drag(-2, 2, 0, 0, "N") == (0, 5)
     so = StopOracle([hedge(0, 0, 5, 5, 0, 20)])
-    assert so.stop_segment(-2, 2, 0, 0, "N") == (((0, 5), (2, 5)), 0, 5)
+    assert so.stop_drag(-2, 2, 0, 0, "N") == (0, 5)
     so = StopOracle([hedge(0, -5, 5, 5, 0, 3)])
-    assert so.stop_segment(-2, 2, 0, 0, "N") is None
+    assert so.stop_drag(-2, 2, 0, 0, "N") is None
 
 
 def test_stop_drag_tip_only_overlap_passes():
@@ -233,11 +202,3 @@ def test_stop_drag_tip_only_overlap_passes():
     so = StopOracle(edges)
     assert so.stop_drag(0, 5, 0, 0, "N") == (1, 7)
     assert so.stop_drag(0, 5, 0, 0, "S") is None
-
-
-def test_edge_line_lookup():
-    so = StopOracle([hedge(0, 0, 4, 7, 0, 9), vedge(1, 0, 4, -3, 0, 9)])
-    assert so.edge_on_hline(7) == 0
-    assert so.edge_on_hline(8) is None
-    assert so.edge_on_vline(-3) == 1
-    assert so.edge_on_vline(0) is None

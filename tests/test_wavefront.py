@@ -8,7 +8,6 @@ from rectipath.engine import (
     SegWavelet,
     SrcNode,
     _Engine,
-    initial_wavelets,
     naive_plan,
 )
 from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path
@@ -42,8 +41,16 @@ def test_wait_point_in_path():
     assert wait == [type(wait[0])((0, 5), 5, 6)]
 
 
+def _initial_wavelets(scene):
+    # the up-to-four diagonal wavelets departing the source at time 0
+    eng = _Engine(scene)
+    root = SrcNode("start", eng.source, 0)
+    eng.labels[eng.source] = (0, root)
+    return eng._spawn_arrangement(eng.source, 0, root)
+
+
 def test_initial_wavelets_cover_the_four_quadrants():
-    ws = initial_wavelets(canonical_scene("S0"))
+    ws = _initial_wavelets(canonical_scene("S0"))
     got = {w.dir: w.rect for w in ws}
     assert got == {
         "NE": (0, 1, 0, 11),
@@ -55,7 +62,7 @@ def test_initial_wavelets_cover_the_four_quadrants():
 
 
 def test_initial_wavelets_capped_by_blocking_edge():
-    ws = {w.dir: w for w in initial_wavelets(canonical_scene("S1"))}
+    ws = {w.dir: w for w in _initial_wavelets(canonical_scene("S1"))}
     assert ws["NE"].rect == (0, 6, 0, 5)
     assert ws["NE"].caps == (None, 0)  # east ray runs to the box, north ray stops
     assert ws["NW"].rect == (-6, 0, 0, 5)
