@@ -30,7 +30,6 @@ from .engine import (
     _Engine,
 )
 from .geometry import Scene, TimedPath, Waypoint
-from .rangeindex import CornerWeightedVertices
 
 Rect = Tuple[int, int, int, int]  # (xlo, xhi, ylo, yhi), closed
 
@@ -87,10 +86,6 @@ class _FastEngine(_Engine):
     def __init__(self, scene: Scene, trace: bool = False):
         super().__init__(scene, trace)
         self.registry = {}  # (vertex, diagonal) -> first claimant wavelet
-        # Settled vertices leave self.drm; this copy keeps them so a sweep
-        # that reaches one can be cut against that vertex's own wavelet.
-        verts = sorted(self.vert_payload)
-        self.drm_all = CornerWeightedVertices(self.bbox, [(p, i) for i, p in enumerate(verts)])
 
     # -- narrowing ------------------------------------------------------------
 
@@ -101,17 +96,20 @@ class _FastEngine(_Engine):
         return made
 
     def _nearest_past_root(self, w: PointWavelet):
-        """Nearest vertex of w's region, measured from its origin, looking
-        past the region's own root vertex when that is what comes first:
-        the root sits at the source corner of every region descended from
-        its arrangement and would otherwise hide every vertex behind it."""
+        """Nearest vertex of w's region, settled or not, measured from its
+        origin, and the nearest live vertex of the region.  The first looks
+        past the region's own root vertex when that is what comes first: the
+        root sits at the source corner of every region descended from its
+        arrangement and would otherwise hide every vertex behind it.  Settled
+        vertices count so that a sweep reaching one can be cut against that
+        vertex's own wavelet."""
         corner = _NEAREST_CORNER[w.dir]
-        hit = self.drm_all.nearest(w.rect, corner)
+        hit, live = self.drm.nearest(w.rect, corner, settled=True)
         if hit is None or (hit.x, hit.y) != w.origin:
-            return hit
+            return hit, live
         lab = self.labels.get(w.origin)
         if lab is None or lab[1] is not w.src:
-            return hit
+            return hit, live
         ox, oy = w.origin
         xlo, xhi, ylo, yhi = w.rect
         sx, sy = _DIAG_SIGNS[w.dir]
@@ -123,13 +121,13 @@ class _FastEngine(_Engine):
         best = None
         bestd = None
         for rect in subs:
-            h = self.drm_all.nearest(rect, corner)
+            h = self.drm.nearest(rect, corner, settled=True)[0]
             if h is None:
                 continue
             d = abs(h.x - ox) + abs(h.y - oy)
             if bestd is None or (d, h.x, h.y) < bestd:
                 best, bestd = h, (d, h.x, h.y)
-        return best
+        return best, live
 
     def _do_point(self, w: PointWavelet):
         ox, oy = w.origin
@@ -149,14 +147,14 @@ class _FastEngine(_Engine):
         # settled, so past the vertex the resident wavelet dominates.  Keep
         # only the parts it does not cover.  The vertex's own descendants are
         # exempt; they carry its label node as root source.
-        hit_any = self._nearest_past_root(w)
+        hit_any, hit = self._nearest_past_root(w)
         if hit_any is None:
             return
         p = (hit_any.x, hit_any.y)
         lab = self.labels.get(p)
         if lab is None:
             # Nothing settled sits closer, so this is also the nearest
-            # live vertex; the live structure need not be asked again.
+            # live vertex.
             hit = hit_any
         else:
             if w.src is not lab[1]:
@@ -176,7 +174,6 @@ class _FastEngine(_Engine):
                             self._push(w.key, _RANK_POINT, w.origin, ("pw", child))
                             self.stats.point_wavelets += 1
                         return
-            hit = self.drm.nearest(w.rect, _NEAREST_CORNER[w.dir])
             if hit is None:
                 return
         v = (hit.x, hit.y)

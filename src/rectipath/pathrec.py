@@ -39,49 +39,83 @@ def _host_of(src_node):
 
 
 def _from_source(eng, node) -> List[Tri]:
-    if node.kind == "start":
-        return [[node.point, 0, 0]]
-    if node.kind == "wait":
-        tris = _from_source(eng, node.via)
-        _staircase(eng, tris, node.point, host=_host_of(node.via), flex=True)
-        assert tris[-1][1] <= node.time
-        tris[-1][2] = node.time
-        return tris
-    via = node.via  # settled point: obstacle vertex or the destination
-    if via[0] == "p":
-        w = via[1]
-        tris = _from_source(eng, w.src)
-        _staircase(eng, tris, node.point, host=_host_of(w.src))
-    else:
-        w = via[1]
-        horizontal = w.dir in ("N", "S")
-        cross = node.point[0] if horizontal else node.point[1]
-        perp = node.point[1] if horizontal else node.point[0]
-        tris = _from_flat(eng, w.node, cross, perp)
-    assert tris[-1][0] == node.point and tris[-1][1] == node.time
-    return tris
+    """Timed points from the start to the point source node."""
+    return _replay(eng, ("src", node))
 
 
 def _from_flat(eng, node, cross, target_perp) -> List[Tri]:
-    if node.kind == "remainder":
-        return _from_flat(eng, node.parent, cross, target_perp)
-    horizontal = node.dir in ("N", "S")
+    """Timed points from the start to where the flat front node reaches
+    the line perp = target_perp at crossing coordinate cross."""
+    return _replay(eng, ("flat", node, cross, target_perp))
 
-    def at(pv):
-        return (cross, pv) if horizontal else (pv, cross)
 
-    if node.kind == "piece":
-        tris = _from_source(eng, node.src)
-        _staircase(eng, tris, at(node.line), host=_host_of(node.src), flex=True)
-        assert tris[-1][1] <= node.key
-    else:  # successor
-        tris = _from_flat(eng, node.parent, cross, node.line)
-        assert tris[-1][1] == node.arrive
-    tris[-1][2] = node.key
-    assert target_perp != node.line
-    t = node.key + abs(target_perp - node.line)
-    tris.append([at(target_perp), t, t])
+def _replay(eng, item) -> List[Tri]:
+    """Walk a provenance chain back to its start, then replay it forward.
+
+    item is ("src", SrcNode) or ("flat", SegNode, cross, target_perp).  The
+    steps still to replay are kept on a list, not on the call stack, so long
+    chains need no recursion depth.
+    """
+    todo = []
+    while True:
+        if item[0] == "src":
+            node = item[1]
+            if node.kind == "start":
+                break
+            if node.kind == "wait":
+                todo.append(("wait", node))
+                item = ("src", node.via)
+            elif node.via[0] == "p":  # settled point: obstacle vertex or the destination
+                todo.append(("arrived", node))
+                todo.append(("vertex", node))
+                item = ("src", node.via[1].src)
+            else:
+                w = node.via[1]
+                horizontal = w.dir in ("N", "S")
+                cross = node.point[0] if horizontal else node.point[1]
+                perp = node.point[1] if horizontal else node.point[0]
+                todo.append(("arrived", node))
+                item = ("flat", w.node, cross, perp)
+        else:
+            _, seg, cross, perp = item
+            if seg.kind == "remainder":
+                item = ("flat", seg.parent, cross, perp)
+                continue
+            todo.append(("front", seg, cross, perp))
+            if seg.kind == "piece":
+                todo.append(("piece", seg, cross))
+                item = ("src", seg.src)
+            else:  # successor
+                todo.append(("successor", seg))
+                item = ("flat", seg.parent, cross, seg.line)
+    tris = [[node.point, 0, 0]]
+    for step in reversed(todo):
+        kind, node = step[0], step[1]
+        if kind == "wait":
+            _staircase(eng, tris, node.point, host=_host_of(node.via), flex=True)
+            assert tris[-1][1] <= node.time
+            tris[-1][2] = node.time
+        elif kind == "vertex":
+            _staircase(eng, tris, node.point, host=_host_of(node.via[1].src))
+        elif kind == "arrived":
+            assert tris[-1][0] == node.point and tris[-1][1] == node.time
+        elif kind == "piece":
+            _staircase(eng, tris, _on_line(node, step[2], node.line), host=_host_of(node.src), flex=True)
+            assert tris[-1][1] <= node.key
+        elif kind == "successor":
+            assert tris[-1][1] == node.arrive
+        else:  # front: depart the front's line and cross to the target line
+            target_perp = step[3]
+            tris[-1][2] = node.key
+            assert target_perp != node.line
+            t = node.key + abs(target_perp - node.line)
+            tris.append([_on_line(node, step[2], target_perp), t, t])
     return tris
+
+
+def _on_line(seg, cross, pv):
+    """The point at crossing coordinate cross on seg's perpendicular line pv."""
+    return (cross, pv) if seg.dir in ("N", "S") else (pv, cross)
 
 
 def _staircase(eng, tris, target, host=None, flex=False):

@@ -1,6 +1,6 @@
 """Static and dynamic min-weight range queries used by the planners.
 
-Three structures:
+Four structures:
 
 * :class:`RectStabber` -- static set of weighted rectangles, query = minimum
   weight rectangle containing a point, optionally restricted to weights
@@ -9,10 +9,16 @@ Three structures:
   query = minimum weight segment intersecting an axis-parallel query segment.
 * :class:`DynRangeMin` -- weighted points under deletion (and occasional
   insertion), query = minimum weight point in an axis-parallel rectangle.
+* :class:`CornerWeightedVertices` -- a fixed vertex set under deletion, query
+  = vertex in a rectangle nearest one of its corners, among the live vertices
+  or among all of them.
 
-All are built from sorted arrays and segment trees over elementary pieces, so
-a query costs a few binary searches.  Weight ties break by payload id, which
-callers choose to make results deterministic.
+All are built from sorted arrays and segment trees, so a query costs a few
+binary searches: the first two over elementary pieces, the last two over one
+static segment tree on the x order of their points (:class:`_XTree`) whose
+nodes keep y-ordered min arrays, O(log^2 n) per query and per deletion.
+Weight ties break by payload id, which callers choose to make results
+deterministic.
 """
 
 from __future__ import annotations
@@ -361,47 +367,11 @@ class SegIntersecter:
 
 
 # ---------------------------------------------------------------------------
-# Dynamic range minimum over weighted points
+# Range minimum over a fixed point set: one x segment tree, several views
 # ---------------------------------------------------------------------------
 
-
-class _KdNode:
-    __slots__ = ("pt", "key", "left", "right", "parent", "alive", "live", "best", "bbox")
-
-    def __init__(self, pt: WeightedPoint):
-        self.pt = pt
-        self.key = (pt.weight, pt.payload, pt.x, pt.y)
-        self.left = None
-        self.right = None
-        self.parent = None
-        self.alive = True
-        self.live = 1
-        self.best = self.key
-        self.bbox = (pt.x, pt.x, pt.y, pt.y)
-
-
-def _build_kd(pts: List[WeightedPoint], axis: int, parent) -> Optional[_KdNode]:
-    if not pts:
-        return None
-    pts.sort(key=(lambda p: (p.x, p.y)) if axis == 0 else (lambda p: (p.y, p.x)))
-    mid = len(pts) // 2
-    node = _KdNode(pts[mid])
-    node.parent = parent
-    node.left = _build_kd(pts[:mid], 1 - axis, node)
-    node.right = _build_kd(pts[mid + 1 :], 1 - axis, node)
-    xs = [node.pt.x]
-    ys = [node.pt.y]
-    for ch in (node.left, node.right):
-        if ch is not None:
-            node.live += ch.live
-            node.best = min(node.best, ch.best)
-            xs.extend((ch.bbox[0], ch.bbox[1]))
-            ys.extend((ch.bbox[2], ch.bbox[3]))
-    node.bbox = (min(xs), max(xs), min(ys), max(ys))
-    return node
-
-
 _CLOSED = (False, False, False, False)
+_DEAD = float("inf")  # key of a deleted point, above every live key
 
 
 def _inside(x, y, rect, open_sides) -> bool:
@@ -414,121 +384,229 @@ def _inside(x, y, rect, open_sides) -> bool:
     return True
 
 
+class _XTree:
+    """Static segment tree over the x order of a fixed point set.
+
+    Leaf i holds the i-th point in (x, y, payload) order.  Node v (children
+    2v and 2v+1, leaves at n..2n-1) keeps the leaf ids of its points in y
+    order, and ``pos[i]`` lists leaf i's place in every node on its way up.
+    This layout is built once per point set.  A *view* puts one key per point
+    on it: one bottom-up min array per node over that node's y order.  A
+    rectangle query bisects x for the O(log n) canonical nodes, bisects y in
+    each and takes a range minimum there, O(log^2 n) in all, and serves any
+    number of views from the same spans.  Deleting a point from a view clears
+    its leaf in the nodes above it, walking up each node's array only while
+    that node's minimum changes.
+
+    A key is weight * n + rank, where rank is the point's place in
+    (payload, x, y) order, so keys compare like (weight, payload, x, y)
+    tuples.  Weights must be integers.
+    """
+
+    __slots__ = ("n", "points", "leaf_of", "rank", "by_rank", "xs", "node_ids", "node_ys", "pos")
+
+    def __init__(self, points):
+        """points: distinct (x, y, payload) triples, in any order."""
+        pts = sorted(points)
+        n = len(pts)
+        self.n = n
+        self.points = pts
+        self.leaf_of = {p: i for i, p in enumerate(pts)}
+        self.by_rank = sorted(range(n), key=lambda i: (pts[i][2], pts[i][0], pts[i][1]))
+        rank = [0] * n
+        for r, i in enumerate(self.by_rank):
+            rank[i] = r
+        self.rank = rank
+        self.xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
+        ids: List[Optional[list]] = [None] * (2 * n)
+        for i in range(n):
+            ids[n + i] = [i]
+        for v in range(n - 1, 0, -1):
+            # timsort merges the two y-ordered runs in linear time
+            ids[v] = sorted(ids[2 * v] + ids[2 * v + 1], key=ys.__getitem__)
+        self.node_ids = ids
+        self.node_ys = [None] + [list(map(ys.__getitem__, ids[v])) for v in range(1, 2 * n)]
+        pos: List[list] = [[] for _ in range(n)]
+        for v in range(2 * n - 1, 0, -1):  # ancestors come in decreasing order
+            for j, i in enumerate(ids[v]):
+                pos[i].append(j)
+        self.pos = pos
+
+    def view(self, weights) -> list:
+        """Per-node min arrays over the keys of the given per-leaf weights."""
+        n = self.n
+        keys = [w * n + r for w, r in zip(weights, self.rank)]
+        get = keys.__getitem__
+        arrays: List[Optional[list]] = [None] * n
+        for v in range(1, n):
+            ids = self.node_ids[v]
+            m = len(ids)
+            a = [None] * m
+            a += map(get, ids)
+            hi = m
+            while hi > 1:
+                lo = (hi + 1) >> 1
+                a[lo:hi] = map(min, a[2 * lo : 2 * hi : 2], a[2 * lo + 1 : 2 * hi : 2])
+                hi = lo
+            arrays[v] = a
+        arrays += [[None, k] for k in keys]  # leaves
+        return arrays
+
+    def clear(self, views, i) -> None:
+        """Delete leaf i from each of the views."""
+        v = self.n + i
+        for p in self.pos[i]:
+            k0 = len(self.node_ys[v]) + p
+            for view in views:
+                a = view[v]
+                a[k0] = _DEAD
+                k = k0 >> 1
+                while k:
+                    l, r = a[2 * k], a[2 * k + 1]
+                    m = l if l < r else r
+                    if m == a[k]:
+                        break
+                    a[k] = m
+                    k >>= 1
+            v >>= 1
+
+    def nodes(self, rect, open_sides=_CLOSED) -> List[int]:
+        """Canonical nodes of rect's x range."""
+        xlo, xhi = rect[0], rect[1]
+        xs = self.xs
+        a = bisect_right(xs, xlo) if open_sides[0] else bisect_left(xs, xlo)
+        b = bisect_left(xs, xhi) if open_sides[1] else bisect_right(xs, xhi)
+        out = []
+        a += self.n
+        b += self.n
+        while a < b:
+            if a & 1:
+                out.append(a)
+                a += 1
+            if b & 1:
+                b -= 1
+                out.append(b)
+            a >>= 1
+            b >>= 1
+        return out
+
+    def mins(self, views, rect, open_sides=_CLOSED) -> list:
+        """Minimum key of each view over the points inside rect (_DEAD if none)."""
+        ylo, yhi = rect[2], rect[3]
+        oly, ohy = open_sides[2], open_sides[3]
+        node_ys = self.node_ys
+        best = [_DEAD] * len(views)
+        for v in self.nodes(rect, open_sides):
+            ys = node_ys[v]
+            lo = bisect_right(ys, ylo) if oly else bisect_left(ys, ylo)
+            hi = bisect_left(ys, yhi) if ohy else bisect_right(ys, yhi)
+            if lo >= hi:
+                continue
+            m = len(ys)
+            for j, view in enumerate(views):
+                a = view[v]
+                b = best[j]
+                if a[1] >= b:
+                    continue
+                if hi - lo == m:
+                    best[j] = a[1]
+                    continue
+                lo2, hi2 = lo + m, hi + m
+                while lo2 < hi2:
+                    if lo2 & 1:
+                        if a[lo2] < b:
+                            b = a[lo2]
+                        lo2 += 1
+                    if hi2 & 1:
+                        hi2 -= 1
+                        if a[hi2] < b:
+                            b = a[hi2]
+                    lo2 >>= 1
+                    hi2 >>= 1
+                best[j] = b
+        return best
+
+    def leaves(self, rect, open_sides=_CLOSED) -> List[int]:
+        """Leaf ids of the points inside rect, in no particular order."""
+        ylo, yhi = rect[2], rect[3]
+        oly, ohy = open_sides[2], open_sides[3]
+        out: List[int] = []
+        for v in self.nodes(rect, open_sides):
+            ys = self.node_ys[v]
+            lo = bisect_right(ys, ylo) if oly else bisect_left(ys, ylo)
+            hi = bisect_left(ys, yhi) if ohy else bisect_right(ys, yhi)
+            out += self.node_ids[v][lo:hi]
+        return out
+
+    def points_of(self, keys, pts) -> list:
+        """pts[leaf] for the leaf of each key, None for _DEAD."""
+        n, by_rank = self.n, self.by_rank
+        return [None if k == _DEAD else pts[by_rank[k % n]] for k in keys]
+
+
 class DynRangeMin:
     """Minimum-weight live point inside a rectangle, under delete and insert.
 
-    A static kd-tree (subtree live counts, min keys and bounding boxes) serves
-    the initial points; deletions mark nodes dead and fix the ancestor path.
-    Inserts go to an overlay list that is folded into a rebuilt tree once it
-    outgrows the tree.  Query rectangles may be open per side.
+    The points given at construction sit on one :class:`_XTree` with one view;
+    a deletion clears the point's leaf in O(log^2 n).  Inserts go to an
+    overlay list that is folded into a rebuilt tree once it outgrows the
+    tree's live points.  Query rectangles may be open per side.  Weights are
+    integers; ties break by (payload, x, y).
     """
 
     def __init__(self, points=()):
-        pts = list(points)
-        self.root = _build_kd(pts, 0, None) if pts else None
-        self._index = {}
-        self._register(self.root)
+        self._build(list(points))
+
+    def _build(self, pts: List[WeightedPoint]) -> None:
+        pts.sort(key=lambda p: (p.x, p.y, p.payload))  # the tree's leaf order
+        self.points = pts
+        self.tree = _XTree([(p.x, p.y, p.payload) for p in pts])
+        self.view = self.tree.view([p.weight for p in pts])
+        self.alive = bytearray(b"\x01") * len(pts)
+        self.tree_live = len(pts)
         self.overlay: List[WeightedPoint] = []
 
-    def _register(self, node):
-        stack = [node] if node else []
-        while stack:
-            n = stack.pop()
-            self._index[(n.pt.x, n.pt.y, n.pt.payload)] = n
-            if n.left:
-                stack.append(n.left)
-            if n.right:
-                stack.append(n.right)
-
     def __len__(self):
-        return (self.root.live if self.root else 0) + len(self.overlay)
+        return self.tree_live + len(self.overlay)
 
     def insert(self, pt: WeightedPoint) -> None:
         self.overlay.append(pt)
-        tree_live = self.root.live if self.root else 0
-        if len(self.overlay) > 32 and len(self.overlay) > tree_live:
-            pts = self._live_points()
-            self.root = _build_kd(pts, 0, None) if pts else None
-            self._index = {}
-            self._register(self.root)
-            self.overlay = []
-
-    def _live_points(self) -> List[WeightedPoint]:
-        out = list(self.overlay)
-        stack = [self.root] if self.root else []
-        while stack:
-            n = stack.pop()
-            if n.alive:
-                out.append(n.pt)
-            if n.left and n.left.live:
-                stack.append(n.left)
-            if n.right and n.right.live:
-                stack.append(n.right)
-        return out
+        if len(self.overlay) > 32 and len(self.overlay) > self.tree_live:
+            alive = self.alive
+            self._build([p for i, p in enumerate(self.points) if alive[i]] + self.overlay)
 
     def delete(self, x, y, payload) -> None:
         """Remove the live point identified by position and payload."""
-        node = self._index.get((x, y, payload))
-        if node is not None and node.alive:
-            node.alive = False
-            n = node
-            while n is not None:
-                n.live -= 1
-                best = n.key if n.alive else None
-                for ch in (n.left, n.right):
-                    if ch is not None and ch.live and (best is None or ch.best < best):
-                        best = ch.best
-                n.best = best  # None only on fully dead subtrees, never visited
-                n = n.parent
+        i = self.tree.leaf_of.get((x, y, payload))
+        if i is not None and self.alive[i]:
+            self.alive[i] = 0
+            self.tree_live -= 1
+            self.tree.clear((self.view,), i)
             return
-        for i, p in enumerate(self.overlay):
+        for j, p in enumerate(self.overlay):
             if (p.x, p.y, p.payload) == (x, y, payload):
-                self.overlay.pop(i)
+                self.overlay.pop(j)
                 return
         raise DeleteMissing((x, y, payload))
 
     def query(self, rect, open_sides=_CLOSED) -> Optional[WeightedPoint]:
         """Minimum (weight, payload) live point inside rect, or None."""
-        best = None
-        best_pt = None
+        tree = self.tree
+        (best_pt,) = tree.points_of(tree.mins((self.view,), rect, open_sides), self.points)
+        best = None if best_pt is None else (best_pt.weight, best_pt.payload, best_pt.x, best_pt.y)
         for p in self.overlay:
             if _inside(p.x, p.y, rect, open_sides):
                 key = (p.weight, p.payload, p.x, p.y)
                 if best is None or key < best:
                     best, best_pt = key, p
-        xlo, xhi, ylo, yhi = rect
-        stack = [self.root] if (self.root and self.root.live) else []
-        while stack:
-            n = stack.pop()
-            bxlo, bxhi, bylo, byhi = n.bbox
-            if bxlo > xhi or bxhi < xlo or bylo > yhi or byhi < ylo:
-                continue
-            if best is not None and n.best >= best:
-                continue
-            if n.alive and _inside(n.pt.x, n.pt.y, rect, open_sides):
-                key = n.key
-                if best is None or key < best:
-                    best, best_pt = key, n.pt
-            for ch in (n.left, n.right):
-                if ch is not None and ch.live:
-                    stack.append(ch)
         return best_pt
 
     def report(self, rect, open_sides=_CLOSED) -> List[WeightedPoint]:
         """All live points inside rect, in no particular order."""
-        out = [p for p in self.overlay if _inside(p.x, p.y, rect, open_sides)]
-        xlo, xhi, ylo, yhi = rect
-        stack = [self.root] if (self.root and self.root.live) else []
-        while stack:
-            n = stack.pop()
-            bxlo, bxhi, bylo, byhi = n.bbox
-            if bxlo > xhi or bxhi < xlo or bylo > yhi or byhi < ylo:
-                continue
-            if n.alive and _inside(n.pt.x, n.pt.y, rect, open_sides):
-                out.append(n.pt)
-            for ch in (n.left, n.right):
-                if ch is not None and ch.live:
-                    stack.append(ch)
+        alive, pts = self.alive, self.points
+        out = [pts[i] for i in self.tree.leaves(rect, open_sides) if alive[i]]
+        out += [p for p in self.overlay if _inside(p.x, p.y, rect, open_sides)]
         return out
 
 
@@ -540,43 +618,62 @@ CORNERS = ("SW", "SE", "NW", "NE")
 
 
 class CornerWeightedVertices:
-    """Four DynRangeMin instances over the same vertices, one per board corner.
+    """Nearest vertex toward a corner of a query rectangle, over a fixed
+    vertex set under deletion.
 
-    The copy for corner c weighs every vertex by its L1 distance to c, so the
-    minimum-weight vertex in a query rectangle is the one nearest the matching
-    corner of that rectangle (the constant offset between the rectangle corner
-    and the board corner does not change the argmin).  Payload ids must be
-    assigned in lexicographic (x, y) order for ties to resolve lexicographically.
+    One :class:`_XTree` over the vertices carries two views per board corner
+    c, both weighing a vertex by its L1 distance to c: the live view loses
+    each removed vertex, the settled view keeps them all.  The minimum-weight
+    vertex in a query rectangle is the one nearest the matching corner of that
+    rectangle (the constant offset between the rectangle corner and the board
+    corner does not change the argmin).  Payload ids must be assigned in
+    lexicographic (x, y) order for ties to resolve lexicographically.
     """
 
     def __init__(self, bbox, vertices):
         xlo, xhi, ylo, yhi = bbox
         self.bbox = bbox
-        self.trees = {}
-        corner_pos = {
-            "SW": (xlo, ylo),
-            "SE": (xhi, ylo),
-            "NW": (xlo, yhi),
-            "NE": (xhi, yhi),
-        }
+        self.tree = tree = _XTree([(x, y, payload) for (x, y), payload in vertices])
+        self.alive = bytearray(b"\x01") * tree.n
+        self.live_count = tree.n
+        self.points = {}  # corner -> WeightedPoint per leaf
+        self.live = {}
+        self.settled = {}
+        corner_pos = {"SW": (xlo, ylo), "SE": (xhi, ylo), "NW": (xlo, yhi), "NE": (xhi, yhi)}
         for corner in CORNERS:
             cx, cy = corner_pos[corner]
-            pts = [
-                WeightedPoint(x, y, abs(x - cx) + abs(y - cy), payload)
-                for (x, y), payload in vertices
+            weights = [abs(x - cx) + abs(y - cy) for x, y, _ in tree.points]
+            self.points[corner] = [
+                WeightedPoint(x, y, w, payload) for (x, y, payload), w in zip(tree.points, weights)
             ]
-            self.trees[corner] = DynRangeMin(pts)
+            self.settled[corner] = view = tree.view(weights)
+            self.live[corner] = [None] + [a[:] for a in view[1:]]
 
     def __len__(self):
-        return len(self.trees["SW"])
+        return self.live_count
 
     def remove(self, x, y, payload) -> None:
-        for corner in CORNERS:
-            self.trees[corner].delete(x, y, payload)
+        """Take a vertex out of the live views."""
+        i = self.tree.leaf_of.get((x, y, payload))
+        if i is None or not self.alive[i]:
+            raise DeleteMissing((x, y, payload))
+        self.alive[i] = 0
+        self.live_count -= 1
+        self.tree.clear([self.live[corner] for corner in CORNERS], i)
 
-    def nearest(self, rect, corner: str, open_sides=_CLOSED) -> Optional[WeightedPoint]:
-        """Vertex in rect nearest the given corner of rect (ties lexicographic)."""
-        return self.trees[corner].query(rect, open_sides)
+    def nearest(self, rect, corner: str, open_sides=_CLOSED, settled: bool = False):
+        """Live vertex in rect nearest the given corner of rect (ties
+        lexicographic), or None.  With settled=True, the pair (nearest vertex
+        removed or not, nearest live vertex), both from one pass over rect's
+        spans."""
+        tree = self.tree
+        if settled:
+            keys = tree.mins((self.settled[corner], self.live[corner]), rect, open_sides)
+            return tuple(tree.points_of(keys, self.points[corner]))
+        keys = tree.mins((self.live[corner],), rect, open_sides)
+        return tree.points_of(keys, self.points[corner])[0]
 
     def report(self, rect, open_sides=_CLOSED) -> List[WeightedPoint]:
-        return self.trees["SW"].report(rect, open_sides)
+        """All live vertices inside rect, in no particular order."""
+        alive, pts = self.alive, self.points["SW"]
+        return [pts[i] for i in self.tree.leaves(rect, open_sides) if alive[i]]

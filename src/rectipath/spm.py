@@ -277,60 +277,88 @@ def _spm_from_dict(doc) -> ShortestPathMap:
     if doc.get("version") != _VERSION:
         raise MapFormatError("unsupported map version %r" % (doc.get("version"),))
     scene = scene_from_dict(doc["scene"])
-    src_rows = doc["sources"]
-    seg_rows = doc["fronts"]
-    srcs: List[Optional[SrcNode]] = [None] * len(src_rows)
-    segs: List[Optional[SegNode]] = [None] * len(seg_rows)
+    rows = {"src": doc["sources"], "seg": doc["fronts"]}
+    built: Dict[Tuple[str, int], object] = {}
 
-    def mk_src(i: int) -> SrcNode:
-        if srcs[i] is None:
-            row = src_rows[i]
+    def ref(table, i) -> Tuple[str, int]:
+        if type(i) is not int or not 0 <= i < len(rows[table]):
+            raise MapFormatError("bad %s reference %r" % (table, i))
+        return (table, i)
+
+    def depends_on(key) -> Optional[Tuple[str, int]]:
+        """The row a row's node is built on; None for the start."""
+        table, i = key
+        row = rows[table][i]
+        kind = row["kind"]
+        if table == "src":
+            if kind == "start":
+                return None
+            if kind == "wait":
+                return ref("src", row["via"])
+            if kind == "vertex" and row["via"][0] == "p":
+                return ref("src", row["via"][1])
+            if kind == "vertex" and row["via"][0] == "s":
+                return ref("seg", row["via"][1])
+        elif kind == "piece":
+            return ref("src", row["src"])
+        elif kind in ("successor", "remainder"):
+            return ref("seg", row["parent"])
+        raise MapFormatError("malformed %s row %d" % key)
+
+    def make(key, dep):
+        table, i = key
+        row = rows[table][i]
+        kind = row["kind"]
+        if table == "src":
             point = tuple(row["point"])
-            if row["kind"] == "start":
-                srcs[i] = SrcNode("start", point, row["time"])
-            elif row["kind"] == "wait":
-                srcs[i] = SrcNode(
-                    "wait", point, row["time"], via=mk_src(row["via"]), host=row["host"]
-                )
+            if kind == "start":
+                return SrcNode("start", point, row["time"])
+            if kind == "wait":
+                return SrcNode("wait", point, row["time"], via=dep, host=row["host"])
+            if row["via"][0] == "p":
+                via = ("p", SimpleNamespace(src=dep))
             else:
-                tag = row["via"]
-                if tag[0] == "p":
-                    via = ("p", SimpleNamespace(src=mk_src(tag[1])))
-                else:
-                    via = ("s", SimpleNamespace(node=mk_seg(tag[1]), dir=tag[2]))
-                srcs[i] = SrcNode("vertex", point, row["time"], via=via)
-        return srcs[i]
+                via = ("s", SimpleNamespace(node=dep, dir=row["via"][2]))
+            return SrcNode("vertex", point, row["time"], via=via)
+        if kind == "piece":
+            return SegNode("piece", row["dir"], row["line"], row["key"], src=dep, edge=row["edge"])
+        if kind == "successor":
+            return SegNode(
+                "successor",
+                row["dir"],
+                row["line"],
+                row["key"],
+                parent=dep,
+                edge=row["edge"],
+                arrive=row["arrive"],
+            )
+        return SegNode("remainder", row["dir"], row["line"], row["key"], parent=dep)
 
-    def mk_seg(i: int) -> SegNode:
-        if segs[i] is None:
-            row = seg_rows[i]
-            if row["kind"] == "piece":
-                segs[i] = SegNode(
-                    "piece", row["dir"], row["line"], row["key"], src=mk_src(row["src"]), edge=row["edge"]
-                )
-            elif row["kind"] == "successor":
-                segs[i] = SegNode(
-                    "successor",
-                    row["dir"],
-                    row["line"],
-                    row["key"],
-                    parent=mk_seg(row["parent"]),
-                    edge=row["edge"],
-                    arrive=row["arrive"],
-                )
-            else:
-                segs[i] = SegNode(
-                    "remainder", row["dir"], row["line"], row["key"], parent=mk_seg(row["parent"])
-                )
-        return segs[i]
+    def node(table, i):
+        """Node of row i, built after the chain of rows it rests on.  Each
+        row rests on at most one other, so the chain is walked in a loop, and
+        a row met twice on it closes a cycle."""
+        first = key = ref(table, i)
+        chain = []  # (row, the row it rests on), from the first row down
+        on_chain = set()
+        while key is not None and key not in built:
+            if key in on_chain:
+                raise MapFormatError("provenance cycle through %s row %d" % key)
+            on_chain.add(key)
+            dep = depends_on(key)
+            chain.append((key, dep))
+            key = dep
+        for key, dep in reversed(chain):
+            built[key] = make(key, None if dep is None else built[dep])
+        return built[first]
 
     cells: List = []
     for row in doc["cells"]:
         rect = tuple(row["rect"])
         if row["kind"] == "cone":
-            cells.append(ConeCell(rect, row["dir"], row["off"], mk_src(row["src"])))
+            cells.append(ConeCell(rect, row["dir"], row["off"], node("src", row["src"])))
         else:
-            cells.append(FlatCell(rect, row["dir"], row["off"], row["line"], mk_seg(row["node"])))
+            cells.append(FlatCell(rect, row["dir"], row["off"], row["line"], node("seg", row["node"])))
     return ShortestPathMap(scene, cells)
 
 

@@ -1,6 +1,7 @@
 """Narrowing planner: dominance, witnesses from its own provenance."""
 
 import random
+import sys
 
 from rectipath.engine import PointWavelet
 from rectipath.fast import _FastEngine, fast_plan, narrow, replacement_rects, wavelet_stats
@@ -147,6 +148,29 @@ def test_fast_engine_does_not_settle_before_the_optimum():
     # The path itself may still slide along a bar instead of waiting (a
     # known pathrec fault), so only its arrival is checked here.
     assert res.path.waypoints[-1].arrive == 48
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_path_replay_depth_does_not_grow_with_the_ladder():
+    # Waiting at each of 20 bars in turn gives a provenance chain 20 fronts
+    # long.  Replaying it must not recurse once per hop: 20 frames above the
+    # caller are plenty for the sweep and an iterative replay.
+    spec = [((-50, 2 * i + 1), (50, 2 * i + 1), 0, 5 * (i + 1)) for i in range(20)]
+    scene = _bars(spec, (0, 0), (0, 41))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 20)
+    try:
+        res = fast_plan(scene)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.arrival == 102
+    assert validate_path(scene, res.path, 102).ok
 
 
 def test_canonical_arrivals_match_and_paths_validate():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -288,3 +289,74 @@ def test_nearest_vertex_brute_force():
             else:
                 want = min(inside, key=lambda p: (abs(p[0] - cx) + abs(p[1] - cy), p))
                 assert got == want
+
+
+def _in_rect(p, rect, sides):
+    (x, y), (xlo, xhi, ylo, yhi) = p, rect
+    olx, ohx, oly, ohy = sides
+    return (
+        (xlo < x if olx else xlo <= x)
+        and (x < xhi if ohx else x <= xhi)
+        and (ylo < y if oly else ylo <= y)
+        and (y < yhi if ohy else y <= yhi)
+    )
+
+
+def test_index_under_removal_vs_linear_scan():
+    # Hundreds of points on a small grid, so that many share a column or a
+    # row, removed one by one while both views of every corner, reports under
+    # every openness and a DynRangeMin with tied weights are checked.
+    rng = random.Random(46)
+    corner_of = {
+        "SW": lambda r: (r[0], r[2]),
+        "SE": lambda r: (r[1], r[2]),
+        "NW": lambda r: (r[0], r[3]),
+        "NE": lambda r: (r[1], r[3]),
+    }
+    all_sides = list(itertools.product((False, True), repeat=4))
+    for _ in range(2):
+        pts = sorted({(rng.randrange(0, 24), rng.randrange(0, 24)) for _ in range(320)})
+        assert len(pts) >= 200
+        payload = {p: i for i, p in enumerate(pts)}
+        cw = CornerWeightedVertices((0, 23, 0, 23), list(payload.items()))
+        weight = {p: rng.randrange(0, 6) for p in pts}
+        ids = rng.sample(range(len(pts)), len(pts))  # ties break by these, not by position
+        d_id = dict(zip(pts, ids))
+        d = DynRangeMin([WeightedPoint(x, y, weight[(x, y)], d_id[(x, y)]) for x, y in pts])
+        live = set(pts)
+        order = list(pts)
+        rng.shuffle(order)
+        for step, gone in enumerate(order):
+            x1, x2 = sorted(rng.randrange(-1, 25) for _ in range(2))
+            y1, y2 = sorted(rng.randrange(-1, 25) for _ in range(2))
+            rect = (x1, x2, y1, y2)
+            sides = rng.choice(all_sides)
+            for corner, at in corner_of.items():
+                cx, cy = at(rect)
+
+                def nearest(cands):
+                    inside = [p for p in cands if _in_rect(p, rect, sides)]
+                    return min(inside, key=lambda p: (abs(p[0] - cx) + abs(p[1] - cy), p), default=None)
+
+                want_all, want_live = nearest(pts), nearest(live)
+                got_all, got_live = cw.nearest(rect, corner, sides, settled=True)
+                assert (None if got_all is None else (got_all.x, got_all.y)) == want_all
+                assert (None if got_live is None else (got_live.x, got_live.y)) == want_live
+                hit = cw.nearest(rect, corner, sides)
+                assert (None if hit is None else (hit.x, hit.y)) == want_live
+            want = min(((weight[p], d_id[p]) for p in live if _in_rect(p, rect, sides)), default=None)
+            got = d.query(rect, sides)
+            assert (None if got is None else (got.weight, got.payload)) == want
+            if step % 8 == 0:
+                for s in all_sides:
+                    want_pts = sorted(p for p in live if _in_rect(p, rect, s))
+                    assert sorted((p.x, p.y) for p in cw.report(rect, s)) == want_pts
+                    assert sorted((p.x, p.y) for p in d.report(rect, s)) == want_pts
+            cw.remove(gone[0], gone[1], payload[gone])
+            d.delete(gone[0], gone[1], d_id[gone])
+            live.discard(gone)
+            assert len(cw) == len(d) == len(live)
+        with pytest.raises(DeleteMissing):
+            cw.remove(gone[0], gone[1], payload[gone])
+        assert cw.nearest((0, 23, 0, 23), "SW") is None
+        assert cw.nearest((0, 23, 0, 23), "SW", settled=True)[0] is not None

@@ -6,7 +6,7 @@ import pytest
 
 from rectipath.fast import fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
-from rectipath.oracle import oracle_arrivals, random_scene
+from rectipath.oracle import bench_scene, oracle_arrivals, random_scene
 from rectipath.scenario import canonical_scene
 from rectipath.spm import (
     ConeCell,
@@ -154,6 +154,34 @@ def test_load_rejects_other_files(tmp_path):
     with pytest.raises(MapFormatError):
         load_spm(f)
     f.write_text("{not json")
+    with pytest.raises(MapFormatError):
+        load_spm(f)
+
+
+@pytest.mark.parametrize(
+    "via",
+    [["p", 1], ["p", 10**6], ["p", -1], ["s", 10**6, "N"]],
+    ids=["self-cycle", "out-of-range", "negative", "bad-front"],
+)
+def test_load_rejects_bad_provenance_references(tmp_path, via):
+    f = tmp_path / "map.json"
+    dump_spm(build_spm(bench_scene(1, 20)), f)
+    doc = json.loads(f.read_text())
+    assert doc["sources"][1]["kind"] == "vertex"
+    doc["sources"][1]["via"] = via
+    f.write_text(json.dumps(doc))
+    with pytest.raises(MapFormatError):
+        load_spm(f)
+
+
+def test_load_rejects_a_cycle_through_the_fronts(tmp_path):
+    f = tmp_path / "map.json"
+    dump_spm(build_spm(canonical_scene("S2")), f)
+    doc = json.loads(f.read_text())
+    fronts = doc["fronts"]
+    fronts.append({"kind": "remainder", "dir": "N", "line": 5, "key": 6, "parent": len(fronts)})
+    doc["cells"][0] = dict(doc["cells"][0], kind="flat", line=5, node=len(fronts) - 1)
+    f.write_text(json.dumps(doc))
     with pytest.raises(MapFormatError):
         load_spm(f)
 
