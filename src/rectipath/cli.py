@@ -22,7 +22,7 @@ from .fast import _FastEngine, fast_plan
 from .geometry import Scene, validate_path
 from .oracle import bench_scene, oracle_plan, random_scene
 from .scenario import ScenarioError, load_scene, _enc_num
-from .spm import OutsideBoundingBox, build_spm, dump_spm
+from .spm import OutsideBoundingBox, _record_cell, build_spm, dump_spm
 from .svg import render_svg
 
 
@@ -170,20 +170,8 @@ def _cmd_render(args) -> int:
         k = eng.sc.coord_scale
         trace = []
         for rec in eng.trace:
-            if rec[0] == "cone":
-                xlo, xhi, ylo, yhi = rec[3]
-            else:
-                _, lo, hi, _, _, line, _, d, reach, _ = rec
-                if d in ("N", "S"):
-                    xlo, xhi, ylo, yhi = lo, hi, min(line, reach), max(line, reach)
-                else:
-                    xlo, xhi, ylo, yhi = min(line, reach), max(line, reach), lo, hi
-            trace.append(
-                (
-                    "cone" if rec[0] == "cone" else "flat",
-                    (Fraction(xlo, k), Fraction(xhi, k), Fraction(ylo, k), Fraction(yhi, k)),
-                )
-            )
+            cell = _record_cell(rec)
+            trace.append((rec[0], tuple(Fraction(v, k) for v in cell.rect)))
     sys.stdout.write(render_svg(scene, res.path, trace))
     return 0
 

@@ -57,40 +57,40 @@ class PlanResult:
 class SrcNode:
     """Provenance of a point source: where the robot was and when it left.
 
-    kind one of "start", "vertex" (settled at point/time via a wavelet) or
-    "wait" (sat on edge `host` until its disappearance; via is the source the
-    robot staircased in from).
+    kind one of "start" (parent None), "vertex" (settled at point/time; parent
+    is the root source of the point wavelet or the flat-front node that
+    claimed it) or "wait" (sat on edge `host` until its disappearance; parent
+    is the source the robot staircased in from).
     """
 
-    __slots__ = ("kind", "point", "time", "via", "host")
+    __slots__ = ("kind", "point", "time", "parent", "host")
 
-    def __init__(self, kind, point, time, via=None, host=None):
+    def __init__(self, kind, point, time, parent=None, host=None):
         self.kind = kind
         self.point = point
         self.time = time
-        self.via = via
+        self.parent = parent
         self.host = host
 
 
 class SegNode:
     """Provenance of a flat front, one of:
 
-    - "piece": accessible part of a stop edge, reached by staircase from src
-      and departed at the edge's disappearance (key);
+    - "piece": accessible part of edge `edge`, reached by staircase from the
+      point source parent and departed at the edge's disappearance (key);
     - "successor": clip of the next blocking edge, departed at its
-      disappearance; parent front arrives at `arrive`;
+      disappearance; the parent front arrives at `arrive`;
     - "remainder": unblocked columns continuing the parent front past a stop
       row without waiting (key is the flat arrival on that row).
     """
 
-    __slots__ = ("kind", "dir", "line", "key", "src", "parent", "edge", "arrive")
+    __slots__ = ("kind", "dir", "line", "key", "parent", "edge", "arrive")
 
-    def __init__(self, kind, dir, line, key, src=None, parent=None, edge=None, arrive=None):
+    def __init__(self, kind, dir, line, key, parent, edge=None, arrive=None):
         self.kind = kind
         self.dir = dir
         self.line = line
         self.key = key
-        self.src = src
         self.parent = parent
         self.edge = edge
         self.arrive = arrive
@@ -139,6 +139,8 @@ class _Engine:
         self.heap: List = []
         self.seq = 0
         self.stats = WaveletStats()
+        # swept records: ("cone", origin, t0, rect, dir, root source node) and
+        # ("flat", lo, hi, reach, front node); spm turns them into cells
         self.trace: Optional[List] = [] if trace else None
         self.fan_seen = set()
 
@@ -148,10 +150,11 @@ class _Engine:
         self.seq += 1
         heapq.heappush(self.heap, (key, rank, tie, self.seq, item))
 
-    def _claim(self, p, t, via):
+    def _claim(self, p, t, parent):
+        """Offer p at time t; parent is the claiming wavelet's node."""
         if p in self.labels:
             return
-        self._push(t, _RANK_SETTLE, p, ("settle", p, via))
+        self._push(t, _RANK_SETTLE, p, ("settle", p, parent))
 
     # -- wavelet creation ---------------------------------------------------
 
@@ -193,7 +196,7 @@ class _Engine:
             sd = "N" if sy > 0 else "S"
         else:
             sd = "E" if sx > 0 else "W"
-        node = SegNode("piece", sd, e.line, e.td, src=w.src, edge=edge_idx)
+        node = SegNode("piece", sd, e.line, e.td, w.src, edge=edge_idx)
         sw = SegWavelet(alo, ahi, False, False, e.line, e.td, sd, node)
         self._push(e.td, _RANK_SEGMENT, (alo, e.line), ("sw", sw))
         self.stats.segment_wavelets += 1
@@ -212,7 +215,7 @@ class _Engine:
             self.trace.append(("cone", w.origin, w.t0, w.rect, w.dir, w.src))
         dx, dy = self.dest
         if xlo <= dx <= xhi and ylo <= dy <= yhi:
-            self._claim(self.dest, w.t0 + abs(dx - ox) + abs(dy - oy), ("p", w))
+            self._claim(self.dest, w.t0 + abs(dx - ox) + abs(dy - oy), w.src)
         if w.fresh:
             if w.caps[1] is not None:
                 self._cap_pieces(w, w.caps[1], True)
@@ -223,7 +226,7 @@ class _Engine:
             return
         v = (hit.x, hit.y)
         tprime = w.t0 + abs(hit.x - ox) + abs(hit.y - oy)
-        self._claim(v, tprime, ("p", w))
+        self._claim(v, tprime, w.src)
         sx, sy = _DIAG_SIGNS[w.dir]
         r1 = (min(ox, v[0]), max(ox, v[0]), ylo, yhi)
         r2 = (xlo, xhi, min(oy, v[1]), max(oy, v[1]))
@@ -258,9 +261,7 @@ class _Engine:
                 reach = xhi if s > 0 else xlo
             tau = w.key + abs(reach - w.line)
         if self.trace is not None:
-            self.trace.append(
-                ("flat", w.lo, w.hi, w.lo_open, w.hi_open, w.line, w.key, w.dir, reach, w.node)
-            )
+            self.trace.append(("flat", w.lo, w.hi, reach, w.node))
         dx, dy = self.dest
         cross, perp = (dx, dy) if horizontal else (dy, dx)
         in_span = (w.lo < cross or (not w.lo_open and w.lo == cross)) and (
@@ -268,7 +269,7 @@ class _Engine:
         )
         if in_span:
             if (s > 0 and w.line < perp <= reach) or (s < 0 and reach <= perp < w.line):
-                self._claim(self.dest, w.key + abs(perp - w.line), ("s", w))
+                self._claim(self.dest, w.key + abs(perp - w.line), w.node)
         if horizontal:
             rect = (w.lo, w.hi, min(w.line, reach), max(w.line, reach))
             open_sides = (w.lo_open, w.hi_open, s > 0, s < 0)
@@ -277,21 +278,21 @@ class _Engine:
             open_sides = (s > 0, s < 0, w.lo_open, w.hi_open)
         for wp in self.drm.report(rect, open_sides):
             pv = wp.y if horizontal else wp.x
-            self._claim((wp.x, wp.y), w.key + abs(pv - w.line), ("s", w))
+            self._claim((wp.x, wp.y), w.key + abs(pv - w.line), w.node)
         if hit is None:
             return
         clip_lo, clip_hi = max(w.lo, e.lo), min(w.hi, e.hi)
-        node = SegNode("successor", w.dir, e.line, e.td, parent=w.node, edge=edge_idx, arrive=tau)
+        node = SegNode("successor", w.dir, e.line, e.td, w.node, edge=edge_idx, arrive=tau)
         succ = SegWavelet(clip_lo, clip_hi, False, False, e.line, e.td, w.dir, node)
         self._push(e.td, _RANK_SEGMENT, (clip_lo, e.line), ("sw", succ))
         self.stats.segment_wavelets += 1
         if w.lo < clip_lo:
-            rn = SegNode("remainder", w.dir, e.line, tau, parent=w.node)
+            rn = SegNode("remainder", w.dir, e.line, tau, w.node)
             rw = SegWavelet(w.lo, clip_lo, w.lo_open, True, e.line, tau, w.dir, rn)
             self._push(tau, _RANK_SEGMENT, (w.lo, e.line), ("sw", rw))
             self.stats.segment_wavelets += 1
         if clip_hi < w.hi:
-            rn = SegNode("remainder", w.dir, e.line, tau, parent=w.node)
+            rn = SegNode("remainder", w.dir, e.line, tau, w.node)
             rw = SegWavelet(clip_hi, w.hi, True, w.hi_open, e.line, tau, w.dir, rn)
             self._push(tau, _RANK_SEGMENT, (clip_hi, e.line), ("sw", rw))
             self.stats.segment_wavelets += 1
@@ -312,10 +313,10 @@ class _Engine:
             last_key = key
             kind = item[0]
             if kind == "settle":
-                _, p, via = item
+                _, p, parent = item
                 if p in self.labels:
                     continue
-                node = SrcNode("vertex", p, key, via=via)
+                node = SrcNode("vertex", p, key, parent)
                 self.labels[p] = (key, node)
                 if p == self.dest:
                     continue  # transparent: spawns nothing
@@ -326,8 +327,8 @@ class _Engine:
             elif kind == "sw":
                 self._do_segment(item[1])
             else:  # "fan"
-                _, fp, edge_idx, parent_src = item
-                node = SrcNode("wait", fp, key, via=parent_src, host=edge_idx)
+                _, fp, edge_idx, parent = item
+                node = SrcNode("wait", fp, key, parent, host=edge_idx)
                 self._spawn_arrangement(fp, key, node)
         if stop_at_dest and self.dest not in self.labels:
             raise AssertionError("queue exhausted before the destination settled")

@@ -136,7 +136,7 @@ class _FastEngine(_Engine):
             self.trace.append(("cone", w.origin, w.t0, w.rect, w.dir, w.src))
         dx, dy = self.dest
         if xlo <= dx <= xhi and ylo <= dy <= yhi:
-            self._claim(self.dest, w.t0 + abs(dx - ox) + abs(dy - oy), ("p", w))
+            self._claim(self.dest, w.t0 + abs(dx - ox) + abs(dy - oy), w.src)
         if w.fresh:
             if w.caps[1] is not None:
                 self._cap_pieces(w, w.caps[1], True)
@@ -178,7 +178,7 @@ class _FastEngine(_Engine):
                 return
         v = (hit.x, hit.y)
         tprime = w.t0 + abs(hit.x - ox) + abs(hit.y - oy)
-        self._claim(v, tprime, ("p", w))
+        self._claim(v, tprime, w.src)
         prev = self.registry.get((v, w.dir))
         if prev is not None:
             resolved = narrow(prev, w)

@@ -36,7 +36,11 @@ class ParamsInfeasible(ValueError):
     """random_scene could not satisfy its constraints in the given ranges."""
 
 
-def _grid_axes(scene: Scene, targets: Sequence[Point]):
+def _grid(scene: Scene, targets: Sequence[Point]):
+    """The Hanan grid through the edge endpoints, the terminals and targets:
+    its sorted axes, a node id function, and per node the edge whose
+    relative interior hosts it, split by the orientation a departing move
+    would cross (horizontal edges block vertical moves)."""
     xs = {scene.source[0], scene.dest[0]}
     ys = {scene.source[1], scene.dest[1]}
     for e in scene.edges:
@@ -46,41 +50,32 @@ def _grid_axes(scene: Scene, targets: Sequence[Point]):
     for (px, py) in targets:
         xs.add(px)
         ys.add(py)
-    return sorted(xs), sorted(ys)
-
-
-def _hosting_interior(scene: Scene, p: Point, horizontal_edge: bool) -> Optional[TransientEdge]:
-    for e in scene.edges:
-        if e.horizontal == horizontal_edge and e.interior_contains(p):
-            return e
-    return None
-
-
-def oracle_arrivals(scene: Scene, targets: Sequence[Point]):
-    """Earliest arrival at each target, by one Dijkstra over the shared grid."""
-    xs, ys = _grid_axes(scene, targets)
-    nx, ny = len(xs), len(ys)
-    vm = scene.vmax
+    xs, ys = sorted(xs), sorted(ys)
+    ny = len(ys)
 
     def node_id(x, y):
         return bisect_left(xs, x) * ny + bisect_left(ys, y)
 
-    # Per node, the edge whose relative interior hosts it, split by the
-    # orientation a departing move would cross.
     host_h: Dict[int, TransientEdge] = {}
     host_v: Dict[int, TransientEdge] = {}
     for e in scene.edges:
         lo, hi = e.span
         if e.horizontal:
-            y = e.line_coord
             for x in xs[bisect_left(xs, lo) : bisect_left(xs, hi) + 1]:
                 if lo < x < hi:
-                    host_h[node_id(x, y)] = e
+                    host_h[node_id(x, e.line_coord)] = e
         else:
-            x = e.line_coord
             for y in ys[bisect_left(ys, lo) : bisect_left(ys, hi) + 1]:
                 if lo < y < hi:
-                    host_v[node_id(x, y)] = e
+                    host_v[node_id(e.line_coord, y)] = e
+    return xs, ys, node_id, host_h, host_v
+
+
+def oracle_arrivals(scene: Scene, targets: Sequence[Point]):
+    """Earliest arrival at each target, by one Dijkstra over the shared grid."""
+    xs, ys, node_id, host_h, host_v = _grid(scene, targets)
+    nx, ny = len(xs), len(ys)
+    vm = scene.vmax
 
     start = node_id(*scene.source)
     dist: dict = {start: 0}
@@ -124,25 +119,9 @@ def oracle_plan_relaxed(scene: Scene, target: Optional[Point] = None):
     so a retreat to the side the path came from is never delayed.  Exists to
     document that the memoryless delay rule is value-preserving."""
     goal = scene.dest if target is None else target
-    xs, ys = _grid_axes(scene, [goal])
+    xs, ys, node_id, host_h, host_v = _grid(scene, [goal])
     nx, ny = len(xs), len(ys)
     vm = scene.vmax
-
-    def node_id(x, y):
-        return bisect_left(xs, x) * ny + bisect_left(ys, y)
-
-    host_h: Dict[int, TransientEdge] = {}
-    host_v: Dict[int, TransientEdge] = {}
-    for e in scene.edges:
-        lo, hi = e.span
-        if e.horizontal:
-            for x in xs[bisect_left(xs, lo) : bisect_left(xs, hi) + 1]:
-                if lo < x < hi:
-                    host_h[node_id(x, e.line_coord)] = e
-        else:
-            for y in ys[bisect_left(ys, lo) : bisect_left(ys, hi) + 1]:
-                if lo < y < hi:
-                    host_v[node_id(e.line_coord, y)] = e
 
     # State: (node, came_from) with came_from in {-1: start/none, 0: west,
     # 1: east, 2: south, 3: north, 4: slid along hosting line}.

@@ -1,8 +1,9 @@
 """Turn wavefront provenance into concrete timed paths.
 
-Every settled label carries a provenance chain: staircase hops between point
-sources (start, settled vertices, wait points) and flat hops along waited-out
-edges.  Materializing a staircase hop is a small grid search: inside the
+Every settled label and map cell carries a provenance chain, a node whose
+parent links lead back to the start: staircase hops between point sources
+(start, settled vertices, wait points) and flat hops along waited-out edges.
+Replay needs only the chain and the scene's edge list.  Materializing a staircase hop is a small grid search: inside the
 monotone rectangle between the two points every position is crossed at the
 fixed time departure + L1 distance, so each edge blocks a static interval of
 crossing columns and a legal staircase exists on the grid of edge lines and
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from .engine import SrcNode
 from .geometry import TimedPath, Waypoint
 
 Tri = List  # [point, arrive, depart], mutable while building
@@ -28,7 +30,7 @@ Tri = List  # [point, arrive, depart], mutable while building
 def build_path(engine) -> TimedPath:
     sc = engine.sc
     t, node = engine.labels[engine.dest]
-    tris = _from_source(engine, node)
+    tris = _from_source(engine.edges, node)
     assert tris[-1][0] == engine.dest and tris[-1][1] == t
     wps = tuple(Waypoint(sc.point_out(p), sc.time_out(a), sc.time_out(b)) for p, a, b in tris)
     return TimedPath(wps)
@@ -38,18 +40,18 @@ def _host_of(src_node):
     return src_node.host if src_node.kind == "wait" else None
 
 
-def _from_source(eng, node) -> List[Tri]:
+def _from_source(edges, node) -> List[Tri]:
     """Timed points from the start to the point source node."""
-    return _replay(eng, ("src", node))
+    return _replay(edges, ("src", node))
 
 
-def _from_flat(eng, node, cross, target_perp) -> List[Tri]:
+def _from_flat(edges, node, cross, target_perp) -> List[Tri]:
     """Timed points from the start to where the flat front node reaches
     the line perp = target_perp at crossing coordinate cross."""
-    return _replay(eng, ("flat", node, cross, target_perp))
+    return _replay(edges, ("flat", node, cross, target_perp))
 
 
-def _replay(eng, item) -> List[Tri]:
+def _replay(edges, item) -> List[Tri]:
     """Walk a provenance chain back to its start, then replay it forward.
 
     item is ("src", SrcNode) or ("flat", SegNode, cross, target_perp).  The
@@ -64,18 +66,17 @@ def _replay(eng, item) -> List[Tri]:
                 break
             if node.kind == "wait":
                 todo.append(("wait", node))
-                item = ("src", node.via)
-            elif node.via[0] == "p":  # settled point: obstacle vertex or the destination
+                item = ("src", node.parent)
+            elif isinstance(node.parent, SrcNode):  # claimed by a point wavelet
                 todo.append(("arrived", node))
                 todo.append(("vertex", node))
-                item = ("src", node.via[1].src)
-            else:
-                w = node.via[1]
-                horizontal = w.dir in ("N", "S")
+                item = ("src", node.parent)
+            else:  # claimed by a flat front
+                horizontal = node.parent.dir in ("N", "S")
                 cross = node.point[0] if horizontal else node.point[1]
                 perp = node.point[1] if horizontal else node.point[0]
                 todo.append(("arrived", node))
-                item = ("flat", w.node, cross, perp)
+                item = ("flat", node.parent, cross, perp)
         else:
             _, seg, cross, perp = item
             if seg.kind == "remainder":
@@ -84,7 +85,7 @@ def _replay(eng, item) -> List[Tri]:
             todo.append(("front", seg, cross, perp))
             if seg.kind == "piece":
                 todo.append(("piece", seg, cross))
-                item = ("src", seg.src)
+                item = ("src", seg.parent)
             else:  # successor
                 todo.append(("successor", seg))
                 item = ("flat", seg.parent, cross, seg.line)
@@ -92,15 +93,16 @@ def _replay(eng, item) -> List[Tri]:
     for step in reversed(todo):
         kind, node = step[0], step[1]
         if kind == "wait":
-            _staircase(eng, tris, node.point, host=_host_of(node.via), flex=True)
+            _staircase(edges, tris, node.point, host=_host_of(node.parent), flex=True)
             assert tris[-1][1] <= node.time
             tris[-1][2] = node.time
         elif kind == "vertex":
-            _staircase(eng, tris, node.point, host=_host_of(node.via[1].src))
+            _staircase(edges, tris, node.point, host=_host_of(node.parent))
         elif kind == "arrived":
             assert tris[-1][0] == node.point and tris[-1][1] == node.time
         elif kind == "piece":
-            _staircase(eng, tris, _on_line(node, step[2], node.line), host=_host_of(node.src), flex=True)
+            target = _on_line(node, step[2], node.line)
+            _staircase(edges, tris, target, host=_host_of(node.parent), flex=True)
             assert tris[-1][1] <= node.key
         elif kind == "successor":
             assert tris[-1][1] == node.arrive
@@ -118,7 +120,7 @@ def _on_line(seg, cross, pv):
     return (cross, pv) if seg.dir in ("N", "S") else (pv, cross)
 
 
-def _staircase(eng, tris, target, host=None, flex=False):
+def _staircase(edges, tris, target, host=None, flex=False):
     """Extend tris with a full-speed monotone staircase to target, departing
     at the tail's depart time.  host: edge index if the tail is a wait point
     there (forces a perpendicular first move).  flex: the target's arrival
@@ -132,27 +134,27 @@ def _staircase(eng, tris, target, host=None, flex=False):
     waiting = host is not None and arrive0 < t0
     forced = None
     if waiting:
-        forced = "y" if eng.edges[host].horizontal else "x"
+        forced = "y" if edges[host].horizontal else "x"
         if forced == "y" and target[1] == p0[1]:
             forced = "z"
         elif forced == "x" and target[0] == p0[0]:
             forced = "z"
     if forced != "z":
-        corners = _route(eng, p0, t0, target, forced)
+        corners = _route(edges, p0, t0, target, forced)
         if corners is not None:
             _emit(tris, corners, t0)
             return
     if flex:
-        corners = _route(eng, p0, arrive0, target, None)
+        corners = _route(edges, p0, arrive0, target, None)
         if corners is not None:
             tris[-1][2] = arrive0
             _emit(tris, corners, arrive0)
             return
     assert waiting, "unforced staircase must exist for a sound claim"
-    corners = _route(eng, p0, t0, target, None)
+    corners = _route(edges, p0, t0, target, None)
     assert corners is not None
     c1 = corners[0]
-    e = eng.edges[host]
+    e = edges[host]
     slide = abs(c1[0] - p0[0]) + abs(c1[1] - p0[1])
     on_host = (
         c1[1] == p0[1] and e.lo <= c1[0] <= e.hi
@@ -175,20 +177,20 @@ def _emit(tris, corners, t):
         prev = c
 
 
-def _route(eng, a, t0, b, forced) -> Optional[List[Tuple[int, int]]]:
+def _route(edges, a, t0, b, forced) -> Optional[List[Tuple[int, int]]]:
     """Corners of a legal full-speed monotone staircase from (a, t0) to b,
     including b, or None.  forced restricts the first move's axis."""
     sx = 1 if b[0] >= a[0] else -1
     sy = 1 if b[1] >= a[1] else -1
     if a[0] == b[0] or a[1] == b[1]:
-        return [b] if _move_ok(eng.edges, a, b, t0) else None
+        return [b] if _move_ok(edges, a, b, t0) else None
     mx, nx = min(a[0], b[0]), max(a[0], b[0])
     my, ny = min(a[1], b[1]), max(a[1], b[1])
     xs = {a[0], b[0]}
     ys = {a[1], b[1]}
     vert = {}  # supporting line -> edges, for O(1) single-step move checks
     horiz = {}
-    for e in eng.edges:
+    for e in edges:
         if e.horizontal:
             exlo, exhi, eylo, eyhi = e.lo, e.hi, e.line, e.line
         else:

@@ -1,24 +1,22 @@
 """Static and dynamic min-weight range queries used by the planners.
 
-Four structures:
+Two structures, plus the static index the stop oracle builds on:
 
 * :class:`RectStabber` -- static set of weighted rectangles, query = minimum
   weight rectangle containing a point, optionally restricted to weights
   strictly above a floor.
-* :class:`SegIntersecter` -- static set of weighted axis-parallel segments,
-  query = minimum weight segment intersecting an axis-parallel query segment.
-* :class:`DynRangeMin` -- weighted points under deletion (and occasional
-  insertion), query = minimum weight point in an axis-parallel rectangle.
 * :class:`CornerWeightedVertices` -- a fixed vertex set under deletion, query
   = vertex in a rectangle nearest one of its corners, among the live vertices
   or among all of them.
+* :class:`_SideRange` -- static vertical segments, query = minimum weight
+  segment in an x range whose y span contains a point.
 
 All are built from sorted arrays and segment trees, so a query costs a few
-binary searches: the first two over elementary pieces, the last two over one
-static segment tree on the x order of their points (:class:`_XTree`) whose
-nodes keep y-ordered min arrays, O(log^2 n) per query and per deletion.
-Weight ties break by payload id, which callers choose to make results
-deterministic.
+binary searches: the stabbing structures over elementary pieces, the vertex
+lookup over one static segment tree on the x order of its points
+(:class:`_XTree`) whose nodes keep y-ordered min arrays, O(log^2 n) per
+query and per deletion.  Weight ties break by payload id, which callers
+choose to make results deterministic.
 """
 
 from __future__ import annotations
@@ -39,19 +37,6 @@ class WeightedRect:
 
 
 @dataclass(frozen=True)
-class WeightedSegment:
-    p1: Tuple[int, int]
-    p2: Tuple[int, int]
-    weight: int
-    payload: int
-
-    @property
-    def vertical(self) -> bool:
-        # Degenerate (single point) segments count as horizontal.
-        return self.p1[0] == self.p2[0] and self.p1[1] != self.p2[1]
-
-
-@dataclass(frozen=True)
 class WeightedPoint:
     x: int
     y: int
@@ -60,7 +45,7 @@ class WeightedPoint:
 
 
 class DeleteMissing(KeyError):
-    """Raised when deleting a point that is not live in a DynRangeMin."""
+    """Raised when removing a vertex that is not live."""
 
 
 # ---------------------------------------------------------------------------
@@ -301,87 +286,12 @@ class _SideRange:
         return best
 
 
-class SegIntersecter:
-    """Minimum-weight stored segment intersecting an axis-parallel query segment.
-
-    Closed-set semantics: touching endpoints and collinear overlap both count.
-    Perpendicular intersections are answered by one _SideRange per stored
-    orientation; collinear overlaps by per-line scans.
-    """
-
-    def __init__(self, segs):
-        self.segs = list(segs)
-        vert, horiz = [], []
-        self.v_lines = {}
-        self.h_lines = {}
-        for idx, s in enumerate(self.segs):
-            (x1, y1), (x2, y2) = s.p1, s.p2
-            if s.vertical:
-                lo, hi = (y1, y2) if y1 <= y2 else (y2, y1)
-                vert.append((x1, lo, hi, False, False, s.weight, s.payload, idx))
-                self.v_lines.setdefault(x1, []).append((lo, hi, s.weight, s.payload, idx))
-            else:
-                lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
-                horiz.append((y1, lo, hi, False, False, s.weight, s.payload, idx))
-                self.h_lines.setdefault(y1, []).append((lo, hi, s.weight, s.payload, idx))
-        self.vert_index = _SideRange(vert)
-        # Mirrored: horizontal segments keyed by y, spans along x.
-        self.horiz_index = _SideRange(horiz)
-
-    @staticmethod
-    def _line_scan(group, lo, hi):
-        best = None
-        for (slo, shi, w, payload, idx) in group:
-            if slo <= hi and lo <= shi:
-                cand = (w, payload, idx)
-                if best is None or cand < best:
-                    best = cand
-        return best
-
-    def query(self, p1: Tuple[int, int], p2: Tuple[int, int]) -> Optional[WeightedSegment]:
-        """Minimum-weight stored segment meeting the closed query segment p1-p2."""
-        (x1, y1), (x2, y2) = p1, p2
-        best = None
-        if x1 == x2 and y1 != y2:
-            lo, hi = (y1, y2) if y1 <= y2 else (y2, y1)
-            # vs horizontal: stored y in [lo, hi], x-span contains x1
-            cand = self.horiz_index.query(lo, hi, False, False, x1)
-            if cand is not None:
-                best = cand
-            g = self.v_lines.get(x1)
-            if g:
-                cand = self._line_scan(g, lo, hi)
-                if cand is not None and (best is None or cand < best):
-                    best = cand
-        else:
-            lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
-            cand = self.vert_index.query(lo, hi, False, False, y1)
-            if cand is not None:
-                best = cand
-            g = self.h_lines.get(y1)
-            if g:
-                cand = self._line_scan(g, lo, hi)
-                if cand is not None and (best is None or cand < best):
-                    best = cand
-        return None if best is None else self.segs[best[2]]
-
-
 # ---------------------------------------------------------------------------
 # Range minimum over a fixed point set: one x segment tree, several views
 # ---------------------------------------------------------------------------
 
 _CLOSED = (False, False, False, False)
 _DEAD = float("inf")  # key of a deleted point, above every live key
-
-
-def _inside(x, y, rect, open_sides) -> bool:
-    xlo, xhi, ylo, yhi = rect
-    olx, ohx, oly, ohy = open_sides
-    if (x <= xlo if olx else x < xlo) or (x >= xhi if ohx else x > xhi):
-        return False
-    if (y <= ylo if oly else y < ylo) or (y >= yhi if ohy else y > yhi):
-        return False
-    return True
 
 
 class _XTree:
@@ -398,12 +308,11 @@ class _XTree:
     its leaf in the nodes above it, walking up each node's array only while
     that node's minimum changes.
 
-    A key is weight * n + rank, where rank is the point's place in
-    (payload, x, y) order, so keys compare like (weight, payload, x, y)
-    tuples.  Weights must be integers.
+    A key is weight * n + leaf id, so keys compare like (weight, x, y,
+    payload) tuples.  Weights must be integers.
     """
 
-    __slots__ = ("n", "points", "leaf_of", "rank", "by_rank", "xs", "node_ids", "node_ys", "pos")
+    __slots__ = ("n", "points", "leaf_of", "xs", "node_ids", "node_ys", "pos")
 
     def __init__(self, points):
         """points: distinct (x, y, payload) triples, in any order."""
@@ -412,11 +321,6 @@ class _XTree:
         self.n = n
         self.points = pts
         self.leaf_of = {p: i for i, p in enumerate(pts)}
-        self.by_rank = sorted(range(n), key=lambda i: (pts[i][2], pts[i][0], pts[i][1]))
-        rank = [0] * n
-        for r, i in enumerate(self.by_rank):
-            rank[i] = r
-        self.rank = rank
         self.xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         ids: List[Optional[list]] = [None] * (2 * n)
@@ -436,7 +340,7 @@ class _XTree:
     def view(self, weights) -> list:
         """Per-node min arrays over the keys of the given per-leaf weights."""
         n = self.n
-        keys = [w * n + r for w, r in zip(weights, self.rank)]
+        keys = [w * n + i for i, w in enumerate(weights)]
         get = keys.__getitem__
         arrays: List[Optional[list]] = [None] * n
         for v in range(1, n):
@@ -541,73 +445,8 @@ class _XTree:
 
     def points_of(self, keys, pts) -> list:
         """pts[leaf] for the leaf of each key, None for _DEAD."""
-        n, by_rank = self.n, self.by_rank
-        return [None if k == _DEAD else pts[by_rank[k % n]] for k in keys]
-
-
-class DynRangeMin:
-    """Minimum-weight live point inside a rectangle, under delete and insert.
-
-    The points given at construction sit on one :class:`_XTree` with one view;
-    a deletion clears the point's leaf in O(log^2 n).  Inserts go to an
-    overlay list that is folded into a rebuilt tree once it outgrows the
-    tree's live points.  Query rectangles may be open per side.  Weights are
-    integers; ties break by (payload, x, y).
-    """
-
-    def __init__(self, points=()):
-        self._build(list(points))
-
-    def _build(self, pts: List[WeightedPoint]) -> None:
-        pts.sort(key=lambda p: (p.x, p.y, p.payload))  # the tree's leaf order
-        self.points = pts
-        self.tree = _XTree([(p.x, p.y, p.payload) for p in pts])
-        self.view = self.tree.view([p.weight for p in pts])
-        self.alive = bytearray(b"\x01") * len(pts)
-        self.tree_live = len(pts)
-        self.overlay: List[WeightedPoint] = []
-
-    def __len__(self):
-        return self.tree_live + len(self.overlay)
-
-    def insert(self, pt: WeightedPoint) -> None:
-        self.overlay.append(pt)
-        if len(self.overlay) > 32 and len(self.overlay) > self.tree_live:
-            alive = self.alive
-            self._build([p for i, p in enumerate(self.points) if alive[i]] + self.overlay)
-
-    def delete(self, x, y, payload) -> None:
-        """Remove the live point identified by position and payload."""
-        i = self.tree.leaf_of.get((x, y, payload))
-        if i is not None and self.alive[i]:
-            self.alive[i] = 0
-            self.tree_live -= 1
-            self.tree.clear((self.view,), i)
-            return
-        for j, p in enumerate(self.overlay):
-            if (p.x, p.y, p.payload) == (x, y, payload):
-                self.overlay.pop(j)
-                return
-        raise DeleteMissing((x, y, payload))
-
-    def query(self, rect, open_sides=_CLOSED) -> Optional[WeightedPoint]:
-        """Minimum (weight, payload) live point inside rect, or None."""
-        tree = self.tree
-        (best_pt,) = tree.points_of(tree.mins((self.view,), rect, open_sides), self.points)
-        best = None if best_pt is None else (best_pt.weight, best_pt.payload, best_pt.x, best_pt.y)
-        for p in self.overlay:
-            if _inside(p.x, p.y, rect, open_sides):
-                key = (p.weight, p.payload, p.x, p.y)
-                if best is None or key < best:
-                    best, best_pt = key, p
-        return best_pt
-
-    def report(self, rect, open_sides=_CLOSED) -> List[WeightedPoint]:
-        """All live points inside rect, in no particular order."""
-        alive, pts = self.alive, self.points
-        out = [pts[i] for i in self.tree.leaves(rect, open_sides) if alive[i]]
-        out += [p for p in self.overlay if _inside(p.x, p.y, rect, open_sides)]
-        return out
+        n = self.n
+        return [None if k == _DEAD else pts[k % n] for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +465,8 @@ class CornerWeightedVertices:
     each removed vertex, the settled view keeps them all.  The minimum-weight
     vertex in a query rectangle is the one nearest the matching corner of that
     rectangle (the constant offset between the rectangle corner and the board
-    corner does not change the argmin).  Payload ids must be assigned in
-    lexicographic (x, y) order for ties to resolve lexicographically.
+    corner does not change the argmin).  Ties resolve lexicographically by
+    (x, y).
     """
 
     def __init__(self, bbox, vertices):

@@ -14,20 +14,20 @@ queries: min offset among stabbed rectangles of a class, plus the class's
 linear term.  Witness paths replay the winning record's provenance chain the
 same way settled labels do.
 
-Serialized form (JSON, versioned): the scene, the cell list, and the
-flattened provenance tables (point sources and front chains by index), all in
-scaled integer units.  A loaded map answers exactly like the one that was
-dumped.
+Serialized form (JSON, version 2): the scene, one table of provenance nodes
+and the cell list, all in scaled integer units.  Every node row names its
+parent by index, and the parent is always an earlier row, so a loader builds
+the nodes in one forward pass; a cell names its node the same way.  A loaded
+map answers exactly like the one that was dumped.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from types import SimpleNamespace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .engine import _DIAG_SIGNS, SegNode, SrcNode
+from .engine import _DIAG_SIGNS, DIAGS, SegNode, SrcNode
 from .fast import _FastEngine
 from .geometry import ScaledScene, Scene, TimedPath, Waypoint
 from .pathrec import _from_flat, _from_source, _host_of, _staircase
@@ -35,7 +35,7 @@ from .rangeindex import RectStabber, WeightedRect
 from .scenario import scene_from_dict, scene_to_dict
 
 _FORMAT = "rectipath-spm"
-_VERSION = 1
+_VERSION = 2
 
 # class index -> value gradient; cones first so they win boundary ties
 # against the flats that depart from those same boundary lines
@@ -61,28 +61,36 @@ class MapFormatError(ValueError):
 
 
 class ConeCell:
-    """value(q) = off + sx*qx + sy*qy inside rect; witnessed from src."""
+    """value(q) = off + sx*qx + sy*qy inside rect; witnessed from the point
+    source node."""
 
-    __slots__ = ("rect", "dir", "off", "src")
+    __slots__ = ("rect", "dir", "off", "node")
 
-    def __init__(self, rect, dir, off, src):
+    def __init__(self, rect, dir, off, node):
         self.rect = rect
         self.dir = dir
         self.off = off
-        self.src = src
+        self.node = node
 
 
 class FlatCell:
-    """value(q) = off +/- q_perp inside rect; witnessed along the chain."""
+    """value(q) = off +/- q_perp inside rect; witnessed along the flat-front
+    node's chain, whose direction and line are the cell's."""
 
-    __slots__ = ("rect", "dir", "off", "line", "node")
+    __slots__ = ("rect", "off", "node")
 
-    def __init__(self, rect, dir, off, line, node):
+    def __init__(self, rect, off, node):
         self.rect = rect
-        self.dir = dir
         self.off = off
-        self.line = line
         self.node = node
+
+    @property
+    def dir(self):
+        return self.node.dir
+
+    @property
+    def line(self):
+        return self.node.line
 
 
 class ShortestPathMap:
@@ -91,7 +99,6 @@ class ShortestPathMap:
     def __init__(self, scene: Scene, cells):
         self.scene = scene
         self.sc = ScaledScene(scene)
-        self.edges = self.sc.edges  # pathrec reads engine-likes through this
         self.cells: List = list(cells)
         per_class: Dict[str, List[WeightedRect]] = {}
         for i, c in enumerate(self.cells):
@@ -139,14 +146,15 @@ class ShortestPathMap:
         qs = self._scale_in(q)
         val, _ci, idx = self._locate(qs)
         cell = self.cells[idx]
+        edges = self.sc.edges
         if isinstance(cell, ConeCell):
-            tris = _from_source(self, cell.src)
-            _staircase(self, tris, qs, host=_host_of(cell.src))
+            tris = _from_source(edges, cell.node)
+            _staircase(edges, tris, qs, host=_host_of(cell.node))
         else:
             horizontal = cell.dir in ("N", "S")
             cross = qs[0] if horizontal else qs[1]
             perp = qs[1] if horizontal else qs[0]
-            tris = _from_flat(self, cell.node, cross, perp)
+            tris = _from_flat(edges, cell.node, cross, perp)
         assert tris[-1][0] == qs and tris[-1][1] == val
         sc = self.sc
         wps = tuple(
@@ -155,25 +163,28 @@ class ShortestPathMap:
         return sc.time_out(val), TimedPath(wps)
 
 
+def _record_cell(rec):
+    """The cell of one trace record: its region and its value function."""
+    if rec[0] == "cone":
+        _, origin, t0, rect, d, src = rec
+        sx, sy = _DIAG_SIGNS[d]
+        return ConeCell(rect, d, t0 - sx * origin[0] - sy * origin[1], src)
+    _, lo, hi, reach, node = rec
+    line = node.line
+    if node.dir in ("N", "S"):
+        rect = (lo, hi, min(line, reach), max(line, reach))
+    else:
+        rect = (min(line, reach), max(line, reach), lo, hi)
+    return FlatCell(rect, node.key - line if node.dir in ("N", "E") else node.key + line, node)
+
+
 def _harvest(trace) -> List:
     """Normalize trace records into cells, dropping records whose value
     function and region are covered by an already kept record."""
     cells: List = []
     kept: Dict[tuple, List[Tuple[int, int, int, int]]] = {}
     for rec in trace:
-        if rec[0] == "cone":
-            _, origin, t0, rect, d, src = rec
-            sx, sy = _DIAG_SIGNS[d]
-            off = t0 - sx * origin[0] - sy * origin[1]
-            cell = ConeCell(rect, d, off, src)
-        else:
-            _, lo, hi, _lo_open, _hi_open, line, key, d, reach, node = rec
-            if d in ("N", "S"):
-                rect = (lo, hi, min(line, reach), max(line, reach))
-            else:
-                rect = (min(line, reach), max(line, reach), lo, hi)
-            off = key - line if d in ("N", "E") else key + line
-            cell = FlatCell(rect, d, off, line, node)
+        cell = _record_cell(rec)
         group = kept.setdefault((cell.dir, cell.off), [])
         xlo, xhi, ylo, yhi = cell.rect
         if any(kx0 <= xlo and xhi <= kx1 and ky0 <= ylo and yhi <= ky1 for kx0, kx1, ky0, ky1 in group):
@@ -198,77 +209,93 @@ def spm_query(spm: ShortestPathMap, q):
 # -- serialization ----------------------------------------------------------
 
 
-def _spm_to_dict(spm: ShortestPathMap) -> dict:
-    src_ix: Dict[int, int] = {}
-    src_rows: List[Optional[dict]] = []
-    seg_ix: Dict[int, int] = {}
-    seg_rows: List[Optional[dict]] = []
-
-    def src_of(node) -> int:
-        k = id(node)
-        if k in src_ix:
-            return src_ix[k]
-        i = len(src_rows)
-        src_ix[k] = i
-        src_rows.append(None)
+def _node_row(node, row_of) -> dict:
+    if isinstance(node, SrcNode):
         row = {"kind": node.kind, "point": list(node.point), "time": node.time}
         if node.kind == "wait":
-            row["via"] = src_of(node.via)
             row["host"] = node.host
-        elif node.kind == "vertex":
-            via = node.via
-            if via[0] == "p":
-                row["via"] = ["p", src_of(via[1].src)]
-            else:
-                row["via"] = ["s", seg_of(via[1].node), via[1].dir]
-        src_rows[i] = row
-        return i
-
-    def seg_of(node) -> int:
-        k = id(node)
-        if k in seg_ix:
-            return seg_ix[k]
-        i = len(seg_rows)
-        seg_ix[k] = i
-        seg_rows.append(None)
+    else:
         row = {"kind": node.kind, "dir": node.dir, "line": node.line, "key": node.key}
-        if node.kind == "piece":
-            row["src"] = src_of(node.src)
+        if node.kind != "remainder":
             row["edge"] = node.edge
-        elif node.kind == "successor":
-            row["parent"] = seg_of(node.parent)
-            row["edge"] = node.edge
+        if node.kind == "successor":
             row["arrive"] = node.arrive
-        else:
-            row["parent"] = seg_of(node.parent)
-        seg_rows[i] = row
-        return i
+    row["parent"] = None if node.parent is None else row_of[node.parent]
+    return row
+
+
+def _spm_to_dict(spm: ShortestPathMap) -> dict:
+    row_of: Dict[object, int] = {}  # provenance node -> its row
+    node_rows: List[dict] = []
+
+    def row(node) -> int:
+        """Row of node; first writes the rows of its chain not yet written,
+        parents before children."""
+        chain = []
+        up = node
+        while up is not None and up not in row_of:
+            chain.append(up)
+            up = up.parent
+        for n in reversed(chain):
+            row_of[n] = len(node_rows)
+            node_rows.append(_node_row(n, row_of))
+        return row_of[node]
 
     cell_rows = []
     for c in spm.cells:
+        r = {"kind": "flat", "rect": list(c.rect), "off": c.off, "node": row(c.node)}
         if isinstance(c, ConeCell):
-            cell_rows.append(
-                {"kind": "cone", "rect": list(c.rect), "dir": c.dir, "off": c.off, "src": src_of(c.src)}
-            )
-        else:
-            cell_rows.append(
-                {
-                    "kind": "flat",
-                    "rect": list(c.rect),
-                    "dir": c.dir,
-                    "off": c.off,
-                    "line": c.line,
-                    "node": seg_of(c.node),
-                }
-            )
+            r.update(kind="cone", dir=c.dir)
+        cell_rows.append(r)
     return {
         "format": _FORMAT,
         "version": _VERSION,
         "scene": scene_to_dict(spm.scene),
+        "nodes": node_rows,
         "cells": cell_rows,
-        "sources": src_rows,
-        "fronts": seg_rows,
     }
+
+
+# A node row of each kind: the node class its parent must be (None: no
+# parent) and the fields besides kind and parent.
+_NODE_ROWS = {
+    "start": (None, ("point", "time")),
+    "vertex": ((SrcNode, SegNode), ("point", "time")),
+    "wait": (SrcNode, ("point", "time", "host")),
+    "piece": (SrcNode, ("dir", "line", "key", "edge")),
+    "successor": (SegNode, ("dir", "line", "key", "edge", "arrive")),
+    "remainder": (SegNode, ("dir", "line", "key")),
+}
+
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _ints(v, n) -> bool:
+    return type(v) is list and len(v) == n and all(type(c) is int for c in v)
+
+
+def _field(row, name, ok, where):
+    """row[name], which must be present and pass ok."""
+    if name not in row or not ok(row[name]):
+        raise MapFormatError("%s: bad or missing %r" % (where, name))
+    return row[name]
+
+
+def _ref(row, name, nodes, want, where):
+    """The node that row[name] names, which must be built and a want."""
+    v = row.get(name)
+    if not (_is_int(v) and 0 <= v < len(nodes) and isinstance(nodes[v], want)):
+        raise MapFormatError("%s: bad or missing %r" % (where, name))
+    return nodes[v]
+
+
+def _rows(doc, name) -> list:
+    rows = doc.get(name)
+    if type(rows) is not list or not all(type(r) is dict for r in rows):
+        raise MapFormatError("%s must be a list of objects" % name)
+    return rows
 
 
 def _spm_from_dict(doc) -> ShortestPathMap:
@@ -276,89 +303,45 @@ def _spm_from_dict(doc) -> ShortestPathMap:
         raise MapFormatError("not a shortest-path map file")
     if doc.get("version") != _VERSION:
         raise MapFormatError("unsupported map version %r" % (doc.get("version"),))
-    scene = scene_from_dict(doc["scene"])
-    rows = {"src": doc["sources"], "seg": doc["fronts"]}
-    built: Dict[Tuple[str, int], object] = {}
-
-    def ref(table, i) -> Tuple[str, int]:
-        if type(i) is not int or not 0 <= i < len(rows[table]):
-            raise MapFormatError("bad %s reference %r" % (table, i))
-        return (table, i)
-
-    def depends_on(key) -> Optional[Tuple[str, int]]:
-        """The row a row's node is built on; None for the start."""
-        table, i = key
-        row = rows[table][i]
-        kind = row["kind"]
-        if table == "src":
-            if kind == "start":
-                return None
-            if kind == "wait":
-                return ref("src", row["via"])
-            if kind == "vertex" and row["via"][0] == "p":
-                return ref("src", row["via"][1])
-            if kind == "vertex" and row["via"][0] == "s":
-                return ref("seg", row["via"][1])
-        elif kind == "piece":
-            return ref("src", row["src"])
-        elif kind in ("successor", "remainder"):
-            return ref("seg", row["parent"])
-        raise MapFormatError("malformed %s row %d" % key)
-
-    def make(key, dep):
-        table, i = key
-        row = rows[table][i]
-        kind = row["kind"]
-        if table == "src":
-            point = tuple(row["point"])
-            if kind == "start":
-                return SrcNode("start", point, row["time"])
-            if kind == "wait":
-                return SrcNode("wait", point, row["time"], via=dep, host=row["host"])
-            if row["via"][0] == "p":
-                via = ("p", SimpleNamespace(src=dep))
-            else:
-                via = ("s", SimpleNamespace(node=dep, dir=row["via"][2]))
-            return SrcNode("vertex", point, row["time"], via=via)
-        if kind == "piece":
-            return SegNode("piece", row["dir"], row["line"], row["key"], src=dep, edge=row["edge"])
-        if kind == "successor":
-            return SegNode(
-                "successor",
-                row["dir"],
-                row["line"],
-                row["key"],
-                parent=dep,
-                edge=row["edge"],
-                arrive=row["arrive"],
-            )
-        return SegNode("remainder", row["dir"], row["line"], row["key"], parent=dep)
-
-    def node(table, i):
-        """Node of row i, built after the chain of rows it rests on.  Each
-        row rests on at most one other, so the chain is walked in a loop, and
-        a row met twice on it closes a cycle."""
-        first = key = ref(table, i)
-        chain = []  # (row, the row it rests on), from the first row down
-        on_chain = set()
-        while key is not None and key not in built:
-            if key in on_chain:
-                raise MapFormatError("provenance cycle through %s row %d" % key)
-            on_chain.add(key)
-            dep = depends_on(key)
-            chain.append((key, dep))
-            key = dep
-        for key, dep in reversed(chain):
-            built[key] = make(key, None if dep is None else built[dep])
-        return built[first]
-
-    cells: List = []
-    for row in doc["cells"]:
-        rect = tuple(row["rect"])
-        if row["kind"] == "cone":
-            cells.append(ConeCell(rect, row["dir"], row["off"], node("src", row["src"])))
+    scene = scene_from_dict(doc.get("scene"))
+    n_edges = len(scene.edges)
+    checks = {
+        "point": lambda v: _ints(v, 2),
+        "time": _is_int,
+        "host": lambda v: _is_int(v) and 0 <= v < n_edges,
+        "dir": ("N", "S", "E", "W").__contains__,
+        "line": _is_int,
+        "key": _is_int,
+        "edge": lambda v: _is_int(v) and 0 <= v < n_edges,
+        "arrive": _is_int,
+    }
+    # One forward pass: nodes holds the rows before this one, so a parent
+    # can only be an earlier row.
+    nodes: List = []
+    for i, row in enumerate(_rows(doc, "nodes")):
+        where = "node %d" % i
+        kind = _field(row, "kind", lambda v: type(v) is str and v in _NODE_ROWS, where)
+        want, names = _NODE_ROWS[kind]
+        if want is None:
+            parent = _field(row, "parent", lambda v: v is None, where)
         else:
-            cells.append(FlatCell(rect, row["dir"], row["off"], row["line"], node("seg", row["node"])))
+            parent = _ref(row, "parent", nodes, want, where)
+        f = {name: _field(row, name, checks[name], where) for name in names}
+        if kind in ("start", "vertex", "wait"):
+            nodes.append(SrcNode(kind, tuple(f["point"]), f["time"], parent, f.get("host")))
+        else:
+            nodes.append(SegNode(kind, f["dir"], f["line"], f["key"], parent, f.get("edge"), f.get("arrive")))
+    cells: List = []
+    for i, row in enumerate(_rows(doc, "cells")):
+        where = "cell %d" % i
+        kind = _field(row, "kind", ("cone", "flat").__contains__, where)
+        rect = tuple(_field(row, "rect", lambda v: _ints(v, 4) and v[0] <= v[1] and v[2] <= v[3], where))
+        off = _field(row, "off", _is_int, where)
+        if kind == "cone":
+            d = _field(row, "dir", DIAGS.__contains__, where)
+            cells.append(ConeCell(rect, d, off, _ref(row, "node", nodes, SrcNode, where)))
+        else:
+            cells.append(FlatCell(rect, off, _ref(row, "node", nodes, SegNode, where)))
     return ShortestPathMap(scene, cells)
 
 

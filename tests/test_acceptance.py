@@ -19,14 +19,7 @@ from rectipath.engine import naive_plan
 from rectipath.fast import fast_plan, wavelet_stats
 from rectipath.geometry import validate_path
 from rectipath.oracle import bench_scene, oracle_arrivals, oracle_plan, random_scene
-from rectipath.rangeindex import (
-    DynRangeMin,
-    RectStabber,
-    SegIntersecter,
-    WeightedPoint,
-    WeightedRect,
-    WeightedSegment,
-)
+from rectipath.rangeindex import CornerWeightedVertices, RectStabber, WeightedRect
 from rectipath.scenario import canonical_scene
 from rectipath.spm import build_spm
 
@@ -218,62 +211,55 @@ def test_criterion_7_range_structures_vs_linear_scan():
             got = st.query(q, floor)
             assert (None if got is None else (got.weight, got.payload)) == want
 
-    def boxes_meet(a1, a2, b1, b2):
-        ax1, ax2 = sorted((a1[0], a2[0]))
-        ay1, ay2 = sorted((a1[1], a2[1]))
-        bx1, bx2 = sorted((b1[0], b2[0]))
-        by1, by2 = sorted((b1[1], b2[1]))
-        return ax1 <= bx2 and bx1 <= ax2 and ay1 <= by2 and by1 <= ay2
+    corner_of = {
+        "SW": lambda r: (r[0], r[2]),
+        "SE": lambda r: (r[1], r[2]),
+        "NW": lambda r: (r[0], r[3]),
+        "NE": lambda r: (r[1], r[3]),
+    }
+
+    def inside(p, rect, sides):
+        (x, y), (xlo, xhi, ylo, yhi) = p, rect
+        return (
+            (xlo < x if sides[0] else xlo <= x)
+            and (x < xhi if sides[1] else x <= xhi)
+            and (ylo < y if sides[2] else ylo <= y)
+            and (y < yhi if sides[3] else y <= yhi)
+        )
 
     for rep in range(1000):
-        segs = []
-        for i in range(rng.randrange(0, 16)):
-            a = rng.randrange(0, 26)
-            b, c = sorted(rng.randrange(0, 26) for _ in range(2))
-            pts = ((b, a), (c, a)) if rng.random() < 0.5 else ((a, b), (a, c))
-            segs.append(WeightedSegment(pts[0], pts[1], rng.randrange(0, 9), i))
-        si = SegIntersecter(segs)
-        for _ in range(6):
-            a = rng.randrange(0, 26)
-            b, c = sorted(rng.randrange(0, 26) for _ in range(2))
-            p1, p2 = ((b, a), (c, a)) if rng.random() < 0.5 else ((a, b), (a, c))
-            want = min(
-                ((s.weight, s.payload) for s in segs if boxes_meet(p1, p2, s.p1, s.p2)),
-                default=None,
-            )
-            got = si.query(p1, p2)
-            assert (None if got is None else (got.weight, got.payload)) == want
-
-    for rep in range(1000):
-        d = DynRangeMin()
-        live = {}
-        next_id = 0
+        pts = sorted({(rng.randrange(0, 20), rng.randrange(0, 20)) for _ in range(rng.randrange(0, 24))})
+        cw = CornerWeightedVertices((0, 19, 0, 19), [(p, i) for i, p in enumerate(pts)])
+        live = set(pts)
         for _ in range(rng.randrange(1, 30)):
             op = rng.random()
-            if op < 0.45 or not live:
-                p = WeightedPoint(rng.randrange(0, 20), rng.randrange(0, 20), rng.randrange(0, 9), next_id)
-                next_id += 1
-                d.insert(p)
-                live[(p.x, p.y, p.payload)] = p
-            elif op < 0.65:
-                key = rng.choice(list(live))
-                d.delete(*key)
-                del live[key]
-            else:
-                x1, x2 = sorted(rng.randrange(-1, 22) for _ in range(2))
-                y1, y2 = sorted(rng.randrange(-1, 22) for _ in range(2))
-                want = min(
-                    (
-                        (p.weight, p.payload)
-                        for p in live.values()
-                        if x1 <= p.x <= x2 and y1 <= p.y <= y2
-                    ),
+            if op < 0.3 and live:
+                gone = rng.choice(sorted(live))
+                cw.remove(gone[0], gone[1], pts.index(gone))
+                live.discard(gone)
+                continue
+            x1, x2 = sorted(rng.randrange(-1, 21) for _ in range(2))
+            y1, y2 = sorted(rng.randrange(-1, 21) for _ in range(2))
+            rect = (x1, x2, y1, y2)
+            sides = tuple(rng.random() < 0.3 for _ in range(4))
+            if op < 0.5:
+                got = sorted((p.x, p.y) for p in cw.report(rect, sides))
+                assert got == sorted(p for p in live if inside(p, rect, sides))
+                continue
+            corner = rng.choice(sorted(corner_of))
+            cx, cy = corner_of[corner](rect)
+            want = [
+                min(
+                    (p for p in cands if inside(p, rect, sides)),
+                    key=lambda p: (abs(p[0] - cx) + abs(p[1] - cy), p),
                     default=None,
                 )
-                got = d.query((x1, x2, y1, y2))
-                assert (None if got is None else (got.weight, got.payload)) == want
+                for cands in (pts, live)
+            ]
+            got = cw.nearest(rect, corner, sides, settled=True)
+            assert [None if h is None else (h.x, h.y) for h in got] == want
 
-    print("criterion 7 PASS: stabbing, intersection, and range-min match linear scans on 1000 sequences each")
+    print("criterion 7 PASS: stabbing and nearest-vertex lookup match linear scans on 1000 sequences each")
 
 
 def test_criterion_8_paths_monotone_with_legal_waits(small_runs, mid_runs, canonical_runs):

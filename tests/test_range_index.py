@@ -3,16 +3,7 @@ import random
 
 import pytest
 
-from rectipath.rangeindex import (
-    CornerWeightedVertices,
-    DeleteMissing,
-    DynRangeMin,
-    RectStabber,
-    SegIntersecter,
-    WeightedPoint,
-    WeightedRect,
-    WeightedSegment,
-)
+from rectipath.rangeindex import CornerWeightedVertices, DeleteMissing, RectStabber, WeightedRect
 
 
 # ----- rectangle stabbing ---------------------------------------------------
@@ -71,155 +62,6 @@ def test_rect_stab_random_vs_linear():
             assert (got is None) == (want is None)
             if got is not None:
                 assert (got.weight, got.payload) == (want.weight, want.payload)
-
-
-# ----- segment intersection -------------------------------------------------
-
-
-def seg_points(s):
-    return s.p1, s.p2
-
-
-def brute_intersect(segs, p1, p2):
-    def closed_meet(a1, a2, b1, b2):
-        # Axis-parallel closed segments; standard box + collinearity test.
-        ax1, ax2 = sorted((a1[0], a2[0]))
-        ay1, ay2 = sorted((a1[1], a2[1]))
-        bx1, bx2 = sorted((b1[0], b2[0]))
-        by1, by2 = sorted((b1[1], b2[1]))
-        if ax1 > bx2 or bx1 > ax2 or ay1 > by2 or by1 > ay2:
-            return False
-        # Overlapping bounding boxes of axis-parallel segments intersect unless
-        # both are degenerate in different lines, which the box test already
-        # rules out.
-        return True
-
-    best = None
-    for s in segs:
-        if closed_meet(p1, p2, s.p1, s.p2):
-            if best is None or (s.weight, s.payload) < (best.weight, best.payload):
-                best = s
-    return best
-
-
-def test_seg_intersect_basics():
-    segs = [
-        WeightedSegment((0, 5), (10, 5), 5, 0),  # h1
-        WeightedSegment((0, 8), (4, 8), 8, 1),  # h2
-    ]
-    si = SegIntersecter(segs)
-    assert si.query((2, 0), (2, 9)).payload == 0
-    assert si.query((6, 6), (6, 9)) is None
-    assert si.query((0, 5), (1, 5)).payload == 0  # collinear touch counts
-
-
-def test_seg_intersect_vertical_store():
-    segs = [
-        WeightedSegment((3, 0), (3, 10), 2, 0),
-        WeightedSegment((5, 2), (5, 4), 1, 1),
-    ]
-    si = SegIntersecter(segs)
-    assert si.query((0, 3), (9, 3)).payload == 1
-    assert si.query((0, 7), (9, 7)).payload == 0
-    assert si.query((4, 0), (4, 9)) is None
-    assert si.query((3, 3), (3, 5)).payload == 0  # collinear with a vertical
-
-
-def test_seg_intersect_random_vs_linear():
-    rng = random.Random(42)
-    for rep in range(250):
-        segs = []
-        for i in range(rng.randrange(0, 24)):
-            a = rng.randrange(0, 30)
-            b, c = sorted(rng.randrange(0, 30) for _ in range(2))
-            if rng.random() < 0.5:
-                segs.append(WeightedSegment((b, a), (c, a), rng.randrange(0, 8), i))
-            else:
-                segs.append(WeightedSegment((a, b), (a, c), rng.randrange(0, 8), i))
-        si = SegIntersecter(segs)
-        for _ in range(20):
-            a = rng.randrange(0, 30)
-            b, c = sorted(rng.randrange(0, 30) for _ in range(2))
-            p1, p2 = ((b, a), (c, a)) if rng.random() < 0.5 else ((a, b), (a, c))
-            got = si.query(p1, p2)
-            want = brute_intersect(segs, p1, p2)
-            assert (got is None) == (want is None), (segs, p1, p2)
-            if got is not None:
-                assert (got.weight, got.payload) == (want.weight, want.payload)
-
-
-# ----- dynamic range minimum ------------------------------------------------
-
-
-def test_drmin_basics():
-    d = DynRangeMin()
-    d.insert(WeightedPoint(1, 1, 2, 0))
-    d.insert(WeightedPoint(3, 3, 1, 1))
-    assert d.query((0, 4, 0, 4)).payload == 1
-    d.delete(3, 3, 1)
-    assert d.query((0, 4, 0, 4)).payload == 0
-    assert d.query((10, 11, 10, 11)) is None
-    with pytest.raises(DeleteMissing):
-        d.delete(3, 3, 1)
-
-
-def test_drmin_open_sides():
-    d = DynRangeMin([WeightedPoint(0, 0, 1, 0), WeightedPoint(2, 2, 2, 1)])
-    assert d.query((0, 2, 0, 2)).payload == 0
-    assert d.query((0, 2, 0, 2), open_sides=(True, False, True, False)).payload == 1
-    assert d.query((0, 2, 0, 2), open_sides=(True, True, True, True)) is None
-
-
-def test_drmin_report():
-    pts = [WeightedPoint(i, i, i, i) for i in range(6)]
-    d = DynRangeMin(pts)
-    d.delete(2, 2, 2)
-    got = sorted(p.payload for p in d.report((1, 4, 0, 9)))
-    assert got == [1, 3, 4]
-
-
-def test_drmin_random_sequences():
-    rng = random.Random(43)
-    for rep in range(300):
-        d = DynRangeMin()
-        live = {}
-        next_id = 0
-        for _ in range(rng.randrange(1, 40)):
-            op = rng.random()
-            if op < 0.45 or not live:
-                p = WeightedPoint(
-                    rng.randrange(0, 20), rng.randrange(0, 20), rng.randrange(0, 10), next_id
-                )
-                next_id += 1
-                d.insert(p)
-                live[(p.x, p.y, p.payload)] = p
-            elif op < 0.65:
-                key = rng.choice(list(live))
-                d.delete(*key)
-                del live[key]
-            else:
-                x1, x2 = sorted(rng.randrange(-1, 22) for _ in range(2))
-                y1, y2 = sorted(rng.randrange(-1, 22) for _ in range(2))
-                got = d.query((x1, x2, y1, y2))
-                want = None
-                for p in live.values():
-                    if x1 <= p.x <= x2 and y1 <= p.y <= y2:
-                        if want is None or (p.weight, p.payload) < (want.weight, want.payload):
-                            want = p
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert (got.weight, got.payload) == (want.weight, want.payload)
-
-
-def test_drmin_survives_rebuild():
-    d = DynRangeMin()
-    for i in range(200):
-        d.insert(WeightedPoint(i % 17, i % 13, i % 7, i))
-    for i in range(0, 200, 3):
-        d.delete(i % 17, i % 13, i)
-    want = [(i % 7, i) for i in range(200) if i % 3 and i % 17 <= 8]
-    got = d.query((0, 8, 0, 99))
-    assert (got.weight, got.payload) == min(want)
 
 
 # ----- corner-weighted vertex lookup ----------------------------------------
@@ -304,8 +146,8 @@ def _in_rect(p, rect, sides):
 
 def test_index_under_removal_vs_linear_scan():
     # Hundreds of points on a small grid, so that many share a column or a
-    # row, removed one by one while both views of every corner, reports under
-    # every openness and a DynRangeMin with tied weights are checked.
+    # row, removed one by one while both views of every corner and reports
+    # under every openness are checked.
     rng = random.Random(46)
     corner_of = {
         "SW": lambda r: (r[0], r[2]),
@@ -319,10 +161,6 @@ def test_index_under_removal_vs_linear_scan():
         assert len(pts) >= 200
         payload = {p: i for i, p in enumerate(pts)}
         cw = CornerWeightedVertices((0, 23, 0, 23), list(payload.items()))
-        weight = {p: rng.randrange(0, 6) for p in pts}
-        ids = rng.sample(range(len(pts)), len(pts))  # ties break by these, not by position
-        d_id = dict(zip(pts, ids))
-        d = DynRangeMin([WeightedPoint(x, y, weight[(x, y)], d_id[(x, y)]) for x, y in pts])
         live = set(pts)
         order = list(pts)
         rng.shuffle(order)
@@ -344,18 +182,13 @@ def test_index_under_removal_vs_linear_scan():
                 assert (None if got_live is None else (got_live.x, got_live.y)) == want_live
                 hit = cw.nearest(rect, corner, sides)
                 assert (None if hit is None else (hit.x, hit.y)) == want_live
-            want = min(((weight[p], d_id[p]) for p in live if _in_rect(p, rect, sides)), default=None)
-            got = d.query(rect, sides)
-            assert (None if got is None else (got.weight, got.payload)) == want
             if step % 8 == 0:
                 for s in all_sides:
                     want_pts = sorted(p for p in live if _in_rect(p, rect, s))
                     assert sorted((p.x, p.y) for p in cw.report(rect, s)) == want_pts
-                    assert sorted((p.x, p.y) for p in d.report(rect, s)) == want_pts
             cw.remove(gone[0], gone[1], payload[gone])
-            d.delete(gone[0], gone[1], d_id[gone])
             live.discard(gone)
-            assert len(cw) == len(d) == len(live)
+            assert len(cw) == len(live)
         with pytest.raises(DeleteMissing):
             cw.remove(gone[0], gone[1], payload[gone])
         assert cw.nearest((0, 23, 0, 23), "SW") is None

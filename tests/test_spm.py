@@ -6,7 +6,7 @@ import pytest
 
 from rectipath.fast import fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
-from rectipath.oracle import bench_scene, oracle_arrivals, random_scene
+from rectipath.oracle import oracle_arrivals, random_scene
 from rectipath.scenario import canonical_scene
 from rectipath.spm import (
     ConeCell,
@@ -158,32 +158,154 @@ def test_load_rejects_other_files(tmp_path):
         load_spm(f)
 
 
+_FRONTS = ("piece", "successor", "remainder")
+
+
+def _first(rows, kinds, below=None):
+    """Index of the first row of one of the kinds, optionally below a row."""
+    return next(i for i, r in enumerate(rows[:below]) if r["kind"] in kinds)
+
+
+def _set_parent(kind, parent_kinds):
+    # parent_kinds picks an earlier row, so only the kind of parent is wrong
+    def edit(doc):
+        nodes = doc["nodes"]
+        i = next(i for i, r in enumerate(nodes) if r["kind"] == kind and _first(nodes, parent_kinds) < i)
+        nodes[i]["parent"] = _first(nodes, parent_kinds, below=i)
+
+    return edit
+
+
+def _vertex_parent(value):
+    def edit(doc):
+        i = _first(doc["nodes"], ("vertex",))
+        doc["nodes"][i]["parent"] = i if value == "self" else i + 1 if value == "next" else value
+
+    return edit
+
+
+def _cell_node(kind, node_kinds):
+    def edit(doc):
+        doc["cells"][_first(doc["cells"], (kind,))]["node"] = _first(doc["nodes"], node_kinds)
+
+    return edit
+
+
+def _node_field(kind, name, value):
+    def edit(doc):
+        row = doc["nodes"][_first(doc["nodes"], (kind,))]
+        if value is None:
+            del row[name]
+        else:
+            row[name] = value(doc) if callable(value) else value
+
+    return edit
+
+
+def _row_is_list(doc):
+    doc["nodes"][1] = list(doc["nodes"][1].values())
+
+
+def _row_is_a_number(doc):
+    doc["nodes"][1] = 1
+
+
+def _cell_without_rect(doc):
+    del doc["cells"][0]["rect"]
+
+
+def _version_1(doc):
+    doc["version"] = 1
+
+
 @pytest.mark.parametrize(
-    "via",
-    [["p", 1], ["p", 10**6], ["p", -1], ["s", 10**6, "N"]],
-    ids=["self-cycle", "out-of-range", "negative", "bad-front"],
+    "edit",
+    [
+        _vertex_parent("self"),
+        _vertex_parent("next"),
+        _vertex_parent(-1),
+        _vertex_parent(10**6),
+        _vertex_parent("0"),
+        _set_parent("successor", ("start", "vertex", "wait")),
+        _set_parent("remainder", ("start", "vertex", "wait")),
+        _set_parent("wait", _FRONTS),
+        _set_parent("piece", _FRONTS),
+        _node_field("start", "parent", 0),
+        _cell_node("cone", _FRONTS),
+        _cell_node("flat", ("start",)),
+        _node_field("wait", "host", lambda doc: len(doc["scene"]["edges"])),
+        _node_field("piece", "edge", -1),
+        _node_field("successor", "edge", "0"),
+        _node_field("vertex", "time", None),
+        _node_field("wait", "time", 6.5),
+        _node_field("vertex", "point", [1, 2, 3]),
+        _node_field("remainder", "kind", "front"),
+        _node_field("wait", "kind", ["wait"]),
+        _row_is_list,
+        _row_is_a_number,
+        _cell_without_rect,
+        _version_1,
+    ],
+    ids=[
+        "self-cycle",
+        "later-row",
+        "negative",
+        "out-of-range",
+        "not-an-int",
+        "bad-front",
+        "remainder-of-a-source",
+        "wait-after-a-front",
+        "piece-of-a-front",
+        "start-with-a-parent",
+        "cone-at-a-front",
+        "flat-at-a-source",
+        "host-outside-the-scene",
+        "edge-outside-the-scene",
+        "edge-not-an-int",
+        "node-without-time",
+        "time-not-an-int",
+        "point-of-three",
+        "unknown-kind",
+        "kind-not-a-string",
+        "row-is-a-list",
+        "row-is-a-number",
+        "cell-without-rect",
+        "version-1",
+    ],
 )
-def test_load_rejects_bad_provenance_references(tmp_path, via):
+def test_load_rejects_bad_provenance_references(tmp_path, edit):
+    # random_scene(4, 10) has a node row of every kind
     f = tmp_path / "map.json"
-    dump_spm(build_spm(bench_scene(1, 20)), f)
+    dump_spm(build_spm(random_scene(4, 10)), f)
     doc = json.loads(f.read_text())
-    assert doc["sources"][1]["kind"] == "vertex"
-    doc["sources"][1]["via"] = via
+    edit(doc)
     f.write_text(json.dumps(doc))
     with pytest.raises(MapFormatError):
         load_spm(f)
 
 
 def test_load_rejects_a_cycle_through_the_fronts(tmp_path):
+    # two fronts naming each other as parent: one of them names a later row
     f = tmp_path / "map.json"
     dump_spm(build_spm(canonical_scene("S2")), f)
     doc = json.loads(f.read_text())
-    fronts = doc["fronts"]
-    fronts.append({"kind": "remainder", "dir": "N", "line": 5, "key": 6, "parent": len(fronts)})
-    doc["cells"][0] = dict(doc["cells"][0], kind="flat", line=5, node=len(fronts) - 1)
+    nodes = doc["nodes"]
+    k = len(nodes)
+    nodes.append({"kind": "remainder", "dir": "N", "line": 5, "key": 6, "parent": k + 1})
+    nodes.append({"kind": "remainder", "dir": "N", "line": 5, "key": 6, "parent": k})
+    doc["cells"][0] = {"kind": "flat", "rect": [-1, 1, 5, 11], "off": 1, "node": k}
     f.write_text(json.dumps(doc))
     with pytest.raises(MapFormatError):
         load_spm(f)
+
+
+def test_map_file_lists_parents_first(tmp_path):
+    f = tmp_path / "map.json"
+    dump_spm(build_spm(random_scene(4, 10)), f)
+    doc = json.loads(f.read_text())
+    assert doc["version"] == 2 and set(doc) == {"format", "version", "scene", "nodes", "cells"}
+    parents = [r["parent"] for r in doc["nodes"]]
+    assert parents[0] is None and all(0 <= p < i for i, p in enumerate(parents) if i)
 
 
 def test_source_equal_destination_scene():

@@ -116,7 +116,7 @@ def test_stop_clips_successor_and_leaves_remainder():
         dest=(30, 30),
     )
     eng = _Engine(scene)
-    node = SegNode("piece", "N", 0, 3, src=SrcNode("start", (0, 0), 0), edge=0)
+    node = SegNode("piece", "N", 0, 3, parent=SrcNode("start", (0, 0), 0), edge=0)
     eng._do_segment(SegWavelet(0, 4, False, False, 0, 3, "N", node))
     assert [(key, item[1]) for key, item in _heap_items(eng, "settle")] == [(9, (2, 6))]
     flats = [item[1] for _, item in _heap_items(eng, "sw")]
@@ -128,7 +128,7 @@ def test_stop_clips_successor_and_leaves_remainder():
 
 def test_flat_front_records_destination_candidate():
     eng = _Engine(canonical_scene("S1"))
-    node = SegNode("piece", "N", 5, 20, src=SrcNode("start", (0, 0), 0), edge=0)
+    node = SegNode("piece", "N", 5, 20, parent=SrcNode("start", (0, 0), 0), edge=0)
     eng._do_segment(SegWavelet(-2, 2, False, False, 5, 20, "N", node))
     assert [(key, item[1]) for key, item in _heap_items(eng, "settle")] == [(25, (0, 10))]
     assert _heap_items(eng, "sw") == []  # nothing above to stop on
