@@ -17,12 +17,12 @@ import time
 from fractions import Fraction
 from typing import List, Optional
 
-from .engine import naive_plan
+from .engine import DIAGS, naive_plan, run_plan
 from .fast import _FastEngine, fast_plan
 from .geometry import Scene, validate_path
 from .oracle import bench_scene, oracle_plan, random_scene
 from .scenario import ScenarioError, load_scene, _enc_num
-from .spm import OutsideBoundingBox, _record_cell, build_spm, dump_spm
+from .spm import OutsideBoundingBox, _spm_from_dict, _spm_to_dict, build_spm, dump_spm
 from .svg import render_svg
 
 
@@ -123,7 +123,9 @@ def _cmd_fuzz(args) -> int:
                 vals[c] = oracle_plan(scene)
                 continue
             if c == "spm":
-                vals[c], path = build_spm(scene).query(scene.dest)
+                # a reloaded map answers from the times its loader derived
+                doc = json.loads(json.dumps(_spm_to_dict(build_spm(scene))))
+                vals[c], path = _spm_from_dict(doc).query(scene.dest)
             else:
                 res = (naive_plan if c == "naive" else fast_plan)(scene)
                 vals[c], path = res.arrival, res.path
@@ -162,16 +164,15 @@ def _cmd_bench(args) -> int:
 
 def _cmd_render(args) -> int:
     scene = load_scene(args.scene)
-    res = fast_plan(scene)
+    eng = _FastEngine(scene, trace=args.trace)
+    res = run_plan(eng)
     trace = None
     if args.trace:
-        eng = _FastEngine(scene, trace=True)
-        eng.run()
         k = eng.sc.coord_scale
-        trace = []
-        for rec in eng.trace:
-            cell = _record_cell(rec)
-            trace.append((rec[0], tuple(Fraction(v, k) for v in cell.rect)))
+        trace = [
+            ("cone" if d in DIAGS else "flat", tuple(Fraction(v, k) for v in rect))
+            for rect, d, _node in eng.trace
+        ]
     sys.stdout.write(render_svg(scene, res.path, trace))
     return 0
 

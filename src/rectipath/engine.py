@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import Scene, ScaledScene, TimedPath, Waypoint
+from .geometry import Scene, ScaledScene, TimedPath
 from .rangeindex import CornerWeightedVertices
 from .stopindex import _DIR_INFO, StopOracle
 
@@ -74,26 +74,26 @@ class SrcNode:
 
 
 class SegNode:
-    """Provenance of a flat front, one of:
+    """Provenance of a flat front moving toward dir on line, departing at key:
 
     - "piece": accessible part of edge `edge`, reached by staircase from the
-      point source parent and departed at the edge's disappearance (key);
-    - "successor": clip of the next blocking edge, departed at its
-      disappearance; the parent front arrives at `arrive`;
-    - "remainder": unblocked columns continuing the parent front past a stop
-      row without waiting (key is the flat arrival on that row).
+      point source parent and departed at the edge's disappearance;
+    - "successor": clip of edge `edge`, the next edge blocking the parent
+      front, departed at its disappearance;
+    - "remainder": columns of the parent front that edge `edge` does not
+      block, continuing past its line without waiting (key is the flat
+      arrival there).
     """
 
-    __slots__ = ("kind", "dir", "line", "key", "parent", "edge", "arrive")
+    __slots__ = ("kind", "dir", "line", "key", "parent", "edge")
 
-    def __init__(self, kind, dir, line, key, parent, edge=None, arrive=None):
+    def __init__(self, kind, dir, line, key, parent, edge):
         self.kind = kind
         self.dir = dir
         self.line = line
         self.key = key
         self.parent = parent
         self.edge = edge
-        self.arrive = arrive
 
 
 class PointWavelet:
@@ -139,8 +139,9 @@ class _Engine:
         self.heap: List = []
         self.seq = 0
         self.stats = WaveletStats()
-        # swept records: ("cone", origin, t0, rect, dir, root source node) and
-        # ("flat", lo, hi, reach, front node); spm turns them into cells
+        # swept records (rect, dir, node): a point wavelet's region, its
+        # diagonal and root source node, or a flat front's swept band, its
+        # direction and front node; spm turns them into cells
         self.trace: Optional[List] = [] if trace else None
         self.fan_seen = set()
 
@@ -196,7 +197,7 @@ class _Engine:
             sd = "N" if sy > 0 else "S"
         else:
             sd = "E" if sx > 0 else "W"
-        node = SegNode("piece", sd, e.line, e.td, w.src, edge=edge_idx)
+        node = SegNode("piece", sd, e.line, e.td, w.src, edge_idx)
         sw = SegWavelet(alo, ahi, False, False, e.line, e.td, sd, node)
         self._push(e.td, _RANK_SEGMENT, (alo, e.line), ("sw", sw))
         self.stats.segment_wavelets += 1
@@ -212,7 +213,7 @@ class _Engine:
         ox, oy = w.origin
         xlo, xhi, ylo, yhi = w.rect
         if self.trace is not None:
-            self.trace.append(("cone", w.origin, w.t0, w.rect, w.dir, w.src))
+            self.trace.append((w.rect, w.dir, w.src))
         dx, dy = self.dest
         if xlo <= dx <= xhi and ylo <= dy <= yhi:
             self._claim(self.dest, w.t0 + abs(dx - ox) + abs(dy - oy), w.src)
@@ -221,15 +222,15 @@ class _Engine:
                 self._cap_pieces(w, w.caps[1], True)
             if w.caps[0] is not None:
                 self._cap_pieces(w, w.caps[0], False)
-        hit = self.drm.nearest(w.rect, _NEAREST_CORNER[w.dir])
-        if hit is None:
+        v = self._split_vertex(w)
+        if v is None:
             return
-        v = (hit.x, hit.y)
-        tprime = w.t0 + abs(hit.x - ox) + abs(hit.y - oy)
-        self._claim(v, tprime, w.src)
+        tprime = w.t0 + abs(v[0] - ox) + abs(v[1] - oy)
         sx, sy = _DIAG_SIGNS[w.dir]
-        r1 = (min(ox, v[0]), max(ox, v[0]), ylo, yhi)
-        r2 = (xlo, xhi, min(oy, v[1]), max(oy, v[1]))
+        # A region may be detached from its origin corner (narrowing cuts
+        # regions apart), so the column and row parts stay clipped to it.
+        r1 = (max(xlo, min(ox, v[0])), min(xhi, max(ox, v[0])), ylo, yhi)
+        r2 = (xlo, xhi, max(ylo, min(oy, v[1])), min(yhi, max(oy, v[1])))
         r3 = (
             (v[0], xhi) if sx > 0 else (xlo, v[0]),
             (v[1], yhi) if sy > 0 else (ylo, v[1]),
@@ -246,6 +247,15 @@ class _Engine:
             self._push(tprime, _RANK_POINT, origin, ("pw", child))
             self.stats.point_wavelets += 1
 
+    def _split_vertex(self, w: PointWavelet):
+        """The vertex w's region splits at, claimed from w, or None."""
+        hit = self.drm.nearest(w.rect, _NEAREST_CORNER[w.dir])
+        if hit is None:
+            return None
+        v = (hit.x, hit.y)
+        self._claim(v, w.t0 + abs(v[0] - w.origin[0]) + abs(v[1] - w.origin[1]), w.src)
+        return v
+
     def _do_segment(self, w: SegWavelet):
         s, horizontal = _DIR_INFO[w.dir]
         hit = self.stop.stop_drag(w.lo, w.hi, w.line, w.key, w.dir)
@@ -260,8 +270,6 @@ class _Engine:
             else:
                 reach = xhi if s > 0 else xlo
             tau = w.key + abs(reach - w.line)
-        if self.trace is not None:
-            self.trace.append(("flat", w.lo, w.hi, reach, w.node))
         dx, dy = self.dest
         cross, perp = (dx, dy) if horizontal else (dy, dx)
         in_span = (w.lo < cross or (not w.lo_open and w.lo == cross)) and (
@@ -276,23 +284,25 @@ class _Engine:
         else:
             rect = (min(w.line, reach), max(w.line, reach), w.lo, w.hi)
             open_sides = (s > 0, s < 0, w.lo_open, w.hi_open)
+        if self.trace is not None:
+            self.trace.append((rect, w.dir, w.node))
         for wp in self.drm.report(rect, open_sides):
             pv = wp.y if horizontal else wp.x
             self._claim((wp.x, wp.y), w.key + abs(pv - w.line), w.node)
         if hit is None:
             return
         clip_lo, clip_hi = max(w.lo, e.lo), min(w.hi, e.hi)
-        node = SegNode("successor", w.dir, e.line, e.td, w.node, edge=edge_idx, arrive=tau)
+        node = SegNode("successor", w.dir, e.line, e.td, w.node, edge_idx)
         succ = SegWavelet(clip_lo, clip_hi, False, False, e.line, e.td, w.dir, node)
         self._push(e.td, _RANK_SEGMENT, (clip_lo, e.line), ("sw", succ))
         self.stats.segment_wavelets += 1
         if w.lo < clip_lo:
-            rn = SegNode("remainder", w.dir, e.line, tau, w.node)
+            rn = SegNode("remainder", w.dir, e.line, tau, w.node, edge_idx)
             rw = SegWavelet(w.lo, clip_lo, w.lo_open, True, e.line, tau, w.dir, rn)
             self._push(tau, _RANK_SEGMENT, (w.lo, e.line), ("sw", rw))
             self.stats.segment_wavelets += 1
         if clip_hi < w.hi:
-            rn = SegNode("remainder", w.dir, e.line, tau, w.node)
+            rn = SegNode("remainder", w.dir, e.line, tau, w.node, edge_idx)
             rw = SegWavelet(clip_hi, w.hi, True, w.hi_open, e.line, tau, w.dir, rn)
             self._push(tau, _RANK_SEGMENT, (clip_hi, e.line), ("sw", rw))
             self.stats.segment_wavelets += 1
@@ -334,15 +344,15 @@ class _Engine:
             raise AssertionError("queue exhausted before the destination settled")
 
 
+def run_plan(eng) -> PlanResult:
+    """Run a planning engine until the destination settles and witness it."""
+    from .pathrec import build_path
+
+    eng.run(stop_at_dest=True)
+    return PlanResult(eng.sc.time_out(eng.labels[eng.dest][0]), build_path(eng), eng.stats)
+
+
 def naive_plan(scene: Scene) -> PlanResult:
     """Minimum arrival time at the destination plus a witness path, by plain
     wavefront propagation (quadratic wavelet count, log-factor queries)."""
-    from .pathrec import build_path
-
-    eng = _Engine(scene)
-    if eng.source == eng.dest:
-        wp = Waypoint(scene.source, 0, 0)
-        return PlanResult(0, TimedPath((wp,)), eng.stats)
-    eng.run(stop_at_dest=True)
-    t, _node = eng.labels[eng.dest]
-    return PlanResult(eng.sc.time_out(t), build_path(eng), eng.stats)
+    return run_plan(_Engine(scene))

@@ -28,8 +28,9 @@ from .engine import (
     PointWavelet,
     WaveletStats,
     _Engine,
+    run_plan,
 )
-from .geometry import Scene, TimedPath, Waypoint
+from .geometry import Scene
 
 Rect = Tuple[int, int, int, int]  # (xlo, xhi, ylo, yhi), closed
 
@@ -129,19 +130,7 @@ class _FastEngine(_Engine):
                 best, bestd = h, (d, h.x, h.y)
         return best, live
 
-    def _do_point(self, w: PointWavelet):
-        ox, oy = w.origin
-        xlo, xhi, ylo, yhi = w.rect
-        if self.trace is not None:
-            self.trace.append(("cone", w.origin, w.t0, w.rect, w.dir, w.src))
-        dx, dy = self.dest
-        if xlo <= dx <= xhi and ylo <= dy <= yhi:
-            self._claim(self.dest, w.t0 + abs(dx - ox) + abs(dy - oy), w.src)
-        if w.fresh:
-            if w.caps[1] is not None:
-                self._cap_pieces(w, w.caps[1], True)
-            if w.caps[0] is not None:
-                self._cap_pieces(w, w.caps[0], False)
+    def _split_vertex(self, w: PointWavelet):
         # A sweep that reaches a settled vertex duplicates that vertex's own
         # wavelet beyond it: the sweep passes the vertex no earlier than it
         # settled, so past the vertex the resident wavelet dominates.  Keep
@@ -149,7 +138,7 @@ class _FastEngine(_Engine):
         # exempt; they carry its label node as root source.
         hit_any, hit = self._nearest_past_root(w)
         if hit_any is None:
-            return
+            return None
         p = (hit_any.x, hit_any.y)
         lab = self.labels.get(p)
         if lab is None:
@@ -173,11 +162,11 @@ class _FastEngine(_Engine):
                             )
                             self._push(w.key, _RANK_POINT, w.origin, ("pw", child))
                             self.stats.point_wavelets += 1
-                        return
+                        return None
             if hit is None:
-                return
+                return None
         v = (hit.x, hit.y)
-        tprime = w.t0 + abs(hit.x - ox) + abs(hit.y - oy)
+        tprime = w.t0 + abs(hit.x - w.origin[0]) + abs(hit.y - w.origin[1])
         self._claim(v, tprime, w.src)
         prev = self.registry.get((v, w.dir))
         if prev is not None:
@@ -193,47 +182,19 @@ class _FastEngine(_Engine):
                     child = PointWavelet(w.origin, w.t0, tprime, rect, w.dir, (None, None), False, w.src)
                     self._push(tprime, _RANK_POINT, w.origin, ("pw", child))
                     self.stats.point_wavelets += 1
-                return
-            # else the shared region is a boundary sliver: splitting below
+                return None
+            # else the shared region is a boundary sliver: splitting at v
             # makes strict progress where requeueing the same rect would not
         else:
             self.registry[(v, w.dir)] = w
-        sx, sy = _DIAG_SIGNS[w.dir]
-        # Unlike the plain engine, narrowed regions are detached from the
-        # origin corner, so the column and row parts must stay clipped to the
-        # region being split or they would regrow what a narrow removed.
-        r1 = (max(xlo, min(ox, v[0])), min(xhi, max(ox, v[0])), ylo, yhi)
-        r2 = (xlo, xhi, max(ylo, min(oy, v[1])), min(yhi, max(oy, v[1])))
-        r3 = (
-            (v[0], xhi) if sx > 0 else (xlo, v[0]),
-            (v[1], yhi) if sy > 0 else (ylo, v[1]),
-        )
-        for rect, origin, t0 in (
-            (r1, w.origin, w.t0),
-            (r2, w.origin, w.t0),
-            ((r3[0][0], r3[0][1], r3[1][0], r3[1][1]), v, tprime),
-        ):
-            child = PointWavelet(origin, t0, tprime, rect, w.dir, (None, None), False, w.src)
-            self._push(tprime, _RANK_POINT, origin, ("pw", child))
-            self.stats.point_wavelets += 1
+        return v
 
 
 def fast_plan(scene: Scene) -> PlanResult:
     """Same contract as naive_plan; narrowed propagation."""
-    from .pathrec import build_path
-
-    eng = _FastEngine(scene)
-    if eng.source == eng.dest:
-        wp = Waypoint(scene.source, 0, 0)
-        return PlanResult(0, TimedPath((wp,)), eng.stats)
-    eng.run(stop_at_dest=True)
-    t, _node = eng.labels[eng.dest]
-    return PlanResult(eng.sc.time_out(t), build_path(eng), eng.stats)
+    return run_plan(_FastEngine(scene))
 
 
 def wavelet_stats(scene: Scene) -> WaveletStats:
     """Wavelet counts of a fast plan run (deterministic per scene)."""
-    eng = _FastEngine(scene)
-    if eng.source != eng.dest:
-        eng.run(stop_at_dest=True)
-    return eng.stats
+    return fast_plan(scene).stats

@@ -3,11 +3,12 @@
 Every settled label and map cell carries a provenance chain, a node whose
 parent links lead back to the start: staircase hops between point sources
 (start, settled vertices, wait points) and flat hops along waited-out edges.
-Replay needs only the chain and the scene's edge list.  Materializing a staircase hop is a small grid search: inside the
-monotone rectangle between the two points every position is crossed at the
-fixed time departure + L1 distance, so each edge blocks a static interval of
-crossing columns and a legal staircase exists on the grid of edge lines and
-blocked-interval boundaries.
+Replay needs only the chain and the scene's edge list.  Materializing a
+staircase hop is a small grid search: inside the monotone rectangle between
+the two points every position is crossed at the fixed time departure + L1
+distance, so each edge blocks a static interval of crossing columns and a
+legal staircase exists on the grid of edge lines and blocked-interval
+boundaries.
 
 A real wait must depart perpendicular to its host edge.  When every
 perpendicular-first staircase is blocked, the wait is slid along its host to
@@ -86,8 +87,7 @@ def _replay(edges, item) -> List[Tri]:
             if seg.kind == "piece":
                 todo.append(("piece", seg, cross))
                 item = ("src", seg.parent)
-            else:  # successor
-                todo.append(("successor", seg))
+            else:  # successor: the parent front reaches its line first
                 item = ("flat", seg.parent, cross, seg.line)
     tris = [[node.point, 0, 0]]
     for step in reversed(todo):
@@ -104,8 +104,6 @@ def _replay(edges, item) -> List[Tri]:
             target = _on_line(node, step[2], node.line)
             _staircase(edges, tris, target, host=_host_of(node.parent), flex=True)
             assert tris[-1][1] <= node.key
-        elif kind == "successor":
-            assert tris[-1][1] == node.arrive
         else:  # front: depart the front's line and cross to the target line
             target_perp = step[3]
             tris[-1][2] = node.key

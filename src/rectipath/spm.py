@@ -14,11 +14,14 @@ queries: min offset among stabbed rectangles of a class, plus the class's
 linear term.  Witness paths replay the winning record's provenance chain the
 same way settled labels do.
 
-Serialized form (JSON, version 2): the scene, one table of provenance nodes
+Serialized form (JSON, version 3): the scene, one table of provenance nodes
 and the cell list, all in scaled integer units.  Every node row names its
 parent by index, and the parent is always an earlier row, so a loader builds
-the nodes in one forward pass; a cell names its node the same way.  A loaded
-map answers exactly like the one that was dumped.
+the nodes in one forward pass; a cell names its node the same way.  Rows
+store no times: a node's time, or its line and key, follows from the scene
+and its parent, and a cell's value function from its node, so the loader
+derives them and checks the rest against the scene.  A loaded map answers
+exactly like the one that was dumped.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from .geometry import ScaledScene, Scene, TimedPath, Waypoint
 from .pathrec import _from_flat, _from_source, _host_of, _staircase
 from .rangeindex import RectStabber, WeightedRect
 from .scenario import scene_from_dict, scene_to_dict
+from .stopindex import _DIR_INFO
 
 _FORMAT = "rectipath-spm"
-_VERSION = 2
+_VERSION = 3
 
 # class index -> value gradient; cones first so they win boundary ties
 # against the flats that depart from those same boundary lines
@@ -60,37 +64,23 @@ class MapFormatError(ValueError):
     """Unrecognized or incompatible serialized map."""
 
 
-class ConeCell:
-    """value(q) = off + sx*qx + sy*qy inside rect; witnessed from the point
-    source node."""
+class Cell:
+    """value(q) = off + g . q inside the closed rect, where g is the gradient
+    of dir.  A cone (diagonal dir) is witnessed by a staircase from its point
+    source node, a band (dir the front's) along its flat-front node's chain.
+    The node alone fixes the value function, so off is derived from it."""
 
-    __slots__ = ("rect", "dir", "off", "node")
+    __slots__ = ("rect", "dir", "node", "off")
 
-    def __init__(self, rect, dir, off, node):
+    def __init__(self, rect, dir, node):
         self.rect = rect
         self.dir = dir
-        self.off = off
         self.node = node
-
-
-class FlatCell:
-    """value(q) = off +/- q_perp inside rect; witnessed along the flat-front
-    node's chain, whose direction and line are the cell's."""
-
-    __slots__ = ("rect", "off", "node")
-
-    def __init__(self, rect, off, node):
-        self.rect = rect
-        self.off = off
-        self.node = node
-
-    @property
-    def dir(self):
-        return self.node.dir
-
-    @property
-    def line(self):
-        return self.node.line
+        gx, gy = _GRADS[dir]
+        if isinstance(node, SrcNode):
+            self.off = node.time - gx * node.point[0] - gy * node.point[1]
+        else:
+            self.off = node.key - (gx + gy) * node.line
 
 
 class ShortestPathMap:
@@ -147,7 +137,7 @@ class ShortestPathMap:
         val, _ci, idx = self._locate(qs)
         cell = self.cells[idx]
         edges = self.sc.edges
-        if isinstance(cell, ConeCell):
+        if isinstance(cell.node, SrcNode):
             tris = _from_source(edges, cell.node)
             _staircase(edges, tris, qs, host=_host_of(cell.node))
         else:
@@ -163,28 +153,13 @@ class ShortestPathMap:
         return sc.time_out(val), TimedPath(wps)
 
 
-def _record_cell(rec):
-    """The cell of one trace record: its region and its value function."""
-    if rec[0] == "cone":
-        _, origin, t0, rect, d, src = rec
-        sx, sy = _DIAG_SIGNS[d]
-        return ConeCell(rect, d, t0 - sx * origin[0] - sy * origin[1], src)
-    _, lo, hi, reach, node = rec
-    line = node.line
-    if node.dir in ("N", "S"):
-        rect = (lo, hi, min(line, reach), max(line, reach))
-    else:
-        rect = (min(line, reach), max(line, reach), lo, hi)
-    return FlatCell(rect, node.key - line if node.dir in ("N", "E") else node.key + line, node)
-
-
 def _harvest(trace) -> List:
     """Normalize trace records into cells, dropping records whose value
     function and region are covered by an already kept record."""
     cells: List = []
     kept: Dict[tuple, List[Tuple[int, int, int, int]]] = {}
     for rec in trace:
-        cell = _record_cell(rec)
+        cell = Cell(*rec)
         group = kept.setdefault((cell.dir, cell.off), [])
         xlo, xhi, ylo, yhi = cell.rect
         if any(kx0 <= xlo and xhi <= kx1 and ky0 <= ylo and yhi <= ky1 for kx0, kx1, ky0, ky1 in group):
@@ -209,17 +184,23 @@ def spm_query(spm: ShortestPathMap, q):
 # -- serialization ----------------------------------------------------------
 
 
+# A node row of each kind: the node class its parent must be (None: no
+# parent) and the fields besides kind and parent.  They hold only the
+# sweep's choices; every time, key and line is derived from the scene and
+# the parent on load.
+_NODE_ROWS = {
+    "start": (None, ()),
+    "vertex": ((SrcNode, SegNode), ("point",)),
+    "wait": (SrcNode, ("point", "host")),
+    "piece": (SrcNode, ("edge", "dir")),
+    "successor": (SegNode, ("edge",)),
+    "remainder": (SegNode, ("edge",)),
+}
+
+
 def _node_row(node, row_of) -> dict:
-    if isinstance(node, SrcNode):
-        row = {"kind": node.kind, "point": list(node.point), "time": node.time}
-        if node.kind == "wait":
-            row["host"] = node.host
-    else:
-        row = {"kind": node.kind, "dir": node.dir, "line": node.line, "key": node.key}
-        if node.kind != "remainder":
-            row["edge"] = node.edge
-        if node.kind == "successor":
-            row["arrive"] = node.arrive
+    row = {"kind": node.kind}
+    row.update((name, getattr(node, name)) for name in _NODE_ROWS[node.kind][1])
     row["parent"] = None if node.parent is None else row_of[node.parent]
     return row
 
@@ -243,9 +224,9 @@ def _spm_to_dict(spm: ShortestPathMap) -> dict:
 
     cell_rows = []
     for c in spm.cells:
-        r = {"kind": "flat", "rect": list(c.rect), "off": c.off, "node": row(c.node)}
-        if isinstance(c, ConeCell):
-            r.update(kind="cone", dir=c.dir)
+        r = {"rect": list(c.rect), "node": row(c.node)}
+        if isinstance(c.node, SrcNode):
+            r["dir"] = c.dir
         cell_rows.append(r)
     return {
         "format": _FORMAT,
@@ -256,16 +237,12 @@ def _spm_to_dict(spm: ShortestPathMap) -> dict:
     }
 
 
-# A node row of each kind: the node class its parent must be (None: no
-# parent) and the fields besides kind and parent.
-_NODE_ROWS = {
-    "start": (None, ("point", "time")),
-    "vertex": ((SrcNode, SegNode), ("point", "time")),
-    "wait": (SrcNode, ("point", "time", "host")),
-    "piece": (SrcNode, ("dir", "line", "key", "edge")),
-    "successor": (SegNode, ("dir", "line", "key", "edge", "arrive")),
-    "remainder": (SegNode, ("dir", "line", "key")),
-}
+def _ahead(d, frm, to) -> int:
+    """How far to lies ahead of frm in direction d.  Both are lines across d,
+    or points, which stand for the lines through them."""
+    s, horizontal = _DIR_INFO[d]
+    frm, to = (v[horizontal] if type(v) is tuple else v for v in (frm, to))
+    return s * (to - frm)
 
 
 def _is_int(v) -> bool:
@@ -298,22 +275,69 @@ def _rows(doc, name) -> list:
     return rows
 
 
+def _node(kind, f, parent, sc, verts):
+    """The node of one row: its time, or its line and key, derived from the
+    scene and the parent, and what the row chose checked against both."""
+    if kind == "start":
+        return SrcNode(kind, sc.source, 0)
+    if kind == "wait":
+        p, e = tuple(f["point"]), sc.edges[f["host"]]
+        along, across = p if e.horizontal else p[::-1]
+        if across != e.line or not e.lo <= along <= e.hi:
+            raise MapFormatError("wait point %r off its host" % (p,))
+        return SrcNode(kind, p, e.td, parent, f["host"])
+    if kind == "vertex":
+        p = tuple(f["point"])
+        if p not in verts:
+            raise MapFormatError("vertex %r is not a scene vertex" % (p,))
+        if isinstance(parent, SrcNode):
+            return SrcNode(kind, p, parent.time + abs(p[0] - parent.point[0]) + abs(p[1] - parent.point[1]), parent)
+        ahead = _ahead(parent.dir, parent.line, p)
+        if ahead <= 0:
+            raise MapFormatError("vertex %r behind its front" % (p,))
+        return SrcNode(kind, p, parent.key + ahead, parent)
+    e = sc.edges[f["edge"]]
+    d = f["dir"] if kind == "piece" else parent.dir
+    if e.horizontal != (d in ("N", "S")):
+        raise MapFormatError("%s front %s parallel to edge %d" % (kind, d, f["edge"]))
+    ahead = _ahead(d, parent.point if kind == "piece" else parent.line, e.line)
+    if ahead <= 0:
+        raise MapFormatError("%s front on edge %d behind its parent" % (kind, f["edge"]))
+    return SegNode(kind, d, e.line, parent.key + ahead if kind == "remainder" else e.td, parent, f["edge"])
+
+
+def _cell(row, nodes, where) -> Cell:
+    rect = tuple(_field(row, "rect", lambda v: _ints(v, 4) and v[0] <= v[1] and v[2] <= v[3], where))
+    node = _ref(row, "node", nodes, (SrcNode, SegNode), where)
+    if isinstance(node, SrcNode):
+        d = _field(row, "dir", DIAGS.__contains__, where)
+        sx, sy = _DIAG_SIGNS[d]
+        px, py = node.point
+        if not ((rect[0] >= px if sx > 0 else rect[1] <= px) and (rect[2] >= py if sy > 0 else rect[3] <= py)):
+            raise MapFormatError("%s: rect outside its node's %s quadrant" % (where, d))
+        return Cell(rect, d, node)
+    if "dir" in row:
+        raise MapFormatError("%s: a flat cell takes its front's direction" % where)
+    s, horizontal = _DIR_INFO[node.dir]
+    if rect[(2 if horizontal else 0) + (s < 0)] != node.line:
+        raise MapFormatError("%s: rect does not start on its front's line" % where)
+    return Cell(rect, node.dir, node)
+
+
 def _spm_from_dict(doc) -> ShortestPathMap:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise MapFormatError("not a shortest-path map file")
     if doc.get("version") != _VERSION:
         raise MapFormatError("unsupported map version %r" % (doc.get("version"),))
     scene = scene_from_dict(doc.get("scene"))
-    n_edges = len(scene.edges)
+    sc = ScaledScene(scene)
+    verts = {p for e in sc.edges for p in e.endpoints}
+    n_edges = len(sc.edges)
     checks = {
         "point": lambda v: _ints(v, 2),
-        "time": _is_int,
         "host": lambda v: _is_int(v) and 0 <= v < n_edges,
         "dir": ("N", "S", "E", "W").__contains__,
-        "line": _is_int,
-        "key": _is_int,
         "edge": lambda v: _is_int(v) and 0 <= v < n_edges,
-        "arrive": _is_int,
     }
     # One forward pass: nodes holds the rows before this one, so a parent
     # can only be an earlier row.
@@ -327,21 +351,11 @@ def _spm_from_dict(doc) -> ShortestPathMap:
         else:
             parent = _ref(row, "parent", nodes, want, where)
         f = {name: _field(row, name, checks[name], where) for name in names}
-        if kind in ("start", "vertex", "wait"):
-            nodes.append(SrcNode(kind, tuple(f["point"]), f["time"], parent, f.get("host")))
-        else:
-            nodes.append(SegNode(kind, f["dir"], f["line"], f["key"], parent, f.get("edge"), f.get("arrive")))
-    cells: List = []
-    for i, row in enumerate(_rows(doc, "cells")):
-        where = "cell %d" % i
-        kind = _field(row, "kind", ("cone", "flat").__contains__, where)
-        rect = tuple(_field(row, "rect", lambda v: _ints(v, 4) and v[0] <= v[1] and v[2] <= v[3], where))
-        off = _field(row, "off", _is_int, where)
-        if kind == "cone":
-            d = _field(row, "dir", DIAGS.__contains__, where)
-            cells.append(ConeCell(rect, d, off, _ref(row, "node", nodes, SrcNode, where)))
-        else:
-            cells.append(FlatCell(rect, off, _ref(row, "node", nodes, SegNode, where)))
+        try:
+            nodes.append(_node(kind, f, parent, sc, verts))
+        except MapFormatError as exc:
+            raise MapFormatError("%s: %s" % (where, exc)) from None
+    cells = [_cell(row, nodes, "cell %d" % i) for i, row in enumerate(_rows(doc, "cells"))]
     return ShortestPathMap(scene, cells)
 
 

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from rectipath.engine import DIAGS, SegNode, SrcNode
 from rectipath.fast import fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
 from rectipath.oracle import oracle_arrivals, random_scene
 from rectipath.scenario import canonical_scene
 from rectipath.spm import (
-    ConeCell,
-    FlatCell,
     MapFormatError,
     OutsideBoundingBox,
     ShortestPathMap,
+    _spm_from_dict,
+    _spm_to_dict,
     build_spm,
     dump_spm,
     load_spm,
@@ -35,7 +36,7 @@ def _retarget(scene, q):
 def test_free_scene_is_four_cones():
     m = build_spm(canonical_scene("S0"))
     assert len(m.cells) == 4
-    assert all(isinstance(c, ConeCell) for c in m.cells)
+    assert all(isinstance(c.node, SrcNode) and c.dir in DIAGS for c in m.cells)
     assert m.arrival((1, 6)) == 7
 
 
@@ -50,8 +51,8 @@ def test_canonical_destinations():
 
 def test_waited_edge_shows_up_as_a_flat_band():
     m = build_spm(canonical_scene("S2"))
-    flats = [c for c in m.cells if isinstance(c, FlatCell)]
-    assert flats and all(f.dir == "N" and f.line == 5 for f in flats)
+    flats = [c for c in m.cells if isinstance(c.node, SegNode)]
+    assert flats and all(f.dir == "N" and f.node.line == 5 for f in flats)
     # The band departs when the bar vanishes at t=6, so on the far side the
     # value is 6 + (y - 5) = 1 + y.
     assert all(f.off == 1 for f in flats)
@@ -184,9 +185,14 @@ def _vertex_parent(value):
     return edit
 
 
-def _cell_node(kind, node_kinds):
+def _cone(cell):
+    return "dir" in cell
+
+
+def _cell_node(cone, node_kinds):
     def edit(doc):
-        doc["cells"][_first(doc["cells"], (kind,))]["node"] = _first(doc["nodes"], node_kinds)
+        cell = next(c for c in doc["cells"] if _cone(c) == cone)
+        cell["node"] = _first(doc["nodes"], node_kinds)
 
     return edit
 
@@ -197,9 +203,42 @@ def _node_field(kind, name, value):
         if value is None:
             del row[name]
         else:
-            row[name] = value(doc) if callable(value) else value
+            row[name] = value(doc, row) if callable(value) else value
 
     return edit
+
+
+def _cell_edit(cone, change):
+    def edit(doc):
+        change(next(c for c in doc["cells"] if _cone(c) == cone))
+
+    return edit
+
+
+def _off_quadrant(cell):
+    # the x range moves far to the side its diagonal points away from
+    far = -(10**6) if cell["dir"] in ("NE", "SE") else 10**6
+    cell["rect"][:2] = [far, far]
+
+
+def _shift_rect(cell):
+    cell["rect"] = [v - 1 for v in cell["rect"]]
+
+
+def _append_to_piece(row):
+    """Edit appending a node row whose parent is the first piece row."""
+
+    def edit(doc):
+        i = _first(doc["nodes"], ("piece",))
+        edge = doc["nodes"][i]["edge"]
+        doc["nodes"].append(dict(row(doc["scene"]["edges"][edge], edge), parent=i))
+
+    return edit
+
+
+# the first piece's own edge lies on the piece's line, neither behind nor ahead
+_front_on_its_parents_line = _append_to_piece(lambda e, edge: {"kind": "successor", "edge": edge})
+_vertex_on_its_fronts_line = _append_to_piece(lambda e, edge: {"kind": "vertex", "point": e["p1"]})
 
 
 def _row_is_list(doc):
@@ -214,73 +253,76 @@ def _cell_without_rect(doc):
     del doc["cells"][0]["rect"]
 
 
-def _version_1(doc):
-    doc["version"] = 1
+def _version(v):
+    def edit(doc):
+        doc["version"] = v
+
+    return edit
+
+
+def _case(edit, id, match=None):
+    # match: what the error must say, for the checks against the scene
+    return pytest.param(edit, match, id=id)
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, match",
     [
-        _vertex_parent("self"),
-        _vertex_parent("next"),
-        _vertex_parent(-1),
-        _vertex_parent(10**6),
-        _vertex_parent("0"),
-        _set_parent("successor", ("start", "vertex", "wait")),
-        _set_parent("remainder", ("start", "vertex", "wait")),
-        _set_parent("wait", _FRONTS),
-        _set_parent("piece", _FRONTS),
-        _node_field("start", "parent", 0),
-        _cell_node("cone", _FRONTS),
-        _cell_node("flat", ("start",)),
-        _node_field("wait", "host", lambda doc: len(doc["scene"]["edges"])),
-        _node_field("piece", "edge", -1),
-        _node_field("successor", "edge", "0"),
-        _node_field("vertex", "time", None),
-        _node_field("wait", "time", 6.5),
-        _node_field("vertex", "point", [1, 2, 3]),
-        _node_field("remainder", "kind", "front"),
-        _node_field("wait", "kind", ["wait"]),
-        _row_is_list,
-        _row_is_a_number,
-        _cell_without_rect,
-        _version_1,
-    ],
-    ids=[
-        "self-cycle",
-        "later-row",
-        "negative",
-        "out-of-range",
-        "not-an-int",
-        "bad-front",
-        "remainder-of-a-source",
-        "wait-after-a-front",
-        "piece-of-a-front",
-        "start-with-a-parent",
-        "cone-at-a-front",
-        "flat-at-a-source",
-        "host-outside-the-scene",
-        "edge-outside-the-scene",
-        "edge-not-an-int",
-        "node-without-time",
-        "time-not-an-int",
-        "point-of-three",
-        "unknown-kind",
-        "kind-not-a-string",
-        "row-is-a-list",
-        "row-is-a-number",
-        "cell-without-rect",
-        "version-1",
+        _case(_vertex_parent("self"), "self-cycle"),
+        _case(_vertex_parent("next"), "later-row"),
+        _case(_vertex_parent(-1), "negative"),
+        _case(_vertex_parent(10**6), "out-of-range"),
+        _case(_vertex_parent("0"), "not-an-int"),
+        _case(_set_parent("successor", ("start", "vertex", "wait")), "bad-front"),
+        _case(_set_parent("remainder", ("start", "vertex", "wait")), "remainder-of-a-source"),
+        _case(_set_parent("wait", _FRONTS), "wait-after-a-front"),
+        _case(_set_parent("piece", _FRONTS), "piece-of-a-front"),
+        _case(_node_field("start", "parent", 0), "start-with-a-parent"),
+        _case(_cell_node(True, _FRONTS), "cone-at-a-front"),
+        _case(_cell_node(False, ("start",)), "flat-at-a-source"),
+        _case(_node_field("wait", "host", lambda doc, row: len(doc["scene"]["edges"])), "host-outside-the-scene"),
+        _case(_node_field("piece", "edge", -1), "edge-outside-the-scene"),
+        _case(_node_field("successor", "edge", "0"), "edge-not-an-int"),
+        _case(_node_field("vertex", "point", [1, 2, 3]), "point-of-three"),
+        _case(_node_field("remainder", "kind", "front"), "unknown-kind"),
+        _case(_node_field("wait", "kind", ["wait"]), "kind-not-a-string"),
+        _case(_row_is_list, "row-is-a-list"),
+        _case(_row_is_a_number, "row-is-a-number"),
+        _case(_cell_without_rect, "cell-without-rect"),
+        _case(_version(1), "version-1"),
+        _case(_version(2), "version-2", "unsupported map version 2"),
+        _case(_node_field("vertex", "point", [10**6, 10**6]), "vertex-not-a-scene-vertex", "not a scene vertex"),
+        _case(
+            _node_field("wait", "point", lambda doc, row: [c + 1 for c in row["point"]]),
+            "wait-off-its-host",
+            "off its host",
+        ),
+        _case(
+            _node_field("piece", "dir", lambda doc, row: "E" if row["dir"] in ("N", "S") else "N"),
+            "piece-parallel-to-its-edge",
+            "parallel to edge",
+        ),
+        _case(
+            _node_field("piece", "dir", lambda doc, row: {"N": "S", "S": "N", "E": "W", "W": "E"}[row["dir"]]),
+            "piece-behind-its-source",
+            "behind its parent",
+        ),
+        _case(_front_on_its_parents_line, "front-behind-its-parent", "behind its parent"),
+        _case(_vertex_on_its_fronts_line, "vertex-behind-its-front", "behind its front"),
+        _case(_cell_edit(True, _off_quadrant), "cone-rect-outside-its-quadrant", "quadrant"),
+        _case(_cell_edit(False, _shift_rect), "flat-rect-off-its-line", "front's line"),
+        _case(_cell_edit(True, lambda cell: cell.pop("dir")), "cone-cell-without-dir", "'dir'"),
+        _case(_cell_edit(False, lambda cell: cell.update(dir="N")), "flat-cell-with-dir", "front's direction"),
     ],
 )
-def test_load_rejects_bad_provenance_references(tmp_path, edit):
+def test_load_rejects_bad_provenance_references(tmp_path, edit, match):
     # random_scene(4, 10) has a node row of every kind
     f = tmp_path / "map.json"
     dump_spm(build_spm(random_scene(4, 10)), f)
     doc = json.loads(f.read_text())
     edit(doc)
     f.write_text(json.dumps(doc))
-    with pytest.raises(MapFormatError):
+    with pytest.raises(MapFormatError, match=match):
         load_spm(f)
 
 
@@ -291,21 +333,68 @@ def test_load_rejects_a_cycle_through_the_fronts(tmp_path):
     doc = json.loads(f.read_text())
     nodes = doc["nodes"]
     k = len(nodes)
-    nodes.append({"kind": "remainder", "dir": "N", "line": 5, "key": 6, "parent": k + 1})
-    nodes.append({"kind": "remainder", "dir": "N", "line": 5, "key": 6, "parent": k})
-    doc["cells"][0] = {"kind": "flat", "rect": [-1, 1, 5, 11], "off": 1, "node": k}
+    nodes.append({"kind": "remainder", "edge": 0, "parent": k + 1})
+    nodes.append({"kind": "remainder", "edge": 0, "parent": k})
+    doc["cells"][0] = {"rect": [-1, 1, 5, 11], "node": k}
     f.write_text(json.dumps(doc))
     with pytest.raises(MapFormatError):
         load_spm(f)
+
+
+def _int_fields(doc):
+    """Every int a node row holds (parent, host, edge, point coordinates)
+    and every cell's rect coordinates and diagonal, as (rows, i, key, j)."""
+    out = []
+    for i, row in enumerate(doc["nodes"]):
+        for k, v in row.items():
+            if type(v) is int:
+                out.append(("nodes", i, k, None))
+            elif type(v) is list:
+                out += [("nodes", i, k, j) for j in range(len(v))]
+    for i, row in enumerate(doc["cells"]):
+        out += [("cells", i, "rect", j) for j in range(4)]
+        if "dir" in row:
+            out.append(("cells", i, "dir", None))
+    return out
+
+
+def test_edited_maps_fail_to_load_or_answer():
+    # A map edited by one small shift either fails to load or answers; the
+    # loader derives every time, so nothing is left that a query trips over.
+    for seed in (4, 7, 11, 19, 23):
+        base = json.dumps(_spm_to_dict(build_spm(random_scene(seed, 10))))
+        rng = random.Random(seed)
+        fields = _int_fields(json.loads(base))
+        for _ in range(300):
+            doc = json.loads(base)
+            rows, i, key, j = rng.choice(fields)
+            by = rng.choice((-3, -2, -1, 1, 2, 3))
+            row = doc[rows][i]
+            if key == "dir":
+                row[key] = DIAGS[(DIAGS.index(row[key]) + by) % 4]
+            elif j is None:
+                row[key] += by
+            else:
+                row[key][j] += by
+            try:
+                m = _spm_from_dict(doc)
+            except MapFormatError:
+                continue
+            xlo, xhi, ylo, yhi = m.sc.bbox
+            for _ in range(30):
+                m.query(m.sc.point_out((rng.randint(xlo, xhi), rng.randint(ylo, yhi))))
 
 
 def test_map_file_lists_parents_first(tmp_path):
     f = tmp_path / "map.json"
     dump_spm(build_spm(random_scene(4, 10)), f)
     doc = json.loads(f.read_text())
-    assert doc["version"] == 2 and set(doc) == {"format", "version", "scene", "nodes", "cells"}
+    assert doc["version"] == 3 and set(doc) == {"format", "version", "scene", "nodes", "cells"}
     parents = [r["parent"] for r in doc["nodes"]]
     assert parents[0] is None and all(0 <= p < i for i, p in enumerate(parents) if i)
+    # rows hold only the sweep's choices; every time is derived on load
+    for row in doc["nodes"] + doc["cells"]:
+        assert not set(row) & {"time", "key", "line", "arrive", "off"}
 
 
 def test_source_equal_destination_scene():
