@@ -12,6 +12,7 @@ from .geometry import (
     validate_scene,
 )
 from .oracle import ParamsInfeasible, bench_scene, oracle_arrivals, oracle_plan, random_scene
+from .pathrec import WitnessError
 from .scenario import (
     ScenarioError,
     canonical_scene,
@@ -41,6 +42,7 @@ __all__ = [
     "PlanResult",
     "WaveletStats",
     "naive_plan",
+    "WitnessError",
     "fast_plan",
     "wavelet_stats",
     "ParamsInfeasible",

@@ -15,6 +15,7 @@ a scene to integer coordinates with unit speed; results are mapped back exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
@@ -159,18 +160,49 @@ class ValidationReport:
         return "<invalid: " + "; ".join(f"{i.code}: {i.message}" for i in self.issues) + ">"
 
 
-def _segments_intersect(a: TransientEdge, b: TransientEdge) -> bool:
-    # Closed axis-parallel segments; static geometry only.
-    alo, ahi = a.span
-    blo, bhi = b.span
-    if a.horizontal == b.horizontal:
-        if a.line_coord != b.line_coord:
-            return False
-        return alo <= bhi and blo <= ahi
-    h, v = (a, b) if a.horizontal else (b, a)
-    hlo, hhi = h.span
-    vlo, vhi = v.span
-    return hlo <= v.line_coord <= hhi and vlo <= h.line_coord <= vhi
+def _touching_pairs(edges):
+    """Sorted (i, j, overlap) for i < j: edges i and j share a supporting line
+    (overlap tells whether their closed spans meet) or cross (overlap True).
+
+    Collinear pairs come from grouping by line; crossings from a sweep over x
+    that keeps the horizontal edges whose closed span holds x in y order, so
+    the cost is O(n log n + k) for k pairs.
+    """
+    pairs = []
+    lines = {}
+    for i, e in enumerate(edges):
+        lines.setdefault((e.horizontal, e.line_coord), []).append(i)
+    for group in lines.values():
+        for pos, i in enumerate(group):
+            alo, ahi = edges[i].span
+            for j in group[pos + 1 :]:
+                blo, bhi = edges[j].span
+                pairs.append((i, j, alo <= bhi and blo <= ahi))
+    events = []  # at equal x: horizontals enter, verticals query, horizontals leave
+    for i, e in enumerate(edges):
+        if e.horizontal:
+            lo, hi = e.span
+            events.append((lo, 0, i))
+            events.append((hi, 2, i))
+        else:
+            events.append((e.line_coord, 1, i))
+    events.sort()
+    live = []  # (y, index) of the horizontal edges spanning the sweep line
+    for _, kind, i in events:
+        e = edges[i]
+        if kind == 0:
+            insort(live, (e.line_coord, i))
+        elif kind == 2:
+            del live[bisect_left(live, (e.line_coord, i))]
+        else:
+            lo, hi = e.span
+            for k in range(bisect_left(live, (lo, -1)), len(live)):
+                y, j = live[k]
+                if y > hi:
+                    break
+                pairs.append((min(i, j), max(i, j), True))
+    pairs.sort()
+    return pairs
 
 
 def validate_scene(scene: Scene) -> ValidationReport:
@@ -191,12 +223,12 @@ def validate_scene(scene: Scene) -> ValidationReport:
                 f"edge {e.id} interval [{e.appear}, {e.disappear}] is not 0 <= appear < disappear",
             )
     proper = [e for e in scene.edges if (e.horizontal or e.vertical) and e.p1 != e.p2]
-    for i, a in enumerate(proper):
-        for b in proper[i + 1 :]:
-            if _segments_intersect(a, b):
-                rep.add("OverlappingEdges", f"edges {a.id} and {b.id} intersect")
-            elif a.horizontal == b.horizontal and a.line_coord == b.line_coord:
-                rep.add("CollinearEdges", f"edges {a.id} and {b.id} share a supporting line")
+    for i, j, overlap in _touching_pairs(proper):
+        a, b = proper[i], proper[j]
+        if overlap:
+            rep.add("OverlappingEdges", f"edges {a.id} and {b.id} intersect")
+        else:
+            rep.add("CollinearEdges", f"edges {a.id} and {b.id} share a supporting line")
     for name, p in (("source", scene.source), ("dest", scene.dest)):
         for e in proper:
             if e.interior_contains(p):

@@ -3,12 +3,35 @@
 Every settled label and map cell carries a provenance chain, a node whose
 parent links lead back to the start: staircase hops between point sources
 (start, settled vertices, wait points) and flat hops along waited-out edges.
-Replay needs only the chain and the scene's edge list.  Materializing a
-staircase hop is a small grid search: inside the monotone rectangle between
-the two points every position is crossed at the fixed time departure + L1
-distance, so each edge blocks a static interval of crossing columns and a
-legal staircase exists on the grid of edge lines and blocked-interval
-boundaries.
+Replay needs only the chain and the scene's edge list.
+
+A staircase hop from a, departing at t0, toward b runs at full speed, so in
+coordinates u = sx*(x - a.x) and v = sy*(y - a.y) (signs pointing at b) the
+point (u, v) is crossed at the fixed time t0 + u + v.  Each edge in the box
+therefore blocks a static set:
+
+- a horizontal edge on row v blocks north steps on one open interval of u,
+  its span cut to (ta - t0 - v, td - t0 - v);
+- a vertical edge on column u blocks east steps leaving that column on one
+  open interval of v, its span cut to (ta - t0 - u, td - t0 - u): a wall that
+  enters a sorted list of active columns after one event row and leaves it
+  at another.
+
+`_route` sweeps the event rows (0 and the top row, the horizontal edges'
+rows, the walls' interval ends).  A row's entries are the previous row's
+reach minus that row's blocked north intervals; each entry interval then
+extends east to the first active wall at or beyond its right end (a
+bisection), which gives the row's reach.  Closed intervals are exact:
+`ScaledScene` makes every edge, start point and time an integer (only a
+map query's target may be fractional), and an open blocked interval leaves
+closed ones behind.  Rows strictly between event rows change nothing.  The
+target is reachable when the top row's reach ends at it; the backtrack walks
+down from it and enters each row at the leftmost entry from which no active
+wall separates the column the walk must reach, so the staircase turns north
+as early as it can.  A wait's forced first axis keeps row 0's reach at the
+start ("y") or takes the start out of row 1's entries ("x").  The cost is
+O((n + k) log n) for n edges in the box and k intervals touched, against the
+full columns x rows grid this replaces.
 
 A real wait must depart perpendicular to its host edge.  When every
 perpendicular-first staircase is blocked, the wait is slid along its host to
@@ -16,10 +39,15 @@ the route's first corner: sliding on the host line is always free (an edge
 crossing the host line in its interior would intersect it, which valid scenes
 forbid), the relocated point is still on the host, and all later crossing
 times are unchanged.
+
+A chain that cannot be replayed, or a replay that misses its label's point
+or time, raises `WitnessError`; the checks do not depend on asserts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .engine import SrcNode
@@ -28,11 +56,17 @@ from .geometry import TimedPath, Waypoint
 Tri = List  # [point, arrive, depart], mutable while building
 
 
+class WitnessError(RuntimeError):
+    """A provenance chain could not be replayed into a legal path, or the
+    replayed path does not reach its label's point at its label's time."""
+
+
 def build_path(engine) -> TimedPath:
     sc = engine.sc
     t, node = engine.labels[engine.dest]
     tris = _from_source(engine.edges, node)
-    assert tris[-1][0] == engine.dest and tris[-1][1] == t
+    if tris[-1][0] != engine.dest or tris[-1][1] != t:
+        raise WitnessError(f"witness ends at {tris[-1][0]}@{tris[-1][1]}, label {engine.dest}@{t}")
     wps = tuple(Waypoint(sc.point_out(p), sc.time_out(a), sc.time_out(b)) for p, a, b in tris)
     return TimedPath(wps)
 
@@ -94,20 +128,24 @@ def _replay(edges, item) -> List[Tri]:
         kind, node = step[0], step[1]
         if kind == "wait":
             _staircase(edges, tris, node.point, host=_host_of(node.parent), flex=True)
-            assert tris[-1][1] <= node.time
+            if tris[-1][1] > node.time:
+                raise WitnessError(f"wait point {node.point} reached after its host vanished")
             tris[-1][2] = node.time
         elif kind == "vertex":
             _staircase(edges, tris, node.point, host=_host_of(node.parent))
         elif kind == "arrived":
-            assert tris[-1][0] == node.point and tris[-1][1] == node.time
+            if tris[-1][0] != node.point or tris[-1][1] != node.time:
+                raise WitnessError(f"replay reaches {tris[-1][0]}@{tris[-1][1]}, label {node.point}@{node.time}")
         elif kind == "piece":
             target = _on_line(node, step[2], node.line)
             _staircase(edges, tris, target, host=_host_of(node.parent), flex=True)
-            assert tris[-1][1] <= node.key
+            if tris[-1][1] > node.key:
+                raise WitnessError(f"piece point {target} reached after its edge vanished")
         else:  # front: depart the front's line and cross to the target line
             target_perp = step[3]
             tris[-1][2] = node.key
-            assert target_perp != node.line
+            if target_perp == node.line:
+                raise WitnessError(f"front on line {node.line} has no line to cross to")
             t = node.key + abs(target_perp - node.line)
             tris.append([_on_line(node, step[2], target_perp), t, t])
     return tris
@@ -148,9 +186,11 @@ def _staircase(edges, tris, target, host=None, flex=False):
             tris[-1][2] = arrive0
             _emit(tris, corners, arrive0)
             return
-    assert waiting, "unforced staircase must exist for a sound claim"
+    if not waiting:
+        raise WitnessError(f"no staircase {p0}@{t0} -> {target}: unforced staircase must exist for a sound claim")
     corners = _route(edges, p0, t0, target, None)
-    assert corners is not None
+    if corners is None:
+        raise WitnessError(f"no staircase {p0}@{t0} -> {target} after the wait")
     c1 = corners[0]
     e = edges[host]
     slide = abs(c1[0] - p0[0]) + abs(c1[1] - p0[1])
@@ -159,7 +199,8 @@ def _staircase(edges, tris, target, host=None, flex=False):
         if e.horizontal
         else c1[0] == p0[0] and e.lo <= c1[1] <= e.hi
     )
-    assert on_host and arrive0 + slide <= t0, "wait relocation failed"
+    if not on_host or arrive0 + slide > t0:
+        raise WitnessError(f"wait relocation failed: {p0} to {c1} along edge {host}")
     tris[-1][2] = arrive0
     tris.append([c1, arrive0 + slide, t0])
     _emit(tris, corners[1:], t0)
@@ -178,92 +219,144 @@ def _emit(tris, corners, t):
 def _route(edges, a, t0, b, forced) -> Optional[List[Tuple[int, int]]]:
     """Corners of a legal full-speed monotone staircase from (a, t0) to b,
     including b, or None.  forced restricts the first move's axis."""
-    sx = 1 if b[0] >= a[0] else -1
-    sy = 1 if b[1] >= a[1] else -1
+    box = _clip(edges, a, b)
     if a[0] == b[0] or a[1] == b[1]:
-        return [b] if _move_ok(edges, a, b, t0) else None
+        return [b] if _move_ok(box, a, b, t0) else None
+    sx = 1 if b[0] > a[0] else -1
+    sy = 1 if b[1] > a[1] else -1
+    w, h = sx * (b[0] - a[0]), sy * (b[1] - a[1])
+    fences = {}  # row -> open column intervals where north steps are blocked
+    walls = []  # (p, q, column): east steps from column are blocked on rows in (p, q)
+    for e in box:
+        if e.horizontal:
+            v = sy * (e.line - a[1])
+            lo, hi = sx * (e.lo - a[0]), sx * (e.hi - a[0])
+            if sx < 0:
+                lo, hi = hi, lo
+            p, q = max(lo, e.ta - t0 - v), min(hi, e.td - t0 - v)
+            if v < h and p < q and 0 < q and p < w:
+                fences.setdefault(v, []).append((p, q))
+        else:
+            u = sx * (e.line - a[0])
+            lo, hi = sy * (e.lo - a[1]), sy * (e.hi - a[1])
+            if sy < 0:
+                lo, hi = hi, lo
+            p, q = max(lo, e.ta - t0 - u), min(hi, e.td - t0 - u)
+            if u < w and p < q and 0 < q and p < h:
+                walls.append((p, q, u))
+    rows = {0, h}
+    rows.update(fences)
+    for p, q, _ in walls:
+        rows.update(x for x in (p, q) if 0 < x < h)
+    rows = sorted(rows)
+
+    entries = []  # per row: sorted disjoint closed column intervals entered from below
+    reach = None
+    for k, active in enumerate(_wall_rows(walls, rows)):
+        if k == 0:
+            ent = [(0, 0)]
+        else:
+            ent = _cut(reach, sorted(fences.get(rows[k - 1], ())))
+            if k == 1 and forced == "x" and ent and ent[0][0] == 0:
+                hi = ent[0][1]  # the start itself may not step north
+                ent[:1] = [(min(1, hi), hi)] if hi > 0 else []
+            if not ent:
+                return None
+        entries.append(ent)
+        reach = ent if k == 0 and forced == "y" else _extend(ent, active, w)
+    if reach[-1][1] != w:
+        return None
+
+    # Walk down from b.  Each row is entered at its leftmost entry column
+    # that no active wall separates from the column the walk must reach.
+    cols = [w]
+    u = w
+    flipped = [(-q, -p, c) for p, q, c in walls]
+    for k, active in zip(range(len(rows) - 1, -1, -1), _wall_rows(flipped, [-v for v in reversed(rows)])):
+        ent = entries[k]
+        i = bisect_left(active, u)
+        if i == 0:
+            u = ent[0][0]
+        else:
+            c = active[i - 1]
+            lo, hi = ent[bisect_right(ent, c, key=itemgetter(1))]
+            u = lo if lo > c else min(c + 1, hi, u)
+        cols.append(u)
+    cols.reverse()  # cols[k] enters row k; cols[k + 1] leaves it northward
+    corners = []
+    for k, v in enumerate(rows):
+        if cols[k] != cols[k + 1]:
+            corners.append((a[0] + sx * cols[k], a[1] + sy * v))
+            corners.append((a[0] + sx * cols[k + 1], a[1] + sy * v))
+    if corners and corners[0] == a:
+        corners.pop(0)
+    if not corners or corners[-1] != b:
+        corners.append(b)
+    return corners
+
+
+def _clip(edges, a, b):
+    """The edges whose closed extent meets the closed box spanned by a and b."""
     mx, nx = min(a[0], b[0]), max(a[0], b[0])
     my, ny = min(a[1], b[1]), max(a[1], b[1])
-    xs = {a[0], b[0]}
-    ys = {a[1], b[1]}
-    vert = {}  # supporting line -> edges, for O(1) single-step move checks
-    horiz = {}
+    out = []
     for e in edges:
         if e.horizontal:
-            exlo, exhi, eylo, eyhi = e.lo, e.hi, e.line, e.line
-        else:
-            exlo, exhi, eylo, eyhi = e.line, e.line, e.lo, e.hi
-        if exhi < mx or exlo > nx or eyhi < my or eylo > ny:
-            continue
-        (horiz if e.horizontal else vert).setdefault(e.line, []).append(e)
-        xs.update((exlo, exhi))
-        ys.update((eylo, eyhi))
-        # columns/rows where a crossing falls exactly on a window end
-        if e.horizontal:
-            base = t0 + abs(e.line - a[1])
-            for bound in (e.ta, e.td):
-                if bound >= base:
-                    xs.add(a[0] + sx * (bound - base))
-        else:
-            base = t0 + abs(e.line - a[0])
-            for bound in (e.ta, e.td):
-                if bound >= base:
-                    ys.add(a[1] + sy * (bound - base))
-    cols = sorted(x for x in xs if mx <= x <= nx)
-    rows = sorted(y for y in ys if my <= y <= ny)
-    if sx < 0:
-        cols.reverse()
-    if sy < 0:
-        rows.reverse()
-    ni, nj = len(cols), len(rows)
+            if my <= e.line <= ny and e.lo <= nx and mx <= e.hi:
+                out.append(e)
+        elif mx <= e.line <= nx and e.lo <= ny and my <= e.hi:
+            out.append(e)
+    return out
 
-    def step_east_ok(i, j, t):
-        # every vertical line inside [cols[i], cols[i+1]) is a grid column,
-        # so only the departure column can block
-        y = rows[j]
-        for e in vert.get(cols[i], ()):
-            if e.lo < y < e.hi and e.ta < t < e.td:
-                return False
-        return True
 
-    def step_north_ok(i, j, t):
-        x = cols[i]
-        for e in horiz.get(rows[j], ()):
-            if e.lo < x < e.hi and e.ta < t < e.td:
-                return False
-        return True
+def _wall_rows(walls, rows):
+    """For each of the increasing rows, the sorted columns of the walls
+    (p, q, column) with p < row < q: one list, updated in place."""
+    ins = sorted(walls)
+    outs = sorted(walls, key=itemgetter(1))
+    active = []
+    i = j = 0
+    for v in rows:
+        while i < len(ins) and ins[i][0] < v:
+            insort(active, ins[i][2])
+            i += 1
+        while j < len(outs) and outs[j][1] <= v:
+            del active[bisect_left(active, outs[j][2])]
+            j += 1
+        yield active
 
-    par = [[None] * nj for _ in range(ni)]
-    par[0][0] = "."
-    for i in range(ni):
-        for j in range(nj):
-            if par[i][j] is None:
-                continue
-            t = t0 + abs(cols[i] - a[0]) + abs(rows[j] - a[1])
-            if i + 1 < ni and par[i + 1][j] is None and not (i == 0 and j == 0 and forced == "y"):
-                if step_east_ok(i, j, t):
-                    par[i + 1][j] = "E"
-            if j + 1 < nj and par[i][j + 1] is None and not (i == 0 and j == 0 and forced == "x"):
-                if step_north_ok(i, j, t):
-                    par[i][j + 1] = "N"
-    if par[ni - 1][nj - 1] is None:
-        return None
-    steps = []
-    i, j = ni - 1, nj - 1
-    while (i, j) != (0, 0):
-        d = par[i][j]
-        steps.append((cols[i], rows[j], d))
-        if d == "E":
-            i -= 1
+
+def _cut(spans, holes):
+    """Closed spans minus open holes, both sorted by their low ends."""
+    out = []
+    i = 0
+    for lo, hi in spans:
+        while i < len(holes) and holes[i][1] <= lo:
+            i += 1
+        j = i
+        while j < len(holes) and holes[j][0] < hi:
+            p, q = holes[j]
+            if lo <= p:
+                out.append((lo, p))
+            lo = max(lo, q)
+            j += 1
+        if lo <= hi:
+            out.append((lo, hi))
+    return out
+
+
+def _extend(spans, active, w):
+    """Extend each closed span east to the first active wall at or beyond its
+    high end (or to w), merging spans that meet."""
+    out = []
+    for lo, hi in spans:
+        i = bisect_left(active, hi)
+        end = active[i] if i < len(active) else w
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], end)
         else:
-            j -= 1
-    steps.reverse()
-    corners = []
-    for k in range(len(steps) - 1):
-        if steps[k][2] != steps[k + 1][2]:
-            corners.append((steps[k][0], steps[k][1]))
-    corners.append(b)
-    return corners
+            out.append((lo, end))
+    return out
 
 
 def _move_ok(edges, a, b, t) -> bool:

@@ -33,7 +33,7 @@ from typing import Dict, List, Tuple
 from .engine import _DIAG_SIGNS, DIAGS, SegNode, SrcNode
 from .fast import _FastEngine
 from .geometry import ScaledScene, Scene, TimedPath, Waypoint
-from .pathrec import _from_flat, _from_source, _host_of, _staircase
+from .pathrec import WitnessError, _from_flat, _from_source, _host_of, _staircase
 from .rangeindex import RectStabber, WeightedRect
 from .scenario import scene_from_dict, scene_to_dict
 from .stopindex import _DIR_INFO
@@ -123,7 +123,8 @@ class ShortestPathMap:
             cand = (r.weight + gx * qs[0] + gy * qs[1], ci, r.payload)
             if best is None or cand < best:
                 best = cand
-        assert best is not None, "bounding box point missed by every record"
+        if best is None:
+            raise WitnessError(f"bounding box point {qs} missed by every record")
         return best
 
     def arrival(self, q):
@@ -145,7 +146,8 @@ class ShortestPathMap:
             cross = qs[0] if horizontal else qs[1]
             perp = qs[1] if horizontal else qs[0]
             tris = _from_flat(edges, cell.node, cross, perp)
-        assert tris[-1][0] == qs and tris[-1][1] == val
+        if tris[-1][0] != qs or tris[-1][1] != val:
+            raise WitnessError(f"witness ends at {tris[-1][0]}@{tris[-1][1]}, map says {qs}@{val}")
         sc = self.sc
         wps = tuple(
             Waypoint(sc.point_out(p), sc.time_out(a), sc.time_out(b)) for p, a, b in tris

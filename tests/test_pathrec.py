@@ -1,0 +1,208 @@
+"""Staircase routing by the interval row sweep, against the grid search it
+replaced, and witness failures that raise instead of asserting."""
+
+import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+
+import pytest
+
+from rectipath.geometry import ScaledScene, Scene, validate_path
+from rectipath.oracle import bench_scene, random_scene
+from rectipath.pathrec import _move_ok, _route
+from rectipath.spm import build_spm
+
+
+def _grid_route(edges, a, t0, b, forced):
+    """Reference: reachability sweep over the full grid of edge lines, edge
+    ends and window-crossing columns/rows in the box between a and b (the
+    route search before the row sweep).  Same contract as pathrec._route."""
+    sx = 1 if b[0] >= a[0] else -1
+    sy = 1 if b[1] >= a[1] else -1
+    if a[0] == b[0] or a[1] == b[1]:
+        return [b] if _move_ok(edges, a, b, t0) else None
+    mx, nx = min(a[0], b[0]), max(a[0], b[0])
+    my, ny = min(a[1], b[1]), max(a[1], b[1])
+    xs = {a[0], b[0]}
+    ys = {a[1], b[1]}
+    vert = {}
+    horiz = {}
+    for e in edges:
+        if e.horizontal:
+            exlo, exhi, eylo, eyhi = e.lo, e.hi, e.line, e.line
+        else:
+            exlo, exhi, eylo, eyhi = e.line, e.line, e.lo, e.hi
+        if exhi < mx or exlo > nx or eyhi < my or eylo > ny:
+            continue
+        (horiz if e.horizontal else vert).setdefault(e.line, []).append(e)
+        xs.update((exlo, exhi))
+        ys.update((eylo, eyhi))
+        if e.horizontal:
+            base = t0 + abs(e.line - a[1])
+            for bound in (e.ta, e.td):
+                if bound >= base:
+                    xs.add(a[0] + sx * (bound - base))
+        else:
+            base = t0 + abs(e.line - a[0])
+            for bound in (e.ta, e.td):
+                if bound >= base:
+                    ys.add(a[1] + sy * (bound - base))
+    cols = sorted(x for x in xs if mx <= x <= nx)
+    rows = sorted(y for y in ys if my <= y <= ny)
+    if sx < 0:
+        cols.reverse()
+    if sy < 0:
+        rows.reverse()
+    ni, nj = len(cols), len(rows)
+
+    def step_east_ok(i, j, t):
+        y = rows[j]
+        return not any(e.lo < y < e.hi and e.ta < t < e.td for e in vert.get(cols[i], ()))
+
+    def step_north_ok(i, j, t):
+        x = cols[i]
+        return not any(e.lo < x < e.hi and e.ta < t < e.td for e in horiz.get(rows[j], ()))
+
+    par = [[None] * nj for _ in range(ni)]
+    par[0][0] = "."
+    for i in range(ni):
+        for j in range(nj):
+            if par[i][j] is None:
+                continue
+            t = t0 + abs(cols[i] - a[0]) + abs(rows[j] - a[1])
+            if i + 1 < ni and par[i + 1][j] is None and not (i == 0 and j == 0 and forced == "y"):
+                if step_east_ok(i, j, t):
+                    par[i + 1][j] = "E"
+            if j + 1 < nj and par[i][j + 1] is None and not (i == 0 and j == 0 and forced == "x"):
+                if step_north_ok(i, j, t):
+                    par[i][j + 1] = "N"
+    if par[ni - 1][nj - 1] is None:
+        return None
+    steps = []
+    i, j = ni - 1, nj - 1
+    while (i, j) != (0, 0):
+        d = par[i][j]
+        steps.append((cols[i], rows[j], d))
+        if d == "E":
+            i -= 1
+        else:
+            j -= 1
+    steps.reverse()
+    corners = [(steps[k][0], steps[k][1]) for k in range(len(steps) - 1) if steps[k][2] != steps[k + 1][2]]
+    corners.append(b)
+    return corners
+
+
+def _check_staircase(edges, a, t0, b, forced, corners):
+    """A legal full-speed monotone staircase from (a, t0) ending at b."""
+    assert corners and corners[-1] == b
+    pts = [a] + corners
+    lo_x, hi_x = min(a[0], b[0]), max(a[0], b[0])
+    lo_y, hi_y = min(a[1], b[1]), max(a[1], b[1])
+    sx = 1 if b[0] >= a[0] else -1
+    sy = 1 if b[1] >= a[1] else -1
+    t = t0
+    for k, (p, q) in enumerate(zip(pts, pts[1:])):
+        assert p != q or a == b
+        assert p[0] == q[0] or p[1] == q[1], (p, q)
+        assert (q[0] - p[0]) * sx >= 0 and (q[1] - p[1]) * sy >= 0, (p, q)
+        assert lo_x <= q[0] <= hi_x and lo_y <= q[1] <= hi_y, q
+        if k == 0 and a[0] != b[0] and a[1] != b[1]:
+            if forced == "x":
+                assert p[1] == q[1]
+            elif forced == "y":
+                assert p[0] == q[0]
+        assert _move_ok(edges, p, q, t), (p, q, t)
+        t += abs(q[0] - p[0]) + abs(q[1] - p[1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_route_agrees_with_the_grid_reference(seed):
+    rng = random.Random(seed)
+    found = missed = 0
+    for s in range(15):
+        sc = ScaledScene(random_scene(100 * seed + s, rng.choice((6, 15, 30, 45))))
+        edges = sc.edges
+        xlo, xhi, ylo, yhi = sc.bbox
+        verts = [p for e in edges for p in e.endpoints] + [sc.source, sc.dest]
+
+        def point():
+            if rng.random() < 0.5:
+                return rng.choice(verts)
+            return (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
+
+        for _ in range(20):
+            a, b = point(), point()
+            if rng.random() < 0.2:  # map queries may end off the integer grid
+                b = (b[0] + Fraction(rng.randint(1, 3), 4), b[1])
+            t0 = rng.randint(0, 100)
+            for forced in (None, "x", "y"):
+                got = _route(edges, a, t0, b, forced)
+                want = _grid_route(edges, a, t0, b, forced)
+                assert (got is None) == (want is None), (a, t0, b, forced, got, want)
+                if got is None:
+                    missed += 1
+                else:
+                    found += 1
+                    _check_staircase(edges, a, t0, b, forced, got)
+    assert found and missed  # both outcomes are exercised
+
+
+def _serve_lattice(scene, seed, side=28):
+    """The query lattice of the map benchmark: one integer x per vertical
+    strip, one y per horizontal strip, minus points on an edge or the source."""
+    rng = random.Random(seed * 7919 + 17)
+    xlo, xhi, ylo, yhi = scene.bbox
+
+    def strips(lo, hi):
+        return [rng.randint(lo + (hi - lo) * i // side, lo + (hi - lo) * (i + 1) // side - 1) for i in range(side)]
+
+    xs, ys = strips(xlo, xhi), strips(ylo, yhi)
+    on_edge = lambda p: any(e.contains_point(p) for e in scene.edges)  # noqa: E731
+    return [(x, y) for x in xs for y in ys if (x, y) != scene.source and not on_edge((x, y))]
+
+
+def test_map_witnesses_on_the_serve_lattice_are_valid():
+    scene = bench_scene(1, 200)
+    m = build_spm(scene)
+    points = _serve_lattice(scene, 1)
+    assert len(points) > 700
+    for p in points:
+        t, path = m.query(p)
+        assert t == m.arrival(p)
+        rep = validate_path(Scene(scene.edges, scene.vmax, scene.source, p), path, t)
+        assert rep.ok, (p, rep)
+
+
+_NO_ROUTE = textwrap.dedent(
+    """
+    import rectipath
+    from rectipath import pathrec
+    from rectipath.geometry import Scene, TransientEdge
+
+    pathrec._route = lambda *args: None
+    scene = Scene([TransientEdge(0, (5, 5), (5, 8), 0, 1)], 1, (0, 0), (3, 4))
+    for make in (lambda: rectipath.fast_plan(scene), lambda: rectipath.build_spm(scene).query((2, 3))):
+        try:
+            make()
+        except rectipath.WitnessError as exc:
+            print("WitnessError", exc)
+        else:
+            print("returned")
+    """
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_a_missing_staircase_raises_witness_error(flags):
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _NO_ROUTE],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout.splitlines()
+    assert len(out) == 2
+    assert all(line.startswith("WitnessError no staircase") for line in out), out
