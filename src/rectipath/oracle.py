@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -183,19 +183,31 @@ def oracle_plan_relaxed(scene: Scene, target: Optional[Point] = None):
 # ---------------------------------------------------------------------------
 
 
-def _statically_ok(edges: List[TransientEdge], cand: TransientEdge) -> bool:
-    clo, chi = cand.span
-    for e in edges:
-        if e.horizontal == cand.horizontal:
-            if e.line_coord == cand.line_coord:
-                return False  # no shared supporting line
-        else:
-            h, v = (e, cand) if e.horizontal else (cand, e)
-            hlo, hhi = h.span
-            vlo, vhi = v.span
-            if hlo <= v.line_coord <= hhi and vlo <= h.line_coord <= vhi:
+class _Placed:
+    """Edges placed so far, per orientation their sorted supporting lines and
+    the matching spans, for the general-position test: a candidate must not
+    share a supporting line with an edge of its orientation nor touch a
+    perpendicular edge, and only perpendicular edges whose line lies in its
+    span can touch it."""
+
+    def __init__(self):
+        self.lines = {True: [], False: []}  # horizontal? -> sorted lines
+        self.spans = {True: [], False: []}  # the matching (lo, hi)
+
+    def place(self, horizontal: bool, line: int, lo: int, hi: int) -> bool:
+        """Add the edge unless it breaks general position; True if added."""
+        lines = self.lines[horizontal]
+        i = bisect_left(lines, line)
+        if i < len(lines) and lines[i] == line:
+            return False
+        across, spans = self.lines[not horizontal], self.spans[not horizontal]
+        for j in range(bisect_left(across, lo), bisect_right(across, hi)):
+            plo, phi = spans[j]
+            if plo <= line <= phi:
                 return False
-    return True
+        lines.insert(i, line)
+        self.spans[horizontal].insert(i, (lo, hi))
+        return True
 
 
 def random_scene(
@@ -211,6 +223,7 @@ def random_scene(
     speed, terminals off every edge."""
     rng = random.Random(seed)
     edges: List[TransientEdge] = []
+    placed = _Placed()
     attempts = 0
     while len(edges) < n:
         attempts += 1
@@ -221,12 +234,12 @@ def random_scene(
         line = rng.randint(0, coord_max)
         ta = rng.randint(0, time_max - 1)
         td = min(ta + rng.randint(1, time_max), time_max)
-        if rng.random() < 0.5:
-            cand = TransientEdge(len(edges), (a, line), (b, line), ta, td)
-        else:
-            cand = TransientEdge(len(edges), (line, a), (line, b), ta, td)
-        if _statically_ok(edges, cand):
-            edges.append(cand)
+        horizontal = rng.random() < 0.5
+        if placed.place(horizontal, line, a, b):
+            if horizontal:
+                edges.append(TransientEdge(len(edges), (a, line), (b, line), ta, td))
+            else:
+                edges.append(TransientEdge(len(edges), (line, a), (line, b), ta, td))
 
     def off_edges(p):
         return all(not e.contains_point(p) for e in edges)

@@ -1,10 +1,13 @@
-"""Static and dynamic min-weight range queries used by the planners.
+"""Static and dynamic min-weight range queries used by the planners and the map.
 
-Two structures, plus the static index the stop oracle builds on:
+Three structures, plus the static index the stop oracle builds on:
 
 * :class:`RectStabber` -- static set of weighted rectangles, query = minimum
   weight rectangle containing a point, optionally restricted to weights
-  strictly above a floor.
+  strictly above a floor, with open or closed bounds.
+* :class:`RectEnvelope` -- the same query with no floor and closed bounds,
+  answered from the rectangles' lower envelope painted at build time: one
+  bisect per tree node instead of an inner tree (the map's point location).
 * :class:`CornerWeightedVertices` -- a fixed vertex set under deletion, query
   = vertex in a rectangle nearest one of its corners, among the live vertices
   or among all of them.
@@ -12,11 +15,11 @@ Two structures, plus the static index the stop oracle builds on:
   segment in an x range whose y span contains a point.
 
 All are built from sorted arrays and segment trees, so a query costs a few
-binary searches: the stabbing structures over elementary pieces, the vertex
-lookup over one static segment tree on the x order of its points
-(:class:`_XTree`) whose nodes keep y-ordered min arrays, O(log^2 n) per
-query and per deletion.  Weight ties break by payload id, which callers
-choose to make results deterministic.
+binary searches: the stabbing structures and the envelope over elementary
+pieces, the vertex lookup over one static segment tree on the x order of
+its points (:class:`_XTree`) whose nodes keep y-ordered min arrays,
+O(log^2 n) per query and per deletion.  Weight ties break by payload id,
+which callers choose to make results deterministic.
 """
 
 from __future__ import annotations
@@ -220,6 +223,96 @@ class RectStabber:
             else:
                 node, lo = 2 * node + 1, mid
         return None if best is None else self.rects[best[2]]
+
+
+class RectEnvelope:
+    """Minimum (weight, payload) closed rectangle containing a query point.
+
+    A segment tree over the elementary x pieces, like :class:`RectStabber`'s,
+    but every node stores its rectangles' lower envelope along y instead of
+    an inner tree.  The rectangles are ranked once by (weight, payload) and
+    sent to their canonical nodes in rank order, so each node sees them
+    sorted; a node then paints its y pieces, the first painter of a piece
+    winning it, and keeps its sorted y breakpoints plus one winning rank per
+    piece.  A query bisects x once for its leaf and walks up to the root
+    with one y bisect per node, keeping the smallest rank: O(log^2 n) plain
+    comparisons.  No weight floor and no open bounds.
+    """
+
+    __slots__ = ("rects", "xs", "base", "nodes")
+
+    def __init__(self, rects):
+        rects = sorted(rects, key=lambda r: (r.weight, r.payload))
+        self.rects = rects
+        xs = sorted({r.xlo for r in rects} | {r.xhi for r in rects})
+        self.xs = xs
+        xpos = {x: i for i, x in enumerate(xs)}
+        # bottom-up segment tree over the 2m+1 x pieces: leaf of piece p is
+        # base + p, and the ancestors of a leaf are exactly the canonical
+        # nodes of every piece range that contains it
+        self.base = base = 2 * len(xs) + 1
+        buckets: List[list] = [[] for _ in range(2 * base)]
+        for rank, r in enumerate(rects):
+            a = base + 2 * xpos[r.xlo] + 1
+            b = base + 2 * xpos[r.xhi] + 2
+            while a < b:
+                if a & 1:
+                    buckets[a].append(rank)
+                    a += 1
+                if b & 1:
+                    b -= 1
+                    buckets[b].append(rank)
+                a >>= 1
+                b >>= 1
+        none = len(rects)
+        nodes: List[Optional[tuple]] = [None] * (2 * base)
+        for v, ranks in enumerate(buckets):
+            if not ranks:
+                continue
+            spans = [(rects[k].ylo, rects[k].yhi) for k in ranks]
+            ys = sorted({y for span in spans for y in span})
+            ypos = {y: i for i, y in enumerate(ys)}
+            # piece 2i+1 is the singleton ys[i], piece 2i the gap below it;
+            # closed spans only paint pieces 1 .. 2m-1
+            win = [none] * (2 * len(ys))
+            nxt = list(range(2 * len(ys)))  # next unpainted piece at or after
+            nxt.append(len(nxt))
+            left = len(win) - 1
+            for k, (ylo, yhi) in zip(ranks, spans):
+                p, last = 2 * ypos[ylo] + 1, 2 * ypos[yhi] + 1
+                while True:
+                    while nxt[p] != p:
+                        nxt[p] = nxt[nxt[p]]
+                        p = nxt[p]
+                    if p > last:
+                        break
+                    win[p] = k
+                    nxt[p] = p + 1
+                    left -= 1
+                if not left:
+                    break
+            nodes[v] = (ys, win)
+        self.nodes = nodes
+
+    def query(self, q) -> Optional[WeightedRect]:
+        """Minimum (weight, payload) stored rectangle containing q, or None."""
+        qx, qy = q
+        xs = self.xs
+        j = bisect_left(xs, qx)
+        v = self.base + 2 * j + (j < len(xs) and xs[j] == qx)
+        nodes = self.nodes
+        best = none = len(self.rects)
+        while v:
+            node = nodes[v]
+            if node is not None:
+                ys, win = node
+                k = bisect_left(ys, qy)
+                if k < len(ys):
+                    r = win[2 * k + (ys[k] == qy)]
+                    if r < best:
+                        best = r
+            v >>= 1
+        return None if best == none else self.rects[best]
 
 
 class _SideRange:
@@ -431,12 +524,15 @@ class _XTree:
                 best[j] = b
         return best
 
-    def leaves(self, rect, open_sides=_CLOSED) -> List[int]:
-        """Leaf ids of the points inside rect, in no particular order."""
+    def leaves(self, view, rect, open_sides=_CLOSED) -> List[int]:
+        """Leaf ids of the points inside rect, in no particular order,
+        skipping the nodes where view holds no key below _DEAD."""
         ylo, yhi = rect[2], rect[3]
         oly, ohy = open_sides[2], open_sides[3]
         out: List[int] = []
         for v in self.nodes(rect, open_sides):
+            if view[v][1] == _DEAD:
+                continue
             ys = self.node_ys[v]
             lo = bisect_right(ys, ylo) if oly else bisect_left(ys, ylo)
             hi = bisect_left(ys, yhi) if ohy else bisect_right(ys, yhi)
@@ -515,4 +611,4 @@ class CornerWeightedVertices:
     def report(self, rect, open_sides=_CLOSED) -> List[WeightedPoint]:
         """All live vertices inside rect, in no particular order."""
         alive, pts = self.alive, self.points["SW"]
-        return [pts[i] for i in self.tree.leaves(rect, open_sides) if alive[i]]
+        return [pts[i] for i in self.tree.leaves(self.live["SW"], rect, open_sides) if alive[i]]

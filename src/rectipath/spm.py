@@ -9,10 +9,13 @@ map is the lower envelope of the records.
 
 Within one sweep direction a record's value is offset + g . q with a fixed
 gradient g (the four diagonal cone classes, the four axial flat classes), so
-the envelope query reduces to eight minimum-weight rectangle stabbing
-queries: min offset among stabbed rectangles of a class, plus the class's
-linear term.  Witness paths replay the winning record's provenance chain the
-same way settled labels do.
+within a class the envelope is that of the offsets alone: a rectilinear
+subdivision, built once per class as a :class:`RectEnvelope` and searched by
+point location.  A query takes the minimum over the eight classes of the
+located offset plus the class's linear term; the classes cannot share one
+rectilinear subdivision, since a north-east cone x + y + c1 and a south-west
+cone -x - y + c2 trade places along a diagonal.  Witness paths replay the
+winning record's provenance chain the same way settled labels do.
 
 Serialized form (JSON, version 3): the scene, one table of provenance nodes
 and the cell list, all in scaled integer units.  Every node row names its
@@ -34,7 +37,7 @@ from .engine import _DIAG_SIGNS, DIAGS, SegNode, SrcNode
 from .fast import _FastEngine
 from .geometry import ScaledScene, Scene, TimedPath, Waypoint
 from .pathrec import WitnessError, _from_flat, _from_source, _host_of, _staircase
-from .rangeindex import RectStabber, WeightedRect
+from .rangeindex import RectEnvelope, WeightedRect
 from .scenario import scene_from_dict, scene_to_dict
 from .stopindex import _DIR_INFO
 
@@ -96,7 +99,7 @@ class ShortestPathMap:
             per_class.setdefault(c.dir, []).append(
                 WeightedRect(xlo, xhi, ylo, yhi, c.off, i)
             )
-        self._stab = {d: RectStabber(rs) for d, rs in per_class.items()}
+        self._env = {d: RectEnvelope(rs) for d, rs in per_class.items()}
 
     # -- queries ----------------------------------------------------------
 
@@ -113,10 +116,10 @@ class ShortestPathMap:
     def _locate(self, qs):
         best = None
         for ci, d in enumerate(_CLASSES):
-            stab = self._stab.get(d)
-            if stab is None:
+            env = self._env.get(d)
+            if env is None:
                 continue
-            r = stab.query(qs)
+            r = env.query(qs)
             if r is None:
                 continue
             gx, gy = _GRADS[d]

@@ -19,7 +19,7 @@ from rectipath.engine import naive_plan
 from rectipath.fast import fast_plan, wavelet_stats
 from rectipath.geometry import validate_path
 from rectipath.oracle import bench_scene, oracle_arrivals, oracle_plan, random_scene
-from rectipath.rangeindex import CornerWeightedVertices, RectStabber, WeightedRect
+from rectipath.rangeindex import CornerWeightedVertices, RectEnvelope, RectStabber, WeightedRect
 from rectipath.scenario import canonical_scene
 from rectipath.spm import build_spm
 
@@ -259,7 +259,34 @@ def test_criterion_7_range_structures_vs_linear_scan():
             got = cw.nearest(rect, corner, sides, settled=True)
             assert [None if h is None else (h.x, h.y) for h in got] == want
 
-    print("criterion 7 PASS: stabbing and nearest-vertex lookup match linear scans on 1000 sequences each")
+    # the map's point location: minimum (weight, payload) closed rectangle,
+    # no floor, with repeated weights and queries on and beside the bounds
+    rng = random.Random(701)
+    for rep in range(1000):
+        rects = []
+        for i in range(rng.randrange(0, 16)):
+            x1, x2 = sorted(rng.randrange(0, 26) for _ in range(2))
+            y1, y2 = sorted(rng.randrange(0, 26) for _ in range(2))
+            rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 5), rng.randrange(0, 16)))
+        env = RectEnvelope(rects)
+        for _ in range(6):
+            if rects and rng.random() < 0.5:
+                r = rng.choice(rects)
+                x = rng.choice((r.xlo, r.xhi)) + rng.choice((-1, 0, 1))
+                q = (x, rng.choice((r.ylo, r.yhi)) + rng.choice((-1, 0, 1)))
+            else:
+                q = (rng.randrange(-2, 28), rng.randrange(-2, 28))
+            want = min(
+                ((r.weight, r.payload) for r in rects if r.xlo <= q[0] <= r.xhi and r.ylo <= q[1] <= r.yhi),
+                default=None,
+            )
+            got = env.query(q)
+            assert (None if got is None else (got.weight, got.payload)) == want
+
+    print(
+        "criterion 7 PASS: stabbing, nearest-vertex lookup and the map's rectangle envelope "
+        "match linear scans on 1000 sequences each"
+    )
 
 
 def test_criterion_8_paths_monotone_with_legal_waits(small_runs, mid_runs, canonical_runs):

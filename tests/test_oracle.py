@@ -166,3 +166,47 @@ def test_random_scene_shape():
 def test_random_scene_infeasible_params():
     with pytest.raises(ParamsInfeasible):
         random_scene(1, 50, coord_max=2, time_max=10)
+
+
+def _all_pairs_scene(seed, n, coord_max=60, time_max=100, max_len=20):
+    """random_scene's draws with the general-position test done against
+    every placed edge: the reference its indexed test must reproduce."""
+    rng = random.Random(seed)
+    edges = []
+    while len(edges) < n:
+        a = rng.randint(0, coord_max - 1)
+        b = min(a + rng.randint(1, max_len), coord_max)
+        line = rng.randint(0, coord_max)
+        ta = rng.randint(0, time_max - 1)
+        td = min(ta + rng.randint(1, time_max), time_max)
+        if rng.random() < 0.5:
+            cand = TransientEdge(len(edges), (a, line), (b, line), ta, td)
+        else:
+            cand = TransientEdge(len(edges), (line, a), (line, b), ta, td)
+        ok = True
+        for e in edges:
+            if e.horizontal == cand.horizontal:
+                ok = e.line_coord != cand.line_coord
+            else:
+                h, v = (e, cand) if e.horizontal else (cand, e)
+                ok = not (h.span[0] <= v.line_coord <= h.span[1] and v.span[0] <= h.line_coord <= v.span[1])
+            if not ok:
+                break
+        if ok:
+            edges.append(cand)
+    terminals = []
+    while len(terminals) < 2:
+        p = (rng.randint(0, coord_max), rng.randint(0, coord_max))
+        if p not in terminals and all(not e.contains_point(p) for e in edges):
+            terminals.append(p)
+    return Scene(edges=tuple(edges), vmax=1, source=terminals[0], dest=terminals[1])
+
+
+def test_random_scene_matches_the_all_pairs_reference():
+    cases = [(seed, n, {}) for seed in range(40) for n in (0, 1, 3, 8, 20)]
+    cases += [(seed, 40, dict(coord_max=40, time_max=60)) for seed in range(3)]
+    for seed, n in ((1, 100), (1, 200), (2, 200), (1, 800), (2, 800)):  # bench_scene sizes
+        side = max(60, 3 * n)
+        cases.append((seed, n, dict(coord_max=side, time_max=2 * side, max_len=20)))
+    for seed, n, kw in cases:
+        assert random_scene(seed, n, **kw) == _all_pairs_scene(seed, n, **kw), (seed, n, kw)

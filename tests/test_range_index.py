@@ -1,9 +1,16 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from rectipath.rangeindex import CornerWeightedVertices, DeleteMissing, RectStabber, WeightedRect
+from rectipath.rangeindex import (
+    CornerWeightedVertices,
+    DeleteMissing,
+    RectEnvelope,
+    RectStabber,
+    WeightedRect,
+)
 
 
 # ----- rectangle stabbing ---------------------------------------------------
@@ -62,6 +69,70 @@ def test_rect_stab_random_vs_linear():
             assert (got is None) == (want is None)
             if got is not None:
                 assert (got.weight, got.payload) == (want.weight, want.payload)
+
+
+def _envelope_matches(rects, points):
+    env = RectEnvelope(rects)
+    for q in points:
+        got = env.query(q)
+        want = brute_stab(rects, q)
+        assert (None if got is None else (got.weight, got.payload)) == (
+            None if want is None else (want.weight, want.payload)
+        ), q
+
+
+def _near(rects):
+    """Every rectangle corner and the points just beside it, integer and
+    fractional."""
+    h = Fraction(1, 3)
+    out = set()
+    for r in rects:
+        for x in (r.xlo, r.xhi):
+            for y in (r.ylo, r.yhi):
+                for dx in (-1, -h, 0, h, 1):
+                    for dy in (-1, -h, 0, h, 1):
+                        out.add((x + dx, y + dy))
+    return sorted(out)
+
+
+def test_envelope_empty_and_degenerate():
+    assert RectEnvelope([]).query((0, 0)) is None
+    rects = [
+        WeightedRect(3, 3, 3, 3, 1, 0),  # a point
+        WeightedRect(0, 6, 5, 5, 2, 1),  # a horizontal segment
+        WeightedRect(4, 4, 0, 9, 0, 2),  # a vertical segment
+    ]
+    env = RectEnvelope(rects)
+    assert env.query((3, 3)).payload == 0
+    assert env.query((4, 5)).payload == 2
+    assert env.query((5, 5)).payload == 1
+    assert env.query((3, Fraction(10, 3))) is None
+    assert env.query((4, Fraction(1, 2))).payload == 2
+    _envelope_matches(rects, _near(rects))
+
+
+def test_envelope_equal_weights_break_by_payload():
+    rects = [WeightedRect(0, 4, 0, 4, 7, 5), WeightedRect(2, 6, 2, 6, 7, 3), WeightedRect(2, 2, 0, 9, 8, 0)]
+    env = RectEnvelope(rects)
+    assert env.query((3, 3)).payload == 3
+    assert env.query((1, 1)).payload == 5
+    assert env.query((2, 2)).payload == 3
+    assert env.query((2, 8)).payload == 0
+    _envelope_matches(rects, _near(rects))
+
+
+def test_envelope_random_vs_linear():
+    rng = random.Random(47)
+    for rep in range(300):
+        rects = []
+        for i in range(rng.randrange(0, 30)):
+            x1, x2 = sorted(rng.randrange(0, 25) for _ in range(2))
+            y1, y2 = sorted(rng.randrange(0, 25) for _ in range(2))
+            rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 6), rng.randrange(0, 40)))
+        points = [(rng.randrange(-2, 27), rng.randrange(-2, 27)) for _ in range(20)]
+        if rep % 10 == 0:
+            points += _near(rects)
+        _envelope_matches(rects, points)
 
 
 # ----- corner-weighted vertex lookup ----------------------------------------

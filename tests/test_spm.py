@@ -7,9 +7,12 @@ import pytest
 from rectipath.engine import DIAGS, SegNode, SrcNode
 from rectipath.fast import fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
-from rectipath.oracle import oracle_arrivals, random_scene
+from rectipath.oracle import bench_scene, oracle_arrivals, random_scene
 from rectipath.scenario import canonical_scene
+from rectipath.pathrec import WitnessError
 from rectipath.spm import (
+    _CLASSES,
+    _GRADS,
     MapFormatError,
     OutsideBoundingBox,
     ShortestPathMap,
@@ -413,3 +416,40 @@ def test_cell_count_stays_linear():
         scene = random_scene(seed, n)
         m = build_spm(scene)
         assert len(m.cells) <= 60 * n
+
+
+def test_locate_is_the_minimum_over_all_cells():
+    # Point location against a scan of every cell, at each cell corner and
+    # its eight neighbours (inside, on the bounds, just outside, and outside
+    # the box where no cell reaches) and at the map benchmark's query lattice
+    scene = bench_scene(1, 200)
+    m = build_spm(scene)
+    pts = set()
+    for c in m.cells:
+        xlo, xhi, ylo, yhi = c.rect
+        for x in (xlo, xhi):
+            for y in (ylo, yhi):
+                pts.update((x + dx, y + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+    rng = random.Random(1 * 7919 + 17)
+    xlo, xhi, ylo, yhi = scene.bbox
+    side = 28
+    xs, ys = (
+        [rng.randint(lo + (hi - lo) * i // side, lo + (hi - lo) * (i + 1) // side - 1) for i in range(side)]
+        for lo, hi in ((xlo, xhi), (ylo, yhi))
+    )
+    pts.update(m._scale_in((x, y)) for x in xs for y in ys)
+    cells = [(c.rect, c.off, _GRADS[c.dir], _CLASSES.index(c.dir), i) for i, c in enumerate(m.cells)]
+    column = {x: [c for c in cells if c[0][0] <= x <= c[0][1]] for x in {p[0] for p in pts}}
+    outside = 0
+    for x, y in pts:
+        want = min(
+            ((off + gx * x + gy * y, ci, i) for r, off, (gx, gy), ci, i in column[x] if r[2] <= y <= r[3]),
+            default=None,
+        )
+        if want is None:
+            outside += 1
+            with pytest.raises(WitnessError):
+                m._locate((x, y))
+        else:
+            assert m._locate((x, y)) == want, (x, y)
+    assert len(m.cells) == 3354 and 0 < outside < len(pts)
