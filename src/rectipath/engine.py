@@ -139,8 +139,8 @@ class _Engine:
         self.heap: List = []
         self.seq = 0
         self.stats = WaveletStats()
-        # swept records (rect, dir, node): a point wavelet's region, its
-        # diagonal and root source node, or a flat front's swept band, its
+        # swept records (rect, dir, node): an arrangement wavelet's region,
+        # its diagonal and source node, or a flat front's swept band, its
         # direction and front node; spm turns them into cells
         self.trace: Optional[List] = [] if trace else None
         self.fan_seen = set()
@@ -212,7 +212,10 @@ class _Engine:
     def _do_point(self, w: PointWavelet):
         ox, oy = w.origin
         xlo, xhi, ylo, yhi = w.rect
-        if self.trace is not None:
+        if self.trace is not None and w.fresh:
+            # arrangement cones only: a split or narrowed piece lies inside
+            # its arrangement's record with the same node, so the map would
+            # drop it
             self.trace.append((w.rect, w.dir, w.src))
         dx, dy = self.dest
         if xlo <= dx <= xhi and ylo <= dy <= yhi:
@@ -313,6 +316,10 @@ class _Engine:
         self.labels[self.source] = (0, SrcNode("start", self.source, 0))
         if self.source == self.dest and stop_at_dest:
             return
+        if self.source in self.vert_payload:
+            # a source on an edge endpoint is settled like any vertex; left
+            # live it would be the split vertex of its own wavelets forever
+            self.drm.remove(self.source[0], self.source[1], self.vert_payload[self.source])
         self._spawn_arrangement(self.source, 0, self.labels[self.source][1])
         last_key = None
         while self.heap:
@@ -328,8 +335,8 @@ class _Engine:
                     continue
                 node = SrcNode("vertex", p, key, parent)
                 self.labels[p] = (key, node)
-                if p == self.dest:
-                    continue  # transparent: spawns nothing
+                if p not in self.vert_payload:
+                    continue  # a destination off every edge spawns nothing
                 self.drm.remove(p[0], p[1], self.vert_payload[p])
                 self._spawn_arrangement(p, key, node)
             elif kind == "pw":

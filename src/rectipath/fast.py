@@ -14,6 +14,19 @@ Narrowed pieces keep their wavelet's root source and flat fronts keep the
 plain engine's provenance chains, so plans and maps are witnessed by the
 same path reconstruction as naive_plan.  Arrivals are identical to
 naive_plan on every scene; only the wavelet counts and the work differ.
+
+Dead regions.  A point wavelet whose region holds no live vertex ends at
+once, before any narrowing.  The live vertex set only shrinks, and every
+piece that narrowing or splitting would push is a sub-rectangle of the
+region with the same origin, departure time and root source.  So that
+whole subtree could claim no vertex; its destination claims would repeat
+the one the region already made, at the same value; and its map records
+would lie inside the region's arrangement record with the same node, which
+the map keeps instead.
+
+One index pass.  The vertex lookup answers both questions a wavelet asks,
+the nearest vertex of any kind past its own root and the nearest live one,
+in one pass: the root vertex is left out of the first answer only.
 """
 
 from __future__ import annotations
@@ -98,37 +111,19 @@ class _FastEngine(_Engine):
 
     def _nearest_past_root(self, w: PointWavelet):
         """Nearest vertex of w's region, settled or not, measured from its
-        origin, and the nearest live vertex of the region.  The first looks
-        past the region's own root vertex when that is what comes first: the
-        root sits at the source corner of every region descended from its
+        origin, and the nearest live vertex of the region, from one index
+        pass.  The first leaves out the region's own root vertex: the root
+        sits at the source corner of every region descended from its
         arrangement and would otherwise hide every vertex behind it.  Settled
         vertices count so that a sweep reaching one can be cut against that
         vertex's own wavelet."""
-        corner = _NEAREST_CORNER[w.dir]
-        hit, live = self.drm.nearest(w.rect, corner, settled=True)
-        if hit is None or (hit.x, hit.y) != w.origin:
-            return hit, live
+        skip = None
         lab = self.labels.get(w.origin)
-        if lab is None or lab[1] is not w.src:
-            return hit, live
-        ox, oy = w.origin
-        xlo, xhi, ylo, yhi = w.rect
-        sx, sy = _DIAG_SIGNS[w.dir]
-        subs = []
-        if xlo < xhi:
-            subs.append((xlo + 1, xhi, ylo, yhi) if sx > 0 else (xlo, xhi - 1, ylo, yhi))
-        if ylo < yhi:
-            subs.append((ox, ox, ylo + 1, yhi) if sy > 0 else (ox, ox, ylo, yhi - 1))
-        best = None
-        bestd = None
-        for rect in subs:
-            h = self.drm.nearest(rect, corner, settled=True)[0]
-            if h is None:
-                continue
-            d = abs(h.x - ox) + abs(h.y - oy)
-            if bestd is None or (d, h.x, h.y) < bestd:
-                best, bestd = h, (d, h.x, h.y)
-        return best, live
+        if lab is not None and lab[1] is w.src:
+            payload = self.vert_payload.get(w.origin)
+            if payload is not None:
+                skip = (w.origin[0], w.origin[1], payload)
+        return self.drm.nearest(w.rect, _NEAREST_CORNER[w.dir], settled=True, skip=skip)
 
     def _split_vertex(self, w: PointWavelet):
         # A sweep that reaches a settled vertex duplicates that vertex's own
@@ -137,7 +132,10 @@ class _FastEngine(_Engine):
         # only the parts it does not cover.  The vertex's own descendants are
         # exempt; they carry its label node as root source.
         hit_any, hit = self._nearest_past_root(w)
-        if hit_any is None:
+        if hit is None:
+            # No live vertex: this region and all it would narrow or split
+            # into can claim nothing (see the module docstring).  Otherwise
+            # hit_any is set too: the root vertex it leaves out is settled.
             return None
         p = (hit_any.x, hit_any.y)
         lab = self.labels.get(p)
@@ -163,8 +161,6 @@ class _FastEngine(_Engine):
                             self._push(w.key, _RANK_POINT, w.origin, ("pw", child))
                             self.stats.point_wavelets += 1
                         return None
-            if hit is None:
-                return None
         v = (hit.x, hit.y)
         tprime = w.t0 + abs(hit.x - w.origin[0]) + abs(hit.y - w.origin[1])
         self._claim(v, tprime, w.src)

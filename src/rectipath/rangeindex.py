@@ -3,23 +3,24 @@
 Three structures, plus the static index the stop oracle builds on:
 
 * :class:`RectStabber` -- static set of weighted rectangles, query = minimum
-  weight rectangle containing a point, optionally restricted to weights
-  strictly above a floor, with open or closed bounds.
+  weight rectangle whose interior holds a point, optionally restricted to
+  weights strictly above a floor (the stop oracle's ray queries).
 * :class:`RectEnvelope` -- the same query with no floor and closed bounds,
   answered from the rectangles' lower envelope painted at build time: one
   bisect per tree node instead of an inner tree (the map's point location).
 * :class:`CornerWeightedVertices` -- a fixed vertex set under deletion, query
   = vertex in a rectangle nearest one of its corners, among the live vertices
-  or among all of them.
+  or among all of them, the latter optionally leaving out one vertex.
 * :class:`_SideRange` -- static vertical segments, query = minimum weight
   segment in an x range whose y span contains a point.
 
 All are built from sorted arrays and segment trees, so a query costs a few
 binary searches: the stabbing structures and the envelope over elementary
-pieces, the vertex lookup over one static segment tree on the x order of
-its points (:class:`_XTree`) whose nodes keep y-ordered min arrays,
-O(log^2 n) per query and per deletion.  Weight ties break by payload id,
-which callers choose to make results deterministic.
+pieces, each a bottom-up tree whose query walks from one leaf to the root,
+the vertex lookup over one static segment tree on the x order of its points
+(:class:`_XTree`) whose nodes keep y-ordered min arrays, O(log^2 n) per
+query and per deletion.  Weight ties break by payload id, which callers
+choose to make results deterministic.
 """
 
 from __future__ import annotations
@@ -62,12 +63,30 @@ class DeleteMissing(KeyError):
 # its boundary singleton.
 
 
+def _spread(buckets, a, b, val) -> None:
+    """Append val to buckets[v] (a dict of lists) for the canonical nodes v
+    of leaf range [a, b) of a bottom-up segment tree; a leaf's ancestors are
+    exactly the canonical nodes of every range that holds it."""
+    while a < b:
+        if a & 1:
+            buckets.setdefault(a, []).append(val)
+            a += 1
+        if b & 1:
+            b -= 1
+            buckets.setdefault(b, []).append(val)
+        a >>= 1
+        b >>= 1
+
+
 class _MinStabTree:
     """Weighted intervals with per-end openness; stab a point with a weight floor.
 
-    Entries are (lo, hi, lo_open, hi_open, weight, payload, item).  Each
-    canonical node keeps its entries sorted by (weight, payload), so a stab
-    walks one root-to-leaf path and bisects each node list above the floor.
+    Entries are (lo, hi, lo_open, hi_open, weight, payload, item).  A
+    bottom-up segment tree over the 2m+1 elementary pieces, like
+    :class:`RectEnvelope`'s: the leaf of piece p is base + p with base =
+    2m+1, :func:`_spread` sends every interval to its canonical nodes, and
+    each node keeps its entries sorted by (weight, payload).  A stab walks
+    from its leaf up to the root and bisects each node list above the floor.
     """
 
     __slots__ = ("coords", "base", "node_weights", "node_entries")
@@ -75,38 +94,19 @@ class _MinStabTree:
     def __init__(self, entries):
         coords = sorted({e[0] for e in entries} | {e[1] for e in entries})
         self.coords = coords
-        size = 2 * len(coords) + 1
-        base = 1
-        while base < size:
-            base *= 2
-        self.base = base
-        buckets: List[Optional[list]] = [None] * (2 * base)
+        at = {c: 2 * i for i, c in enumerate(coords)}
+        self.base = base = 2 * len(coords) + 1
+        buckets = {}
         for (lo, hi, lo_open, hi_open, weight, payload, item) in entries:
-            a = 2 * bisect_left(coords, lo) + 1 + (1 if lo_open else 0)
-            b = 2 * bisect_left(coords, hi) + 2 - (1 if hi_open else 0)
-            if a >= b:
-                continue
-            val = (weight, payload, item)
-            stack = [(1, 0, base)]
-            while stack:
-                node, nlo, nhi = stack.pop()
-                if a <= nlo and nhi <= b:
-                    if buckets[node] is None:
-                        buckets[node] = []
-                    buckets[node].append(val)
-                    continue
-                mid = (nlo + nhi) // 2
-                if a < mid:
-                    stack.append((2 * node, nlo, mid))
-                if b > mid:
-                    stack.append((2 * node + 1, mid, nhi))
+            a = base + at[lo] + 1 + lo_open
+            b = base + at[hi] + 2 - hi_open
+            _spread(buckets, a, b, (weight, payload, item))
         self.node_weights: List[Optional[list]] = [None] * (2 * base)
         self.node_entries: List[Optional[list]] = [None] * (2 * base)
-        for i, bucket in enumerate(buckets):
-            if bucket:
-                bucket.sort()
-                self.node_weights[i] = [t[0] for t in bucket]
-                self.node_entries[i] = bucket
+        for v, bucket in buckets.items():
+            bucket.sort()
+            self.node_weights[v] = [t[0] for t in bucket]
+            self.node_entries[v] = bucket
 
     def piece_of(self, q) -> int:
         j = bisect_left(self.coords, q)
@@ -116,112 +116,64 @@ class _MinStabTree:
 
     def stab(self, q, floor=None):
         """Min (weight, payload, item) among entries containing q with weight > floor."""
-        if not self.coords:
-            return None
-        piece = self.piece_of(q)
         best = None
-        node, lo, hi = 1, 0, self.base
-        while True:
-            w = self.node_weights[node]
+        v = self.base + self.piece_of(q)
+        node_weights = self.node_weights
+        while v:
+            w = node_weights[v]
             if w is not None:
                 k = 0 if floor is None else bisect_right(w, floor)
                 if k < len(w):
-                    cand = self.node_entries[node][k]
+                    cand = self.node_entries[v][k]
                     if best is None or cand < best:
                         best = cand
-            if hi - lo == 1:
-                return best
-            mid = (lo + hi) // 2
-            if piece < mid:
-                node, hi = 2 * node, mid
-            else:
-                node, lo = 2 * node + 1, mid
+            v >>= 1
+        return best
 
 
 class RectStabber:
-    """Minimum-weight rectangle containing a query point.
+    """Minimum-weight rectangle containing a query point in its interior.
 
-    Built once from :class:`WeightedRect` items.  ``x_open`` / ``y_open`` turn
-    every rectangle's bounds on that axis into open intervals; the default is
-    boundary-inclusive.  ``query`` accepts a weight floor: only rectangles of
-    weight strictly above it are considered.
+    Built once from :class:`WeightedRect` items; bounds are open on both
+    axes.  ``query`` accepts a weight floor: only rectangles of weight
+    strictly above it are considered.
 
-    Outer segment tree over x-pieces; each canonical node holds a
-    :class:`_MinStabTree` over the y-spans of its rectangles.
+    Outer bottom-up segment tree over the x pieces, built and walked like
+    :class:`_MinStabTree`'s; each node holds a :class:`_MinStabTree` over
+    the open y-spans of its rectangles.
     """
 
-    def __init__(self, rects, *, x_open: bool = False, y_open: bool = False):
+    def __init__(self, rects):
         self.rects = list(rects)
         coords = sorted({r.xlo for r in self.rects} | {r.xhi for r in self.rects})
         self.coords = coords
-        size = 2 * len(coords) + 1
-        base = 1
-        while base < size:
-            base *= 2
-        self.base = base
-        buckets: List[Optional[list]] = [None] * (2 * base)
-        shift = 1 if x_open else 0
+        at = {c: 2 * i for i, c in enumerate(coords)}
+        self.base = base = 2 * len(coords) + 1
+        buckets = {}
         for idx, r in enumerate(self.rects):
-            a = 2 * bisect_left(coords, r.xlo) + 1 + shift
-            b = 2 * bisect_left(coords, r.xhi) + 2 - shift
-            if a >= b:
-                continue
-            stack = [(1, 0, base)]
-            while stack:
-                node, nlo, nhi = stack.pop()
-                if a <= nlo and nhi <= b:
-                    if buckets[node] is None:
-                        buckets[node] = []
-                    buckets[node].append(idx)
-                    continue
-                mid = (nlo + nhi) // 2
-                if a < mid:
-                    stack.append((2 * node, nlo, mid))
-                if b > mid:
-                    stack.append((2 * node + 1, mid, nhi))
+            _spread(buckets, base + at[r.xlo] + 2, base + at[r.xhi] + 1, idx)
         self.node_trees: List[Optional[_MinStabTree]] = [None] * (2 * base)
-        for i, bucket in enumerate(buckets):
-            if bucket:
-                self.node_trees[i] = _MinStabTree(
-                    [
-                        (
-                            self.rects[j].ylo,
-                            self.rects[j].yhi,
-                            y_open,
-                            y_open,
-                            self.rects[j].weight,
-                            self.rects[j].payload,
-                            j,
-                        )
-                        for j in bucket
-                    ]
-                )
+        rs = self.rects
+        for v, bucket in buckets.items():
+            self.node_trees[v] = _MinStabTree(
+                [(rs[j].ylo, rs[j].yhi, True, True, rs[j].weight, rs[j].payload, j) for j in bucket]
+            )
 
     def query(self, q: Tuple[int, int], floor=None) -> Optional[WeightedRect]:
-        """Minimum-weight stored rectangle containing q (ties by payload)."""
-        if not self.coords:
-            return None
+        """Minimum-weight stored rectangle whose interior holds q (ties by payload)."""
         qx, qy = q
-        j = bisect_left(self.coords, qx)
-        if j < len(self.coords) and self.coords[j] == qx:
-            piece = 2 * j + 1
-        else:
-            piece = 2 * j
+        xs = self.coords
+        j = bisect_left(xs, qx)
+        v = self.base + 2 * j + (j < len(xs) and xs[j] == qx)
+        node_trees = self.node_trees
         best = None
-        node, lo, hi = 1, 0, self.base
-        while True:
-            tree = self.node_trees[node]
+        while v:
+            tree = node_trees[v]
             if tree is not None:
                 cand = tree.stab(qy, floor)
                 if cand is not None and (best is None or cand < best):
                     best = cand
-            if hi - lo == 1:
-                break
-            mid = (lo + hi) // 2
-            if piece < mid:
-                node, hi = 2 * node, mid
-            else:
-                node, lo = 2 * node + 1, mid
+            v >>= 1
         return None if best is None else self.rects[best[2]]
 
 
@@ -248,27 +200,14 @@ class RectEnvelope:
         self.xs = xs
         xpos = {x: i for i, x in enumerate(xs)}
         # bottom-up segment tree over the 2m+1 x pieces: leaf of piece p is
-        # base + p, and the ancestors of a leaf are exactly the canonical
-        # nodes of every piece range that contains it
+        # base + p, so a query walks up from its leaf (see _spread)
         self.base = base = 2 * len(xs) + 1
-        buckets: List[list] = [[] for _ in range(2 * base)]
+        buckets = {}
         for rank, r in enumerate(rects):
-            a = base + 2 * xpos[r.xlo] + 1
-            b = base + 2 * xpos[r.xhi] + 2
-            while a < b:
-                if a & 1:
-                    buckets[a].append(rank)
-                    a += 1
-                if b & 1:
-                    b -= 1
-                    buckets[b].append(rank)
-                a >>= 1
-                b >>= 1
+            _spread(buckets, base + 2 * xpos[r.xlo] + 1, base + 2 * xpos[r.xhi] + 2, rank)
         none = len(rects)
         nodes: List[Optional[tuple]] = [None] * (2 * base)
-        for v, ranks in enumerate(buckets):
-            if not ranks:
-                continue
+        for v, ranks in buckets.items():
             spans = [(rects[k].ylo, rects[k].yhi) for k in ranks]
             ys = sorted({y for span in spans for y in span})
             ypos = {y: i for i, y in enumerate(ys)}
@@ -387,6 +326,22 @@ _CLOSED = (False, False, False, False)
 _DEAD = float("inf")  # key of a deleted point, above every live key
 
 
+def _span_min(a, b, lo, hi):
+    """min(b, a[lo:hi]) on a bottom-up min array a (leaves at len(a) // 2)."""
+    while lo < hi:
+        if lo & 1:
+            if a[lo] < b:
+                b = a[lo]
+            lo += 1
+        if hi & 1:
+            hi -= 1
+            if a[hi] < b:
+                b = a[hi]
+        lo >>= 1
+        hi >>= 1
+    return b
+
+
 class _XTree:
     """Static segment tree over the x order of a fixed point set.
 
@@ -488,12 +443,18 @@ class _XTree:
             b >>= 1
         return out
 
-    def mins(self, views, rect, open_sides=_CLOSED) -> list:
-        """Minimum key of each view over the points inside rect (_DEAD if none)."""
+    def mins(self, views, rect, open_sides=_CLOSED, skip=None) -> list:
+        """Minimum key of each view over the points inside rect (_DEAD if
+        none).  ``skip``, a leaf id or None, is left out of views[0] only:
+        in the one canonical node above that leaf the y span is split around
+        the leaf's place, so the pass stays one pass."""
         ylo, yhi = rect[2], rect[3]
         oly, ohy = open_sides[2], open_sides[3]
         node_ys = self.node_ys
         best = [_DEAD] * len(views)
+        if skip is not None:
+            leaf = self.n + skip
+            depth = leaf.bit_length()
         for v in self.nodes(rect, open_sides):
             ys = node_ys[v]
             lo = bisect_right(ys, ylo) if oly else bisect_left(ys, ylo)
@@ -501,10 +462,20 @@ class _XTree:
             if lo >= hi:
                 continue
             m = len(ys)
+            cut = -1
+            if skip is not None:
+                k = depth - v.bit_length()
+                if k >= 0 and leaf >> k == v:
+                    cut = self.pos[skip][k]
+                    if not lo <= cut < hi:
+                        cut = -1
             for j, view in enumerate(views):
                 a = view[v]
                 b = best[j]
                 if a[1] >= b:
+                    continue
+                if cut >= 0 and j == 0:
+                    best[0] = _span_min(a, _span_min(a, b, lo + m, cut + m), cut + 1 + m, hi + m)
                     continue
                 if hi - lo == m:
                     best[j] = a[1]
@@ -596,14 +567,17 @@ class CornerWeightedVertices:
         self.live_count -= 1
         self.tree.clear([self.live[corner] for corner in CORNERS], i)
 
-    def nearest(self, rect, corner: str, open_sides=_CLOSED, settled: bool = False):
+    def nearest(self, rect, corner: str, open_sides=_CLOSED, settled: bool = False, skip=None):
         """Live vertex in rect nearest the given corner of rect (ties
         lexicographic), or None.  With settled=True, the pair (nearest vertex
         removed or not, nearest live vertex), both from one pass over rect's
-        spans."""
+        spans; ``skip``, an (x, y, payload) vertex, is then left out of the
+        first answer only (a vertex the caller stands on), while the live
+        answer still counts it."""
         tree = self.tree
         if settled:
-            keys = tree.mins((self.settled[corner], self.live[corner]), rect, open_sides)
+            leaf = None if skip is None else tree.leaf_of[skip]
+            keys = tree.mins((self.settled[corner], self.live[corner]), rect, open_sides, leaf)
             return tuple(tree.points_of(keys, self.points[corner]))
         keys = tree.mins((self.live[corner],), rect, open_sides)
         return tree.points_of(keys, self.points[corner])[0]

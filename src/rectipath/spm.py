@@ -1,8 +1,10 @@
 """Arrival-time map for a fixed source, answering point queries in log time.
 
 The narrowing planner's exhaustive sweep leaves a trace of everything it
-swept: cones (a point source covering a rectangle of its diagonal quadrant)
-and flat bands (a front sliding off an edge across a strip).  Each trace
+swept: cones (a point source covering a rectangle of its diagonal quadrant,
+recorded once per arrangement, since every piece the sweep later splits or
+narrows it into lies inside it with the same value function) and flat bands
+(a front sliding off an edge across a strip).  Each trace
 record is an achievable arrival time over a closed rectangle, and every
 point's true optimum is the value of the record that swept it first, so the
 map is the lower envelope of the records.

@@ -66,7 +66,7 @@ class StopOracle:
                 rects.append(WeightedRect(e.lo, e.hi, ta, td, w, i))
                 lo_segs.append((e.lo, ta, td, True, True, w, i, i))
                 hi_segs.append((e.hi, ta, td, True, True, w, i, i))
-            self._stab[d] = RectStabber(rects, x_open=True, y_open=True)
+            self._stab[d] = RectStabber(rects)
             self._lo_bounds[d] = _SideRange(lo_segs)
             self._hi_bounds[d] = _SideRange(hi_segs)
 

@@ -202,8 +202,8 @@ def test_criterion_7_range_structures_vs_linear_scan():
                 (
                     (r.weight, r.payload)
                     for r in rects
-                    if r.xlo <= q[0] <= r.xhi
-                    and r.ylo <= q[1] <= r.yhi
+                    if r.xlo < q[0] < r.xhi
+                    and r.ylo < q[1] < r.yhi
                     and (floor is None or r.weight > floor)
                 ),
                 default=None,

@@ -2,10 +2,11 @@
 
 import random
 import sys
+from dataclasses import replace
 
-from rectipath.engine import PointWavelet
+from rectipath.engine import PointWavelet, naive_plan
 from rectipath.fast import _FastEngine, fast_plan, narrow, replacement_rects, wavelet_stats
-from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path
+from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path, validate_scene
 from rectipath.oracle import oracle_plan, random_scene
 from rectipath.pathrec import build_path
 from rectipath.scenario import canonical_scene
@@ -211,10 +212,38 @@ def test_fuzz_matches_naive_and_reference():
 
 
 def test_fuzz_matches_naive_at_larger_sizes():
-    from rectipath.engine import naive_plan
-
     for seed in range(1, 41):
         scene = random_scene(1000 + seed, 10 + (seed * 7) % 31)
         res = fast_plan(scene)
         assert res.arrival == naive_plan(scene).arrival, seed
         assert validate_path(scene, res.path, res.arrival).ok, seed
+
+
+def endpoint_terminal_scenes(seeds):
+    """(seed, which, scene) with the source, the destination or both moved
+    onto edge endpoints, which validate_scene allows."""
+    for seed in seeds:
+        base = random_scene(seed, 3 + seed % 12)
+        rng = random.Random(seed)
+        ends = sorted({p for e in base.edges for p in (e.p1, e.p2)})
+        for which in ("source", "dest", "both"):
+            s, d = base.source, base.dest
+            if which != "dest":
+                s = rng.choice(ends)
+            if which != "source":
+                d = rng.choice([p for p in ends if p != s])
+            scene = replace(base, source=s, dest=d)
+            assert validate_scene(scene).ok
+            yield seed, which, scene
+
+
+def test_terminals_on_edge_endpoints():
+    # A source on an endpoint is settled at time 0 and leaves the live
+    # vertex set at once; left in it, both engines re-split their own root
+    # wavelets forever.
+    for seed, which, scene in endpoint_terminal_scenes(range(1, 41)):
+        want = oracle_plan(scene)
+        for plan in (fast_plan, naive_plan):
+            res = plan(scene)
+            assert res.arrival == want, (seed, which, plan.__name__)
+            assert validate_path(scene, res.path, res.arrival).ok, (seed, which, plan.__name__)

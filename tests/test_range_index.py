@@ -10,6 +10,7 @@ from rectipath.rangeindex import (
     RectEnvelope,
     RectStabber,
     WeightedRect,
+    _MinStabTree,
 )
 
 
@@ -41,14 +42,13 @@ def test_rect_stab_basics():
     assert st.query((3, 3), floor=5) is None
 
 
-def test_rect_stab_boundary_inclusive_by_default():
-    st = RectStabber([WeightedRect(0, 4, 0, 4, 1, 0)])
-    assert st.query((0, 4)) is not None
-    assert st.query((4, 0)) is not None
-    op = RectStabber([WeightedRect(0, 4, 0, 4, 1, 0)], x_open=True, y_open=True)
-    assert op.query((0, 2)) is None
-    assert op.query((2, 4)) is None
-    assert op.query((2, 2)) is not None
+def test_rect_stab_bounds_are_open():
+    st = RectStabber([WeightedRect(0, 4, 0, 4, 1, 0), WeightedRect(6, 6, 0, 9, 0, 1)])
+    assert st.query((0, 2)) is None
+    assert st.query((2, 4)) is None
+    assert st.query((4, 0)) is None
+    assert st.query((2, 2)) is not None
+    assert st.query((6, 5)) is None  # a segment has no interior
 
 
 def test_rect_stab_random_vs_linear():
@@ -59,16 +59,54 @@ def test_rect_stab_random_vs_linear():
             x1, x2 = sorted(rng.randrange(0, 30) for _ in range(2))
             y1, y2 = sorted(rng.randrange(0, 30) for _ in range(2))
             rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 8), i))
-        xo, yo = rng.random() < 0.5, rng.random() < 0.5
-        st = RectStabber(rects, x_open=xo, y_open=yo)
+        st = RectStabber(rects)
         for _ in range(20):
-            q = (rng.randrange(-2, 32), rng.randrange(-2, 32))
+            if rects and rng.random() < 0.5:
+                # on and beside the bounds, where open and closed differ
+                r = rng.choice(rects)
+                q = (
+                    rng.choice((r.xlo, r.xhi)) + rng.choice((-1, 0, 1)),
+                    rng.choice((r.ylo, r.yhi)) + rng.choice((-1, 0, 1)),
+                )
+            else:
+                q = (rng.randrange(-2, 32), rng.randrange(-2, 32))
             floor = rng.choice([None, rng.randrange(0, 8)])
             got = st.query(q, floor)
-            want = brute_stab(rects, q, floor, xo, yo)
+            want = brute_stab(rects, q, floor, x_open=True, y_open=True)
             assert (got is None) == (want is None)
             if got is not None:
                 assert (got.weight, got.payload) == (want.weight, want.payload)
+
+
+def test_min_stab_tree_vs_linear_scan():
+    # per-end openness, weight floors, repeated weights and stabs on, beside
+    # and between the interval ends, including fractional points
+    rng = random.Random(43)
+    h = Fraction(1, 2)
+    for rep in range(400):
+        entries = []
+        for i in range(rng.randrange(0, 20)):
+            lo, hi = sorted(rng.randrange(0, 25) for _ in range(2))
+            entries.append(
+                (lo, hi, rng.random() < 0.5, rng.random() < 0.5, rng.randrange(0, 6), rng.randrange(0, 9), i)
+            )
+        tree = _MinStabTree(entries)
+        qs = [rng.randrange(-2, 27) for _ in range(10)]
+        for e in entries[:6]:
+            qs += [e[0] - h, e[0], e[0] + h, e[1] - h, e[1], e[1] + h]
+        for q in qs:
+            floor = rng.choice([None, rng.randrange(0, 6)])
+            want = min(
+                (
+                    (w, pay, item)
+                    for lo, hi, lo_open, hi_open, w, pay, item in entries
+                    if (lo < q if lo_open else lo <= q)
+                    and (q < hi if hi_open else q <= hi)
+                    and (floor is None or w > floor)
+                ),
+                default=None,
+            )
+            assert tree.stab(q, floor) == want, (entries, q, floor)
 
 
 def _envelope_matches(rects, points):
@@ -217,8 +255,9 @@ def _in_rect(p, rect, sides):
 
 def test_index_under_removal_vs_linear_scan():
     # Hundreds of points on a small grid, so that many share a column or a
-    # row, removed one by one while both views of every corner and reports
-    # under every openness are checked.
+    # row, removed one by one while both views of every corner (with and
+    # without a vertex left out of the settled one) and reports under every
+    # openness are checked.
     rng = random.Random(46)
     corner_of = {
         "SW": lambda r: (r[0], r[2]),
@@ -253,6 +292,13 @@ def test_index_under_removal_vs_linear_scan():
                 assert (None if got_live is None else (got_live.x, got_live.y)) == want_live
                 hit = cw.nearest(rect, corner, sides)
                 assert (None if hit is None else (hit.x, hit.y)) == want_live
+                # one vertex left out of the settled answer only: mostly the
+                # one it would give, else any vertex, live or removed
+                out = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(pts)
+                got_all, got_live = cw.nearest(rect, corner, sides, settled=True, skip=(out[0], out[1], payload[out]))
+                want_rest = nearest([p for p in pts if p != out])
+                assert (None if got_all is None else (got_all.x, got_all.y)) == want_rest
+                assert (None if got_live is None else (got_live.x, got_live.y)) == want_live
             if step % 8 == 0:
                 for s in all_sides:
                     want_pts = sorted(p for p in live if _in_rect(p, rect, s))

@@ -85,6 +85,30 @@ def test_matches_oracle_on_random_scenes():
             assert validate_path(_retarget(scene, q), path, t).ok
 
 
+def test_terminals_on_edge_endpoints():
+    # A terminal on an edge endpoint is a vertex of the map sweep like any
+    # other: it settles, leaves the live vertex set and (the destination
+    # too) spawns its arrangement.  Left live, it re-split its own wavelets
+    # forever.
+    rng = random.Random(4343)
+    for seed in range(1, 21):
+        base = random_scene(seed, 3 + seed % 12)
+        ends = sorted({p for e in base.edges for p in (e.p1, e.p2)})
+        src, dst = rng.sample(ends, 2)
+        for scene in (
+            Scene(edges=base.edges, vmax=1, source=src, dest=base.dest),
+            Scene(edges=base.edges, vmax=1, source=base.source, dest=dst),
+            Scene(edges=base.edges, vmax=1, source=src, dest=dst),
+        ):
+            m = build_spm(scene)
+            xlo, xhi, ylo, yhi = _hull(scene)
+            qs = [scene.dest] + [(rng.randint(xlo, xhi), rng.randint(ylo, yhi)) for _ in range(15)]
+            for q, w in zip(qs, oracle_arrivals(scene, qs)):
+                t, path = spm_query(m, q)
+                assert t == w, (seed, scene.source, scene.dest, q)
+                assert validate_path(_retarget(scene, q), path, t).ok, (seed, scene.source, scene.dest, q)
+
+
 def test_matches_planner_on_mid_size_scenes():
     for seed in (3, 11, 27):
         scene = random_scene(seed, 10 + (seed * 7) % 31)
