@@ -11,7 +11,12 @@ rendering appended so humans do not have to divide.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import gc
 import json
+import os
+import platform
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -19,10 +24,13 @@ from typing import List, Optional
 
 from .engine import DIAGS, naive_plan, run_plan
 from .fast import _FastEngine, fast_plan
-from .geometry import Scene, validate_path
+from .geometry import ScaledScene, Scene, validate_path
 from .oracle import bench_scene, oracle_plan, random_scene
+from .pathrec import build_path
+from .rangeindex import CornerWeightedVertices
 from .scenario import ScenarioError, load_scene, _enc_num
 from .spm import OutsideBoundingBox, _spm_from_dict, _spm_to_dict, build_spm, dump_spm
+from .stopindex import StopOracle
 from .svg import render_svg
 
 
@@ -145,9 +153,83 @@ def _cmd_fuzz(args) -> int:
     return 0
 
 
+def _fast_plan_phases(scene):
+    """Wall seconds of each layer of one fast_plan run, and its engine.
+
+    The three indexes the engine builds are built once more on their own,
+    so that each build is timed alone."""
+    clock = time.perf_counter
+    t0 = clock()
+    sc = ScaledScene(scene)
+    t1 = clock()
+    StopOracle(sc.edges)
+    t2 = clock()
+    verts = sorted({p for e in sc.edges for p in e.endpoints})
+    CornerWeightedVertices(sc.bbox, [(p, i) for i, p in enumerate(verts)])
+    t3 = clock()
+    eng = _FastEngine(scene)
+    t4 = clock()
+    eng.run(stop_at_dest=True)
+    t5 = clock()
+    build_path(eng)
+    t6 = clock()
+    return {
+        "scaled_scene": t1 - t0,
+        "stop_oracle": t2 - t1,
+        "vertex_index": t3 - t2,
+        "init": t4 - t3,
+        "sweep": t5 - t4,
+        "path": t6 - t5,
+        "plan": t6 - t3,
+    }, eng
+
+
+def _bench_json(sizes, seed, path) -> None:
+    runs = 5
+    out = {
+        "version": 1,
+        "what": "fast_plan on bench_scene(seed, n): median wall seconds per layer of %d runs, collector off" % runs,
+        "seed": seed,
+        "machine": {
+            "python": "%s %s" % (platform.python_implementation(), platform.python_version()),
+            "system": "%s %s" % (platform.system(), platform.release()),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "sizes": [],
+    }
+    for n in sizes:
+        scene = bench_scene(seed, n)
+        samples = []
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(runs):
+                seconds, eng = _fast_plan_phases(scene)
+                samples.append(seconds)
+        finally:
+            gc.enable()
+        out["sizes"].append(
+            {
+                "n": n,
+                "vertices": len(eng.vert_payload),
+                "arrival": str(eng.sc.time_out(eng.labels[eng.dest][0])),
+                "seconds": {k: statistics.median(s[k] for s in samples) for k in seconds},
+                "counters": dataclasses.asdict(eng.stats),
+            }
+        )
+        print("n=%d plan %.3f s" % (n, out["sizes"][-1]["seconds"]["plan"]))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
+
+
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    print("n,algo,arrival,point_wavelets,segment_wavelets,narrows,expands,wall_ns")
+    if args.json:
+        _bench_json(sizes, args.seed, args.json)
+        return 0
+    print("n,algo,arrival,point_wavelets,segment_wavelets,narrows,wall_ns")
     for n in sizes:
         scene = bench_scene(args.seed, n)
         for name, fn in (("naive", naive_plan), ("fast", fast_plan)):
@@ -156,8 +238,8 @@ def _cmd_bench(args) -> int:
             dt = time.perf_counter_ns() - t0
             s = res.stats
             print(
-                "%d,%s,%s,%d,%d,%d,%d,%d"
-                % (n, name, Fraction(res.arrival), s.point_wavelets, s.segment_wavelets, s.narrows, s.expands, dt)
+                "%d,%s,%s,%d,%d,%d,%d"
+                % (n, name, Fraction(res.arrival), s.point_wavelets, s.segment_wavelets, s.narrows, dt)
             )
     return 0
 
@@ -210,6 +292,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("bench", help="wavelet counts and wall time per algorithm")
     sp.add_argument("--sizes", required=True, help="comma-separated edge counts")
     sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--json", help="time fast_plan per layer instead and write the medians here")
     sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("render", help="SVG of scene and path on stdout")

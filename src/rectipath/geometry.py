@@ -485,10 +485,3 @@ class ScaledScene:
 
     def point_out(self, p) -> Point:
         return (self.coord_out(p[0]), self.coord_out(p[1]))
-
-    def point_in(self, p: Point):
-        x = Fraction(p[0]) * self.coord_scale
-        y = Fraction(p[1]) * self.coord_scale
-        if x.denominator != 1 or y.denominator != 1:
-            return None  # not representable on the integer grid
-        return (int(x), int(y))

@@ -14,13 +14,16 @@ Three structures, plus the static index the stop oracle builds on:
 * :class:`_SideRange` -- static vertical segments, query = minimum weight
   segment in an x range whose y span contains a point.
 
-All are built from sorted arrays and segment trees, so a query costs a few
-binary searches: the stabbing structures and the envelope over elementary
-pieces, each a bottom-up tree whose query walks from one leaf to the root,
-the vertex lookup over one static segment tree on the x order of its points
-(:class:`_XTree`) whose nodes keep y-ordered min arrays, O(log^2 n) per
-query and per deletion.  Weight ties break by payload id, which callers
-choose to make results deterministic.
+The stabbing structures and the envelope are built from sorted arrays and
+segment trees over elementary pieces, each a bottom-up tree whose query
+walks from one leaf to the root with a binary search per node.  The vertex
+lookup instead keeps its V points as bits of Python ints, one prefix bitset
+per position of the x and of the y order in each of two rank spaces
+(:class:`_RankSpace`).  A query costs four binary searches and a few
+big-int operations on V bits, a deletion two such operations; each is
+word-parallel (CPython's int digits hold 30 bits, so about V / 30 digit
+steps).  The bitsets take about V^2 / 2 bytes.  Weight ties break by payload id, which callers choose to
+make results deterministic.
 """
 
 from __future__ import annotations
@@ -319,270 +322,144 @@ class _SideRange:
 
 
 # ---------------------------------------------------------------------------
-# Range minimum over a fixed point set: one x segment tree, several views
-# ---------------------------------------------------------------------------
-
-_CLOSED = (False, False, False, False)
-_DEAD = float("inf")  # key of a deleted point, above every live key
-
-
-def _span_min(a, b, lo, hi):
-    """min(b, a[lo:hi]) on a bottom-up min array a (leaves at len(a) // 2)."""
-    while lo < hi:
-        if lo & 1:
-            if a[lo] < b:
-                b = a[lo]
-            lo += 1
-        if hi & 1:
-            hi -= 1
-            if a[hi] < b:
-                b = a[hi]
-        lo >>= 1
-        hi >>= 1
-    return b
-
-
-class _XTree:
-    """Static segment tree over the x order of a fixed point set.
-
-    Leaf i holds the i-th point in (x, y, payload) order.  Node v (children
-    2v and 2v+1, leaves at n..2n-1) keeps the leaf ids of its points in y
-    order, and ``pos[i]`` lists leaf i's place in every node on its way up.
-    This layout is built once per point set.  A *view* puts one key per point
-    on it: one bottom-up min array per node over that node's y order.  A
-    rectangle query bisects x for the O(log n) canonical nodes, bisects y in
-    each and takes a range minimum there, O(log^2 n) in all, and serves any
-    number of views from the same spans.  Deleting a point from a view clears
-    its leaf in the nodes above it, walking up each node's array only while
-    that node's minimum changes.
-
-    A key is weight * n + leaf id, so keys compare like (weight, x, y,
-    payload) tuples.  Weights must be integers.
-    """
-
-    __slots__ = ("n", "points", "leaf_of", "xs", "node_ids", "node_ys", "pos")
-
-    def __init__(self, points):
-        """points: distinct (x, y, payload) triples, in any order."""
-        pts = sorted(points)
-        n = len(pts)
-        self.n = n
-        self.points = pts
-        self.leaf_of = {p: i for i, p in enumerate(pts)}
-        self.xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        ids: List[Optional[list]] = [None] * (2 * n)
-        for i in range(n):
-            ids[n + i] = [i]
-        for v in range(n - 1, 0, -1):
-            # timsort merges the two y-ordered runs in linear time
-            ids[v] = sorted(ids[2 * v] + ids[2 * v + 1], key=ys.__getitem__)
-        self.node_ids = ids
-        self.node_ys = [None] + [list(map(ys.__getitem__, ids[v])) for v in range(1, 2 * n)]
-        pos: List[list] = [[] for _ in range(n)]
-        for v in range(2 * n - 1, 0, -1):  # ancestors come in decreasing order
-            for j, i in enumerate(ids[v]):
-                pos[i].append(j)
-        self.pos = pos
-
-    def view(self, weights) -> list:
-        """Per-node min arrays over the keys of the given per-leaf weights."""
-        n = self.n
-        keys = [w * n + i for i, w in enumerate(weights)]
-        get = keys.__getitem__
-        arrays: List[Optional[list]] = [None] * n
-        for v in range(1, n):
-            ids = self.node_ids[v]
-            m = len(ids)
-            a = [None] * m
-            a += map(get, ids)
-            hi = m
-            while hi > 1:
-                lo = (hi + 1) >> 1
-                a[lo:hi] = map(min, a[2 * lo : 2 * hi : 2], a[2 * lo + 1 : 2 * hi : 2])
-                hi = lo
-            arrays[v] = a
-        arrays += [[None, k] for k in keys]  # leaves
-        return arrays
-
-    def clear(self, views, i) -> None:
-        """Delete leaf i from each of the views."""
-        v = self.n + i
-        for p in self.pos[i]:
-            k0 = len(self.node_ys[v]) + p
-            for view in views:
-                a = view[v]
-                a[k0] = _DEAD
-                k = k0 >> 1
-                while k:
-                    l, r = a[2 * k], a[2 * k + 1]
-                    m = l if l < r else r
-                    if m == a[k]:
-                        break
-                    a[k] = m
-                    k >>= 1
-            v >>= 1
-
-    def nodes(self, rect, open_sides=_CLOSED) -> List[int]:
-        """Canonical nodes of rect's x range."""
-        xlo, xhi = rect[0], rect[1]
-        xs = self.xs
-        a = bisect_right(xs, xlo) if open_sides[0] else bisect_left(xs, xlo)
-        b = bisect_left(xs, xhi) if open_sides[1] else bisect_right(xs, xhi)
-        out = []
-        a += self.n
-        b += self.n
-        while a < b:
-            if a & 1:
-                out.append(a)
-                a += 1
-            if b & 1:
-                b -= 1
-                out.append(b)
-            a >>= 1
-            b >>= 1
-        return out
-
-    def mins(self, views, rect, open_sides=_CLOSED, skip=None) -> list:
-        """Minimum key of each view over the points inside rect (_DEAD if
-        none).  ``skip``, a leaf id or None, is left out of views[0] only:
-        in the one canonical node above that leaf the y span is split around
-        the leaf's place, so the pass stays one pass."""
-        ylo, yhi = rect[2], rect[3]
-        oly, ohy = open_sides[2], open_sides[3]
-        node_ys = self.node_ys
-        best = [_DEAD] * len(views)
-        if skip is not None:
-            leaf = self.n + skip
-            depth = leaf.bit_length()
-        for v in self.nodes(rect, open_sides):
-            ys = node_ys[v]
-            lo = bisect_right(ys, ylo) if oly else bisect_left(ys, ylo)
-            hi = bisect_left(ys, yhi) if ohy else bisect_right(ys, yhi)
-            if lo >= hi:
-                continue
-            m = len(ys)
-            cut = -1
-            if skip is not None:
-                k = depth - v.bit_length()
-                if k >= 0 and leaf >> k == v:
-                    cut = self.pos[skip][k]
-                    if not lo <= cut < hi:
-                        cut = -1
-            for j, view in enumerate(views):
-                a = view[v]
-                b = best[j]
-                if a[1] >= b:
-                    continue
-                if cut >= 0 and j == 0:
-                    best[0] = _span_min(a, _span_min(a, b, lo + m, cut + m), cut + 1 + m, hi + m)
-                    continue
-                if hi - lo == m:
-                    best[j] = a[1]
-                    continue
-                lo2, hi2 = lo + m, hi + m
-                while lo2 < hi2:
-                    if lo2 & 1:
-                        if a[lo2] < b:
-                            b = a[lo2]
-                        lo2 += 1
-                    if hi2 & 1:
-                        hi2 -= 1
-                        if a[hi2] < b:
-                            b = a[hi2]
-                    lo2 >>= 1
-                    hi2 >>= 1
-                best[j] = b
-        return best
-
-    def leaves(self, view, rect, open_sides=_CLOSED) -> List[int]:
-        """Leaf ids of the points inside rect, in no particular order,
-        skipping the nodes where view holds no key below _DEAD."""
-        ylo, yhi = rect[2], rect[3]
-        oly, ohy = open_sides[2], open_sides[3]
-        out: List[int] = []
-        for v in self.nodes(rect, open_sides):
-            if view[v][1] == _DEAD:
-                continue
-            ys = self.node_ys[v]
-            lo = bisect_right(ys, ylo) if oly else bisect_left(ys, ylo)
-            hi = bisect_left(ys, yhi) if ohy else bisect_right(ys, yhi)
-            out += self.node_ids[v][lo:hi]
-        return out
-
-    def points_of(self, keys, pts) -> list:
-        """pts[leaf] for the leaf of each key, None for _DEAD."""
-        n = self.n
-        return [None if k == _DEAD else pts[k % n] for k in keys]
-
-
-# ---------------------------------------------------------------------------
 # Corner-weighted vertex lookup
 # ---------------------------------------------------------------------------
 
+_CLOSED = (False, False, False, False)
 CORNERS = ("SW", "SE", "NW", "NE")
+
+
+def _prefixes(ranks) -> List[int]:
+    """out[k] has bit r set for each of the first k ranks."""
+    out = [0]
+    acc = 0
+    for r in ranks:
+        acc |= 1 << r
+        out.append(acc)
+    return out
+
+
+def _pick(bits, by_rank, start):
+    """by_rank at the lowest set bit of bits, or None if there is none; with
+    ``start`` given, at the lowest set bit of the highest group instead."""
+    if not bits:
+        return None
+    g = 0 if start is None else start[bits.bit_length() - 1]
+    bits >>= g
+    return by_rank[(bits & -bits).bit_length() - 1 + g]
+
+
+class _RankSpace:
+    """A fixed point set ranked by (d, x, y, payload) for one diagonal
+    coordinate d, each point one bit of a Python int.
+
+    ``px[k]`` holds the bits of the first k points in x order and ``py[k]``
+    those of the first k in y order, so the points of an x range [a, b) and
+    a y range [c, d) of those orders are ``(px[b] ^ px[a]) & (py[d] ^
+    py[c])``.  ``live`` holds the points not yet removed, and ``start[r]``
+    is the first rank whose d equals rank r's.
+    """
+
+    __slots__ = ("rank", "start", "px", "py", "live")
+
+    def __init__(self, diag, y_order):
+        """diag[i]: d of point i, points numbered in (x, y, payload) order;
+        y_order: the point numbers in y order."""
+        n = len(diag)
+        order = sorted(range(n), key=lambda i: (diag[i], i))
+        self.rank = rank = [0] * n
+        self.start = start = [0] * n
+        for r, i in enumerate(order):
+            rank[i] = r
+            start[r] = start[r - 1] if r and diag[order[r - 1]] == diag[i] else r
+        self.px = _prefixes(rank)
+        self.py = _prefixes(rank[i] for i in y_order)
+        self.live = (1 << n) - 1
 
 
 class CornerWeightedVertices:
     """Nearest vertex toward a corner of a query rectangle, over a fixed
     vertex set under deletion.
 
-    One :class:`_XTree` over the vertices carries two views per board corner
-    c, both weighing a vertex by its L1 distance to c: the live view loses
-    each removed vertex, the settled view keeps them all.  The minimum-weight
-    vertex in a query rectangle is the one nearest the matching corner of that
-    rectangle (the constant offset between the rectangle corner and the board
-    corner does not change the argmin).  Ties resolve lexicographically by
-    (x, y).
+    A vertex in the rectangle is nearest its SW corner when x + y is least,
+    nearest NE when x + y is greatest, and nearest SE or NW when y - x is
+    least or greatest.  So two :class:`_RankSpace` s, on x + y and on y - x,
+    answer all four corners: a query masks the rectangle's vertices in the
+    corner's space, with the live bits or without, and takes the lowest set
+    bit (SW, SE) or, for NE and NW, the lowest bit of the highest diagonal
+    group present.  Either way the answer is least by (L1 distance to the
+    corner, x, y, payload).  Each vertex reports its weight as its L1
+    distance to the matching corner of ``bbox``, which holds every vertex.
     """
 
     def __init__(self, bbox, vertices):
         xlo, xhi, ylo, yhi = bbox
         self.bbox = bbox
-        self.tree = tree = _XTree([(x, y, payload) for (x, y), payload in vertices])
-        self.alive = bytearray(b"\x01") * tree.n
-        self.live_count = tree.n
-        self.points = {}  # corner -> WeightedPoint per leaf
-        self.live = {}
-        self.settled = {}
+        pts = sorted((x, y, payload) for (x, y), payload in vertices)
+        self.index = {p: i for i, p in enumerate(pts)}
+        self.live_count = len(pts)
+        self.xs = [p[0] for p in pts]
+        y_order = sorted(range(len(pts)), key=lambda i: (pts[i][1], i))
+        self.ys = [pts[i][1] for i in y_order]
+        self.plus = _RankSpace([x + y for x, y, _ in pts], y_order)
+        self.minus = _RankSpace([y - x for x, y, _ in pts], y_order)
         corner_pos = {"SW": (xlo, ylo), "SE": (xhi, ylo), "NW": (xlo, yhi), "NE": (xhi, yhi)}
+        self.corners = {}  # corner -> (space, WeightedPoint per rank, space.start or None)
         for corner in CORNERS:
+            space = self.plus if corner in ("SW", "NE") else self.minus
             cx, cy = corner_pos[corner]
-            weights = [abs(x - cx) + abs(y - cy) for x, y, _ in tree.points]
-            self.points[corner] = [
-                WeightedPoint(x, y, w, payload) for (x, y, payload), w in zip(tree.points, weights)
-            ]
-            self.settled[corner] = view = tree.view(weights)
-            self.live[corner] = [None] + [a[:] for a in view[1:]]
+            by_rank: List[Optional[WeightedPoint]] = [None] * len(pts)
+            for (x, y, payload), r in zip(pts, space.rank):
+                by_rank[r] = WeightedPoint(x, y, abs(x - cx) + abs(y - cy), payload)
+            self.corners[corner] = (space, by_rank, space.start if corner in ("NE", "NW") else None)
 
     def __len__(self):
         return self.live_count
 
     def remove(self, x, y, payload) -> None:
-        """Take a vertex out of the live views."""
-        i = self.tree.leaf_of.get((x, y, payload))
-        if i is None or not self.alive[i]:
+        """Take a vertex out of the live set."""
+        i = self.index.get((x, y, payload))
+        if i is None or not self.plus.live >> self.plus.rank[i] & 1:
             raise DeleteMissing((x, y, payload))
-        self.alive[i] = 0
         self.live_count -= 1
-        self.tree.clear([self.live[corner] for corner in CORNERS], i)
+        for space in (self.plus, self.minus):
+            space.live &= ~(1 << space.rank[i])
+
+    def _mask(self, space, rect, open_sides) -> int:
+        """Bits of space's vertices inside rect, removed or not."""
+        xlo, xhi, ylo, yhi = rect
+        olx, ohx, oly, ohy = open_sides
+        xs, ys = self.xs, self.ys
+        a = bisect_right(xs, xlo) if olx else bisect_left(xs, xlo)
+        b = bisect_left(xs, xhi) if ohx else bisect_right(xs, xhi)
+        c = bisect_right(ys, ylo) if oly else bisect_left(ys, ylo)
+        d = bisect_left(ys, yhi) if ohy else bisect_right(ys, yhi)
+        if a >= b or c >= d:
+            return 0
+        return (space.px[b] ^ space.px[a]) & (space.py[d] ^ space.py[c])
 
     def nearest(self, rect, corner: str, open_sides=_CLOSED, settled: bool = False, skip=None):
         """Live vertex in rect nearest the given corner of rect (ties
         lexicographic), or None.  With settled=True, the pair (nearest vertex
-        removed or not, nearest live vertex), both from one pass over rect's
-        spans; ``skip``, an (x, y, payload) vertex, is then left out of the
-        first answer only (a vertex the caller stands on), while the live
-        answer still counts it."""
-        tree = self.tree
-        if settled:
-            leaf = None if skip is None else tree.leaf_of[skip]
-            keys = tree.mins((self.settled[corner], self.live[corner]), rect, open_sides, leaf)
-            return tuple(tree.points_of(keys, self.points[corner]))
-        keys = tree.mins((self.live[corner],), rect, open_sides)
-        return tree.points_of(keys, self.points[corner])[0]
+        removed or not, nearest live vertex), from one mask; ``skip``, an
+        (x, y, payload) vertex, is then left out of the first answer only (a
+        vertex the caller stands on), while the live answer still counts it."""
+        space, by_rank, start = self.corners[corner]
+        m = self._mask(space, rect, open_sides)
+        live = _pick(m & space.live, by_rank, start)
+        if not settled:
+            return live
+        if skip is not None:
+            m &= ~(1 << space.rank[self.index[skip]])
+        return _pick(m, by_rank, start), live
 
     def report(self, rect, open_sides=_CLOSED) -> List[WeightedPoint]:
         """All live vertices inside rect, in no particular order."""
-        alive, pts = self.alive, self.points["SW"]
-        return [pts[i] for i in self.tree.leaves(self.live["SW"], rect, open_sides) if alive[i]]
+        m = self._mask(self.plus, rect, open_sides) & self.plus.live
+        by_rank = self.corners["SW"][1]
+        out = []
+        while m:
+            low = m & -m
+            out.append(by_rank[low.bit_length() - 1])
+            m ^= low
+        return out

@@ -7,6 +7,7 @@ import pytest
 from rectipath import cli
 from rectipath.fast import fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
+from rectipath.oracle import bench_scene
 from rectipath.scenario import (
     ScenarioError,
     canonical_scene,
@@ -136,12 +137,27 @@ def test_fuzz_reports_mismatch(monkeypatch, capsys):
 def test_bench_schema(capsys):
     assert cli.main(["bench", "--sizes", "4,8", "--seed", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n,algo,arrival,point_wavelets,segment_wavelets,narrows,expands,wall_ns"
+    assert lines[0] == "n,algo,arrival,point_wavelets,segment_wavelets,narrows,wall_ns"
     assert len(lines) == 5
     rows = [ln.split(",") for ln in lines[1:]]
     assert [r[:2] for r in rows] == [["4", "naive"], ["4", "fast"], ["8", "naive"], ["8", "fast"]]
     assert rows[0][2] == rows[1][2]  # same arrival both algorithms
-    assert all(int(r[7]) > 0 for r in rows)
+    assert all(int(r[6]) > 0 for r in rows)
+
+
+def test_bench_json_layers(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "--sizes", "4,8", "--seed", "2", "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [s["n"] for s in doc["sizes"]] == [4, 8]
+    assert set(doc["machine"]) == {"python", "system", "machine", "cpus"}
+    for s, n in zip(doc["sizes"], (4, 8)):
+        res = fast_plan(bench_scene(2, n))
+        assert s["arrival"] == str(Fraction(res.arrival))
+        assert s["counters"]["point_wavelets"] == res.stats.point_wavelets
+        parts = ("scaled_scene", "stop_oracle", "vertex_index", "init", "sweep", "path", "plan")
+        assert set(s["seconds"]) == set(parts) and all(s["seconds"][k] > 0 for k in parts)
+        assert s["seconds"]["plan"] >= s["seconds"]["sweep"]
 
 
 def test_render_svg_structure(scene_file, capsys):

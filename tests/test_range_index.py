@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from rectipath.geometry import ScaledScene
+from rectipath.oracle import bench_scene
 from rectipath.rangeindex import (
+    CORNERS,
     CornerWeightedVertices,
     DeleteMissing,
     RectEnvelope,
@@ -310,3 +313,105 @@ def test_index_under_removal_vs_linear_scan():
             cw.remove(gone[0], gone[1], payload[gone])
         assert cw.nearest((0, 23, 0, 23), "SW") is None
         assert cw.nearest((0, 23, 0, 23), "SW", settled=True)[0] is not None
+
+
+_CORNER_AT = {
+    "SW": lambda r: (r[0], r[2]),
+    "SE": lambda r: (r[1], r[2]),
+    "NW": lambda r: (r[0], r[3]),
+    "NE": lambda r: (r[1], r[3]),
+}
+
+
+def _scan(verts, rect, sides, corner):
+    """(x, y, payload) of the vertex in rect least by (L1 distance to the
+    corner, x, y, payload), by a linear scan of (x, y, payload) triples."""
+    cx, cy = _CORNER_AT[corner](rect)
+    inside = [v for v in verts if _in_rect(v[:2], rect, sides)]
+    return min(inside, key=lambda v: (abs(v[0] - cx) + abs(v[1] - cy), v), default=None)
+
+
+def _triple(hit):
+    return None if hit is None else (hit.x, hit.y, hit.payload)
+
+
+def test_nearest_vertex_ties_on_both_diagonals():
+    # Four vertices on x + y = 4, two of them at (2, 2): a tie for SW and NE
+    # everywhere and for NW at (2, 2); each corner takes the least (x, y,
+    # payload) of its nearest line.
+    small = CornerWeightedVertices((0, 4, 0, 4), [((1, 3), 9), ((3, 1), 2), ((2, 2), 7), ((2, 2), 4)])
+    box = (0, 4, 0, 4)
+    assert [_triple(small.nearest(box, c)) for c in CORNERS] == [(1, 3, 9), (3, 1, 2), (1, 3, 9), (1, 3, 9)]
+    small.remove(1, 3, 9)
+    assert [_triple(small.nearest(box, c)) for c in CORNERS] == [(2, 2, 4), (3, 1, 2), (2, 2, 4), (2, 2, 4)]
+    small.remove(2, 2, 4)
+    assert _triple(small.nearest(box, "NW")) == _triple(small.nearest(box, "NE")) == (2, 2, 7)
+    got = small.nearest(box, "NE", settled=True, skip=(2, 2, 7))
+    assert [_triple(h) for h in got] == [(1, 3, 9), (2, 2, 7)]
+
+    # Every point of a 5 x 5 grid, five of them twice under a second
+    # payload, with payloads in no coordinate order: every x + y line is an
+    # SW/NE tie and every y - x line an SE/NW tie, checked against a scan
+    # before and after each removal, live or settled, with a vertex skipped.
+    rng = random.Random(48)
+    triples = [(x, y, 0) for x in range(5) for y in range(5)]
+    triples += [(x, y, 1) for x, y in ((2, 2), (1, 3), (3, 1), (0, 4), (4, 4))]
+    payloads = list(range(len(triples)))
+    rng.shuffle(payloads)
+    verts = [(x, y, p * 2 + dup) for (x, y, dup), p in zip(triples, payloads)]
+    cw = CornerWeightedVertices(box, [((x, y), p) for x, y, p in verts])
+    live = list(verts)
+    order = list(verts)
+    rng.shuffle(order)
+    all_sides = list(itertools.product((False, True), repeat=4))
+    for gone in order + [None]:
+        for x1, x2, y1, y2 in itertools.product(range(5), repeat=4):
+            if x1 > x2 or y1 > y2 or rng.random() < 0.8:
+                continue
+            rect, sides = (x1, x2, y1, y2), rng.choice(all_sides)
+            for corner in CORNERS:
+                want_all = _scan(verts, rect, sides, corner)
+                want_live = _scan(live, rect, sides, corner)
+                assert _triple(cw.nearest(rect, corner, sides)) == want_live
+                skip = want_all if want_all is not None and rng.random() < 0.5 else rng.choice(verts)
+                got_all, got_live = cw.nearest(rect, corner, sides, settled=True, skip=skip)
+                assert _triple(got_all) == _scan([v for v in verts if v != skip], rect, sides, corner)
+                assert _triple(got_live) == want_live
+        if gone is not None:
+            cw.remove(*gone)
+            live.remove(gone)
+
+
+def test_vertex_index_on_a_bench_scene_vs_linear_scan():
+    # The 800 vertices of bench_scene(1, 400), removed in random order,
+    # under rects whose bounds sit on vertex coordinates, every openness,
+    # both views and a skipped vertex; reports checked every 16 removals.
+    sc = ScaledScene(bench_scene(1, 400))
+    pts = sorted({p for e in sc.edges for p in e.endpoints})
+    verts = [(x, y, i) for i, (x, y) in enumerate(pts)]
+    cw = CornerWeightedVertices(sc.bbox, [((x, y), i) for x, y, i in verts])
+    rng = random.Random(49)
+    all_sides = list(itertools.product((False, True), repeat=4))
+    live = set(verts)
+    order = list(verts)
+    rng.shuffle(order)
+    for step, gone in enumerate(order):
+        x1, x2 = sorted(rng.choice(verts)[0] for _ in range(2))
+        y1, y2 = sorted(rng.choice(verts)[1] for _ in range(2))
+        rect = (x1, x2, y1, y2)
+        for sides in all_sides if step % 16 == 0 else [rng.choice(all_sides)]:
+            inside_all = [v for v in verts if _in_rect(v[:2], rect, sides)]
+            inside_live = [v for v in inside_all if v in live]
+            for corner in CORNERS:
+                want_all = _scan(inside_all, rect, sides, corner)
+                want_live = _scan(inside_live, rect, sides, corner)
+                assert _triple(cw.nearest(rect, corner, sides)) == want_live
+                skip = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(verts)
+                got_all, got_live = cw.nearest(rect, corner, sides, settled=True, skip=skip)
+                assert _triple(got_all) == _scan([v for v in inside_all if v != skip], rect, sides, corner)
+                assert _triple(got_live) == want_live
+            if step % 16 == 0:
+                assert sorted(_triple(p) for p in cw.report(rect, sides)) == sorted(inside_live)
+        cw.remove(*gone)
+        live.discard(gone)
+    assert len(cw) == 0
