@@ -165,7 +165,7 @@ def _fast_plan_phases(scene):
     StopOracle(sc.edges)
     t2 = clock()
     verts = sorted({p for e in sc.edges for p in e.endpoints})
-    CornerWeightedVertices(sc.bbox, [(p, i) for i, p in enumerate(verts)])
+    CornerWeightedVertices([(p, i) for i, p in enumerate(verts)])
     t3 = clock()
     eng = _FastEngine(scene)
     t4 = clock()

@@ -134,7 +134,7 @@ class _Engine:
         self.dest = self.sc.dest
         verts = sorted({p for e in self.edges for p in e.endpoints})
         self.vert_payload = {p: i for i, p in enumerate(verts)}
-        self.drm = CornerWeightedVertices(self.bbox, [(p, i) for i, p in enumerate(verts)])
+        self.drm = CornerWeightedVertices([(p, i) for i, p in enumerate(verts)])
         self.labels: Dict[Tuple[int, int], Tuple[int, SrcNode]] = {}
         self.heap: List = []
         self.seq = 0
@@ -186,7 +186,8 @@ class _Engine:
         edge, plus wait fans at the piece endpoints."""
         e = self.edges[edge_idx]
         spans = self.stop.accessible_on(edge_idx, w.origin, w.t0)
-        assert len(spans) == 1  # the stab column is reached inside the window
+        if len(spans) != 1:  # the stab column is reached inside the window
+            raise AssertionError(f"cap edge {edge_idx} has {len(spans)} accessible spans, not one")
         alo, ahi = spans[0]
         rlo, rhi = (w.rect[0], w.rect[1]) if vertical_sweep else (w.rect[2], w.rect[3])
         alo, ahi = max(alo, rlo), min(ahi, rhi)

@@ -8,7 +8,10 @@ the open window (ta - w, td - w), w = s*L, and whose cross coordinate lies
 strictly inside the edge's span (passing an endpoint is always legal, as is
 crossing at the appearance or disappearance instant).  Minimizing w over the
 ranges containing the shadow point therefore yields the first blocking edge,
-and arrival = tau + w.
+and arrival = tau + w.  A perpendicular segment [a, b] dragged along the axis
+is stopped by the same edges with the cross test widened to the open overlap
+e.lo < b and e.hi > a, which for a == b is the ray's test; so every stop
+query is one :class:`~rectipath.rangeindex.RectStabber` query.
 
 Weights are floored strictly above s*u so edges behind the source (or sharing
 its line) never match.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .geometry import IntEdge
-from .rangeindex import RectStabber, WeightedRect, _SideRange
+from .rangeindex import RectStabber, WeightedRect
 
 DIRS = ("N", "S", "E", "W")
 
@@ -40,55 +43,34 @@ class StopHit:
 class StopOracle:
     """Direction-indexed first-blocking-edge queries over a fixed edge set.
 
-    Works in scaled integer units (vmax = 1).  Per direction it holds a
+    Works in scaled integer units (vmax = 1).  Per direction it holds one
     rectangle stabber over the shadow ranges (cross span and tau window both
-    open) for single rays, and two boundary-segment indexes for dragged
-    segments: one over the low cross ends of the ranges, one over the high
-    ends.  A drag over closed span [a, b] stops at an edge iff the open
-    overlap of the spans is nonempty, which splits into three indexable
-    cases: low end in [a, b), high end in (a, b], or the whole drag strictly
-    inside the edge span.
+    open) that answers rays and dragged segments alike.
     """
 
     def __init__(self, edges: Sequence[IntEdge]):
         self.edges = list(edges)
         self._stab = {}
-        self._lo_bounds = {}
-        self._hi_bounds = {}
         for d in DIRS:
             s, horizontal = _DIR_INFO[d]
-            rects, lo_segs, hi_segs = [], [], []
+            rects = []
             for i, e in enumerate(self.edges):
-                if e.horizontal != horizontal:
-                    continue
-                w = s * e.line
-                ta, td = e.ta - w, e.td - w
-                rects.append(WeightedRect(e.lo, e.hi, ta, td, w, i))
-                lo_segs.append((e.lo, ta, td, True, True, w, i, i))
-                hi_segs.append((e.hi, ta, td, True, True, w, i, i))
+                if e.horizontal == horizontal:
+                    w = s * e.line
+                    rects.append(WeightedRect(e.lo, e.hi, e.ta - w, e.td - w, w, i))
             self._stab[d] = RectStabber(rects)
-            self._lo_bounds[d] = _SideRange(lo_segs)
-            self._hi_bounds[d] = _SideRange(hi_segs)
-
-    def _src(self, p, t, d):
-        s, horizontal = _DIR_INFO[d]
-        cross, travel = (p[0], p[1]) if horizontal else (p[1], p[0])
-        return cross, s * travel, t - s * travel  # cross, floor, tau
-
-    def _hit(self, edge_index: int, cross: int, tau: int, d: str) -> StopHit:
-        s, horizontal = _DIR_INFO[d]
-        e = self.edges[edge_index]
-        arrival = tau + s * e.line
-        point = (cross, e.line) if horizontal else (e.line, cross)
-        return StopHit(edge_index, point, arrival)
 
     def stop_point(self, p, t, d: str) -> Optional[StopHit]:
         """First edge blocking a ray from p departing at time t toward d."""
-        cross, floor, tau = self._src(p, t, d)
+        s, horizontal = _DIR_INFO[d]
+        cross, travel = (p[0], p[1]) if horizontal else (p[1], p[0])
+        floor = s * travel
+        tau = t - floor
         r = self._stab[d].query((cross, tau), floor)
         if r is None:
             return None
-        return self._hit(r.payload, cross, tau, d)
+        line = self.edges[r.payload].line
+        return StopHit(r.payload, (cross, line) if horizontal else (line, cross), tau + r.weight)
 
     def stop_drag(self, lo: int, hi: int, line: int, t: int, d: str):
         """First edge blocking a perpendicular segment [lo, hi] on the given
@@ -98,28 +80,10 @@ class StopOracle:
         endpoint do not stop, so a drag is blocked only when the open overlap
         of the spans is nonempty; a degenerate drag is a single ray.
         """
-        s, horizontal = _DIR_INFO[d]
-        if lo == hi:
-            p = (lo, line) if horizontal else (line, lo)
-            h = self.stop_point(p, t, d)
-            return None if h is None else (h.edge_index, h.arrival)
-        floor = s * line
+        floor = _DIR_INFO[d][0] * line
         tau = t - floor
-        best = None
-        r = self._stab[d].query((lo, tau), floor)
-        if r is not None:
-            best = (r.weight, r.payload)
-        for idx, blo, bhi, olo, ohi in (
-            (0, lo, hi, False, True),
-            (1, lo, hi, True, False),
-        ):
-            side = self._lo_bounds[d] if idx == 0 else self._hi_bounds[d]
-            cand = side.query(blo, bhi, olo, ohi, tau, floor)
-            if cand is not None and (best is None or (cand[0], cand[1]) < best):
-                best = (cand[0], cand[1])
-        if best is None:
-            return None
-        return best[1], tau + best[0]
+        r = self._stab[d].query((lo, tau), floor, hi)
+        return None if r is None else (r.payload, tau + r.weight)
 
     def accessible_on(self, edge_index: int, src, t: int) -> List[Tuple[int, int]]:
         """Closed sub-intervals of the edge span reachable from (src, t) while

@@ -229,7 +229,7 @@ def test_criterion_7_range_structures_vs_linear_scan():
 
     for rep in range(1000):
         pts = sorted({(rng.randrange(0, 20), rng.randrange(0, 20)) for _ in range(rng.randrange(0, 24))})
-        cw = CornerWeightedVertices((0, 19, 0, 19), [(p, i) for i, p in enumerate(pts)])
+        cw = CornerWeightedVertices([(p, i) for i, p in enumerate(pts)])
         live = set(pts)
         for _ in range(rng.randrange(1, 30)):
             op = rng.random()

@@ -13,19 +13,22 @@ from rectipath.rangeindex import (
     RectEnvelope,
     RectStabber,
     WeightedRect,
-    _MinStabTree,
 )
 
 
 # ----- rectangle stabbing ---------------------------------------------------
 
 
-def brute_stab(rects, q, floor=None, x_open=False, y_open=False):
+def brute_stab(rects, q, floor=None, x_open=False, y_open=False, b=None):
+    """With b given, rectangles whose open x span meets [q[0], b] count."""
     best = None
     for r in rects:
         if floor is not None and r.weight <= floor:
             continue
-        inx = r.xlo < q[0] < r.xhi if x_open else r.xlo <= q[0] <= r.xhi
+        if b is not None:
+            inx = r.xlo < b and r.xhi > q[0]
+        else:
+            inx = r.xlo < q[0] < r.xhi if x_open else r.xlo <= q[0] <= r.xhi
         iny = r.ylo < q[1] < r.yhi if y_open else r.ylo <= q[1] <= r.yhi
         if inx and iny and (best is None or (r.weight, r.payload) < (best.weight, best.payload)):
             best = r
@@ -79,37 +82,16 @@ def test_rect_stab_random_vs_linear():
             assert (got is None) == (want is None)
             if got is not None:
                 assert (got.weight, got.payload) == (want.weight, want.payload)
-
-
-def test_min_stab_tree_vs_linear_scan():
-    # per-end openness, weight floors, repeated weights and stabs on, beside
-    # and between the interval ends, including fractional points
-    rng = random.Random(43)
-    h = Fraction(1, 2)
-    for rep in range(400):
-        entries = []
-        for i in range(rng.randrange(0, 20)):
-            lo, hi = sorted(rng.randrange(0, 25) for _ in range(2))
-            entries.append(
-                (lo, hi, rng.random() < 0.5, rng.random() < 0.5, rng.randrange(0, 6), rng.randrange(0, 9), i)
-            )
-        tree = _MinStabTree(entries)
-        qs = [rng.randrange(-2, 27) for _ in range(10)]
-        for e in entries[:6]:
-            qs += [e[0] - h, e[0], e[0] + h, e[1] - h, e[1], e[1] + h]
-        for q in qs:
-            floor = rng.choice([None, rng.randrange(0, 6)])
-            want = min(
-                (
-                    (w, pay, item)
-                    for lo, hi, lo_open, hi_open, w, pay, item in entries
-                    if (lo < q if lo_open else lo <= q)
-                    and (q < hi if hi_open else q <= hi)
-                    and (floor is None or w > floor)
-                ),
-                default=None,
-            )
-            assert tree.stab(q, floor) == want, (entries, q, floor)
+            # the closed x range [q[0], b], its far end on, beside or
+            # between rectangle bounds
+            if rects and rng.random() < 0.7:
+                b = rng.choice(rects).xhi if rng.random() < 0.5 else rng.choice(rects).xlo
+                b = max(q[0], b + rng.choice((-1, 0, 1)))
+            else:
+                b = q[0] + rng.randrange(0, 6)
+            got = st.query(q, floor, b)
+            want = brute_stab(rects, q, floor, y_open=True, b=b)
+            assert (None if got is None else got.payload) == (None if want is None else want.payload), (q, b)
 
 
 def _envelope_matches(rects, points):
@@ -186,10 +168,10 @@ def _nearest(cw, rect, corner):
 
 def test_nearest_vertex_examples():
     verts = [((1, 1), 0), ((2, 5), 1), ((6, 2), 2)]
-    cw = CornerWeightedVertices((0, 7, 0, 7), verts)
+    cw = CornerWeightedVertices(verts)
     assert _nearest(cw, (0, 7, 0, 7), "SW") == (1, 1)
     assert _nearest(cw, (0, 7, 0, 7), "NE") == (6, 2)
-    empty = CornerWeightedVertices((0, 7, 0, 7), [])
+    empty = CornerWeightedVertices([])
     assert _nearest(empty, (0, 7, 0, 7), "SW") is None
 
 
@@ -197,7 +179,7 @@ def test_nearest_vertex_tie_is_lexicographic():
     # (1,3) and (3,1) tie on SW distance; lexicographic (x, y) order decides,
     # provided payloads follow that order.
     verts = [((1, 3), 0), ((3, 1), 1)]
-    cw = CornerWeightedVertices((0, 9, 0, 9), verts)
+    cw = CornerWeightedVertices(verts)
     assert _nearest(cw, (0, 9, 0, 9), "SW") == (1, 3)
 
 
@@ -206,11 +188,10 @@ def test_nearest_vertex_translation_invariance():
     for rep in range(60):
         pts = sorted({(rng.randrange(0, 30), rng.randrange(0, 30)) for _ in range(10)})
         verts = [(p, i) for i, p in enumerate(pts)]
-        bbox = (-5, 35, -5, 35)
-        cw = CornerWeightedVertices(bbox, verts)
+        cw = CornerWeightedVertices(verts)
         dx, dy = rng.randrange(-50, 50), rng.randrange(-50, 50)
         shifted = [((x + dx, y + dy), i) for (x, y), i in verts]
-        cw2 = CornerWeightedVertices((-5 + dx, 35 + dx, -5 + dy, 35 + dy), shifted)
+        cw2 = CornerWeightedVertices(shifted)
         for corner in ("SW", "SE", "NW", "NE"):
             r = (2, 20, 4, 27)
             a = _nearest(cw, r, corner)
@@ -231,7 +212,7 @@ def test_nearest_vertex_brute_force():
     }
     for rep in range(150):
         pts = sorted({(rng.randrange(0, 30), rng.randrange(0, 30)) for _ in range(rng.randrange(1, 14))})
-        cw = CornerWeightedVertices((0, 30, 0, 30), [(p, i) for i, p in enumerate(pts)])
+        cw = CornerWeightedVertices([(p, i) for i, p in enumerate(pts)])
         for corner in ("SW", "SE", "NW", "NE"):
             x1, x2 = sorted(rng.randrange(0, 31) for _ in range(2))
             y1, y2 = sorted(rng.randrange(0, 31) for _ in range(2))
@@ -273,7 +254,7 @@ def test_index_under_removal_vs_linear_scan():
         pts = sorted({(rng.randrange(0, 24), rng.randrange(0, 24)) for _ in range(320)})
         assert len(pts) >= 200
         payload = {p: i for i, p in enumerate(pts)}
-        cw = CornerWeightedVertices((0, 23, 0, 23), list(payload.items()))
+        cw = CornerWeightedVertices(list(payload.items()))
         live = set(pts)
         order = list(pts)
         rng.shuffle(order)
@@ -339,7 +320,7 @@ def test_nearest_vertex_ties_on_both_diagonals():
     # Four vertices on x + y = 4, two of them at (2, 2): a tie for SW and NE
     # everywhere and for NW at (2, 2); each corner takes the least (x, y,
     # payload) of its nearest line.
-    small = CornerWeightedVertices((0, 4, 0, 4), [((1, 3), 9), ((3, 1), 2), ((2, 2), 7), ((2, 2), 4)])
+    small = CornerWeightedVertices([((1, 3), 9), ((3, 1), 2), ((2, 2), 7), ((2, 2), 4)])
     box = (0, 4, 0, 4)
     assert [_triple(small.nearest(box, c)) for c in CORNERS] == [(1, 3, 9), (3, 1, 2), (1, 3, 9), (1, 3, 9)]
     small.remove(1, 3, 9)
@@ -359,7 +340,7 @@ def test_nearest_vertex_ties_on_both_diagonals():
     payloads = list(range(len(triples)))
     rng.shuffle(payloads)
     verts = [(x, y, p * 2 + dup) for (x, y, dup), p in zip(triples, payloads)]
-    cw = CornerWeightedVertices(box, [((x, y), p) for x, y, p in verts])
+    cw = CornerWeightedVertices([((x, y), p) for x, y, p in verts])
     live = list(verts)
     order = list(verts)
     rng.shuffle(order)
@@ -389,7 +370,7 @@ def test_vertex_index_on_a_bench_scene_vs_linear_scan():
     sc = ScaledScene(bench_scene(1, 400))
     pts = sorted({p for e in sc.edges for p in e.endpoints})
     verts = [(x, y, i) for i, (x, y) in enumerate(pts)]
-    cw = CornerWeightedVertices(sc.bbox, [((x, y), i) for x, y, i in verts])
+    cw = CornerWeightedVertices([((x, y), i) for x, y, i in verts])
     rng = random.Random(49)
     all_sides = list(itertools.product((False, True), repeat=4))
     live = set(verts)

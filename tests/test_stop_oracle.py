@@ -1,6 +1,7 @@
 import random
 
-from rectipath.geometry import IntEdge
+from rectipath.geometry import IntEdge, ScaledScene
+from rectipath.oracle import bench_scene
 from rectipath.stopindex import DIRS, StopOracle
 
 
@@ -148,6 +149,35 @@ def test_stop_drag_matches_brute_force():
             assert (got is None) == (want is None), (edges, lo, hi, line, t, d)
             if got is not None:
                 assert got == (want[1], want[2])
+
+
+def test_stop_queries_on_a_bench_scene_vs_brute_force():
+    # About a hundred edges per direction, so the stabbers' bitsets span
+    # several 30-bit digits.  Rays and drags start on and beside edge ends
+    # and reach an edge ahead on and beside its window ends.
+    edges = ScaledScene(bench_scene(1, 200)).edges
+    so = StopOracle(edges)
+    rng = random.Random(50)
+    info = {"N": (1, True), "S": (-1, True), "E": (1, False), "W": (-1, False)}
+    for _ in range(3000):
+        d = rng.choice(DIRS)
+        sign, horiz = info[d]
+        e, e2 = (rng.choice([e for e in edges if e.horizontal == horiz]) for _ in range(2))
+        lo = rng.choice((e.lo, e.hi)) + rng.choice((-1, 0, 1))
+        gap = rng.choice((0, 0, 1, rng.randrange(1, 60)))
+        line = e.line - sign * gap
+        t = rng.choice((e.ta, e.td)) + rng.choice((-1, 0, 1)) - gap
+        p = (lo, line) if horiz else (line, lo)
+        got = so.stop_point(p, t, d)
+        want = brute_stop_point(edges, p, t, d)
+        assert (None if got is None else (got.edge_index, got.arrival)) == (
+            None if want is None else want[1:]
+        ), (p, t, d)
+        hi = rng.choice((e2.lo, e2.hi, lo + rng.randrange(0, 40))) + rng.choice((-1, 0, 1))
+        lo, hi = min(lo, hi), max(lo, hi)
+        got = so.stop_drag(lo, hi, line, t, d)
+        want = brute_stop_drag(edges, lo, hi, line, t, d)
+        assert got == (None if want is None else want[1:]), (lo, hi, line, t, d)
 
 
 def test_accessible_examples():
