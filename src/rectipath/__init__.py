@@ -1,7 +1,7 @@
 """Time-minimal rectilinear paths among transient axis-parallel segment obstacles."""
 
 from .engine import PlanResult, WaveletStats, naive_plan
-from .fast import fast_plan, wavelet_stats
+from .fast import fast_plan
 from .geometry import (
     Scene,
     TransientEdge,
@@ -27,7 +27,6 @@ from .spm import (
     build_spm,
     dump_spm,
     load_spm,
-    spm_query,
 )
 from .svg import render_svg
 
@@ -44,7 +43,6 @@ __all__ = [
     "naive_plan",
     "WitnessError",
     "fast_plan",
-    "wavelet_stats",
     "ParamsInfeasible",
     "oracle_plan",
     "oracle_arrivals",
@@ -59,7 +57,6 @@ __all__ = [
     "OutsideBoundingBox",
     "ShortestPathMap",
     "build_spm",
-    "spm_query",
     "dump_spm",
     "load_spm",
     "render_svg",

@@ -183,16 +183,14 @@ class _Engine:
 
     def _cap_pieces(self, w: PointWavelet, edge_idx: int, vertical_sweep: bool):
         """Accessible part of a fresh cap edge: one flat front waiting out the
-        edge, plus wait fans at the piece endpoints."""
+        edge, plus wait fans at the piece endpoints.  The cap stops the
+        origin's axis ray, so the accessible interval holds the origin's cross
+        coordinate, as does the region's side range: the piece is never empty.
+        """
         e = self.edges[edge_idx]
-        spans = self.stop.accessible_on(edge_idx, w.origin, w.t0)
-        if len(spans) != 1:  # the stab column is reached inside the window
-            raise AssertionError(f"cap edge {edge_idx} has {len(spans)} accessible spans, not one")
-        alo, ahi = spans[0]
+        alo, ahi = self.stop.accessible_on(edge_idx, w.origin, w.t0)
         rlo, rhi = (w.rect[0], w.rect[1]) if vertical_sweep else (w.rect[2], w.rect[3])
         alo, ahi = max(alo, rlo), min(ahi, rhi)
-        if alo > ahi:
-            return
         sx, sy = _DIAG_SIGNS[w.dir]
         if vertical_sweep:
             sd = "N" if sy > 0 else "S"
@@ -327,7 +325,8 @@ class _Engine:
             if stop_at_dest and self.dest in self.labels:
                 return
             key, rank, tie, seq, item = heapq.heappop(self.heap)
-            assert last_key is None or key >= last_key
+            if last_key is not None and key < last_key:
+                raise AssertionError(f"heap popped key {key} after {last_key}")
             last_key = key
             kind = item[0]
             if kind == "settle":

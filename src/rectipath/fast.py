@@ -39,7 +39,6 @@ from .engine import (
     _RANK_POINT,
     PlanResult,
     PointWavelet,
-    WaveletStats,
     _Engine,
     run_plan,
 )
@@ -85,7 +84,8 @@ def narrow(w1: PointWavelet, w2: PointWavelet):
     which entered the queue first) and the rectangles that remain of the
     other's region.
     """
-    assert w1.dir == w2.dir
+    if w1.dir != w2.dir:
+        raise ValueError(f"cannot narrow a {w1.dir} wavelet against a {w2.dir} one")
     r = _isect(w1.rect, w2.rect)
     if r[0] > r[1] or r[2] > r[3]:
         return None
@@ -152,7 +152,8 @@ class _FastEngine(_Engine):
                     # then, or this wavelet would requeue itself forever.
                     if res is not None and w.rect not in res[1]:
                         win, rects = res
-                        assert win is spawn
+                        if win is not spawn:
+                            raise AssertionError(f"wavelet beat the resident wavelet of settled {p}")
                         self.stats.narrows += 1
                         for rect in rects:
                             child = PointWavelet(
@@ -167,7 +168,8 @@ class _FastEngine(_Engine):
         prev = self.registry.get((v, w.dir))
         if prev is not None:
             resolved = narrow(prev, w)
-            assert resolved is not None  # both regions contain v
+            if resolved is None:  # both regions contain v
+                raise AssertionError(f"registered wavelet of {v} misses it")
             win, rects = resolved
             if win is w:
                 self.stats.narrows += 1
@@ -189,8 +191,3 @@ class _FastEngine(_Engine):
 def fast_plan(scene: Scene) -> PlanResult:
     """Same contract as naive_plan; narrowed propagation."""
     return run_plan(_FastEngine(scene))
-
-
-def wavelet_stats(scene: Scene) -> WaveletStats:
-    """Wavelet counts of a fast plan run (deterministic per scene)."""
-    return fast_plan(scene).stats

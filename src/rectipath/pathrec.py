@@ -33,12 +33,11 @@ start ("y") or takes the start out of row 1's entries ("x").  The cost is
 O((n + k) log n) for n edges in the box and k intervals touched, against the
 full columns x rows grid this replaces.
 
-A real wait must depart perpendicular to its host edge.  When every
-perpendicular-first staircase is blocked, the wait is slid along its host to
-the route's first corner: sliding on the host line is always free (an edge
-crossing the host line in its interior would intersect it, which valid scenes
-forbid), the relocated point is still on the host, and all later crossing
-times are unchanged.
+A robot that waited on an edge departs perpendicular to it: the wait point
+and its departure time are where and when the sweep spawned the wait's
+wavelets, so the hop out of it is the one forced staircase from there.  If
+that staircase does not exist, or the target lies on the host's own line,
+the hop raises instead of moving the wait or departing early.
 
 A chain that cannot be replayed, or a replay that misses its label's point
 or time, raises `WitnessError`; the checks do not depend on asserts.
@@ -127,7 +126,7 @@ def _replay(edges, item) -> List[Tri]:
     for step in reversed(todo):
         kind, node = step[0], step[1]
         if kind == "wait":
-            _staircase(edges, tris, node.point, host=_host_of(node.parent), flex=True)
+            _staircase(edges, tris, node.point, host=_host_of(node.parent))
             if tris[-1][1] > node.time:
                 raise WitnessError(f"wait point {node.point} reached after its host vanished")
             tris[-1][2] = node.time
@@ -138,7 +137,7 @@ def _replay(edges, item) -> List[Tri]:
                 raise WitnessError(f"replay reaches {tris[-1][0]}@{tris[-1][1]}, label {node.point}@{node.time}")
         elif kind == "piece":
             target = _on_line(node, step[2], node.line)
-            _staircase(edges, tris, target, host=_host_of(node.parent), flex=True)
+            _staircase(edges, tris, target, host=_host_of(node.parent))
             if tris[-1][1] > node.key:
                 raise WitnessError(f"piece point {target} reached after its edge vanished")
         else:  # front: depart the front's line and cross to the target line
@@ -156,54 +155,24 @@ def _on_line(seg, cross, pv):
     return (cross, pv) if seg.dir in ("N", "S") else (pv, cross)
 
 
-def _staircase(edges, tris, target, host=None, flex=False):
+def _staircase(edges, tris, target, host=None):
     """Extend tris with a full-speed monotone staircase to target, departing
     at the tail's depart time.  host: edge index if the tail is a wait point
-    there (forces a perpendicular first move).  flex: the target's arrival
-    time is an upper bound, so departing early (skipping the wait) is fine.
+    there; a tail that waited (arrive < depart) must first move
+    perpendicular to the host, so a target on the host's line has no route.
     """
-    p0 = tris[-1][0]
-    t0 = tris[-1][2]
+    p0, arrive0, t0 = tris[-1]
     if target == p0:
         return
-    arrive0 = tris[-1][1]
-    waiting = host is not None and arrive0 < t0
     forced = None
-    if waiting:
+    if host is not None and arrive0 < t0:
         forced = "y" if edges[host].horizontal else "x"
-        if forced == "y" and target[1] == p0[1]:
-            forced = "z"
-        elif forced == "x" and target[0] == p0[0]:
-            forced = "z"
-    if forced != "z":
-        corners = _route(edges, p0, t0, target, forced)
-        if corners is not None:
-            _emit(tris, corners, t0)
-            return
-    if flex:
-        corners = _route(edges, p0, arrive0, target, None)
-        if corners is not None:
-            tris[-1][2] = arrive0
-            _emit(tris, corners, arrive0)
-            return
-    if not waiting:
-        raise WitnessError(f"no staircase {p0}@{t0} -> {target}: unforced staircase must exist for a sound claim")
-    corners = _route(edges, p0, t0, target, None)
+    # _route's straight moves ignore forced, so the host's line is ruled out here
+    on_host_line = (forced == "y" and target[1] == p0[1]) or (forced == "x" and target[0] == p0[0])
+    corners = None if on_host_line else _route(edges, p0, t0, target, forced)
     if corners is None:
-        raise WitnessError(f"no staircase {p0}@{t0} -> {target} after the wait")
-    c1 = corners[0]
-    e = edges[host]
-    slide = abs(c1[0] - p0[0]) + abs(c1[1] - p0[1])
-    on_host = (
-        c1[1] == p0[1] and e.lo <= c1[0] <= e.hi
-        if e.horizontal
-        else c1[0] == p0[0] and e.lo <= c1[1] <= e.hi
-    )
-    if not on_host or arrive0 + slide > t0:
-        raise WitnessError(f"wait relocation failed: {p0} to {c1} along edge {host}")
-    tris[-1][2] = arrive0
-    tris.append([c1, arrive0 + slide, t0])
-    _emit(tris, corners[1:], t0)
+        raise WitnessError(f"no staircase {p0}@{t0} -> {target}")
+    _emit(tris, corners, t0)
 
 
 def _emit(tris, corners, t):

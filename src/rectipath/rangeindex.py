@@ -292,7 +292,6 @@ class CornerWeightedVertices:
     def __init__(self, vertices):
         pts = sorted((x, y, payload) for (x, y), payload in vertices)
         self.index = {p: i for i, p in enumerate(pts)}
-        self.live_count = len(pts)
         self.xs = [p[0] for p in pts]
         y_order = sorted(range(len(pts)), key=lambda i: (pts[i][1], i))
         self.ys = [pts[i][1] for i in y_order]
@@ -306,15 +305,11 @@ class CornerWeightedVertices:
             "NW": (self.minus, self.minus.start),
         }
 
-    def __len__(self):
-        return self.live_count
-
     def remove(self, x, y, payload) -> None:
         """Take a vertex out of the live set."""
         i = self.index.get((x, y, payload))
         if i is None or not self.plus.live >> self.plus.rank[i] & 1:
             raise DeleteMissing((x, y, payload))
-        self.live_count -= 1
         for space in (self.plus, self.minus):
             space.live &= ~(1 << space.rank[i])
 

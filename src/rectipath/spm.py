@@ -183,11 +183,6 @@ def build_spm(scene: Scene) -> ShortestPathMap:
     return ShortestPathMap(scene, _harvest(eng.trace))
 
 
-def spm_query(spm: ShortestPathMap, q):
-    """Arrival time and witness path at q.  Raises OutsideBoundingBox."""
-    return spm.query(q)
-
-
 # -- serialization ----------------------------------------------------------
 
 

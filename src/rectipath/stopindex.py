@@ -22,7 +22,7 @@ Built once per scene from integer-scaled edges; all queries are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .geometry import IntEdge
 from .rangeindex import RectStabber, WeightedRect
@@ -85,30 +85,21 @@ class StopOracle:
         r = self._stab[d].query((lo, tau), floor, hi)
         return None if r is None else (r.payload, tau + r.weight)
 
-    def accessible_on(self, edge_index: int, src, t: int) -> List[Tuple[int, int]]:
-        """Closed sub-intervals of the edge span reachable from (src, t) while
+    def accessible_on(self, edge_index: int, src, t: int) -> Tuple[int, int]:
+        """Closed part (lo, hi) of the edge span reachable from (src, t) while
         the edge exists, assuming unobstructed L1 travel.
 
-        Arrival at cross coordinate c is t + |c - src_cross| + |line - src_travel|;
-        the closed window [ta, td] admits |c - src_cross| in [L, R], which is one
-        interval when L = 0 and a symmetric pair otherwise.
+        The edge must stop the axis ray from (src, t) toward it: the ray meets
+        the edge's line at time base = t + |line - src_travel| inside the open
+        window (ta, td), strictly inside the span.  Arrival at cross
+        coordinate c is base + |c - src_cross|, so the closed window admits
+        |c - src_cross| <= td - base: one interval around src_cross.  A call
+        for an edge that does not stop the ray raises ValueError.
         """
         e = self.edges[edge_index]
         cross, travel = (src[0], src[1]) if e.horizontal else (src[1], src[0])
         base = t + abs(e.line - travel)
+        if not (e.ta < base < e.td and e.lo < cross < e.hi):
+            raise ValueError(f"edge {edge_index} does not stop the axis ray from {src}@{t}")
         r = e.td - base
-        if r < 0:
-            return []
-        l = max(e.ta - base, 0)
-        if l > r:
-            return []
-        if l == 0:
-            spans = [(cross - r, cross + r)]
-        else:
-            spans = [(cross - r, cross - l), (cross + l, cross + r)]
-        out = []
-        for a, b in spans:
-            a, b = max(a, e.lo), min(b, e.hi)
-            if a <= b:
-                out.append((a, b))
-        return out
+        return max(cross - r, e.lo), min(cross + r, e.hi)

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from rectipath.engine import naive_plan
-from rectipath.fast import fast_plan, wavelet_stats
+from rectipath.fast import fast_plan
 from rectipath.geometry import validate_path
 from rectipath.oracle import bench_scene, oracle_arrivals, oracle_plan, random_scene
 from rectipath.rangeindex import CornerWeightedVertices, RectEnvelope, RectStabber, WeightedRect
@@ -99,7 +99,7 @@ def test_criterion_4_linear_point_wavelet_count():
     for n in (50, 100, 200, 400, 800):
         cm = max(60, 3 * n)
         counts = [
-            wavelet_stats(random_scene(seed, n, coord_max=cm, time_max=2 * cm, max_len=20)).point_wavelets
+            fast_plan(random_scene(seed, n, coord_max=cm, time_max=2 * cm, max_len=20)).stats.point_wavelets
             for seed in seeds
         ]
         ratios[n] = statistics.fmean(counts) / n

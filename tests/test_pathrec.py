@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from rectipath.geometry import ScaledScene, Scene, validate_path
+from rectipath.geometry import IntEdge, ScaledScene, Scene, validate_path
 from rectipath.oracle import bench_scene, random_scene
-from rectipath.pathrec import _move_ok, _route
+from rectipath.pathrec import WitnessError, _move_ok, _route, _staircase
 from rectipath.spm import build_spm
 
 
@@ -148,6 +148,26 @@ def test_route_agrees_with_the_grid_reference(seed):
                     found += 1
                     _check_staircase(edges, a, t0, b, forced, got)
     assert found and missed  # both outcomes are exercised
+
+
+def test_a_wait_departs_perpendicular_to_its_host():
+    # The robot sat at (5, 5), the east end of edge 0, from time 10 to 20.
+    # It leaves north first.  Where only an east-first staircase exists (the
+    # wall at x = 7 appears at 22, so only a crossing at y = 5 passes), or
+    # the target is on the host's own line, the hop raises instead of
+    # leaving sideways or early.
+    host = IntEdge(id=0, horizontal=True, line=5, lo=-5, hi=5, ta=0, td=20)
+    wall = IntEdge(id=1, horizontal=False, line=7, lo=3, hi=9, ta=22, td=30)
+    tris = [[(5, 5), 10, 20]]
+    _staircase([host], tris, (8, 7), host=0)
+    assert tris[1][0] == (5, 7) and tris[-1] == [(8, 7), 25, 25]
+    for edges, target in (([host, wall], (8, 7)), ([host], (8, 5)), ([host], (2, 5))):
+        with pytest.raises(WitnessError, match="no staircase"):
+            _staircase(edges, [[(5, 5), 10, 20]], target, host=0)
+    assert _route([host, wall], (5, 5), 20, (8, 7), None) is not None
+    tris = [[(5, 5), 20, 20]]  # no wait, so any first axis
+    _staircase([host, wall], tris, (8, 7), host=0)
+    assert tris[-1] == [(8, 7), 25, 25]
 
 
 def _serve_lattice(scene, seed, side=28):

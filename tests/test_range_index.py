@@ -289,7 +289,7 @@ def test_index_under_removal_vs_linear_scan():
                     assert sorted((p.x, p.y) for p in cw.report(rect, s)) == want_pts
             cw.remove(gone[0], gone[1], payload[gone])
             live.discard(gone)
-            assert len(cw) == len(live)
+            assert sorted((p.x, p.y) for p in cw.report((-1, 25, -1, 25))) == sorted(live)
         with pytest.raises(DeleteMissing):
             cw.remove(gone[0], gone[1], payload[gone])
         assert cw.nearest((0, 23, 0, 23), "SW") is None
@@ -395,4 +395,5 @@ def test_vertex_index_on_a_bench_scene_vs_linear_scan():
                 assert sorted(_triple(p) for p in cw.report(rect, sides)) == sorted(inside_live)
         cw.remove(*gone)
         live.discard(gone)
-    assert len(cw) == 0
+    xs, ys = [v[0] for v in verts], [v[1] for v in verts]
+    assert cw.report((min(xs), max(xs), min(ys), max(ys))) == []

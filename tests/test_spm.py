@@ -21,7 +21,6 @@ from rectipath.spm import (
     build_spm,
     dump_spm,
     load_spm,
-    spm_query,
 )
 
 
@@ -80,7 +79,7 @@ def test_matches_oracle_on_random_scenes():
         qs = [(rng.randint(xlo, xhi), rng.randint(ylo, yhi)) for _ in range(20)]
         want = oracle_arrivals(scene, qs)
         for q, w in zip(qs, want):
-            t, path = spm_query(m, q)
+            t, path = m.query(q)
             assert t == w
             assert validate_path(_retarget(scene, q), path, t).ok
 
@@ -104,7 +103,7 @@ def test_terminals_on_edge_endpoints():
             xlo, xhi, ylo, yhi = _hull(scene)
             qs = [scene.dest] + [(rng.randint(xlo, xhi), rng.randint(ylo, yhi)) for _ in range(15)]
             for q, w in zip(qs, oracle_arrivals(scene, qs)):
-                t, path = spm_query(m, q)
+                t, path = m.query(q)
                 assert t == w, (seed, scene.source, scene.dest, q)
                 assert validate_path(_retarget(scene, q), path, t).ok, (seed, scene.source, scene.dest, q)
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from rectipath.geometry import IntEdge, ScaledScene
 from rectipath.oracle import bench_scene
 from rectipath.stopindex import DIRS, StopOracle
@@ -181,39 +183,58 @@ def test_stop_queries_on_a_bench_scene_vs_brute_force():
 
 
 def test_accessible_examples():
+    # asked only for an edge that stops the axis ray from the source
     so = StopOracle([hedge(0, -5, 5, 5, 0, 20)])
-    assert so.accessible_on(0, (0, 0), 0) == [(-5, 5)]
+    assert so.accessible_on(0, (0, 0), 0) == (-5, 5)
     so = StopOracle([hedge(0, -5, 5, 5, 0, 7)])
-    assert so.accessible_on(0, (0, 0), 0) == [(-2, 2)]
-    so = StopOracle([hedge(0, -5, 5, 5, 6, 7)])
-    assert so.accessible_on(0, (0, 0), 0) == [(-2, -1), (1, 2)]
-    so = StopOracle([hedge(0, -5, 5, 5, 0, 4)])
-    assert so.accessible_on(0, (0, 0), 0) == []
+    assert so.accessible_on(0, (0, 0), 0) == (-2, 2)
+    for e, src in (
+        (hedge(0, -5, 5, 5, 6, 7), (0, 0)),  # the ray passes before it appears
+        (hedge(0, -5, 5, 5, 0, 4), (0, 0)),  # ... or after it vanished
+        (hedge(0, -5, 5, 5, 0, 5), (0, 0)),  # ... or at the vanishing instant
+        (hedge(0, 0, 5, 5, 0, 20), (0, 0)),  # ... or through its tip
+    ):
+        so = StopOracle([e])
+        assert so.stop_point(src, 0, "N") is None
+        with pytest.raises(ValueError):
+            so.accessible_on(0, src, 0)
 
 
 def test_accessible_window_is_closed():
-    so = StopOracle([hedge(0, -9, 9, 5, 8, 11)])
-    # base arrival 5; |c| between 3 and 6, both ends inclusive
-    assert so.accessible_on(0, (0, 0), 0) == [(-6, -3), (3, 6)]
-    so = StopOracle([hedge(0, -9, 9, 5, 8, 8)])
-    # degenerate: IntEdge allows ta == td here even though scenes forbid it
-    assert so.accessible_on(0, (0, 0), 0) == [(-3, -3), (3, 3)]
+    so = StopOracle([hedge(0, -9, 9, 5, 2, 8)])
+    # base arrival 5; |c| up to 3, reached exactly at the disappearance
+    assert so.accessible_on(0, (0, 0), 0) == (-3, 3)
+    # clipped to the span on one side only
+    assert so.accessible_on(0, (7, 0), 0) == (4, 9)
+    so = StopOracle([vedge(0, -9, 9, -4, 0, 12)])
+    assert so.accessible_on(0, (0, 1), 3) == (-4, 6)
 
 
 def test_accessible_matches_pointwise_scan():
+    # every ray stop_point reports as blocked: the interval is exactly the
+    # span columns reached inside the closed window; every other ray raises
     rng = random.Random(48)
-    for rep in range(300):
+    blocked = 0
+    for rep in range(800):
         e = random_edges(rng, 1)[0]
         so = StopOracle([e])
-        p = (rng.randrange(-22, 22), rng.randrange(-22, 22))
-        t = rng.randrange(0, 50)
-        spans = so.accessible_on(0, p, t)
-        cross, travel = (p[0], p[1]) if e.horizontal else (p[1], p[0])
+        cross = rng.randrange(e.lo - 1, e.hi + 2)
+        gap = rng.randrange(1, 12)
+        travel = e.line + rng.choice((-gap, gap))
+        p = (cross, travel) if e.horizontal else (travel, cross)
+        t = max(0, e.ta - gap + rng.randrange(-3, e.td - e.ta + 4))  # near the window
+        d = ("N" if travel < e.line else "S") if e.horizontal else ("E" if travel < e.line else "W")
+        if so.stop_point(p, t, d) is None:
+            with pytest.raises(ValueError):
+                so.accessible_on(0, p, t)
+            continue
+        blocked += 1
+        lo, hi = so.accessible_on(0, p, t)
         for c in range(e.lo - 1, e.hi + 2):
-            member = any(a <= c <= b for a, b in spans)
             arrival = t + abs(c - cross) + abs(e.line - travel)
             want = e.lo <= c <= e.hi and e.ta <= arrival <= e.td
-            assert member == want, (e, p, t, c, spans)
+            assert (lo <= c <= hi) == want, (e, p, t, c, (lo, hi))
+    assert blocked >= 150  # 207 of the 800 rays
 
 
 def test_stop_drag_examples():
