@@ -16,9 +16,12 @@ import gc
 import json
 import os
 import platform
+import random
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from typing import List, Optional
 
@@ -29,7 +32,16 @@ from .oracle import bench_scene, oracle_plan, random_scene
 from .pathrec import build_path
 from .rangeindex import CornerWeightedVertices
 from .scenario import ScenarioError, load_scene, _enc_num
-from .spm import OutsideBoundingBox, _spm_from_dict, _spm_to_dict, build_spm, dump_spm
+from .spm import (
+    OutsideBoundingBox,
+    ShortestPathMap,
+    _harvest,
+    _spm_from_dict,
+    _spm_to_dict,
+    build_spm,
+    dump_spm,
+    load_spm,
+)
 from .stopindex import StopOracle
 from .svg import render_svg
 
@@ -184,11 +196,57 @@ def _fast_plan_phases(scene):
     }, eng
 
 
+def _map_phases(scene, points, file):
+    """Wall seconds of each layer of one build_spm run, per query of an
+    arrival and a witness pass over points, and of a dump to file and a
+    load back; and the map."""
+    clock = time.perf_counter
+    t = [clock()]
+    eng = _FastEngine(scene, trace=True)
+    eng.run(stop_at_dest=False)
+    t.append(clock())
+    cells = _harvest(eng.trace)
+    t.append(clock())
+    m = ShortestPathMap(eng.sc, cells)
+    t.append(clock())
+    for ask in (m.arrival, m.query):
+        for q in points:
+            ask(q)
+        t.append(clock())
+    dump_spm(m, file)
+    t.append(clock())
+    load_spm(file)
+    t.append(clock())
+    names = ("sweep", "harvest", "index", "arrival", "witness", "dump", "load")
+    seconds = {k: b - a for k, a, b in zip(names, t, t[1:])}
+    seconds["arrival"] /= len(points)
+    seconds["witness"] /= len(points)
+    return seconds, m
+
+
+def _medians(runs, phases, *args):
+    """Median seconds per layer of runs calls of phases(*args), collector
+    off, and what the last call built."""
+    samples = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(runs):
+            seconds, built = phases(*args)
+            samples.append(seconds)
+    finally:
+        gc.enable()
+    return {k: statistics.median(s[k] for s in samples) for k in seconds}, built
+
+
 def _bench_json(sizes, seed, path) -> None:
     runs = 5
     out = {
-        "version": 1,
-        "what": "fast_plan on bench_scene(seed, n): median wall seconds per layer of %d runs, collector off" % runs,
+        "version": 2,
+        "what": (
+            "fast_plan and build_spm on bench_scene(seed, n): median wall seconds per layer of %d runs, "
+            "collector off; map arrival and witness seconds are per query over a seeded lattice" % runs
+        ),
         "seed": seed,
         "machine": {
             "python": "%s %s" % (platform.python_implementation(), platform.python_version()),
@@ -200,25 +258,37 @@ def _bench_json(sizes, seed, path) -> None:
     }
     for n in sizes:
         scene = bench_scene(seed, n)
-        samples = []
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(runs):
-                seconds, eng = _fast_plan_phases(scene)
-                samples.append(seconds)
-        finally:
-            gc.enable()
+        seconds, eng = _medians(runs, _fast_plan_phases, scene)
+        # a seeded 20 x 20 lattice of integer points of the scaled box
+        rng, (xlo, xhi, ylo, yhi) = random.Random(seed), eng.sc.bbox
+        xs, ys = (sorted(rng.randint(lo, hi) for _ in range(20)) for lo, hi in ((xlo, xhi), (ylo, yhi)))
+        points = [eng.sc.point_out((x, y)) for x in xs for y in ys]
+        with tempfile.TemporaryDirectory() as tmp:
+            file = os.path.join(tmp, "map.json")
+            map_seconds, m = _medians(runs, _map_phases, scene, points, file)
+            file_kib = os.path.getsize(file) / 1024
+        tracemalloc.start()
+        index = ShortestPathMap(m.sc, m.cells)
+        index_mib = tracemalloc.get_traced_memory()[0] / 2**20
+        tracemalloc.stop()
+        del index
         out["sizes"].append(
             {
                 "n": n,
                 "vertices": len(eng.vert_payload),
                 "arrival": str(eng.sc.time_out(eng.labels[eng.dest][0])),
-                "seconds": {k: statistics.median(s[k] for s in samples) for k in seconds},
+                "seconds": seconds,
                 "counters": dataclasses.asdict(eng.stats),
+                "map": {
+                    "cells": len(m.cells),
+                    "queries": len(points),
+                    "seconds": map_seconds,
+                    "file_kib": file_kib,
+                    "index_mib": index_mib,
+                },
             }
         )
-        print("n=%d plan %.3f s" % (n, out["sizes"][-1]["seconds"]["plan"]))
+        print("n=%d plan %.3f s, map sweep %.3f s" % (n, seconds["plan"], map_seconds["sweep"]))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
@@ -292,7 +362,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("bench", help="wavelet counts and wall time per algorithm")
     sp.add_argument("--sizes", required=True, help="comma-separated edge counts")
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--json", help="time fast_plan per layer instead and write the medians here")
+    sp.add_argument("--json", help="time fast_plan and build_spm per layer instead and write the medians here")
     sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("render", help="SVG of scene and path on stdout")

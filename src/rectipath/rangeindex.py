@@ -1,28 +1,24 @@
 """Static and dynamic min-weight range queries used by the planners and the map.
 
-Three structures:
+Two structures:
 
-* :class:`RectStabber` -- static set of weighted rectangles with open
-  bounds, query = minimum weight rectangle whose interior meets a point or
-  a closed horizontal segment, optionally restricted to weights strictly
-  above a floor (every stop query of the stop oracle).
-* :class:`RectEnvelope` -- minimum weight closed rectangle holding a point,
-  with no floor, answered from the rectangles' lower envelope painted at
-  build time (the map's point location).
+* :class:`RectStabber` -- static set of weighted closed rectangles, query =
+  minimum weight rectangle holding a point or meeting a closed horizontal
+  segment, optionally restricted to weights strictly above a floor.  It
+  answers every stop query of the stop oracle (whose open shadow windows it
+  stores as closed integer rectangles) and the map's point location.
 * :class:`CornerWeightedVertices` -- a fixed vertex set under deletion, query
   = vertex in a rectangle nearest one of its corners, among the live vertices
   or among all of them, the latter optionally leaving out one vertex.
 
-The envelope is a bottom-up segment tree over elementary x pieces whose
-query walks from one leaf to the root with a binary search per node.  The
-stabber and the vertex lookup keep their items as bits of Python ints
-instead: the stabber one prefix bitset per position of four sorted orders
-of its R rectangles, the vertex lookup one per position of the x and of
-the y order in each of two rank spaces (:class:`_RankSpace`) of its V
-points.  A query costs four binary searches and a few big-int operations
-on R or V bits, a deletion two such operations.  An order of N items
-keeps N + 1 prefixes, each about as long as the highest rank it holds, so
-nearly N bits: about N^2 / 8 bytes as CPython ints.
+Both keep their items as bits of Python ints: the stabber one prefix
+bitset per distinct key of four sorted orders of its R rectangles, the
+vertex lookup one per position of the x and of the y order in each of two
+rank spaces (:class:`_RankSpace`) of its V points.  A query costs four
+binary searches and a few big-int operations on R or V bits, a deletion
+two such operations.  An order of N items keeps up to N + 1 prefixes, each
+about as long as the highest rank it holds, so nearly N bits: up to about
+N^2 / 8 bytes as CPython ints.
 Weight ties break by payload id, which callers choose to make results
 deterministic.
 """
@@ -34,7 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedRect:
     xlo: int
     xhi: int
@@ -53,108 +49,6 @@ class Vertex:
 
 class DeleteMissing(KeyError):
     """Raised when removing a vertex that is not live."""
-
-
-# ---------------------------------------------------------------------------
-# Elementary-piece segment trees
-# ---------------------------------------------------------------------------
-#
-# For sorted distinct coordinates c_0 < ... < c_{m-1}, piece 2i+1 is the
-# singleton [c_i] and the even pieces are the open gaps around them (piece 0
-# is (-inf, c_0), piece 2m is (c_{m-1}, +inf)).  Intervals with endpoints in
-# the coordinate set map exactly onto runs of pieces; an open end just drops
-# its boundary singleton.
-
-
-def _spread(buckets, a, b, val) -> None:
-    """Append val to buckets[v] (a dict of lists) for the canonical nodes v
-    of leaf range [a, b) of a bottom-up segment tree; a leaf's ancestors are
-    exactly the canonical nodes of every range that holds it."""
-    while a < b:
-        if a & 1:
-            buckets.setdefault(a, []).append(val)
-            a += 1
-        if b & 1:
-            b -= 1
-            buckets.setdefault(b, []).append(val)
-        a >>= 1
-        b >>= 1
-
-
-class RectEnvelope:
-    """Minimum (weight, payload) closed rectangle containing a query point.
-
-    A bottom-up segment tree over the elementary x pieces whose every node
-    stores its rectangles' lower envelope along y.  The rectangles are
-    ranked once by (weight, payload) and sent to their canonical nodes in
-    rank order, so each node sees them sorted; a node then paints its y pieces, the first painter of a piece
-    winning it, and keeps its sorted y breakpoints plus one winning rank per
-    piece.  A query bisects x once for its leaf and walks up to the root
-    with one y bisect per node, keeping the smallest rank: O(log^2 n) plain
-    comparisons.  No weight floor and no open bounds.
-    """
-
-    __slots__ = ("rects", "xs", "base", "nodes")
-
-    def __init__(self, rects):
-        rects = sorted(rects, key=lambda r: (r.weight, r.payload))
-        self.rects = rects
-        xs = sorted({r.xlo for r in rects} | {r.xhi for r in rects})
-        self.xs = xs
-        xpos = {x: i for i, x in enumerate(xs)}
-        # bottom-up segment tree over the 2m+1 x pieces: leaf of piece p is
-        # base + p, so a query walks up from its leaf (see _spread)
-        self.base = base = 2 * len(xs) + 1
-        buckets = {}
-        for rank, r in enumerate(rects):
-            _spread(buckets, base + 2 * xpos[r.xlo] + 1, base + 2 * xpos[r.xhi] + 2, rank)
-        none = len(rects)
-        nodes: List[Optional[tuple]] = [None] * (2 * base)
-        for v, ranks in buckets.items():
-            spans = [(rects[k].ylo, rects[k].yhi) for k in ranks]
-            ys = sorted({y for span in spans for y in span})
-            ypos = {y: i for i, y in enumerate(ys)}
-            # piece 2i+1 is the singleton ys[i], piece 2i the gap below it;
-            # closed spans only paint pieces 1 .. 2m-1
-            win = [none] * (2 * len(ys))
-            nxt = list(range(2 * len(ys)))  # next unpainted piece at or after
-            nxt.append(len(nxt))
-            left = len(win) - 1
-            for k, (ylo, yhi) in zip(ranks, spans):
-                p, last = 2 * ypos[ylo] + 1, 2 * ypos[yhi] + 1
-                while True:
-                    while nxt[p] != p:
-                        nxt[p] = nxt[nxt[p]]
-                        p = nxt[p]
-                    if p > last:
-                        break
-                    win[p] = k
-                    nxt[p] = p + 1
-                    left -= 1
-                if not left:
-                    break
-            nodes[v] = (ys, win)
-        self.nodes = nodes
-
-    def query(self, q) -> Optional[WeightedRect]:
-        """Minimum (weight, payload) stored rectangle containing q, or None."""
-        qx, qy = q
-        xs = self.xs
-        j = bisect_left(xs, qx)
-        v = self.base + 2 * j + (j < len(xs) and xs[j] == qx)
-        nodes = self.nodes
-        best = none = len(self.rects)
-        while v:
-            node = nodes[v]
-            if node is not None:
-                ys, win = node
-                k = bisect_left(ys, qy)
-                if k < len(ys):
-                    r = win[2 * k + (ys[k] == qy)]
-                    if r < best:
-                        best = r
-            v >>= 1
-        return None if best == none else self.rects[best]
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +75,24 @@ def _prefixes(ranks) -> List[int]:
     return out
 
 
+def _key_prefixes(keyed) -> Tuple[list, List[int]]:
+    """Sorted distinct keys and their prefixes from (key, rank) pairs sorted
+    by key: out[j] has the bits of the ranks whose key is at most the j-th
+    distinct key (out[0] none), so out[bisect_right(keys, v)] holds those
+    of key at most v."""
+    keys: list = []
+    out = [0]
+    acc = 0
+    for key, r in keyed:
+        acc |= 1 << r
+        if keys and keys[-1] == key:
+            out[-1] = acc
+        else:
+            keys.append(key)
+            out.append(acc)
+    return keys, out
+
+
 def _pick(bits, by_rank, start):
     """by_rank at the lowest set bit of bits, or None if there is none; with
     ``start`` given, at the lowest set bit of the highest group instead."""
@@ -192,16 +104,19 @@ def _pick(bits, by_rank, start):
 
 
 class RectStabber:
-    """Minimum-weight rectangle whose open interior meets a query.
+    """Minimum-weight closed rectangle holding a point or meeting a
+    horizontal segment.
 
-    Built once from :class:`WeightedRect` items; bounds are open on both
-    axes.  The rectangles are ranked by (weight, payload), input order
-    breaking the last ties, and each is one bit of a Python int.  Each of
-    the four conditions ``xlo < b``, ``xhi > a``, ``ylo < y`` and ``yhi >
-    y`` holds on a prefix of one sorted order of the rectangles, so one
-    prefix bitset per order (:func:`_prefixes`) gives its rectangles by one
-    bisect.  A query ANDs the four prefixes and shifts out the ranks of
-    weight up to the floor; the lowest set bit left is the answer.
+    Built once from :class:`WeightedRect` items.  The rectangles are ranked
+    by (weight, payload), input order breaking the last ties, and each is
+    one bit of a Python int.  Each of the four conditions ``xlo <= b``,
+    ``xhi >= a``, ``ylo <= y`` and ``yhi >= y`` holds on a prefix of one
+    sorted order of the rectangles, and a bisect_right of the bound always
+    ends that prefix at the end of a run of equal keys; so each order keeps
+    its sorted distinct keys and one prefix bitset per distinct key
+    (:func:`_key_prefixes`).  A query ANDs the four prefixes and shifts out
+    the ranks of weight up to the floor; the lowest set bit left is the
+    answer.
     """
 
     __slots__ = ("rects", "weights", "keys", "prefixes")
@@ -212,31 +127,30 @@ class RectStabber:
         self.weights = [r.weight for r in rects]
         self.keys = []
         self.prefixes = []
-        # conditions xlo < b, -xhi < -a, ylo < y and -yhi < -y, each
-        # holding on the first bisect_left(keys, bound) ranks of its order
+        # conditions xlo <= b, -xhi <= -a, ylo <= y and -yhi <= -y
         for key in (
-            lambda r: r.xlo,
-            lambda r: -r.xhi,
-            lambda r: r.ylo,
-            lambda r: -r.yhi,
+            [r.xlo for r in rects],
+            [-r.xhi for r in rects],
+            [r.ylo for r in rects],
+            [-r.yhi for r in rects],
         ):
-            order = sorted(range(len(rects)), key=lambda k: key(rects[k]))
-            self.keys.append([key(rects[k]) for k in order])
-            self.prefixes.append(_prefixes(order))
+            keys, prefixes = _key_prefixes(sorted(zip(key, range(len(rects)))))
+            self.keys.append(keys)
+            self.prefixes.append(prefixes)
 
     def query(self, q: Tuple[int, int], floor=None, b=None) -> Optional[WeightedRect]:
-        """Minimum-weight stored rectangle (ties by payload) whose interior
-        meets the closed x range [q[0], b] at height q[1], by default the
-        point q; with a floor, only rectangles of weight above it count."""
+        """Minimum-weight stored rectangle (ties by payload) that meets the
+        closed x range [q[0], b] at height q[1], by default the point q;
+        with a floor, only rectangles of weight above it count."""
         a, y = q
         if b is None:
             b = a
         (kxlo, kxhi, kylo, kyhi), (pxlo, pxhi, pylo, pyhi) = self.keys, self.prefixes
         bits = (
-            pxlo[bisect_left(kxlo, b)]
-            & pxhi[bisect_left(kxhi, -a)]
-            & pylo[bisect_left(kylo, y)]
-            & pyhi[bisect_left(kyhi, -y)]
+            pxlo[bisect_right(kxlo, b)]
+            & pxhi[bisect_right(kxhi, -a)]
+            & pylo[bisect_right(kylo, y)]
+            & pyhi[bisect_right(kyhi, -y)]
         )
         skip = 0 if floor is None else bisect_right(self.weights, floor)
         bits >>= skip

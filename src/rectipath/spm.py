@@ -1,4 +1,5 @@
-"""Arrival-time map for a fixed source, answering point queries in log time.
+"""Arrival-time map for a fixed source, answering point queries by eight
+rectangle stabs.
 
 The narrowing planner's exhaustive sweep leaves a trace of everything it
 swept: cones (a point source covering a rectangle of its diagonal quadrant,
@@ -11,9 +12,11 @@ map is the lower envelope of the records.
 
 Within one sweep direction a record's value is offset + g . q with a fixed
 gradient g (the four diagonal cone classes, the four axial flat classes), so
-within a class the envelope is that of the offsets alone: a rectilinear
-subdivision, built once per class as a :class:`RectEnvelope` and searched by
-point location.  A query takes the minimum over the eight classes of the
+within a class the envelope is that of the offsets alone: the minimum
+offset among the class's cells holding the point, one
+:class:`~rectipath.rangeindex.RectStabber` query per class.  Its four
+bisects are logarithmic; its three ANDs are word-parallel but linear in
+the class's cells.  A query takes the minimum over the eight classes of the
 located offset plus the class's linear term; the classes cannot share one
 rectilinear subdivision, since a north-east cone x + y + c1 and a south-west
 cone -x - y + c2 trade places along a diagonal.  Witness paths replay the
@@ -39,7 +42,7 @@ from .engine import _DIAG_SIGNS, DIAGS, SegNode, SrcNode
 from .fast import _FastEngine
 from .geometry import ScaledScene, Scene, TimedPath, Waypoint
 from .pathrec import WitnessError, _from_flat, _from_source, _host_of, _staircase
-from .rangeindex import RectEnvelope, WeightedRect
+from .rangeindex import RectStabber, WeightedRect
 from .scenario import scene_from_dict, scene_to_dict
 from .stopindex import _DIR_INFO
 
@@ -89,19 +92,17 @@ class Cell:
 
 
 class ShortestPathMap:
-    """Immutable arrival-time map; safe for concurrent queries."""
+    """Immutable arrival-time map over the cells of one scaled scene; safe
+    for concurrent queries."""
 
-    def __init__(self, scene: Scene, cells):
-        self.scene = scene
-        self.sc = ScaledScene(scene)
+    def __init__(self, sc: ScaledScene, cells):
+        self.scene = sc.scene
+        self.sc = sc
         self.cells: List = list(cells)
         per_class: Dict[str, List[WeightedRect]] = {}
         for i, c in enumerate(self.cells):
-            xlo, xhi, ylo, yhi = c.rect
-            per_class.setdefault(c.dir, []).append(
-                WeightedRect(xlo, xhi, ylo, yhi, c.off, i)
-            )
-        self._env = {d: RectEnvelope(rs) for d, rs in per_class.items()}
+            per_class.setdefault(c.dir, []).append(WeightedRect(*c.rect, c.off, i))
+        self._stab = {d: RectStabber(rs) for d, rs in per_class.items()}
 
     # -- queries ----------------------------------------------------------
 
@@ -118,10 +119,10 @@ class ShortestPathMap:
     def _locate(self, qs):
         best = None
         for ci, d in enumerate(_CLASSES):
-            env = self._env.get(d)
-            if env is None:
+            stab = self._stab.get(d)
+            if stab is None:
                 continue
-            r = env.query(qs)
+            r = stab.query(qs)
             if r is None:
                 continue
             gx, gy = _GRADS[d]
@@ -180,7 +181,7 @@ def build_spm(scene: Scene) -> ShortestPathMap:
     """Sweep the whole bounding box from the source and index the trace."""
     eng = _FastEngine(scene, trace=True)
     eng.run(stop_at_dest=False)
-    return ShortestPathMap(scene, _harvest(eng.trace))
+    return ShortestPathMap(eng.sc, _harvest(eng.trace))
 
 
 # -- serialization ----------------------------------------------------------
@@ -358,13 +359,15 @@ def _spm_from_dict(doc) -> ShortestPathMap:
         except MapFormatError as exc:
             raise MapFormatError("%s: %s" % (where, exc)) from None
     cells = [_cell(row, nodes, "cell %d" % i) for i, row in enumerate(_rows(doc, "cells"))]
-    return ShortestPathMap(scene, cells)
+    return ShortestPathMap(sc, cells)
 
 
 def dump_spm(spm: ShortestPathMap, path) -> None:
+    # json.dumps runs the C encoder in one pass; json.dump to a file runs the
+    # pure-Python chunked encoder for the same bytes
+    text = json.dumps(_spm_to_dict(spm), separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_spm_to_dict(spm), fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_spm(path) -> ShortestPathMap:

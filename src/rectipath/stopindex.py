@@ -11,7 +11,12 @@ ranges containing the shadow point therefore yields the first blocking edge,
 and arrival = tau + w.  A perpendicular segment [a, b] dragged along the axis
 is stopped by the same edges with the cross test widened to the open overlap
 e.lo < b and e.hi > a, which for a == b is the ray's test; so every stop
-query is one :class:`~rectipath.rangeindex.RectStabber` query.
+query is one :class:`~rectipath.rangeindex.RectStabber` query.  Every query
+coordinate is an integer, so each open range is stored as the closed one of
+the integers inside it: e.lo < b and e.hi > a hold exactly when e.lo + 1 <= b
+and e.hi - 1 >= a, and likewise for the tau window.  An edge of span 1 still
+stops a drag across its gap, and a window of length 1 stops nothing, its
+closed range being empty.
 
 Weights are floored strictly above s*u so edges behind the source (or sharing
 its line) never match.
@@ -44,8 +49,9 @@ class StopOracle:
     """Direction-indexed first-blocking-edge queries over a fixed edge set.
 
     Works in scaled integer units (vmax = 1).  Per direction it holds one
-    rectangle stabber over the shadow ranges (cross span and tau window both
-    open) that answers rays and dragged segments alike.
+    rectangle stabber over the shadow ranges (cross span and tau window,
+    each the closed range of the integers strictly inside) that answers rays
+    and dragged segments alike.
     """
 
     def __init__(self, edges: Sequence[IntEdge]):
@@ -57,7 +63,7 @@ class StopOracle:
             for i, e in enumerate(self.edges):
                 if e.horizontal == horizontal:
                     w = s * e.line
-                    rects.append(WeightedRect(e.lo, e.hi, e.ta - w, e.td - w, w, i))
+                    rects.append(WeightedRect(e.lo + 1, e.hi - 1, e.ta - w + 1, e.td - w - 1, w, i))
             self._stab[d] = RectStabber(rects)
 
     def stop_point(self, p, t, d: str) -> Optional[StopHit]:

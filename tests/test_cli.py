@@ -15,7 +15,7 @@ from rectipath.scenario import (
     dumps_scene,
     loads_scene,
 )
-from rectipath.spm import load_spm
+from rectipath.spm import build_spm, load_spm
 from rectipath.svg import render_svg
 
 _SVG = "{http://www.w3.org/2000/svg}"
@@ -158,6 +158,11 @@ def test_bench_json_layers(tmp_path, capsys):
         parts = ("scaled_scene", "stop_oracle", "vertex_index", "init", "sweep", "path", "plan")
         assert set(s["seconds"]) == set(parts) and all(s["seconds"][k] > 0 for k in parts)
         assert s["seconds"]["plan"] >= s["seconds"]["sweep"]
+        m = build_spm(bench_scene(2, n))
+        assert s["map"]["cells"] == len(m.cells) and s["map"]["queries"] > 0
+        parts = ("sweep", "harvest", "index", "arrival", "witness", "dump", "load")
+        assert set(s["map"]["seconds"]) == set(parts) and all(s["map"]["seconds"][k] > 0 for k in parts)
+        assert s["map"]["file_kib"] > 0 and s["map"]["index_mib"] > 0
 
 
 def test_render_svg_structure(scene_file, capsys):

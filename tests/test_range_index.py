@@ -10,7 +10,6 @@ from rectipath.rangeindex import (
     CORNERS,
     CornerWeightedVertices,
     DeleteMissing,
-    RectEnvelope,
     RectStabber,
     WeightedRect,
 )
@@ -19,20 +18,23 @@ from rectipath.rangeindex import (
 # ----- rectangle stabbing ---------------------------------------------------
 
 
-def brute_stab(rects, q, floor=None, x_open=False, y_open=False, b=None):
-    """With b given, rectangles whose open x span meets [q[0], b] count."""
+def brute_stab(rects, q, floor=None, b=None):
+    """Minimum (weight, payload) closed rectangle holding q, or with b given
+    meeting the closed x range [q[0], b] at height q[1]."""
     best = None
+    if b is None:
+        b = q[0]
     for r in rects:
         if floor is not None and r.weight <= floor:
             continue
-        if b is not None:
-            inx = r.xlo < b and r.xhi > q[0]
-        else:
-            inx = r.xlo < q[0] < r.xhi if x_open else r.xlo <= q[0] <= r.xhi
-        iny = r.ylo < q[1] < r.yhi if y_open else r.ylo <= q[1] <= r.yhi
-        if inx and iny and (best is None or (r.weight, r.payload) < (best.weight, best.payload)):
-            best = r
+        if r.xlo <= b and r.xhi >= q[0] and r.ylo <= q[1] <= r.yhi:
+            if best is None or (r.weight, r.payload) < (best.weight, best.payload):
+                best = r
     return best
+
+
+def _key(r):
+    return None if r is None else (r.weight, r.payload)
 
 
 def test_rect_stab_basics():
@@ -48,13 +50,27 @@ def test_rect_stab_basics():
     assert st.query((3, 3), floor=5) is None
 
 
-def test_rect_stab_bounds_are_open():
+def test_rect_stab_bounds_are_closed():
     st = RectStabber([WeightedRect(0, 4, 0, 4, 1, 0), WeightedRect(6, 6, 0, 9, 0, 1)])
-    assert st.query((0, 2)) is None
-    assert st.query((2, 4)) is None
-    assert st.query((4, 0)) is None
-    assert st.query((2, 2)) is not None
-    assert st.query((6, 5)) is None  # a segment has no interior
+    assert st.query((0, 2)).payload == 0
+    assert st.query((2, 4)).payload == 0
+    assert st.query((4, 0)).payload == 0
+    assert st.query((2, 2)).payload == 0
+    assert st.query((6, 5)).payload == 1  # a segment holds its own points
+    assert st.query((-1, 2)) is None
+    assert st.query((5, 2)) is None
+    assert st.query((2, 5)) is None
+    # a drag meets what it touches at either end
+    assert st.query((-3, 2), b=0).payload == 0
+    assert st.query((5, 2), b=6).payload == 1
+    assert st.query((5, 2), b=5) is None
+    assert st.query((4, 5), b=7).payload == 1
+    # a rectangle whose low bound passes its high one holds nothing
+    st = RectStabber([WeightedRect(3, 2, 0, 4, 0, 0), WeightedRect(0, 4, 3, 2, 0, 1)])
+    for x in range(-1, 6):
+        for y in range(-1, 6):
+            assert st.query((x, y)) is None
+    assert st.query((2, 1), b=3).payload == 0  # only a drag across the gap
 
 
 def test_rect_stab_random_vs_linear():
@@ -77,11 +93,7 @@ def test_rect_stab_random_vs_linear():
             else:
                 q = (rng.randrange(-2, 32), rng.randrange(-2, 32))
             floor = rng.choice([None, rng.randrange(0, 8)])
-            got = st.query(q, floor)
-            want = brute_stab(rects, q, floor, x_open=True, y_open=True)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert (got.weight, got.payload) == (want.weight, want.payload)
+            assert _key(st.query(q, floor)) == _key(brute_stab(rects, q, floor))
             # the closed x range [q[0], b], its far end on, beside or
             # between rectangle bounds
             if rects and rng.random() < 0.7:
@@ -89,19 +101,45 @@ def test_rect_stab_random_vs_linear():
                 b = max(q[0], b + rng.choice((-1, 0, 1)))
             else:
                 b = q[0] + rng.randrange(0, 6)
-            got = st.query(q, floor, b)
-            want = brute_stab(rects, q, floor, y_open=True, b=b)
-            assert (None if got is None else got.payload) == (None if want is None else want.payload), (q, b)
+            assert _key(st.query(q, floor, b)) == _key(brute_stab(rects, q, floor, b)), (q, b)
+
+
+def test_rect_stab_shared_bounds_vs_linear():
+    # Hundreds of rectangles on five coordinates per axis, so every key of
+    # every order is shared by dozens of ranks and each prefix covers a
+    # whole group; queries and drag ends sit on and beside the group keys.
+    rng = random.Random(42)
+    coords = (0, 5, 10, 15, 20)
+    for rep in range(6):
+        rects = []
+        for i in range(rng.randrange(150, 300)):
+            x1, x2 = sorted(rng.choice(coords) for _ in range(2))
+            y1, y2 = sorted(rng.choice(coords) for _ in range(2))
+            rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 40), rng.randrange(0, 100)))
+        st = RectStabber(rects)
+        for keys, prefixes in zip(st.keys, st.prefixes):
+            assert len(keys) <= len(coords) and len(prefixes) == len(keys) + 1
+            assert prefixes[-1] == (1 << len(rects)) - 1
+        for _ in range(400):
+            a = rng.choice(coords) + rng.choice((-1, 0, 0, 1))
+            b = max(a, rng.choice(coords) + rng.choice((-1, 0, 0, 1)))
+            y = rng.choice(coords) + rng.choice((-1, 0, 0, 1))
+            floor = rng.choice([None, rng.randrange(0, 40)])
+            assert _key(st.query((a, y), floor)) == _key(brute_stab(rects, (a, y), floor)), (a, y)
+            assert _key(st.query((a, y), floor, b)) == _key(brute_stab(rects, (a, y), floor, b)), (a, b, y)
+
+
+# ----- the map's point location ---------------------------------------------
+#
+# The map asks a stabber for the lower envelope of a class's closed cells at
+# a point: the minimum (weight, payload) rectangle holding it, no floor, at
+# integer or fractional coordinates.
 
 
 def _envelope_matches(rects, points):
-    env = RectEnvelope(rects)
+    st = RectStabber(rects)
     for q in points:
-        got = env.query(q)
-        want = brute_stab(rects, q)
-        assert (None if got is None else (got.weight, got.payload)) == (
-            None if want is None else (want.weight, want.payload)
-        ), q
+        assert _key(st.query(q)) == _key(brute_stab(rects, q)), q
 
 
 def _near(rects):
@@ -119,28 +157,28 @@ def _near(rects):
 
 
 def test_envelope_empty_and_degenerate():
-    assert RectEnvelope([]).query((0, 0)) is None
+    assert RectStabber([]).query((0, 0)) is None
     rects = [
         WeightedRect(3, 3, 3, 3, 1, 0),  # a point
         WeightedRect(0, 6, 5, 5, 2, 1),  # a horizontal segment
         WeightedRect(4, 4, 0, 9, 0, 2),  # a vertical segment
     ]
-    env = RectEnvelope(rects)
-    assert env.query((3, 3)).payload == 0
-    assert env.query((4, 5)).payload == 2
-    assert env.query((5, 5)).payload == 1
-    assert env.query((3, Fraction(10, 3))) is None
-    assert env.query((4, Fraction(1, 2))).payload == 2
+    st = RectStabber(rects)
+    assert st.query((3, 3)).payload == 0
+    assert st.query((4, 5)).payload == 2
+    assert st.query((5, 5)).payload == 1
+    assert st.query((3, Fraction(10, 3))) is None
+    assert st.query((4, Fraction(1, 2))).payload == 2
     _envelope_matches(rects, _near(rects))
 
 
 def test_envelope_equal_weights_break_by_payload():
     rects = [WeightedRect(0, 4, 0, 4, 7, 5), WeightedRect(2, 6, 2, 6, 7, 3), WeightedRect(2, 2, 0, 9, 8, 0)]
-    env = RectEnvelope(rects)
-    assert env.query((3, 3)).payload == 3
-    assert env.query((1, 1)).payload == 5
-    assert env.query((2, 2)).payload == 3
-    assert env.query((2, 8)).payload == 0
+    st = RectStabber(rects)
+    assert st.query((3, 3)).payload == 3
+    assert st.query((1, 1)).payload == 5
+    assert st.query((2, 2)).payload == 3
+    assert st.query((2, 8)).payload == 0
     _envelope_matches(rects, _near(rects))
 
 

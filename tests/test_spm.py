@@ -151,7 +151,7 @@ def test_query_outside_the_box_raises():
 def test_values_do_not_depend_on_cell_order():
     scene = random_scene(15, 9)
     m = build_spm(scene)
-    rev = ShortestPathMap(scene, list(reversed(m.cells)))
+    rev = ShortestPathMap(m.sc, list(reversed(m.cells)))
     rng = random.Random(1)
     xlo, xhi, ylo, yhi = _hull(scene)
     for _ in range(60):

@@ -182,6 +182,53 @@ def test_stop_queries_on_a_bench_scene_vs_brute_force():
         assert got == (None if want is None else want[1:]), (lo, hi, line, t, d)
 
 
+def test_narrow_spans_and_windows_vs_brute_force():
+    # The oracle stores each open span and window as the closed range of the
+    # integers inside it, which is empty for length 1.  Edges of span 1 and
+    # 2 with windows of length 1 and 2, in every direction, each alone and
+    # in front of a wide edge that must not be masked: rays at and beside
+    # the span and window ends, and drags that cover only a span-1 edge's
+    # gap or reach one of its ends.
+    info = {"N": (1, True), "S": (-1, True), "E": (1, False), "W": (-1, False)}
+    cases = 0
+    for d in DIRS:
+        sign, horiz = info[d]
+        make = hedge if horiz else vedge
+        for span in (1, 2):
+            for length in (1, 2):
+                near = make(0, 0, span, 4 * sign, 10, 10 + length)
+                far = make(1, -5, 8, 9 * sign, 0, 99)
+                for edges in ([near], [near, far]):
+                    so = StopOracle(edges)
+                    for t in range(4, 10 + length + 2):
+                        for c in range(-1, span + 2):
+                            p = (c, 0) if horiz else (0, c)
+                            got = so.stop_point(p, t, d)
+                            want = brute_stop_point(edges, p, t, d)
+                            assert (None if got is None else (got.edge_index, got.arrival)) == (
+                                None if want is None else want[1:]
+                            ), (edges, p, t, d)
+                        for lo in range(-2, span + 2):
+                            for hi in range(lo, span + 3):
+                                got = so.stop_drag(lo, hi, 0, t, d)
+                                want = brute_stop_drag(edges, lo, hi, 0, t, d)
+                                assert got == (None if want is None else want[1:]), (edges, lo, hi, t, d)
+                                cases += 1
+    # a drag across just the gap of a span-1 edge stops inside its window,
+    # a ray through either end of it never does, and a window of length 1
+    # stops nothing
+    so = StopOracle([hedge(0, 3, 4, 5, 0, 9)])
+    assert so.stop_drag(3, 4, 0, 0, "N") == (0, 5)
+    assert so.stop_drag(0, 3, 0, 0, "N") is None
+    assert so.stop_point((3, 0), 0, "N") is None and so.stop_point((4, 0), 0, "N") is None
+    so = StopOracle([hedge(0, -9, 9, 5, 4, 5)])
+    assert all(so.stop_point((0, 0), t, "N") is None for t in range(-2, 4))
+    assert all(so.stop_drag(-3, 3, 0, t, "N") is None for t in range(-2, 4))
+    so = StopOracle([hedge(0, -9, 9, 5, 4, 6)])
+    assert [t for t in range(-2, 4) if so.stop_point((0, 0), t, "N") is not None] == [0]
+    assert cases > 1000
+
+
 def test_accessible_examples():
     # asked only for an edge that stops the axis ray from the source
     so = StopOracle([hedge(0, -5, 5, 5, 0, 20)])
