@@ -19,7 +19,12 @@ on an axis ray, and the latter caps the region short of the hit.
 
 Event order at equal keys: settle events run before wavelets.  A split wavelet
 re-queried at the same key would otherwise re-find the vertex it was split at
-and split again, forever.
+and split again, forever.  The queue is Dial's bucket queue for integer keys:
+a small heap of (rank, tie, seq, item) per distinct key plus one heap of the
+keys, so events pop in the (key, rank, tie, seq) order of one heap of them all
+while each heap operation works on one key's events only.  A bucket is drained
+in place and dropped only when a dispatch leaves it empty, so an event pushed
+at the key being drained joins the live bucket in that order.
 """
 
 from __future__ import annotations
@@ -136,7 +141,9 @@ class _Engine:
         self.vert_payload = {p: i for i, p in enumerate(verts)}
         self.drm = CornerWeightedVertices([(p, i) for i, p in enumerate(verts)])
         self.labels: Dict[Tuple[int, int], Tuple[int, SrcNode]] = {}
-        self.heap: List = []
+        # the bucket queue: key -> heap of (rank, tie, seq, item); heap of keys
+        self.buckets: Dict[int, List] = {}
+        self.keys: List[int] = []
         self.seq = 0
         self.stats = WaveletStats()
         # swept records (rect, dir, node): an arrangement wavelet's region,
@@ -149,7 +156,12 @@ class _Engine:
 
     def _push(self, key, rank, tie, item):
         self.seq += 1
-        heapq.heappush(self.heap, (key, rank, tie, self.seq, item))
+        bucket = self.buckets.get(key)
+        if bucket is None:
+            self.buckets[key] = [(rank, tie, self.seq, item)]
+            heapq.heappush(self.keys, key)
+        else:
+            heapq.heappush(bucket, (rank, tie, self.seq, item))
 
     def _claim(self, p, t, parent):
         """Offer p at time t; parent is the claiming wavelet's node."""
@@ -320,34 +332,41 @@ class _Engine:
             # live it would be the split vertex of its own wavelets forever
             self.drm.remove(self.source[0], self.source[1], self.vert_payload[self.source])
         self._spawn_arrangement(self.source, 0, self.labels[self.source][1])
+        buckets, keys, labels, dest = self.buckets, self.keys, self.labels, self.dest
         last_key = None
-        while self.heap:
-            if stop_at_dest and self.dest in self.labels:
-                return
-            key, rank, tie, seq, item = heapq.heappop(self.heap)
+        while keys:
+            key = heapq.heappop(keys)
             if last_key is not None and key < last_key:
-                raise AssertionError(f"heap popped key {key} after {last_key}")
+                raise AssertionError(f"queue popped key {key} after {last_key}")
             last_key = key
-            kind = item[0]
-            if kind == "settle":
-                _, p, parent = item
-                if p in self.labels:
-                    continue
-                node = SrcNode("vertex", p, key, parent)
-                self.labels[p] = (key, node)
-                if p not in self.vert_payload:
-                    continue  # a destination off every edge spawns nothing
-                self.drm.remove(p[0], p[1], self.vert_payload[p])
-                self._spawn_arrangement(p, key, node)
-            elif kind == "pw":
-                self._do_point(item[1])
-            elif kind == "sw":
-                self._do_segment(item[1])
-            else:  # "fan"
-                _, fp, edge_idx, parent = item
-                node = SrcNode("wait", fp, key, parent, host=edge_idx)
-                self._spawn_arrangement(fp, key, node)
-        if stop_at_dest and self.dest not in self.labels:
+            # The bucket stays in place until it is empty after a dispatch,
+            # so events pushed at this key join it in (rank, tie, seq) order.
+            bucket = buckets[key]
+            while bucket:
+                if stop_at_dest and dest in labels:
+                    return
+                item = heapq.heappop(bucket)[3]
+                kind = item[0]
+                if kind == "settle":
+                    _, p, parent = item
+                    if p in labels:
+                        continue
+                    node = SrcNode("vertex", p, key, parent)
+                    labels[p] = (key, node)
+                    if p not in self.vert_payload:
+                        continue  # a destination off every edge spawns nothing
+                    self.drm.remove(p[0], p[1], self.vert_payload[p])
+                    self._spawn_arrangement(p, key, node)
+                elif kind == "pw":
+                    self._do_point(item[1])
+                elif kind == "sw":
+                    self._do_segment(item[1])
+                else:  # "fan"
+                    _, fp, edge_idx, parent = item
+                    node = SrcNode("wait", fp, key, parent, host=edge_idx)
+                    self._spawn_arrangement(fp, key, node)
+            del buckets[key]
+        if stop_at_dest and dest not in labels:
             raise AssertionError("queue exhausted before the destination settled")
 
 

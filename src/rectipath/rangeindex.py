@@ -243,12 +243,16 @@ class CornerWeightedVertices:
     def nearest(self, rect, corner: str, open_sides=_CLOSED, settled: bool = False, skip=None):
         """Live vertex in rect nearest the given corner of rect (ties
         lexicographic), or None.  With settled=True, the pair (nearest vertex
-        removed or not, nearest live vertex), from one mask; ``skip``, an
-        (x, y, payload) vertex, is then left out of the first answer only (a
-        vertex the caller stands on), while the live answer still counts it."""
+        removed or not, nearest live vertex), from one mask, or (None, None)
+        when rect holds no live vertex; ``skip``, an (x, y, payload) vertex,
+        is left out of the first answer only (a vertex the caller stands on),
+        while the live answer still counts it."""
         space, start = self.corners[corner]
         m = self._mask(space, rect, open_sides)
-        live = _pick(m & space.live, space.by_rank, start)
+        lm = m & space.live
+        if not lm:
+            return (None, None) if settled else None
+        live = _pick(lm, space.by_rank, start)
         if not settled:
             return live
         if skip is not None:

@@ -256,6 +256,8 @@ def test_criterion_7_range_structures_vs_linear_scan():
                 )
                 for cands in (pts, live)
             ]
+            if want[1] is None:
+                want[0] = None  # a region with no live vertex answers (None, None)
             got = cw.nearest(rect, corner, sides, settled=True)
             assert [None if h is None else (h.x, h.y) for h in got] == want
 

@@ -308,7 +308,9 @@ def test_index_under_removal_vs_linear_scan():
                     inside = [p for p in cands if _in_rect(p, rect, sides)]
                     return min(inside, key=lambda p: (abs(p[0] - cx) + abs(p[1] - cy), p), default=None)
 
-                want_all, want_live = nearest(pts), nearest(live)
+                want_live = nearest(live)
+                # a region with no live vertex answers (None, None)
+                want_all = nearest(pts) if want_live is not None else None
                 got_all, got_live = cw.nearest(rect, corner, sides, settled=True)
                 assert (None if got_all is None else (got_all.x, got_all.y)) == want_all
                 assert (None if got_live is None else (got_live.x, got_live.y)) == want_live
@@ -318,7 +320,7 @@ def test_index_under_removal_vs_linear_scan():
                 # one it would give, else any vertex, live or removed
                 out = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(pts)
                 got_all, got_live = cw.nearest(rect, corner, sides, settled=True, skip=(out[0], out[1], payload[out]))
-                want_rest = nearest([p for p in pts if p != out])
+                want_rest = nearest([p for p in pts if p != out]) if want_live is not None else None
                 assert (None if got_all is None else (got_all.x, got_all.y)) == want_rest
                 assert (None if got_live is None else (got_live.x, got_live.y)) == want_live
             if step % 8 == 0:
@@ -331,7 +333,7 @@ def test_index_under_removal_vs_linear_scan():
         with pytest.raises(DeleteMissing):
             cw.remove(gone[0], gone[1], payload[gone])
         assert cw.nearest((0, 23, 0, 23), "SW") is None
-        assert cw.nearest((0, 23, 0, 23), "SW", settled=True)[0] is not None
+        assert cw.nearest((0, 23, 0, 23), "SW", settled=True) == (None, None)
 
 
 _CORNER_AT = {
@@ -394,7 +396,8 @@ def test_nearest_vertex_ties_on_both_diagonals():
                 assert _triple(cw.nearest(rect, corner, sides)) == want_live
                 skip = want_all if want_all is not None and rng.random() < 0.5 else rng.choice(verts)
                 got_all, got_live = cw.nearest(rect, corner, sides, settled=True, skip=skip)
-                assert _triple(got_all) == _scan([v for v in verts if v != skip], rect, sides, corner)
+                want_rest = _scan([v for v in verts if v != skip], rect, sides, corner)
+                assert _triple(got_all) == (want_rest if want_live is not None else None)
                 assert _triple(got_live) == want_live
         if gone is not None:
             cw.remove(*gone)
@@ -427,7 +430,8 @@ def test_vertex_index_on_a_bench_scene_vs_linear_scan():
                 assert _triple(cw.nearest(rect, corner, sides)) == want_live
                 skip = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(verts)
                 got_all, got_live = cw.nearest(rect, corner, sides, settled=True, skip=skip)
-                assert _triple(got_all) == _scan([v for v in inside_all if v != skip], rect, sides, corner)
+                want_rest = _scan([v for v in inside_all if v != skip], rect, sides, corner)
+                assert _triple(got_all) == (want_rest if want_live is not None else None)
                 assert _triple(got_live) == want_live
             if step % 16 == 0:
                 assert sorted(_triple(p) for p in cw.report(rect, sides)) == sorted(inside_live)

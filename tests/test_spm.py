@@ -1,10 +1,12 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rectipath.engine import DIAGS, SegNode, SrcNode
+import rectipath
+from rectipath.engine import DIAGS, SegNode, SrcNode, _Engine
 from rectipath.fast import fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
 from rectipath.oracle import bench_scene, oracle_arrivals, random_scene
@@ -115,6 +117,31 @@ def test_matches_planner_on_mid_size_scenes():
         t, path = m.query(scene.dest)
         assert t == fast_plan(scene).arrival
         assert validate_path(scene, path, t).ok
+
+
+def _ladder_scene(seed):
+    """perfbench's ladder generator, run from its source so that nothing is
+    written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+    ns = {"__name__": "ladder_scenes"}
+    exec(compile(path.read_text(), str(path), "exec"), ns)
+    return ns["ladder_scene"](rectipath, seed)
+
+
+def test_map_at_every_vertex_of_two_ladders_equals_the_naive_label():
+    # The map's sweep, the narrowing engine run over the whole box, labels a
+    # few vertices of these ladders later than the plain engine does: (19,
+    # 47) at 79 against 75 on ladder 0, (47, -7) and (40, -7) at 61 and 54
+    # against 51 and 44 on ladder 16.  The map must still answer every
+    # vertex with the plain engine's whole-box label.
+    for seed in (0, 16):
+        scene = _ladder_scene(seed)
+        eng = _Engine(scene)
+        eng.run(stop_at_dest=False)
+        want = {eng.sc.point_out(p): eng.sc.time_out(t) for p, (t, _node) in eng.labels.items()}
+        m = build_spm(scene)
+        verts = sorted({p for e in scene.edges for p in (e.p1, e.p2)})
+        assert [m.arrival(v) for v in verts] == [want[v] for v in verts], seed
 
 
 def test_fractional_queries():

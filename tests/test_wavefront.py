@@ -1,6 +1,9 @@
 """Naive wavefront planner: canonical scenes, propagation rules, oracle fuzz."""
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from rectipath.engine import (
     PointWavelet,
@@ -16,7 +19,12 @@ from rectipath.scenario import canonical_scene
 
 
 def _heap_items(eng, kind):
-    return [(key, item) for key, rank, tie, seq, item in sorted(eng.heap) if item[0] == kind]
+    return [
+        (key, item)
+        for key, bucket in sorted(eng.buckets.items())
+        for rank, tie, seq, item in sorted(bucket)
+        if item[0] == kind
+    ]
 
 
 def test_canonical_arrivals_and_paths():
@@ -97,7 +105,8 @@ def test_accessible_part_spawns_flat_front_and_endpoint_fans():
     root = SrcNode("start", eng.source, 0)
     eng.labels[eng.source] = (0, root)
     ne = eng._spawn_arrangement(eng.source, 0, root)[0]
-    eng.heap.clear()
+    eng.buckets.clear()
+    eng.keys.clear()
     eng._do_point(ne)
     flats = [item[1] for _, item in _heap_items(eng, "sw")]
     assert [(f.lo, f.hi, f.line, f.key, f.dir) for f in flats] == [(0, 5, 5, 20, "N")]
@@ -198,3 +207,51 @@ def test_plan_is_deterministic():
     assert a.arrival == b.arrival
     assert a.path.waypoints == b.path.waypoints
     assert a.stats == b.stats
+
+
+def _queue_probe(rng):
+    """An engine on an empty scene whose queue carries only probe events:
+    each is ("pw", (key, rank, tie, seq)) and its dispatch records the pop."""
+    eng = _Engine(Scene(edges=(), vmax=1, source=(0, 0), dest=(9, 9)))
+    eng._spawn_arrangement = lambda p, t, src: []
+
+    def push(key):
+        rank, tie = rng.randrange(4), (rng.randrange(2), rng.randrange(2))
+        token = (key, rank, tie, eng.seq + 1)
+        eng._push(key, rank, tie, ("pw", token))
+        return token
+
+    return eng, push
+
+
+def test_queue_pops_in_key_rank_tie_seq_order():
+    # A seeded stream at a few keys, all four ranks and equal ties, with
+    # pushes at the key being drained: every pop is the least pending
+    # (key, rank, tie, seq), as from one heap of all events.
+    rng = random.Random(15)
+    at_drained = 0
+    for _ in range(40):
+        eng, push = _queue_probe(rng)
+        pending = {push(rng.randrange(4)) for _ in range(rng.randrange(1, 40))}
+
+        def pop(token):
+            nonlocal at_drained
+            assert token == min(pending)
+            pending.remove(token)
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                step = rng.choice((0, 0, 0, 1, 2))
+                at_drained += step == 0
+                pending.add(push(token[0] + step))
+
+        eng._do_point = pop
+        eng.run(stop_at_dest=False)
+        assert not pending and not eng.buckets and not eng.keys
+    assert at_drained > 100
+
+
+def test_queue_rejects_a_push_below_the_drained_key():
+    eng, push = _queue_probe(random.Random(16))
+    push(5)
+    eng._do_point = lambda token: push(token[0] - 1) if token[0] == 5 else None
+    with pytest.raises(AssertionError, match="popped key 4 after 5"):
+        eng.run(stop_at_dest=False)
