@@ -102,9 +102,16 @@ class SegNode:
 
 
 class PointWavelet:
-    __slots__ = ("origin", "t0", "key", "rect", "dir", "caps", "fresh", "src")
+    """A diagonal front from origin, departed at t0, over a closed rect of
+    origin's dir quadrant.  root is the arrangement wavelet it descends from
+    (itself when fresh); splits and cuts keep the root's value function, so
+    with (sx, sy) the signs of dir the arrival at any (x, y) of rect is
+    c + sx * x + sy * y, c = t0 - sx * ox - sy * oy, the same for the whole
+    lineage.  rank, set on roots only, orders roots by (c, spawn order)."""
 
-    def __init__(self, origin, t0, key, rect, dir, caps, fresh, src):
+    __slots__ = ("origin", "t0", "key", "rect", "dir", "caps", "fresh", "src", "root", "rank")
+
+    def __init__(self, origin, t0, key, rect, dir, caps, fresh, src, root=None):
         self.origin = origin
         self.t0 = t0
         self.key = key
@@ -113,6 +120,7 @@ class PointWavelet:
         self.caps = caps  # (vertical cap edge index or None, horizontal ditto)
         self.fresh = fresh
         self.src = src
+        self.root = self if root is None else root
 
 
 class SegWavelet:
@@ -189,6 +197,7 @@ class _Engine:
             )
             w = PointWavelet(p, t, t, rect, d, caps, True, src)
             self._push(t, _RANK_POINT, p, ("pw", w))
+            w.rank = (t - sx * p[0] - sy * p[1], self.seq)
             self.stats.point_wavelets += 1
             made.append(w)
         return made
@@ -257,7 +266,7 @@ class _Engine:
             # Splits keep the parent's root source for path purposes: every
             # claim value telescopes to root time + distance, and staircases
             # are guaranteed from the root, not from an intermediate vertex.
-            child = PointWavelet(origin, t0, tprime, rect, w.dir, (None, None), False, w.src)
+            child = PointWavelet(origin, t0, tprime, rect, w.dir, (None, None), False, w.src, w.root)
             self._push(tprime, _RANK_POINT, origin, ("pw", child))
             self.stats.point_wavelets += 1
 

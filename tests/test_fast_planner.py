@@ -1,47 +1,15 @@
-"""Narrowing planner: dominance, witnesses from its own provenance."""
+"""Narrowing planner: root order, witnesses from its own provenance."""
 
 import random
 import sys
 from dataclasses import replace
 
-from rectipath.engine import PointWavelet, naive_plan
-from rectipath.fast import _FastEngine, fast_plan, narrow, replacement_rects
+from rectipath.engine import DIAGS, _DIAG_SIGNS, PointWavelet, _Engine, naive_plan
+from rectipath.fast import _FastEngine, fast_plan, replacement_rects
 from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path, validate_scene
 from rectipath.oracle import oracle_plan, random_scene
 from rectipath.pathrec import build_path
 from rectipath.scenario import canonical_scene
-
-
-def _pw(origin, t0, rect, d):
-    return PointWavelet(origin, t0, t0, rect, d, (None, None), False, None)
-
-
-def test_narrow_keeps_the_earlier_wavelet_at_the_shared_corner():
-    w1 = _pw((0, 0), 0, (0, 10, 0, 10), "NE")
-    w2 = _pw((5, 5), 13, (5, 15, 5, 15), "NE")
-    win, rects = narrow(w1, w2)
-    assert win is w1
-    assert rects == [(10, 15, 5, 15), (5, 10, 10, 15)]
-
-
-def test_narrow_disjoint_regions_is_a_no_op():
-    w1 = _pw((0, 0), 0, (0, 4, 0, 4), "NE")
-    w2 = _pw((6, 6), 1, (6, 9, 6, 9), "NE")
-    assert narrow(w1, w2) is None
-
-
-def test_narrow_swallows_a_contained_latecomer():
-    w1 = _pw((0, 0), 0, (0, 10, 0, 10), "NE")
-    w2 = _pw((4, 4), 9, (4, 8, 4, 8), "NE")
-    win, rects = narrow(w1, w2)
-    assert win is w1 and rects == []
-
-
-def test_narrow_tie_keeps_the_first_queued():
-    w1 = _pw((0, 0), 2, (0, 10, 0, 10), "NE")
-    w2 = _pw((3, 3), 2 + 6, (3, 12, 3, 12), "NE")  # same arrival at (3, 3)
-    win, _rects = narrow(w1, w2)
-    assert win is w1
 
 
 def _rand_rect(rng):
@@ -81,40 +49,55 @@ def test_replacement_rects_cover_the_difference_exactly():
                 assert covered == (not in_r1), (r1, r2, c)
 
 
-def _quadrant_wavelet(rng, d):
-    # rect anywhere inside the origin's sweep quadrant, detached allowed
-    sx = 1 if d[1] == "E" else -1
-    sy = 1 if d[0] == "N" else -1
-    ox, oy = rng.randrange(-4, 5), rng.randrange(-4, 5)
-    a, b = rng.randrange(0, 8), rng.randrange(0, 8)
-    dx, dy = rng.randrange(0, 5), rng.randrange(0, 5)
-    xlo = ox + sx * dx if sx > 0 else ox - dx - a
-    ylo = oy + sy * dy if sy > 0 else oy - dy - b
-    return _pw((ox, oy), rng.randrange(0, 15), (xlo, xlo + a, ylo, ylo + b), d)
+def _piece(rng, root):
+    """A random piece of root's lineage as splits make it: either root's own
+    origin or a region point reached from it, over a sub-rectangle of that
+    point's quadrant within root's region."""
+    sx, sy = _DIAG_SIGNS[root.dir]
+    xlo, xhi, ylo, yhi = root.rect
+    if rng.random() < 0.5:
+        o, t0 = root.origin, root.t0
+    else:
+        o = (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
+        t0 = root.t0 + l1_distance(root.origin, o)
+        xlo, xhi = (o[0], xhi) if sx > 0 else (xlo, o[0])
+        ylo, yhi = (o[1], yhi) if sy > 0 else (ylo, o[1])
+    x0, x1 = sorted((rng.randint(xlo, xhi), rng.randint(xlo, xhi)))
+    y0, y1 = sorted((rng.randint(ylo, yhi), rng.randint(ylo, yhi)))
+    return PointWavelet(o, t0, t0, (x0, x1, y0, y1), root.dir, (None, None), False, root.src, root)
 
 
-def test_dominant_wavelet_wins_everywhere_in_the_overlap():
+def test_lower_ranked_root_is_no_later_anywhere_in_the_overlap():
+    # Roots made by the engine's own arrangement spawns at random points and
+    # times of an open box; pieces of their lineages drawn as splits make
+    # them.  Wherever two same-direction pieces overlap, the one whose root
+    # ranks lower arrives no later, so a cut by the lower root never removes
+    # the earliest arrival.
+    eng = _Engine(Scene(edges=(), vmax=1, source=(-8, -8), dest=(8, 8)))
+    xlo, xhi, ylo, yhi = eng.bbox
     rng = random.Random(5)
+    roots = {d: [] for d in DIAGS}
+    for _ in range(40):
+        p = (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
+        for w in eng._spawn_arrangement(p, rng.randrange(0, 12), None):
+            roots[w.dir].append(w)
     done = 0
-    while done < 200:
-        d = rng.choice(("NE", "NW", "SE", "SW"))
-        w1 = _quadrant_wavelet(rng, d)
-        w2 = _quadrant_wavelet(rng, d)
-        res = narrow(w1, w2)
-        if res is None:
+    while done < 300:
+        d = rng.choice(DIAGS)
+        a, b = (_piece(rng, rng.choice(roots[d])) for _ in range(2))
+        if a.root is b.root:
+            continue
+        xlo, xhi = max(a.rect[0], b.rect[0]), min(a.rect[1], b.rect[1])
+        ylo, yhi = max(a.rect[2], b.rect[2]), min(a.rect[3], b.rect[3])
+        if xlo > xhi or ylo > yhi:
             continue
         done += 1
-        win = res[0]
-        lose = w2 if win is w1 else w1
-        xlo = max(w1.rect[0], w2.rect[0])
-        xhi = min(w1.rect[1], w2.rect[1])
-        ylo = max(w1.rect[2], w2.rect[2])
-        yhi = min(w1.rect[3], w2.rect[3])
+        win, lose = (a, b) if a.root.rank < b.root.rank else (b, a)
         for x in range(xlo, xhi + 1):
             for y in range(ylo, yhi + 1):
                 a_win = win.t0 + l1_distance(win.origin, (x, y))
                 a_lose = lose.t0 + l1_distance(lose.origin, (x, y))
-                assert a_win <= a_lose, (w1.rect, w2.rect, d, (x, y))
+                assert a_win <= a_lose, (win.rect, lose.rect, d, (x, y))
 
 
 def _bars(spec, src, dst):

@@ -129,11 +129,8 @@ def _ladder_scene(seed):
 
 
 def test_map_at_every_vertex_of_two_ladders_equals_the_naive_label():
-    # The map's sweep, the narrowing engine run over the whole box, labels a
-    # few vertices of these ladders later than the plain engine does: (19,
-    # 47) at 79 against 75 on ladder 0, (47, -7) and (40, -7) at 61 and 54
-    # against 51 and 44 on ladder 16.  The map must still answer every
-    # vertex with the plain engine's whole-box label.
+    # Every vertex of two ladders, the map against the plain engine's
+    # whole-box label.
     for seed in (0, 16):
         scene = _ladder_scene(seed)
         eng = _Engine(scene)
