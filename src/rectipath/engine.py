@@ -19,12 +19,13 @@ on an axis ray, and the latter caps the region short of the hit.
 
 Event order at equal keys: settle events run before wavelets.  A split wavelet
 re-queried at the same key would otherwise re-find the vertex it was split at
-and split again, forever.  The queue is Dial's bucket queue for integer keys:
-a small heap of (rank, tie, seq, item) per distinct key plus one heap of the
-keys, so events pop in the (key, rank, tie, seq) order of one heap of them all
-while each heap operation works on one key's events only.  A bucket is drained
-in place and dropped only when a dispatch leaves it empty, so an event pushed
-at the key being drained joins the live bucket in that order.
+and split again, forever.  Events of equal key and rank pop in push order.
+The queue is Dial's bucket queue for integer keys: a small heap of
+(rank, seq, item) per distinct key plus one heap of the keys, so events pop
+in the (key, rank, seq) order of one heap of them all while each heap
+operation works on one key's events only.  A bucket is drained in place and
+dropped only when a dispatch leaves it empty, so an event pushed at the key
+being drained joins the live bucket in that order.
 """
 
 from __future__ import annotations
@@ -102,25 +103,29 @@ class SegNode:
 
 
 class PointWavelet:
-    """A diagonal front from origin, departed at t0, over a closed rect of
-    origin's dir quadrant.  root is the arrangement wavelet it descends from
-    (itself when fresh); splits and cuts keep the root's value function, so
-    with (sx, sy) the signs of dir the arrival at any (x, y) of rect is
-    c + sx * x + sy * y, c = t0 - sx * ox - sy * oy, the same for the whole
-    lineage.  rank, set on roots only, orders roots by (c, spawn order)."""
+    """A diagonal front over a closed rect of its root's region.  The root is
+    the arrangement wavelet spawned at a departed point source (itself for a
+    root), and only roots carry the front's origin, departure time t0,
+    diagonal dir, source node src and rank.  With (sx, sy) the signs of dir,
+    the arrival at any (x, y) of the rect is c + sx * x + sy * y, where
+    c = rank[0] = t0 - sx * ox - sy * oy; rank orders roots by (c, spawn
+    order).  Every piece lies in its root's closed quadrant.  Splits and cuts
+    keep the root source for path purposes: every claim value telescopes to
+    root time + distance, and staircases are guaranteed from the root, not
+    from an intermediate vertex."""
 
-    __slots__ = ("origin", "t0", "key", "rect", "dir", "caps", "fresh", "src", "root", "rank")
+    __slots__ = ("key", "rect", "root", "origin", "t0", "dir", "src", "rank")
 
-    def __init__(self, origin, t0, key, rect, dir, caps, fresh, src, root=None):
-        self.origin = origin
-        self.t0 = t0
+    def __init__(self, key, rect, root=None):
         self.key = key
         self.rect = rect  # (xlo, xhi, ylo, yhi), closed
-        self.dir = dir
-        self.caps = caps  # (vertical cap edge index or None, horizontal ditto)
-        self.fresh = fresh
-        self.src = src
         self.root = self if root is None else root
+
+
+def _arrival(root: PointWavelet, p) -> int:
+    """The arrival of root's front at p, c + sx * x + sy * y."""
+    sx, sy = _DIAG_SIGNS[root.dir]
+    return root.rank[0] + sx * p[0] + sy * p[1]
 
 
 class SegWavelet:
@@ -149,7 +154,7 @@ class _Engine:
         self.vert_payload = {p: i for i, p in enumerate(verts)}
         self.drm = CornerWeightedVertices([(p, i) for i, p in enumerate(verts)])
         self.labels: Dict[Tuple[int, int], Tuple[int, SrcNode]] = {}
-        # the bucket queue: key -> heap of (rank, tie, seq, item); heap of keys
+        # the bucket queue: key -> heap of (rank, seq, item); heap of keys
         self.buckets: Dict[int, List] = {}
         self.keys: List[int] = []
         self.seq = 0
@@ -162,25 +167,26 @@ class _Engine:
 
     # -- queue ------------------------------------------------------------
 
-    def _push(self, key, rank, tie, item):
+    def _push(self, key, rank, item):
         self.seq += 1
         bucket = self.buckets.get(key)
         if bucket is None:
-            self.buckets[key] = [(rank, tie, self.seq, item)]
+            self.buckets[key] = [(rank, self.seq, item)]
             heapq.heappush(self.keys, key)
         else:
-            heapq.heappush(bucket, (rank, tie, self.seq, item))
+            heapq.heappush(bucket, (rank, self.seq, item))
 
     def _claim(self, p, t, parent):
         """Offer p at time t; parent is the claiming wavelet's node."""
         if p in self.labels:
             return
-        self._push(t, _RANK_SETTLE, p, ("settle", p, parent))
+        self._push(t, _RANK_SETTLE, ("settle", p, parent))
 
     # -- wavelet creation ---------------------------------------------------
 
     def _spawn_arrangement(self, p, t, src) -> List[PointWavelet]:
-        """Enqueue the up-to-four diagonal point wavelets departing (p, t)."""
+        """Enqueue the four diagonal root wavelets departing (p, t), and the
+        flat fronts and wait fans of the edges that cap their axis rays."""
         stops = {d: self.stop.stop_point(p, t, d) for d in ("N", "S", "E", "W")}
         xlo, xhi, ylo, yhi = self.bbox
         made = []
@@ -191,19 +197,20 @@ class _Engine:
             xcap = hstop.point[0] if hstop else (xhi if sx > 0 else xlo)
             ycap = vstop.point[1] if vstop else (yhi if sy > 0 else ylo)
             rect = (min(p[0], xcap), max(p[0], xcap), min(p[1], ycap), max(p[1], ycap))
-            caps = (
-                hstop.edge_index if hstop else None,
-                vstop.edge_index if vstop else None,
-            )
-            w = PointWavelet(p, t, t, rect, d, caps, True, src)
-            self._push(t, _RANK_POINT, p, ("pw", w))
+            w = PointWavelet(t, rect)
+            w.origin, w.t0, w.dir, w.src = p, t, d, src
+            self._push(t, _RANK_POINT, ("pw", w))
             w.rank = (t - sx * p[0] - sy * p[1], self.seq)
             self.stats.point_wavelets += 1
+            if vstop:
+                self._cap_pieces(w, vstop.edge_index, True)
+            if hstop:
+                self._cap_pieces(w, hstop.edge_index, False)
             made.append(w)
         return made
 
     def _cap_pieces(self, w: PointWavelet, edge_idx: int, vertical_sweep: bool):
-        """Accessible part of a fresh cap edge: one flat front waiting out the
+        """Accessible part of a root's cap edge: one flat front waiting out the
         edge, plus wait fans at the piece endpoints.  The cap stops the
         origin's axis ray, so the accessible interval holds the origin's cross
         coordinate, as does the region's side range: the piece is never empty.
@@ -219,64 +226,49 @@ class _Engine:
             sd = "E" if sx > 0 else "W"
         node = SegNode("piece", sd, e.line, e.td, w.src, edge_idx)
         sw = SegWavelet(alo, ahi, False, False, e.line, e.td, sd, node)
-        self._push(e.td, _RANK_SEGMENT, (alo, e.line), ("sw", sw))
+        self._push(e.td, _RANK_SEGMENT, ("sw", sw))
         self.stats.segment_wavelets += 1
         for c in ([alo] if alo == ahi else [alo, ahi]):
             fp = (c, e.line) if vertical_sweep else (e.line, c)
             if (fp, e.td) not in self.fan_seen:
                 self.fan_seen.add((fp, e.td))
-                self._push(e.td, _RANK_FAN, fp, ("fan", fp, edge_idx, w.src))
+                self._push(e.td, _RANK_FAN, ("fan", fp, edge_idx, w.src))
 
     # -- propagation ---------------------------------------------------------
 
     def _do_point(self, w: PointWavelet):
-        ox, oy = w.origin
+        root = w.root
         xlo, xhi, ylo, yhi = w.rect
-        if self.trace is not None and w.fresh:
-            # arrangement cones only: a split or narrowed piece lies inside
-            # its arrangement's record with the same node, so the map would
-            # drop it
+        if self.trace is not None and root is w:
+            # arrangement cones only: a split or cut piece lies inside its
+            # arrangement's record with the same node, so the map would drop it
             self.trace.append((w.rect, w.dir, w.src))
         dx, dy = self.dest
         if xlo <= dx <= xhi and ylo <= dy <= yhi:
-            self._claim(self.dest, w.t0 + abs(dx - ox) + abs(dy - oy), w.src)
-        if w.fresh:
-            if w.caps[1] is not None:
-                self._cap_pieces(w, w.caps[1], True)
-            if w.caps[0] is not None:
-                self._cap_pieces(w, w.caps[0], False)
+            self._claim(self.dest, _arrival(root, self.dest), root.src)
         v = self._split_vertex(w)
         if v is None:
             return
-        tprime = w.t0 + abs(v[0] - ox) + abs(v[1] - oy)
-        sx, sy = _DIAG_SIGNS[w.dir]
-        # A region may be detached from its origin corner (narrowing cuts
-        # regions apart), so the column and row parts stay clipped to it.
-        r1 = (max(xlo, min(ox, v[0])), min(xhi, max(ox, v[0])), ylo, yhi)
-        r2 = (xlo, xhi, max(ylo, min(oy, v[1])), min(yhi, max(oy, v[1])))
-        r3 = (
-            (v[0], xhi) if sx > 0 else (xlo, v[0]),
-            (v[1], yhi) if sy > 0 else (ylo, v[1]),
-        )
-        for rect, origin, t0 in (
-            (r1, w.origin, w.t0),
-            (r2, w.origin, w.t0),
-            ((r3[0][0], r3[0][1], r3[1][0], r3[1][1]), v, tprime),
+        tprime = _arrival(root, v)
+        sx, sy = _DIAG_SIGNS[root.dir]
+        vx, vy = v
+        # w lies in the root's quadrant: the columns up to v's, the rows up
+        # to v's and the quadrant past v
+        for rect in (
+            (xlo, vx, ylo, yhi) if sx > 0 else (vx, xhi, ylo, yhi),
+            (xlo, xhi, ylo, vy) if sy > 0 else (xlo, xhi, vy, yhi),
+            ((vx, xhi) if sx > 0 else (xlo, vx)) + ((vy, yhi) if sy > 0 else (ylo, vy)),
         ):
-            # Splits keep the parent's root source for path purposes: every
-            # claim value telescopes to root time + distance, and staircases
-            # are guaranteed from the root, not from an intermediate vertex.
-            child = PointWavelet(origin, t0, tprime, rect, w.dir, (None, None), False, w.src, w.root)
-            self._push(tprime, _RANK_POINT, origin, ("pw", child))
+            self._push(tprime, _RANK_POINT, ("pw", PointWavelet(tprime, rect, root)))
             self.stats.point_wavelets += 1
 
     def _split_vertex(self, w: PointWavelet):
         """The vertex w's region splits at, claimed from w, or None."""
-        hit = self.drm.nearest(w.rect, _NEAREST_CORNER[w.dir])
+        hit = self.drm.nearest(w.rect, _NEAREST_CORNER[w.root.dir])
         if hit is None:
             return None
         v = (hit.x, hit.y)
-        self._claim(v, w.t0 + abs(v[0] - w.origin[0]) + abs(v[1] - w.origin[1]), w.src)
+        self._claim(v, _arrival(w.root, v), w.root.src)
         return v
 
     def _do_segment(self, w: SegWavelet):
@@ -317,17 +309,17 @@ class _Engine:
         clip_lo, clip_hi = max(w.lo, e.lo), min(w.hi, e.hi)
         node = SegNode("successor", w.dir, e.line, e.td, w.node, edge_idx)
         succ = SegWavelet(clip_lo, clip_hi, False, False, e.line, e.td, w.dir, node)
-        self._push(e.td, _RANK_SEGMENT, (clip_lo, e.line), ("sw", succ))
+        self._push(e.td, _RANK_SEGMENT, ("sw", succ))
         self.stats.segment_wavelets += 1
         if w.lo < clip_lo:
             rn = SegNode("remainder", w.dir, e.line, tau, w.node, edge_idx)
             rw = SegWavelet(w.lo, clip_lo, w.lo_open, True, e.line, tau, w.dir, rn)
-            self._push(tau, _RANK_SEGMENT, (w.lo, e.line), ("sw", rw))
+            self._push(tau, _RANK_SEGMENT, ("sw", rw))
             self.stats.segment_wavelets += 1
         if clip_hi < w.hi:
             rn = SegNode("remainder", w.dir, e.line, tau, w.node, edge_idx)
             rw = SegWavelet(clip_hi, w.hi, True, w.hi_open, e.line, tau, w.dir, rn)
-            self._push(tau, _RANK_SEGMENT, (clip_hi, e.line), ("sw", rw))
+            self._push(tau, _RANK_SEGMENT, ("sw", rw))
             self.stats.segment_wavelets += 1
 
     # -- main loop ------------------------------------------------------------
@@ -349,12 +341,12 @@ class _Engine:
                 raise AssertionError(f"queue popped key {key} after {last_key}")
             last_key = key
             # The bucket stays in place until it is empty after a dispatch,
-            # so events pushed at this key join it in (rank, tie, seq) order.
+            # so events pushed at this key join it in (rank, seq) order.
             bucket = buckets[key]
             while bucket:
                 if stop_at_dest and dest in labels:
                     return
-                item = heapq.heappop(bucket)[3]
+                item = heapq.heappop(bucket)[2]
                 kind = item[0]
                 if kind == "settle":
                     _, p, parent = item

@@ -5,10 +5,10 @@ fronts alike, plus one device that tames its quadratic point-wavelet count
 without changing any label: same-direction point wavelets that overlap are
 cut against each other, in one fixed order.
 
-Root order.  Every point wavelet descends from a root, the arrangement
-wavelet spawned at a settled vertex or a wait point, and splits and cuts
-keep the root's value function: with (sx, sy) the signs of the diagonal,
-the arrival at any (x, y) of the region is c + sx * x + sy * y, where
+Root order.  Every point wavelet is a rectangle of a root, the arrangement
+wavelet spawned at a settled vertex or a wait point, and only the root
+holds the front's value function: with (sx, sy) the signs of the diagonal,
+the arrival at any (x, y) of the rectangle is c + sx * x + sy * y, where
 c = t0 - sx * ox - sy * oy of the root.  So over the whole overlap of two
 same-direction regions the wavelet with the smaller c is the earlier, by
 the same margin everywhere, and one comparison decides it.  Roots are
@@ -55,7 +55,7 @@ One index pass.  The vertex lookup answers both questions a wavelet asks,
 the nearest vertex of any kind past its own root and the nearest live one,
 in one pass: the root vertex is left out of the first answer only.  A region
 with no live vertex ends that pass as soon as its live mask is empty, before
-either answer is picked; that is 21,303 of the 40,072 point wavelets of a
+either answer is picked; that is 21,374 of the 40,150 point wavelets of a
 plan on bench_scene(1, 800).
 """
 
@@ -68,6 +68,7 @@ from .engine import (
     _RANK_POINT,
     PlanResult,
     PointWavelet,
+    _arrival,
     _Engine,
     run_plan,
 )
@@ -122,8 +123,7 @@ class _FastEngine(_Engine):
             return False
         self.stats.narrows += 1
         for piece in rects:
-            child = PointWavelet(w.origin, w.t0, key, piece, w.dir, (None, None), False, w.src, w.root)
-            self._push(key, _RANK_POINT, w.origin, ("pw", child))
+            self._push(key, _RANK_POINT, ("pw", PointWavelet(key, piece, w.root)))
             self.stats.point_wavelets += 1
         return True
 
@@ -132,16 +132,17 @@ class _FastEngine(_Engine):
         # not, and the nearest live one.  The first leaves out the region's
         # own root vertex: the root sits at the source corner of every region
         # descended from its arrangement and would otherwise hide every
-        # vertex behind it.  A settled vertex nearest in the region cuts w by
-        # the region of the root registered there when that root ranks below
-        # w's.
+        # vertex behind it.  That is a start or vertex root, spawned with its
+        # point's own label node; a wait root never is.  A settled vertex
+        # nearest in the region cuts w by the region of the root registered
+        # there when that root ranks below w's.
+        root = w.root
         skip = None
-        lab = self.labels.get(w.origin)
-        if lab is not None and lab[1] is w.src:
-            payload = self.vert_payload.get(w.origin)
+        if root.src.kind != "wait":
+            payload = self.vert_payload.get(root.origin)
             if payload is not None:
-                skip = (w.origin[0], w.origin[1], payload)
-        hit_any, hit = self.drm.nearest(w.rect, _NEAREST_CORNER[w.dir], settled=True, skip=skip)
+                skip = (root.origin[0], root.origin[1], payload)
+        hit_any, hit = self.drm.nearest(w.rect, _NEAREST_CORNER[root.dir], settled=True, skip=skip)
         if hit is None:
             # No live vertex: this region and all it would be cut or split
             # into can claim nothing (see the module docstring).  Otherwise
@@ -153,22 +154,22 @@ class _FastEngine(_Engine):
             # live vertex.
             hit = hit_any
         else:
-            resident = self.registry[(p, w.dir)].root
-            if resident.rank < w.root.rank and self._cut(w, resident.rect, w.key):
+            resident = self.registry[(p, root.dir)].root
+            if resident.rank < root.rank and self._cut(w, resident.rect, w.key):
                 return None
         v = (hit.x, hit.y)
-        tprime = w.t0 + abs(hit.x - w.origin[0]) + abs(hit.y - w.origin[1])
-        self._claim(v, tprime, w.src)
-        prev = self.registry.get((v, w.dir))
+        tprime = _arrival(root, v)
+        self._claim(v, tprime, root.src)
+        prev = self.registry.get((v, root.dir))
         if prev is None:
-            self.registry[(v, w.dir)] = w
-        elif prev.root is w.root:
+            self.registry[(v, root.dir)] = w
+        elif prev.root is root:
             # one value function: the rival piece covers the overlap
             if self._cut(w, prev.rect, tprime):
                 return None
-        elif w.root.rank < prev.root.rank:
+        elif root.rank < prev.root.rank:
             self.stats.narrows += 1  # an overlap resolved, though nothing is cut
-            self.registry[(v, w.dir)] = w
+            self.registry[(v, root.dir)] = w
         elif self._cut(w, prev.root.rect, tprime):
             return None
         return v

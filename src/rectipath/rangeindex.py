@@ -240,15 +240,15 @@ class CornerWeightedVertices:
             return 0
         return (space.px[b] ^ space.px[a]) & (space.py[d] ^ space.py[c])
 
-    def nearest(self, rect, corner: str, open_sides=_CLOSED, settled: bool = False, skip=None):
-        """Live vertex in rect nearest the given corner of rect (ties
-        lexicographic), or None.  With settled=True, the pair (nearest vertex
-        removed or not, nearest live vertex), from one mask, or (None, None)
-        when rect holds no live vertex; ``skip``, an (x, y, payload) vertex,
-        is left out of the first answer only (a vertex the caller stands on),
-        while the live answer still counts it."""
+    def nearest(self, rect, corner: str, settled: bool = False, skip=None):
+        """Live vertex in the closed rect nearest the given corner of rect
+        (ties lexicographic), or None.  With settled=True, the pair (nearest
+        vertex removed or not, nearest live vertex), from one mask, or
+        (None, None) when rect holds no live vertex; ``skip``, an (x, y,
+        payload) vertex, is left out of the first answer only (a vertex the
+        caller stands on), while the live answer still counts it."""
         space, start = self.corners[corner]
-        m = self._mask(space, rect, open_sides)
+        m = self._mask(space, rect, _CLOSED)
         lm = m & space.live
         if not lm:
             return (None, None) if settled else None

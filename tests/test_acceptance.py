@@ -250,7 +250,7 @@ def test_criterion_7_range_structures_vs_linear_scan():
             cx, cy = corner_of[corner](rect)
             want = [
                 min(
-                    (p for p in cands if inside(p, rect, sides)),
+                    (p for p in cands if inside(p, rect, (False, False, False, False))),
                     key=lambda p: (abs(p[0] - cx) + abs(p[1] - cy), p),
                     default=None,
                 )
@@ -258,7 +258,7 @@ def test_criterion_7_range_structures_vs_linear_scan():
             ]
             if want[1] is None:
                 want[0] = None  # a region with no live vertex answers (None, None)
-            got = cw.nearest(rect, corner, sides, settled=True)
+            got = cw.nearest(rect, corner, settled=True)
             assert [None if h is None else (h.x, h.y) for h in got] == want
 
     # the map's point location: minimum (weight, payload) closed rectangle,

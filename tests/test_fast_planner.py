@@ -4,7 +4,7 @@ import random
 import sys
 from dataclasses import replace
 
-from rectipath.engine import DIAGS, _DIAG_SIGNS, PointWavelet, _Engine, naive_plan
+from rectipath.engine import DIAGS, _DIAG_SIGNS, PointWavelet, _arrival, _Engine, naive_plan
 from rectipath.fast import _FastEngine, fast_plan, replacement_rects
 from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path, validate_scene
 from rectipath.oracle import oracle_plan, random_scene
@@ -50,21 +50,19 @@ def test_replacement_rects_cover_the_difference_exactly():
 
 
 def _piece(rng, root):
-    """A random piece of root's lineage as splits make it: either root's own
-    origin or a region point reached from it, over a sub-rectangle of that
-    point's quadrant within root's region."""
+    """A random piece of root's lineage as splits make it: a sub-rectangle of
+    root's region, either anywhere in it or in the quadrant of a region
+    point, queued at root's arrival at its corner nearest the origin."""
     sx, sy = _DIAG_SIGNS[root.dir]
     xlo, xhi, ylo, yhi = root.rect
     if rng.random() < 0.5:
-        o, t0 = root.origin, root.t0
-    else:
         o = (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
-        t0 = root.t0 + l1_distance(root.origin, o)
         xlo, xhi = (o[0], xhi) if sx > 0 else (xlo, o[0])
         ylo, yhi = (o[1], yhi) if sy > 0 else (ylo, o[1])
     x0, x1 = sorted((rng.randint(xlo, xhi), rng.randint(xlo, xhi)))
     y0, y1 = sorted((rng.randint(ylo, yhi), rng.randint(ylo, yhi)))
-    return PointWavelet(o, t0, t0, (x0, x1, y0, y1), root.dir, (None, None), False, root.src, root)
+    corner = (x0 if sx > 0 else x1, y0 if sy > 0 else y1)
+    return PointWavelet(root.t0 + l1_distance(root.origin, corner), (x0, x1, y0, y1), root)
 
 
 def test_lower_ranked_root_is_no_later_anywhere_in_the_overlap():
@@ -92,11 +90,13 @@ def test_lower_ranked_root_is_no_later_anywhere_in_the_overlap():
         if xlo > xhi or ylo > yhi:
             continue
         done += 1
-        win, lose = (a, b) if a.root.rank < b.root.rank else (b, a)
+        win, lose = (a.root, b.root) if a.root.rank < b.root.rank else (b.root, a.root)
         for x in range(xlo, xhi + 1):
             for y in range(ylo, yhi + 1):
+                # each root's own departure plus distance, and its value function
                 a_win = win.t0 + l1_distance(win.origin, (x, y))
                 a_lose = lose.t0 + l1_distance(lose.origin, (x, y))
+                assert a_win == _arrival(win, (x, y)) and a_lose == _arrival(lose, (x, y))
                 assert a_win <= a_lose, (win.rect, lose.rect, d, (x, y))
 
 

@@ -264,6 +264,9 @@ def test_nearest_vertex_brute_force():
                 assert got == want
 
 
+CLOSED = (False, False, False, False)
+
+
 def _in_rect(p, rect, sides):
     (x, y), (xlo, xhi, ylo, yhi) = p, rect
     olx, ohx, oly, ohy = sides
@@ -277,9 +280,9 @@ def _in_rect(p, rect, sides):
 
 def test_index_under_removal_vs_linear_scan():
     # Hundreds of points on a small grid, so that many share a column or a
-    # row, removed one by one while both views of every corner (with and
-    # without a vertex left out of the settled one) and reports under every
-    # openness are checked.
+    # row, removed one by one while both views of every corner of a closed
+    # rect (with and without a vertex left out of the settled one) and
+    # reports under every openness are checked.
     rng = random.Random(46)
     corner_of = {
         "SW": lambda r: (r[0], r[2]),
@@ -300,26 +303,25 @@ def test_index_under_removal_vs_linear_scan():
             x1, x2 = sorted(rng.randrange(-1, 25) for _ in range(2))
             y1, y2 = sorted(rng.randrange(-1, 25) for _ in range(2))
             rect = (x1, x2, y1, y2)
-            sides = rng.choice(all_sides)
             for corner, at in corner_of.items():
                 cx, cy = at(rect)
 
                 def nearest(cands):
-                    inside = [p for p in cands if _in_rect(p, rect, sides)]
+                    inside = [p for p in cands if _in_rect(p, rect, CLOSED)]
                     return min(inside, key=lambda p: (abs(p[0] - cx) + abs(p[1] - cy), p), default=None)
 
                 want_live = nearest(live)
                 # a region with no live vertex answers (None, None)
                 want_all = nearest(pts) if want_live is not None else None
-                got_all, got_live = cw.nearest(rect, corner, sides, settled=True)
+                got_all, got_live = cw.nearest(rect, corner, settled=True)
                 assert (None if got_all is None else (got_all.x, got_all.y)) == want_all
                 assert (None if got_live is None else (got_live.x, got_live.y)) == want_live
-                hit = cw.nearest(rect, corner, sides)
+                hit = cw.nearest(rect, corner)
                 assert (None if hit is None else (hit.x, hit.y)) == want_live
                 # one vertex left out of the settled answer only: mostly the
                 # one it would give, else any vertex, live or removed
                 out = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(pts)
-                got_all, got_live = cw.nearest(rect, corner, sides, settled=True, skip=(out[0], out[1], payload[out]))
+                got_all, got_live = cw.nearest(rect, corner, settled=True, skip=(out[0], out[1], payload[out]))
                 want_rest = nearest([p for p in pts if p != out]) if want_live is not None else None
                 assert (None if got_all is None else (got_all.x, got_all.y)) == want_rest
                 assert (None if got_live is None else (got_live.x, got_live.y)) == want_live
@@ -344,11 +346,12 @@ _CORNER_AT = {
 }
 
 
-def _scan(verts, rect, sides, corner):
-    """(x, y, payload) of the vertex in rect least by (L1 distance to the
-    corner, x, y, payload), by a linear scan of (x, y, payload) triples."""
+def _scan(verts, rect, corner):
+    """(x, y, payload) of the vertex in the closed rect least by (L1 distance
+    to the corner, x, y, payload), by a linear scan of (x, y, payload)
+    triples."""
     cx, cy = _CORNER_AT[corner](rect)
-    inside = [v for v in verts if _in_rect(v[:2], rect, sides)]
+    inside = [v for v in verts if _in_rect(v[:2], rect, CLOSED)]
     return min(inside, key=lambda v: (abs(v[0] - cx) + abs(v[1] - cy), v), default=None)
 
 
@@ -384,19 +387,18 @@ def test_nearest_vertex_ties_on_both_diagonals():
     live = list(verts)
     order = list(verts)
     rng.shuffle(order)
-    all_sides = list(itertools.product((False, True), repeat=4))
     for gone in order + [None]:
         for x1, x2, y1, y2 in itertools.product(range(5), repeat=4):
             if x1 > x2 or y1 > y2 or rng.random() < 0.8:
                 continue
-            rect, sides = (x1, x2, y1, y2), rng.choice(all_sides)
+            rect = (x1, x2, y1, y2)
             for corner in CORNERS:
-                want_all = _scan(verts, rect, sides, corner)
-                want_live = _scan(live, rect, sides, corner)
-                assert _triple(cw.nearest(rect, corner, sides)) == want_live
+                want_all = _scan(verts, rect, corner)
+                want_live = _scan(live, rect, corner)
+                assert _triple(cw.nearest(rect, corner)) == want_live
                 skip = want_all if want_all is not None and rng.random() < 0.5 else rng.choice(verts)
-                got_all, got_live = cw.nearest(rect, corner, sides, settled=True, skip=skip)
-                want_rest = _scan([v for v in verts if v != skip], rect, sides, corner)
+                got_all, got_live = cw.nearest(rect, corner, settled=True, skip=skip)
+                want_rest = _scan([v for v in verts if v != skip], rect, corner)
                 assert _triple(got_all) == (want_rest if want_live is not None else None)
                 assert _triple(got_live) == want_live
         if gone is not None:
@@ -406,8 +408,9 @@ def test_nearest_vertex_ties_on_both_diagonals():
 
 def test_vertex_index_on_a_bench_scene_vs_linear_scan():
     # The 800 vertices of bench_scene(1, 400), removed in random order,
-    # under rects whose bounds sit on vertex coordinates, every openness,
-    # both views and a skipped vertex; reports checked every 16 removals.
+    # under rects whose bounds sit on vertex coordinates: both views of every
+    # corner and a skipped vertex, and reports under every openness checked
+    # every 16 removals.
     sc = ScaledScene(bench_scene(1, 400))
     pts = sorted({p for e in sc.edges for p in e.endpoints})
     verts = [(x, y, i) for i, (x, y) in enumerate(pts)]
@@ -421,20 +424,21 @@ def test_vertex_index_on_a_bench_scene_vs_linear_scan():
         x1, x2 = sorted(rng.choice(verts)[0] for _ in range(2))
         y1, y2 = sorted(rng.choice(verts)[1] for _ in range(2))
         rect = (x1, x2, y1, y2)
-        for sides in all_sides if step % 16 == 0 else [rng.choice(all_sides)]:
-            inside_all = [v for v in verts if _in_rect(v[:2], rect, sides)]
-            inside_live = [v for v in inside_all if v in live]
-            for corner in CORNERS:
-                want_all = _scan(inside_all, rect, sides, corner)
-                want_live = _scan(inside_live, rect, sides, corner)
-                assert _triple(cw.nearest(rect, corner, sides)) == want_live
-                skip = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(verts)
-                got_all, got_live = cw.nearest(rect, corner, sides, settled=True, skip=skip)
-                want_rest = _scan([v for v in inside_all if v != skip], rect, sides, corner)
-                assert _triple(got_all) == (want_rest if want_live is not None else None)
-                assert _triple(got_live) == want_live
-            if step % 16 == 0:
-                assert sorted(_triple(p) for p in cw.report(rect, sides)) == sorted(inside_live)
+        inside_all = [v for v in verts if _in_rect(v[:2], rect, CLOSED)]
+        inside_live = [v for v in inside_all if v in live]
+        for corner in CORNERS:
+            want_all = _scan(inside_all, rect, corner)
+            want_live = _scan(inside_live, rect, corner)
+            assert _triple(cw.nearest(rect, corner)) == want_live
+            skip = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(verts)
+            got_all, got_live = cw.nearest(rect, corner, settled=True, skip=skip)
+            want_rest = _scan([v for v in inside_all if v != skip], rect, corner)
+            assert _triple(got_all) == (want_rest if want_live is not None else None)
+            assert _triple(got_live) == want_live
+        if step % 16 == 0:
+            for sides in all_sides:
+                want = sorted(v for v in live if _in_rect(v[:2], rect, sides))
+                assert sorted(_triple(p) for p in cw.report(rect, sides)) == want
         cw.remove(*gone)
         live.discard(gone)
     xs, ys = [v[0] for v in verts], [v[1] for v in verts]

@@ -499,4 +499,6 @@ def test_locate_is_the_minimum_over_all_cells():
                 m._locate((x, y))
         else:
             assert m._locate((x, y)) == want, (x, y)
-    assert len(m.cells) == 3354 and 0 < outside < len(pts)
+    # 3403 cells since equal (key, rank) events pop in push order alone: a
+    # front or fan may then take another equal-time claimant as its source
+    assert len(m.cells) == 3403 and 0 < outside < len(pts)

@@ -22,7 +22,7 @@ def _heap_items(eng, kind):
     return [
         (key, item)
         for key, bucket in sorted(eng.buckets.items())
-        for rank, tie, seq, item in sorted(bucket)
+        for rank, seq, item in sorted(bucket)
         if item[0] == kind
     ]
 
@@ -50,15 +50,16 @@ def test_wait_point_in_path():
 
 
 def _initial_wavelets(scene):
-    # the up-to-four diagonal wavelets departing the source at time 0
+    # an engine with the four diagonal roots departing the source at time 0
+    # queued, and those roots
     eng = _Engine(scene)
     root = SrcNode("start", eng.source, 0)
     eng.labels[eng.source] = (0, root)
-    return eng._spawn_arrangement(eng.source, 0, root)
+    return eng, eng._spawn_arrangement(eng.source, 0, root)
 
 
 def test_initial_wavelets_cover_the_four_quadrants():
-    ws = _initial_wavelets(canonical_scene("S0"))
+    _, ws = _initial_wavelets(canonical_scene("S0"))
     got = {w.dir: w.rect for w in ws}
     assert got == {
         "NE": (0, 1, 0, 11),
@@ -70,12 +71,18 @@ def test_initial_wavelets_cover_the_four_quadrants():
 
 
 def test_initial_wavelets_capped_by_blocking_edge():
-    ws = {w.dir: w for w in _initial_wavelets(canonical_scene("S1"))}
-    assert ws["NE"].rect == (0, 6, 0, 5)
-    assert ws["NE"].caps == (None, 0)  # east ray runs to the box, north ray stops
+    eng, ws = _initial_wavelets(canonical_scene("S1"))
+    ws = {w.dir: w for w in ws}
+    assert ws["NE"].rect == (0, 6, 0, 5)  # east ray runs to the box, north ray stops
     assert ws["NW"].rect == (-6, 0, 0, 5)
     assert ws["SE"].rect == (0, 6, -1, 0)
-    assert ws["SE"].caps == (None, None)
+    # the north cap edge is queued with the roots, once per capped root; the
+    # southern roots meet no cap
+    flats = [item[1] for _, item in _heap_items(eng, "sw")]
+    assert [(f.lo, f.hi, f.line, f.key, f.dir, f.node.edge) for f in flats] == [
+        (0, 5, 5, 20, "N", 0),
+        (-5, 0, 5, 20, "N", 0),
+    ]
 
 
 def test_split_into_three_regions_at_nearest_vertex():
@@ -87,32 +94,41 @@ def test_split_into_three_regions_at_nearest_vertex():
     )
     eng = _Engine(scene)
     src = SrcNode("start", (0, 0), 0)
-    w = PointWavelet((0, 0), 0, 0, (0, 10, 0, 10), "NE", (None, None), False, src)
+    root = eng._spawn_arrangement((0, 0), 0, src)[0]
+    assert root.dir == "NE" and root.rect == (0, 31, 0, 31)
+    eng.buckets.clear()
+    eng.keys.clear()
+    # a piece of the root's region off its origin corner splits by its own
+    # sides: the columns up to v's, the rows up to v's, the quadrant past v
+    w = PointWavelet(1, (1, 10, 0, 10), root)
     eng._do_point(w)
     settles = _heap_items(eng, "settle")
     assert [(key, item[1]) for key, item in settles] == [(7, (3, 4))]
     splits = [item[1] for _, item in _heap_items(eng, "pw")]
-    assert [(s.origin, s.t0, s.key, s.rect) for s in splits] == [
-        ((0, 0), 0, 7, (0, 3, 0, 10)),
-        ((0, 0), 0, 7, (0, 10, 0, 4)),
-        ((3, 4), 7, 7, (3, 10, 4, 10)),
+    assert [(s.key, s.rect) for s in splits] == [
+        (7, (1, 3, 0, 10)),
+        (7, (1, 10, 0, 4)),
+        (7, (3, 10, 4, 10)),
     ]
-    assert all(not s.fresh and s.src is src for s in splits)
+    assert all(s.root is w.root is root for s in splits)
 
 
 def test_accessible_part_spawns_flat_front_and_endpoint_fans():
-    eng = _Engine(canonical_scene("S1"))
-    root = SrcNode("start", eng.source, 0)
-    eng.labels[eng.source] = (0, root)
-    ne = eng._spawn_arrangement(eng.source, 0, root)[0]
+    eng, (ne, *_) = _initial_wavelets(canonical_scene("S1"))
+    root = eng.labels[eng.source][1]
+    # queued with the roots: one flat front per capped root, waiting out the
+    # cap from its disappearance, and one wait fan per distinct piece end
+    flats = [item[1] for _, item in _heap_items(eng, "sw")]
+    assert [(f.lo, f.hi, f.node.kind, f.node.parent) for f in flats] == [
+        (0, 5, "piece", root),
+        (-5, 0, "piece", root),
+    ]
+    fans = [(key, item[1]) for key, item in _heap_items(eng, "fan")]
+    assert fans == [(20, (0, 5)), (20, (5, 5)), (20, (-5, 5))]
     eng.buckets.clear()
     eng.keys.clear()
     eng._do_point(ne)
-    flats = [item[1] for _, item in _heap_items(eng, "sw")]
-    assert [(f.lo, f.hi, f.line, f.key, f.dir) for f in flats] == [(0, 5, 5, 20, "N")]
-    assert flats[0].node.kind == "piece" and flats[0].node.edge == 0
-    fans = [(key, item[1]) for key, item in _heap_items(eng, "fan")]
-    assert fans == [(20, (0, 5)), (20, (5, 5))]
+    assert _heap_items(eng, "sw") == _heap_items(eng, "fan") == []
     # the blocking edge's own vertex is also the nearest vertex in the region
     assert [(key, item[1]) for key, item in _heap_items(eng, "settle")] == [(10, (5, 5))]
 
@@ -211,23 +227,23 @@ def test_plan_is_deterministic():
 
 def _queue_probe(rng):
     """An engine on an empty scene whose queue carries only probe events:
-    each is ("pw", (key, rank, tie, seq)) and its dispatch records the pop."""
+    each is ("pw", (key, rank, seq)) and its dispatch records the pop."""
     eng = _Engine(Scene(edges=(), vmax=1, source=(0, 0), dest=(9, 9)))
     eng._spawn_arrangement = lambda p, t, src: []
 
     def push(key):
-        rank, tie = rng.randrange(4), (rng.randrange(2), rng.randrange(2))
-        token = (key, rank, tie, eng.seq + 1)
-        eng._push(key, rank, tie, ("pw", token))
+        rank = rng.randrange(4)
+        token = (key, rank, eng.seq + 1)
+        eng._push(key, rank, ("pw", token))
         return token
 
     return eng, push
 
 
-def test_queue_pops_in_key_rank_tie_seq_order():
-    # A seeded stream at a few keys, all four ranks and equal ties, with
-    # pushes at the key being drained: every pop is the least pending
-    # (key, rank, tie, seq), as from one heap of all events.
+def test_queue_pops_in_key_rank_seq_order():
+    # A seeded stream at a few keys and all four ranks, with pushes at the
+    # key being drained: every pop is the least pending (key, rank, seq), as
+    # from one heap of all events, so equal (key, rank) pop in push order.
     rng = random.Random(15)
     at_drained = 0
     for _ in range(40):
