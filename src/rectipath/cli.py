@@ -176,8 +176,7 @@ def _fast_plan_phases(scene):
     t1 = clock()
     StopOracle(sc.edges)
     t2 = clock()
-    verts = sorted({p for e in sc.edges for p in e.endpoints})
-    CornerWeightedVertices([(p, i) for i, p in enumerate(verts)])
+    CornerWeightedVertices({p for e in sc.edges for p in e.endpoints})
     t3 = clock()
     eng = _FastEngine(scene)
     t4 = clock()
@@ -275,7 +274,7 @@ def _bench_json(sizes, seed, path) -> None:
         out["sizes"].append(
             {
                 "n": n,
-                "vertices": len(eng.vert_payload),
+                "vertices": len(eng.verts),
                 "arrival": str(eng.sc.time_out(eng.labels[eng.dest][0])),
                 "seconds": seconds,
                 "counters": dataclasses.asdict(eng.stats),

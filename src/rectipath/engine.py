@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .geometry import Scene, ScaledScene, TimedPath
 from .rangeindex import CornerWeightedVertices
+from .scenario import check_scene
 from .stopindex import _DIR_INFO, StopOracle
 
 DIAGS = ("NE", "NW", "SE", "SW")
@@ -49,7 +50,7 @@ _RANK_SETTLE, _RANK_SEGMENT, _RANK_POINT, _RANK_FAN = 0, 1, 2, 3
 class WaveletStats:
     point_wavelets: int = 0
     segment_wavelets: int = 0
-    narrows: int = 0
+    narrows: int = 0  # root-order cuts, plus registry overlaps resolved without one
     expands: int = 0  # no engine expands; kept because perfbench/worker.py reads it
 
 
@@ -144,15 +145,14 @@ class SegWavelet:
 
 class _Engine:
     def __init__(self, scene: Scene, trace: bool = False):
-        self.sc = ScaledScene(scene)
+        self.sc = ScaledScene(check_scene(scene))
         self.edges = self.sc.edges
         self.stop = StopOracle(self.edges)
         self.bbox = self.sc.bbox
         self.source = self.sc.source
         self.dest = self.sc.dest
-        verts = sorted({p for e in self.edges for p in e.endpoints})
-        self.vert_payload = {p: i for i, p in enumerate(verts)}
-        self.drm = CornerWeightedVertices([(p, i) for i, p in enumerate(verts)])
+        self.verts = {p for e in self.edges for p in e.endpoints}
+        self.drm = CornerWeightedVertices(self.verts)
         self.labels: Dict[Tuple[int, int], Tuple[int, SrcNode]] = {}
         # the bucket queue: key -> heap of (rank, seq, item); heap of keys
         self.buckets: Dict[int, List] = {}
@@ -264,10 +264,9 @@ class _Engine:
 
     def _split_vertex(self, w: PointWavelet):
         """The vertex w's region splits at, claimed from w, or None."""
-        hit = self.drm.nearest(w.rect, _NEAREST_CORNER[w.root.dir])
-        if hit is None:
+        v = self.drm.nearest(w.rect, _NEAREST_CORNER[w.root.dir])[1]
+        if v is None:
             return None
-        v = (hit.x, hit.y)
         self._claim(v, _arrival(w.root, v), w.root.src)
         return v
 
@@ -285,25 +284,21 @@ class _Engine:
             else:
                 reach = xhi if s > 0 else xlo
             tau = w.key + abs(reach - w.line)
-        dx, dy = self.dest
-        cross, perp = (dx, dy) if horizontal else (dy, dx)
-        in_span = (w.lo < cross or (not w.lo_open and w.lo == cross)) and (
-            cross < w.hi or (not w.hi_open and cross == w.hi)
-        )
-        if in_span:
-            if (s > 0 and w.line < perp <= reach) or (s < 0 and reach <= perp < w.line):
-                self._claim(self.dest, w.key + abs(perp - w.line), w.node)
-        if horizontal:
-            rect = (w.lo, w.hi, min(w.line, reach), max(w.line, reach))
-            open_sides = (w.lo_open, w.hi_open, s > 0, s < 0)
-        else:
-            rect = (min(w.line, reach), max(w.line, reach), w.lo, w.hi)
-            open_sides = (s > 0, s < 0, w.lo_open, w.hi_open)
-        if self.trace is not None:
+        # What the band claims, as one closed integer rectangle: its span
+        # without the open ends, and its reach without the front's own line.
+        lo, hi = w.lo + 1 if w.lo_open else w.lo, w.hi - 1 if w.hi_open else w.hi
+        near, far = (w.line + 1, reach) if s > 0 else (reach, w.line - 1)
+        claimed = (lo, hi, near, far) if horizontal else (near, far, lo, hi)
+        if self.trace is not None:  # the whole band, open ends and line included
+            across = (w.line, reach) if s > 0 else (reach, w.line)
+            rect = (w.lo, w.hi) + across if horizontal else across + (w.lo, w.hi)
             self.trace.append((rect, w.dir, w.node))
-        for wp in self.drm.report(rect, open_sides):
-            pv = wp.y if horizontal else wp.x
-            self._claim((wp.x, wp.y), w.key + abs(pv - w.line), w.node)
+        xlo, xhi, ylo, yhi = claimed
+        dx, dy = self.dest
+        if xlo <= dx <= xhi and ylo <= dy <= yhi:
+            self._claim(self.dest, w.key + abs((dy if horizontal else dx) - w.line), w.node)
+        for v in self.drm.report(claimed):
+            self._claim(v, w.key + abs(v[1 if horizontal else 0] - w.line), w.node)
         if hit is None:
             return
         clip_lo, clip_hi = max(w.lo, e.lo), min(w.hi, e.hi)
@@ -328,10 +323,10 @@ class _Engine:
         self.labels[self.source] = (0, SrcNode("start", self.source, 0))
         if self.source == self.dest and stop_at_dest:
             return
-        if self.source in self.vert_payload:
+        if self.source in self.verts:
             # a source on an edge endpoint is settled like any vertex; left
             # live it would be the split vertex of its own wavelets forever
-            self.drm.remove(self.source[0], self.source[1], self.vert_payload[self.source])
+            self.drm.remove(self.source)
         self._spawn_arrangement(self.source, 0, self.labels[self.source][1])
         buckets, keys, labels, dest = self.buckets, self.keys, self.labels, self.dest
         last_key = None
@@ -354,9 +349,9 @@ class _Engine:
                         continue
                     node = SrcNode("vertex", p, key, parent)
                     labels[p] = (key, node)
-                    if p not in self.vert_payload:
+                    if p not in self.verts:
                         continue  # a destination off every edge spawns nothing
-                    self.drm.remove(p[0], p[1], self.vert_payload[p])
+                    self.drm.remove(p)
                     self._spawn_arrangement(p, key, node)
                 elif kind == "pw":
                     self._do_point(item[1])

@@ -137,27 +137,21 @@ class _FastEngine(_Engine):
         # nearest in the region cuts w by the region of the root registered
         # there when that root ranks below w's.
         root = w.root
-        skip = None
-        if root.src.kind != "wait":
-            payload = self.vert_payload.get(root.origin)
-            if payload is not None:
-                skip = (root.origin[0], root.origin[1], payload)
-        hit_any, hit = self.drm.nearest(w.rect, _NEAREST_CORNER[root.dir], settled=True, skip=skip)
-        if hit is None:
+        skip = None if root.src.kind == "wait" else root.origin
+        p, v = self.drm.nearest(w.rect, _NEAREST_CORNER[root.dir], skip)
+        if v is None:
             # No live vertex: this region and all it would be cut or split
             # into can claim nothing (see the module docstring).  Otherwise
-            # hit_any is set too: the root vertex it leaves out is settled.
+            # p is set too: the root vertex it leaves out is settled.
             return None
-        p = (hit_any.x, hit_any.y)
         if p not in self.labels:
             # Nothing settled sits closer, so this is also the nearest
             # live vertex.
-            hit = hit_any
+            v = p
         else:
             resident = self.registry[(p, root.dir)].root
             if resident.rank < root.rank and self._cut(w, resident.rect, w.key):
                 return None
-        v = (hit.x, hit.y)
         tprime = _arrival(root, v)
         self._claim(v, tprime, root.src)
         prev = self.registry.get((v, root.dir))

@@ -1,11 +1,19 @@
-"""Independent exact arbiter: earliest-arrival Dijkstra on the Hanan grid.
+"""Independent upper-bound cross-check: earliest-arrival Dijkstra on the
+Hanan grid.
 
 The grid is the set of intersections of all vertical and horizontal lines
 through edge endpoints, the terminals, and any extra targets.  Every
 supporting line of an obstacle edge is a grid line, so a transversal crossing
-of an edge can only happen at a grid node, and an optimal path exists whose
-bends, wait points and crossings all lie on grid nodes (bends at vertex
-coordinates; a wait point shares its column or row with the next bend).
+of an edge can only happen at a grid node.  Every grid route it finds is a
+legal path, so its answers are never below the true earliest arrival; they
+are not always equal to it.  The grid has no line through the points that
+crossing instants force a path to pass: on ``perfbench/scenes.ladder_scene(rp,
+86)`` it answers 50 at (17, 30) and 59 at (17, 39), where the planners and
+the map answer 49 and 58 with witnesses that pass ``validate_path``
+(``tests/test_exact_labels.py`` pins those values; an exact reference by
+time discretization is ROADMAP item 2).  So a planner answer above it is a
+fault, one below it needs a valid witness, and agreement with it does not
+prove an answer optimal.
 
 Movement rule per step: departing node a toward a neighbor at time tau is
 delayed to an edge's disappearance when the move is perpendicular to an edge
@@ -29,7 +37,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geometry import Point, Scene, TransientEdge, l1_distance, validate_scene
+from .geometry import Point, Scene, TransientEdge
+from .scenario import check_scene
 
 
 class ParamsInfeasible(ValueError):
@@ -72,7 +81,8 @@ def _grid(scene: Scene, targets: Sequence[Point]):
 
 
 def oracle_arrivals(scene: Scene, targets: Sequence[Point]):
-    """Earliest arrival at each target, by one Dijkstra over the shared grid."""
+    """Earliest arrival at each target over the shared grid, by one Dijkstra:
+    never below the true earliest arrival (see the module docstring)."""
     xs, ys, node_id, host_h, host_v = _grid(scene, targets)
     nx, ny = len(xs), len(ys)
     vm = scene.vmax
@@ -110,7 +120,8 @@ def oracle_arrivals(scene: Scene, targets: Sequence[Point]):
 
 
 def oracle_plan(scene: Scene, target: Optional[Point] = None):
-    """Exact minimum arrival time from the source to target (default: dest)."""
+    """oracle_arrivals at one target (default: dest), an upper bound on the
+    earliest arrival there."""
     return oracle_arrivals(scene, [scene.dest if target is None else target])[0]
 
 
@@ -252,9 +263,7 @@ def random_scene(
         d = (rng.randint(0, coord_max), rng.randint(0, coord_max))
         if d != s and off_edges(d):
             break
-    scene = Scene(edges=tuple(edges), vmax=1, source=s, dest=d)
-    assert validate_scene(scene).ok
-    return scene
+    return check_scene(Scene(edges=tuple(edges), vmax=1, source=s, dest=d))
 
 
 def bench_scene(seed: int, n: int) -> Scene:
@@ -281,7 +290,6 @@ def bench_scene(seed: int, n: int) -> Scene:
 
     s = free_on_diagonal(0, 1)
     d = free_on_diagonal(side, -1)
-    assert s != d
-    scene = Scene(edges=sc.edges, vmax=1, source=s, dest=d)
-    assert validate_scene(scene).ok
-    return scene
+    if s == d:
+        raise ParamsInfeasible("the terminals coincide")
+    return check_scene(Scene(edges=sc.edges, vmax=1, source=s, dest=d))

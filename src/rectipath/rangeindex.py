@@ -7,20 +7,20 @@ Two structures:
   segment, optionally restricted to weights strictly above a floor.  It
   answers every stop query of the stop oracle (whose open shadow windows it
   stores as closed integer rectangles) and the map's point location.
-* :class:`CornerWeightedVertices` -- a fixed vertex set under deletion, query
-  = vertex in a rectangle nearest one of its corners, among the live vertices
-  or among all of them, the latter optionally leaving out one vertex.
+* :class:`CornerWeightedVertices` -- a fixed set of distinct points under
+  deletion, query = the point in a closed rectangle nearest one of its
+  corners, among all of them (optionally leaving one out) and among the
+  live ones, both from one pass.
 
-Both keep their items as bits of Python ints: the stabber one prefix
-bitset per distinct key of four sorted orders of its R rectangles, the
-vertex lookup one per position of the x and of the y order in each of two
+Both keep their items as bits of Python ints and one prefix bitset per
+distinct key of each sorted order they bisect: the stabber four orders of
+its R rectangles, the vertex lookup the x and the y order in each of two
 rank spaces (:class:`_RankSpace`) of its V points.  A query costs four
 binary searches and a few big-int operations on R or V bits, a deletion
-two such operations.  An order of N items keeps up to N + 1 prefixes, each
-about as long as the highest rank it holds, so nearly N bits: up to about
-N^2 / 8 bytes as CPython ints.
-Weight ties break by payload id, which callers choose to make results
-deterministic.
+two such operations.  An order of N items with K distinct keys keeps K + 1
+prefixes, each about as long as the highest rank it holds, so up to about
+K * N / 8 bytes as CPython ints.  The stabber breaks weight ties by payload
+id, which callers choose to make results deterministic.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ class WeightedRect:
     payload: int
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
-    x: int
-    y: int
-    payload: int
-
-
 class DeleteMissing(KeyError):
     """Raised when removing a vertex that is not live."""
 
@@ -61,18 +54,7 @@ class DeleteMissing(KeyError):
 # AND.  Each big-int operation is word-parallel: CPython's int digits hold
 # 30 bits, so it takes about N / 30 digit steps for N items.
 
-_CLOSED = (False, False, False, False)
 CORNERS = ("SW", "SE", "NW", "NE")
-
-
-def _prefixes(ranks) -> List[int]:
-    """out[k] has bit r set for each of the first k ranks."""
-    out = [0]
-    acc = 0
-    for r in ranks:
-        acc |= 1 << r
-        out.append(acc)
-    return out
 
 
 def _key_prefixes(keyed) -> Tuple[list, List[int]]:
@@ -160,58 +142,55 @@ class RectStabber:
 
 
 class _RankSpace:
-    """A fixed point set ranked by (d, x, y, payload) for one diagonal
-    coordinate d, each point one bit of a Python int.
+    """A fixed point set ranked by (d, x, y) for one diagonal coordinate d,
+    each point one bit of a Python int.
 
-    ``px[k]`` holds the bits of the first k points in x order and ``py[k]``
-    those of the first k in y order, so the points of an x range [a, b) and
-    a y range [c, d) of those orders are ``(px[b] ^ px[a]) & (py[d] ^
-    py[c])``.  ``live`` holds the points not yet removed, ``start[r]`` is
-    the first rank whose d equals rank r's, and ``by_rank[r]`` is the point
-    of rank r.
+    ``xs`` and ``ys`` are the sorted distinct x and y coordinates and
+    ``px[k]`` and ``py[k]`` the bits of the points whose x, or y, is at most
+    the k-th of them (:func:`_key_prefixes`), so the points of a closed x
+    range and a closed y range are two prefix differences ANDed.  ``live``
+    holds the points not yet removed, ``start[r]`` is the first rank whose d
+    equals rank r's, and ``by_rank[r]`` is the point of rank r.
     """
 
-    __slots__ = ("rank", "start", "by_rank", "px", "py", "live")
+    __slots__ = ("rank", "start", "by_rank", "xs", "ys", "px", "py", "live")
 
-    def __init__(self, diag, y_order, points):
-        """diag[i]: d of point i, points numbered in (x, y, payload) order;
-        y_order: the point numbers in y order; points: the points."""
-        n = len(diag)
-        order = sorted(range(n), key=lambda i: (diag[i], i))
+    def __init__(self, diag, points, y_order):
+        """diag[i]: d of points[i], the points in (x, y) order; y_order: the
+        point numbers in (y, x) order."""
+        n = len(points)
+        order = sorted(range(n), key=diag.__getitem__)  # stable: ties by (x, y)
         self.rank = rank = [0] * n
         self.start = start = [0] * n
         self.by_rank = [points[i] for i in order]
         for r, i in enumerate(order):
             rank[i] = r
             start[r] = start[r - 1] if r and diag[order[r - 1]] == diag[i] else r
-        self.px = _prefixes(rank)
-        self.py = _prefixes(rank[i] for i in y_order)
+        self.xs, self.px = _key_prefixes(zip([p[0] for p in points], rank))
+        self.ys, self.py = _key_prefixes((points[i][1], rank[i]) for i in y_order)
         self.live = (1 << n) - 1
 
 
 class CornerWeightedVertices:
-    """Nearest vertex toward a corner of a query rectangle, over a fixed
-    vertex set under deletion.
+    """Nearest vertex toward a corner of a closed query rectangle, over a
+    fixed set of distinct (x, y) points under deletion.
 
     A vertex in the rectangle is nearest its SW corner when x + y is least,
     nearest NE when x + y is greatest, and nearest SE or NW when y - x is
     least or greatest.  So two :class:`_RankSpace` s, on x + y and on y - x,
     answer all four corners: a query masks the rectangle's vertices in the
-    corner's space, with the live bits or without, and takes the lowest set
-    bit (SW, SE) or, for NE and NW, the lowest bit of the highest diagonal
-    group present.  Either way the answer is least by (L1 distance to the
-    corner, x, y, payload).  Answers are :class:`Vertex` items.
+    corner's space and takes the lowest set bit (SW, SE) or, for NE and NW,
+    the lowest bit of the highest diagonal group present.  Either way the
+    answer is least by (L1 distance to the corner, x, y).  Answers are the
+    points themselves.
     """
 
-    def __init__(self, vertices):
-        pts = sorted((x, y, payload) for (x, y), payload in vertices)
+    def __init__(self, points):
+        pts = sorted(set(points))
         self.index = {p: i for i, p in enumerate(pts)}
-        self.xs = [p[0] for p in pts]
-        y_order = sorted(range(len(pts)), key=lambda i: (pts[i][1], i))
-        self.ys = [pts[i][1] for i in y_order]
-        points = [Vertex(*p) for p in pts]
-        self.plus = _RankSpace([x + y for x, y, _ in pts], y_order, points)
-        self.minus = _RankSpace([y - x for x, y, _ in pts], y_order, points)
+        y_order = sorted(range(len(pts)), key=lambda i: pts[i][1])  # stable: ties by x
+        self.plus = _RankSpace([x + y for x, y in pts], pts, y_order)
+        self.minus = _RankSpace([y - x for x, y in pts], pts, y_order)
         self.corners = {  # corner -> (space, space.start or None)
             "SW": (self.plus, None),
             "NE": (self.plus, self.plus.start),
@@ -219,49 +198,44 @@ class CornerWeightedVertices:
             "NW": (self.minus, self.minus.start),
         }
 
-    def remove(self, x, y, payload) -> None:
-        """Take a vertex out of the live set."""
-        i = self.index.get((x, y, payload))
+    def remove(self, p) -> None:
+        """Take the vertex at point p out of the live set."""
+        i = self.index.get(p)
         if i is None or not self.plus.live >> self.plus.rank[i] & 1:
-            raise DeleteMissing((x, y, payload))
+            raise DeleteMissing(p)
         for space in (self.plus, self.minus):
             space.live &= ~(1 << space.rank[i])
 
-    def _mask(self, space, rect, open_sides) -> int:
-        """Bits of space's vertices inside rect, removed or not."""
+    def _mask(self, space, rect) -> int:
+        """Bits of space's vertices inside the closed rect, removed or not;
+        none when the rect is empty or inverted."""
         xlo, xhi, ylo, yhi = rect
-        olx, ohx, oly, ohy = open_sides
-        xs, ys = self.xs, self.ys
-        a = bisect_right(xs, xlo) if olx else bisect_left(xs, xlo)
-        b = bisect_left(xs, xhi) if ohx else bisect_right(xs, xhi)
-        c = bisect_right(ys, ylo) if oly else bisect_left(ys, ylo)
-        d = bisect_left(ys, yhi) if ohy else bisect_right(ys, yhi)
+        xs, ys = space.xs, space.ys
+        a, b = bisect_left(xs, xlo), bisect_right(xs, xhi)
+        c, d = bisect_left(ys, ylo), bisect_right(ys, yhi)
         if a >= b or c >= d:
             return 0
         return (space.px[b] ^ space.px[a]) & (space.py[d] ^ space.py[c])
 
-    def nearest(self, rect, corner: str, settled: bool = False, skip=None):
-        """Live vertex in the closed rect nearest the given corner of rect
-        (ties lexicographic), or None.  With settled=True, the pair (nearest
-        vertex removed or not, nearest live vertex), from one mask, or
-        (None, None) when rect holds no live vertex; ``skip``, an (x, y,
-        payload) vertex, is left out of the first answer only (a vertex the
-        caller stands on), while the live answer still counts it."""
+    def nearest(self, rect, corner: str, skip=None):
+        """The pair (vertex in the closed rect nearest the given corner,
+        removed or not; nearest live vertex there), from one mask, or
+        (None, None) when rect holds no live vertex.  The point ``skip`` is
+        left out of the first answer only (a vertex the caller stands on);
+        the live answer still counts it."""
         space, start = self.corners[corner]
-        m = self._mask(space, rect, _CLOSED)
+        m = self._mask(space, rect)
         lm = m & space.live
         if not lm:
-            return (None, None) if settled else None
-        live = _pick(lm, space.by_rank, start)
-        if not settled:
-            return live
-        if skip is not None:
-            m &= ~(1 << space.rank[self.index[skip]])
-        return _pick(m, space.by_rank, start), live
+            return None, None
+        i = self.index.get(skip)
+        if i is not None:
+            m &= ~(1 << space.rank[i])
+        return _pick(m, space.by_rank, start), _pick(lm, space.by_rank, start)
 
-    def report(self, rect, open_sides=_CLOSED) -> List[Vertex]:
-        """All live vertices inside rect, in no particular order."""
-        m = self._mask(self.plus, rect, open_sides) & self.plus.live
+    def report(self, rect) -> List[Tuple[int, int]]:
+        """All live vertices inside the closed rect, in no particular order."""
+        m = self._mask(self.plus, rect) & self.plus.live
         by_rank = self.plus.by_rank
         out = []
         while m:

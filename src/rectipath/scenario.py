@@ -109,6 +109,12 @@ def scene_from_dict(doc: Any) -> Scene:
         source=_dec_point(doc["source"], "source"),
         dest=_dec_point(doc["dest"], "dest"),
     )
+    return check_scene(scene)
+
+
+def check_scene(scene: Scene) -> Scene:
+    """The scene itself, or ScenarioError naming every issue validate_scene
+    finds in it."""
     report = validate_scene(scene)
     if not report.ok:
         raise ScenarioError("invalid scene: " + "; ".join(str(i) for i in report.issues))

@@ -218,39 +218,34 @@ def test_criterion_7_range_structures_vs_linear_scan():
         "NE": lambda r: (r[1], r[3]),
     }
 
-    def inside(p, rect, sides):
+    def inside(p, rect):
         (x, y), (xlo, xhi, ylo, yhi) = p, rect
-        return (
-            (xlo < x if sides[0] else xlo <= x)
-            and (x < xhi if sides[1] else x <= xhi)
-            and (ylo < y if sides[2] else ylo <= y)
-            and (y < yhi if sides[3] else y <= yhi)
-        )
+        return xlo <= x <= xhi and ylo <= y <= yhi
 
     for rep in range(1000):
         pts = sorted({(rng.randrange(0, 20), rng.randrange(0, 20)) for _ in range(rng.randrange(0, 24))})
-        cw = CornerWeightedVertices([(p, i) for i, p in enumerate(pts)])
+        cw = CornerWeightedVertices(pts)
         live = set(pts)
         for _ in range(rng.randrange(1, 30)):
             op = rng.random()
             if op < 0.3 and live:
                 gone = rng.choice(sorted(live))
-                cw.remove(gone[0], gone[1], pts.index(gone))
+                cw.remove(gone)
                 live.discard(gone)
                 continue
             x1, x2 = sorted(rng.randrange(-1, 21) for _ in range(2))
             y1, y2 = sorted(rng.randrange(-1, 21) for _ in range(2))
             rect = (x1, x2, y1, y2)
-            sides = tuple(rng.random() < 0.3 for _ in range(4))
+            if rng.random() < 0.2:  # inverted: a low bound past its high bound
+                rect = rng.choice(((x2 + 1, x1, y1, y2), (x1, x2, y2 + 1, y1)))
             if op < 0.5:
-                got = sorted((p.x, p.y) for p in cw.report(rect, sides))
-                assert got == sorted(p for p in live if inside(p, rect, sides))
+                assert sorted(cw.report(rect)) == sorted(p for p in live if inside(p, rect))
                 continue
             corner = rng.choice(sorted(corner_of))
             cx, cy = corner_of[corner](rect)
             want = [
                 min(
-                    (p for p in cands if inside(p, rect, (False, False, False, False))),
+                    (p for p in cands if inside(p, rect)),
                     key=lambda p: (abs(p[0] - cx) + abs(p[1] - cy), p),
                     default=None,
                 )
@@ -258,8 +253,7 @@ def test_criterion_7_range_structures_vs_linear_scan():
             ]
             if want[1] is None:
                 want[0] = None  # a region with no live vertex answers (None, None)
-            got = cw.nearest(rect, corner, settled=True)
-            assert [None if h is None else (h.x, h.y) for h in got] == want
+            assert list(cw.nearest(rect, corner)) == want
 
     # the map's point location: minimum (weight, payload) closed rectangle,
     # no floor, with repeated weights and queries on and beside the bounds

@@ -200,13 +200,11 @@ def test_envelope_random_vs_linear():
 
 
 def _nearest(cw, rect, corner):
-    hit = cw.nearest(rect, corner)
-    return None if hit is None else (hit.x, hit.y)
+    return cw.nearest(rect, corner)[1]
 
 
 def test_nearest_vertex_examples():
-    verts = [((1, 1), 0), ((2, 5), 1), ((6, 2), 2)]
-    cw = CornerWeightedVertices(verts)
+    cw = CornerWeightedVertices([(1, 1), (2, 5), (6, 2)])
     assert _nearest(cw, (0, 7, 0, 7), "SW") == (1, 1)
     assert _nearest(cw, (0, 7, 0, 7), "NE") == (6, 2)
     empty = CornerWeightedVertices([])
@@ -214,22 +212,37 @@ def test_nearest_vertex_examples():
 
 
 def test_nearest_vertex_tie_is_lexicographic():
-    # (1,3) and (3,1) tie on SW distance; lexicographic (x, y) order decides,
-    # provided payloads follow that order.
-    verts = [((1, 3), 0), ((3, 1), 1)]
-    cw = CornerWeightedVertices(verts)
+    # (1,3) and (3,1) tie on SW distance; lexicographic (x, y) order decides.
+    cw = CornerWeightedVertices([(3, 1), (1, 3)])
     assert _nearest(cw, (0, 9, 0, 9), "SW") == (1, 3)
+
+
+def test_empty_or_inverted_rect_masks_nothing():
+    # Every rect whose low bound passes its high bound on either axis, over
+    # a grid of points and bounds on, between and beside them, masks no
+    # vertex in either space, live or removed.
+    pts = [(x, y) for x in range(0, 8, 2) for y in range(0, 8, 2)]
+    cw = CornerWeightedVertices(pts)
+    cw.remove((2, 2))
+    for xlo, xhi, ylo, yhi in itertools.product(range(-1, 9), repeat=4):
+        if xlo <= xhi and ylo <= yhi:
+            continue
+        rect = (xlo, xhi, ylo, yhi)
+        assert cw._mask(cw.plus, rect) == cw._mask(cw.minus, rect) == 0, rect
+        assert cw.report(rect) == []
+        for corner in CORNERS:
+            assert cw.nearest(rect, corner, skip=(2, 2)) == (None, None)
+    # a rect between the points holds none of them
+    assert cw.report((3, 3, 0, 6)) == [] and cw.nearest((1, 1, 1, 1), "SW") == (None, None)
 
 
 def test_nearest_vertex_translation_invariance():
     rng = random.Random(44)
     for rep in range(60):
         pts = sorted({(rng.randrange(0, 30), rng.randrange(0, 30)) for _ in range(10)})
-        verts = [(p, i) for i, p in enumerate(pts)]
-        cw = CornerWeightedVertices(verts)
+        cw = CornerWeightedVertices(pts)
         dx, dy = rng.randrange(-50, 50), rng.randrange(-50, 50)
-        shifted = [((x + dx, y + dy), i) for (x, y), i in verts]
-        cw2 = CornerWeightedVertices(shifted)
+        cw2 = CornerWeightedVertices([(x + dx, y + dy) for x, y in pts])
         for corner in ("SW", "SE", "NW", "NE"):
             r = (2, 20, 4, 27)
             a = _nearest(cw, r, corner)
@@ -250,7 +263,7 @@ def test_nearest_vertex_brute_force():
     }
     for rep in range(150):
         pts = sorted({(rng.randrange(0, 30), rng.randrange(0, 30)) for _ in range(rng.randrange(1, 14))})
-        cw = CornerWeightedVertices([(p, i) for i, p in enumerate(pts)])
+        cw = CornerWeightedVertices(pts)
         for corner in ("SW", "SE", "NW", "NE"):
             x1, x2 = sorted(rng.randrange(0, 31) for _ in range(2))
             y1, y2 = sorted(rng.randrange(0, 31) for _ in range(2))
@@ -278,11 +291,18 @@ def _in_rect(p, rect, sides):
     )
 
 
+def _closed(rect, sides):
+    """The closed rect of the integers inside rect with the given sides
+    open, as callers pass it; inverted when no integer is left."""
+    (xlo, xhi, ylo, yhi), (olx, ohx, oly, ohy) = rect, sides
+    return (xlo + olx, xhi - ohx, ylo + oly, yhi - ohy)
+
+
 def test_index_under_removal_vs_linear_scan():
     # Hundreds of points on a small grid, so that many share a column or a
-    # row, removed one by one while both views of every corner of a closed
-    # rect (with and without a vertex left out of the settled one) and
-    # reports under every openness are checked.
+    # row, removed one by one while both answers for every corner of a
+    # closed rect (with and without a vertex left out of the first one) and
+    # reports on the closed rects of every openness are checked.
     rng = random.Random(46)
     corner_of = {
         "SW": lambda r: (r[0], r[2]),
@@ -294,8 +314,7 @@ def test_index_under_removal_vs_linear_scan():
     for _ in range(2):
         pts = sorted({(rng.randrange(0, 24), rng.randrange(0, 24)) for _ in range(320)})
         assert len(pts) >= 200
-        payload = {p: i for i, p in enumerate(pts)}
-        cw = CornerWeightedVertices(list(payload.items()))
+        cw = CornerWeightedVertices(pts)
         live = set(pts)
         order = list(pts)
         rng.shuffle(order)
@@ -313,29 +332,24 @@ def test_index_under_removal_vs_linear_scan():
                 want_live = nearest(live)
                 # a region with no live vertex answers (None, None)
                 want_all = nearest(pts) if want_live is not None else None
-                got_all, got_live = cw.nearest(rect, corner, settled=True)
-                assert (None if got_all is None else (got_all.x, got_all.y)) == want_all
-                assert (None if got_live is None else (got_live.x, got_live.y)) == want_live
-                hit = cw.nearest(rect, corner)
-                assert (None if hit is None else (hit.x, hit.y)) == want_live
-                # one vertex left out of the settled answer only: mostly the
+                assert cw.nearest(rect, corner) == (want_all, want_live)
+                # one vertex left out of the first answer only: mostly the
                 # one it would give, else any vertex, live or removed
                 out = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(pts)
-                got_all, got_live = cw.nearest(rect, corner, settled=True, skip=(out[0], out[1], payload[out]))
                 want_rest = nearest([p for p in pts if p != out]) if want_live is not None else None
-                assert (None if got_all is None else (got_all.x, got_all.y)) == want_rest
-                assert (None if got_live is None else (got_live.x, got_live.y)) == want_live
+                assert cw.nearest(rect, corner, skip=out) == (want_rest, want_live)
             if step % 8 == 0:
                 for s in all_sides:
                     want_pts = sorted(p for p in live if _in_rect(p, rect, s))
-                    assert sorted((p.x, p.y) for p in cw.report(rect, s)) == want_pts
-            cw.remove(gone[0], gone[1], payload[gone])
+                    assert sorted(cw.report(_closed(rect, s))) == want_pts
+            cw.remove(gone)
             live.discard(gone)
-            assert sorted((p.x, p.y) for p in cw.report((-1, 25, -1, 25))) == sorted(live)
+            assert sorted(cw.report((-1, 25, -1, 25))) == sorted(live)
         with pytest.raises(DeleteMissing):
-            cw.remove(gone[0], gone[1], payload[gone])
-        assert cw.nearest((0, 23, 0, 23), "SW") is None
-        assert cw.nearest((0, 23, 0, 23), "SW", settled=True) == (None, None)
+            cw.remove(gone)
+        with pytest.raises(DeleteMissing):
+            cw.remove((-5, -5))
+        assert cw.nearest((0, 23, 0, 23), "SW") == (None, None)
 
 
 _CORNER_AT = {
@@ -346,46 +360,34 @@ _CORNER_AT = {
 }
 
 
-def _scan(verts, rect, corner):
-    """(x, y, payload) of the vertex in the closed rect least by (L1 distance
-    to the corner, x, y, payload), by a linear scan of (x, y, payload)
-    triples."""
+def _scan(pts, rect, corner):
+    """The point in the closed rect least by (L1 distance to the corner, x,
+    y), by a linear scan."""
     cx, cy = _CORNER_AT[corner](rect)
-    inside = [v for v in verts if _in_rect(v[:2], rect, CLOSED)]
-    return min(inside, key=lambda v: (abs(v[0] - cx) + abs(v[1] - cy), v), default=None)
-
-
-def _triple(hit):
-    return None if hit is None else (hit.x, hit.y, hit.payload)
+    inside = [p for p in pts if _in_rect(p, rect, CLOSED)]
+    return min(inside, key=lambda p: (abs(p[0] - cx) + abs(p[1] - cy), p), default=None)
 
 
 def test_nearest_vertex_ties_on_both_diagonals():
-    # Four vertices on x + y = 4, two of them at (2, 2): a tie for SW and NE
-    # everywhere and for NW at (2, 2); each corner takes the least (x, y,
-    # payload) of its nearest line.
-    small = CornerWeightedVertices([((1, 3), 9), ((3, 1), 2), ((2, 2), 7), ((2, 2), 4)])
+    # Three vertices on x + y = 4: a tie for SW and NE everywhere; each
+    # corner takes the least (x, y) of its nearest line.
+    small = CornerWeightedVertices([(1, 3), (3, 1), (2, 2)])
     box = (0, 4, 0, 4)
-    assert [_triple(small.nearest(box, c)) for c in CORNERS] == [(1, 3, 9), (3, 1, 2), (1, 3, 9), (1, 3, 9)]
-    small.remove(1, 3, 9)
-    assert [_triple(small.nearest(box, c)) for c in CORNERS] == [(2, 2, 4), (3, 1, 2), (2, 2, 4), (2, 2, 4)]
-    small.remove(2, 2, 4)
-    assert _triple(small.nearest(box, "NW")) == _triple(small.nearest(box, "NE")) == (2, 2, 7)
-    got = small.nearest(box, "NE", settled=True, skip=(2, 2, 7))
-    assert [_triple(h) for h in got] == [(1, 3, 9), (2, 2, 7)]
+    assert [_nearest(small, box, c) for c in CORNERS] == [(1, 3), (3, 1), (1, 3), (1, 3)]
+    small.remove((1, 3))
+    assert [_nearest(small, box, c) for c in CORNERS] == [(2, 2), (3, 1), (2, 2), (2, 2)]
+    small.remove((2, 2))
+    assert _nearest(small, box, "NW") == _nearest(small, box, "NE") == (3, 1)
+    assert small.nearest(box, "NE", skip=(2, 2)) == ((1, 3), (3, 1))
 
-    # Every point of a 5 x 5 grid, five of them twice under a second
-    # payload, with payloads in no coordinate order: every x + y line is an
-    # SW/NE tie and every y - x line an SE/NW tie, checked against a scan
-    # before and after each removal, live or settled, with a vertex skipped.
+    # Every point of a 5 x 5 grid: every x + y line is an SW/NE tie and
+    # every y - x line an SE/NW tie, checked against a scan before and after
+    # each removal, live or removed, with a vertex skipped.
     rng = random.Random(48)
-    triples = [(x, y, 0) for x in range(5) for y in range(5)]
-    triples += [(x, y, 1) for x, y in ((2, 2), (1, 3), (3, 1), (0, 4), (4, 4))]
-    payloads = list(range(len(triples)))
-    rng.shuffle(payloads)
-    verts = [(x, y, p * 2 + dup) for (x, y, dup), p in zip(triples, payloads)]
-    cw = CornerWeightedVertices([((x, y), p) for x, y, p in verts])
-    live = list(verts)
-    order = list(verts)
+    pts = [(x, y) for x in range(5) for y in range(5)]
+    cw = CornerWeightedVertices(pts)
+    live = list(pts)
+    order = list(pts)
     rng.shuffle(order)
     for gone in order + [None]:
         for x1, x2, y1, y2 in itertools.product(range(5), repeat=4):
@@ -393,53 +395,50 @@ def test_nearest_vertex_ties_on_both_diagonals():
                 continue
             rect = (x1, x2, y1, y2)
             for corner in CORNERS:
-                want_all = _scan(verts, rect, corner)
+                want_all = _scan(pts, rect, corner)
                 want_live = _scan(live, rect, corner)
-                assert _triple(cw.nearest(rect, corner)) == want_live
-                skip = want_all if want_all is not None and rng.random() < 0.5 else rng.choice(verts)
-                got_all, got_live = cw.nearest(rect, corner, settled=True, skip=skip)
-                want_rest = _scan([v for v in verts if v != skip], rect, corner)
-                assert _triple(got_all) == (want_rest if want_live is not None else None)
-                assert _triple(got_live) == want_live
+                assert _nearest(cw, rect, corner) == want_live
+                skip = want_all if want_all is not None and rng.random() < 0.5 else rng.choice(pts)
+                want_rest = _scan([p for p in pts if p != skip], rect, corner)
+                want = (want_rest if want_live is not None else None, want_live)
+                assert cw.nearest(rect, corner, skip=skip) == want
         if gone is not None:
-            cw.remove(*gone)
+            cw.remove(gone)
             live.remove(gone)
 
 
 def test_vertex_index_on_a_bench_scene_vs_linear_scan():
     # The 800 vertices of bench_scene(1, 400), removed in random order,
-    # under rects whose bounds sit on vertex coordinates: both views of every
-    # corner and a skipped vertex, and reports under every openness checked
-    # every 16 removals.
+    # under rects whose bounds sit on vertex coordinates: both answers for
+    # every corner and a skipped vertex, and reports on the closed rects of
+    # every openness checked every 16 removals.
     sc = ScaledScene(bench_scene(1, 400))
     pts = sorted({p for e in sc.edges for p in e.endpoints})
-    verts = [(x, y, i) for i, (x, y) in enumerate(pts)]
-    cw = CornerWeightedVertices([((x, y), i) for x, y, i in verts])
+    cw = CornerWeightedVertices(pts)
     rng = random.Random(49)
     all_sides = list(itertools.product((False, True), repeat=4))
-    live = set(verts)
-    order = list(verts)
+    live = set(pts)
+    order = list(pts)
     rng.shuffle(order)
     for step, gone in enumerate(order):
-        x1, x2 = sorted(rng.choice(verts)[0] for _ in range(2))
-        y1, y2 = sorted(rng.choice(verts)[1] for _ in range(2))
+        x1, x2 = sorted(rng.choice(pts)[0] for _ in range(2))
+        y1, y2 = sorted(rng.choice(pts)[1] for _ in range(2))
         rect = (x1, x2, y1, y2)
-        inside_all = [v for v in verts if _in_rect(v[:2], rect, CLOSED)]
-        inside_live = [v for v in inside_all if v in live]
+        inside_all = [p for p in pts if _in_rect(p, rect, CLOSED)]
+        inside_live = [p for p in inside_all if p in live]
         for corner in CORNERS:
             want_all = _scan(inside_all, rect, corner)
             want_live = _scan(inside_live, rect, corner)
-            assert _triple(cw.nearest(rect, corner)) == want_live
-            skip = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(verts)
-            got_all, got_live = cw.nearest(rect, corner, settled=True, skip=skip)
-            want_rest = _scan([v for v in inside_all if v != skip], rect, corner)
-            assert _triple(got_all) == (want_rest if want_live is not None else None)
-            assert _triple(got_live) == want_live
+            assert _nearest(cw, rect, corner) == want_live
+            skip = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(pts)
+            want_rest = _scan([p for p in inside_all if p != skip], rect, corner)
+            want = (want_rest if want_live is not None else None, want_live)
+            assert cw.nearest(rect, corner, skip=skip) == want
         if step % 16 == 0:
             for sides in all_sides:
-                want = sorted(v for v in live if _in_rect(v[:2], rect, sides))
-                assert sorted(_triple(p) for p in cw.report(rect, sides)) == want
-        cw.remove(*gone)
+                want = sorted(p for p in live if _in_rect(p, rect, sides))
+                assert sorted(cw.report(_closed(rect, sides))) == want
+        cw.remove(gone)
         live.discard(gone)
-    xs, ys = [v[0] for v in verts], [v[1] for v in verts]
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
     assert cw.report((min(xs), max(xs), min(ys), max(ys))) == []

@@ -159,6 +159,35 @@ def test_flat_front_records_destination_candidate():
     assert _heap_items(eng, "sw") == []  # nothing above to stop on
 
 
+def test_band_claims_nothing_on_its_line_or_at_an_open_end():
+    # A front on y = 0 over x in [0, 10] moving north to the box top.
+    # Vertical edges put vertices at both ends of its span, (0, 2) (0, 4)
+    # and (10, 3) (10, 5), one on its own line, (5, 0), one behind it and
+    # two inside.  With both ends open only the inside ones are claimed; a
+    # closed end claims its vertices too.  The destination is claimed on the
+    # same terms.
+    edges = (
+        TransientEdge(0, (0, 2), (0, 4), 0, 1),
+        TransientEdge(1, (10, 3), (10, 5), 0, 1),
+        TransientEdge(2, (5, -3), (5, 0), 0, 1),
+        TransientEdge(3, (3, 6), (3, 8), 0, 1),
+    )
+    node = SegNode("piece", "N", 0, 0, parent=SrcNode("start", (-5, -5), 0), edge=0)
+
+    def claims(lo_open, hi_open, dest=(-5, 9)):
+        eng = _Engine(Scene(edges=edges, vmax=1, source=(-5, -5), dest=dest))
+        assert eng.sc.point_out((7, 9)) == (7, 9) and eng.bbox[3] >= 9
+        eng._do_segment(SegWavelet(0, 10, lo_open, hi_open, 0, 0, "N", node))
+        return sorted((item[1], key) for key, item in _heap_items(eng, "settle"))
+
+    assert claims(True, True) == [((3, 6), 6), ((3, 8), 8)]
+    assert claims(False, True) == [((0, 2), 2), ((0, 4), 4), ((3, 6), 6), ((3, 8), 8)]
+    assert claims(True, False) == [((3, 6), 6), ((3, 8), 8), ((10, 3), 3), ((10, 5), 5)]
+    for dest in ((0, 7), (10, 1), (7, 0)):  # at an open end or on the line
+        assert claims(True, True, dest) == [((3, 6), 6), ((3, 8), 8)]
+    assert claims(True, True, (7, 9)) == [((3, 6), 6), ((3, 8), 8), ((7, 9), 9)]
+
+
 def test_settled_labels_match_reference_arrivals():
     for seed in range(420, 470):
         scene = random_scene(seed, 2 + seed % 8)
