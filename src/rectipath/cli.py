@@ -70,6 +70,21 @@ def _num(text: str):
     return int(f) if f.denominator == 1 else f
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value; anything else is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError("not a non-negative integer: %r" % text)
+    return n
+
+
+def _counts(text: str) -> List[int]:
+    return [_count(part) for part in text.split(",")]
+
+
 def _parse_point(text: str):
     parts = text.split(",")
     if len(parts) != 2:
@@ -238,8 +253,9 @@ def _medians(runs, phases, *args):
     return {k: statistics.median(s[k] for s in samples) for k in seconds}, built
 
 
-def _bench_json(sizes, seed, path) -> None:
+def _cmd_bench(args) -> int:
     runs = 5
+    seed = args.seed
     out = {
         "version": 2,
         "what": (
@@ -255,7 +271,7 @@ def _bench_json(sizes, seed, path) -> None:
         },
         "sizes": [],
     }
-    for n in sizes:
+    for n in args.sizes:
         scene = bench_scene(seed, n)
         seconds, eng = _medians(runs, _fast_plan_phases, scene)
         # a seeded 20 x 20 lattice of integer points of the scaled box
@@ -288,28 +304,9 @@ def _bench_json(sizes, seed, path) -> None:
             }
         )
         print("n=%d plan %.3f s, map sweep %.3f s" % (n, seconds["plan"], map_seconds["sweep"]))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(args.json, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
-
-
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if args.json:
-        _bench_json(sizes, args.seed, args.json)
-        return 0
-    print("n,algo,arrival,point_wavelets,segment_wavelets,narrows,wall_ns")
-    for n in sizes:
-        scene = bench_scene(args.seed, n)
-        for name, fn in (("naive", naive_plan), ("fast", fast_plan)):
-            t0 = time.perf_counter_ns()
-            res = fn(scene)
-            dt = time.perf_counter_ns() - t0
-            s = res.stats
-            print(
-                "%d,%s,%s,%d,%d,%d,%d"
-                % (n, name, Fraction(res.arrival), s.point_wavelets, s.segment_wavelets, s.narrows, dt)
-            )
     return 0
 
 
@@ -353,15 +350,15 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("fuzz", help="cross-check planners on random scenes")
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--max-edges", type=int, required=True)
+    sp.add_argument("--count", type=_count, required=True)
+    sp.add_argument("--max-edges", type=_count, required=True)
     sp.add_argument("--check", default="naive,fast,oracle")
     sp.set_defaults(func=_cmd_fuzz)
 
-    sp = sub.add_parser("bench", help="wavelet counts and wall time per algorithm")
-    sp.add_argument("--sizes", required=True, help="comma-separated edge counts")
+    sp = sub.add_parser("bench", help="per-layer wall times of fast_plan and build_spm")
+    sp.add_argument("--sizes", type=_counts, required=True, help="comma-separated edge counts")
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--json", help="time fast_plan and build_spm per layer instead and write the medians here")
+    sp.add_argument("--json", required=True, help="write the median seconds per layer here")
     sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("render", help="SVG of scene and path on stdout")

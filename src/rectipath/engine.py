@@ -81,7 +81,11 @@ class SrcNode:
 
 
 class SegNode:
-    """Provenance of a flat front moving toward dir on line, departing at key:
+    """A flat front moving toward dir on line, departing at key, over the
+    span [lo, hi] of the line (an end marked open claims nothing on its own
+    column or row).  The sweep queues the node itself; it is also the
+    provenance of what the front claims and the node of its band's trace
+    record.  kind is one of:
 
     - "piece": accessible part of edge `edge`, reached by staircase from the
       point source parent and departed at the edge's disappearance;
@@ -90,32 +94,40 @@ class SegNode:
     - "remainder": columns of the parent front that edge `edge` does not
       block, continuing past its line without waiting (key is the flat
       arrival there).
+
+    Nodes rebuilt from a map file are provenance only and keep the span
+    defaults, as `SrcNode.host` stays None on nodes that are not waits.
     """
 
-    __slots__ = ("kind", "dir", "line", "key", "parent", "edge")
+    __slots__ = ("kind", "dir", "line", "key", "parent", "edge", "lo", "hi", "lo_open", "hi_open")
 
-    def __init__(self, kind, dir, line, key, parent, edge):
+    def __init__(self, kind, dir, line, key, parent, edge, lo=None, hi=None, lo_open=False, hi_open=False):
         self.kind = kind
         self.dir = dir
         self.line = line
         self.key = key
         self.parent = parent
         self.edge = edge
+        self.lo = lo
+        self.hi = hi
+        self.lo_open = lo_open
+        self.hi_open = hi_open
 
 
 class PointWavelet:
     """A diagonal front over a closed rect of its root's region.  The root is
     the arrangement wavelet spawned at a departed point source (itself for a
-    root), and only roots carry the front's origin, departure time t0,
-    diagonal dir, source node src and rank.  With (sx, sy) the signs of dir,
-    the arrival at any (x, y) of the rect is c + sx * x + sy * y, where
-    c = rank[0] = t0 - sx * ox - sy * oy; rank orders roots by (c, spawn
-    order).  Every piece lies in its root's closed quadrant.  Splits and cuts
-    keep the root source for path purposes: every claim value telescopes to
-    root time + distance, and staircases are guaranteed from the root, not
-    from an intermediate vertex."""
+    root), and only roots carry the diagonal dir, the source node src and
+    the rank; the front's origin and departure time are src.point and
+    src.time.  With (sx, sy) the signs of dir, the arrival at any (x, y) of
+    the rect is c + sx * x + sy * y, where c = rank[0] = time - sx * px -
+    sy * py of the source; rank orders roots by (c, spawn order).  Every
+    piece lies in its root's closed quadrant.  Splits and cuts keep the root
+    source for path purposes: every claim value telescopes to root time +
+    distance, and staircases are guaranteed from the root, not from an
+    intermediate vertex."""
 
-    __slots__ = ("key", "rect", "root", "origin", "t0", "dir", "src", "rank")
+    __slots__ = ("key", "rect", "root", "dir", "src", "rank")
 
     def __init__(self, key, rect, root=None):
         self.key = key
@@ -127,20 +139,6 @@ def _arrival(root: PointWavelet, p) -> int:
     """The arrival of root's front at p, c + sx * x + sy * y."""
     sx, sy = _DIAG_SIGNS[root.dir]
     return root.rank[0] + sx * p[0] + sy * p[1]
-
-
-class SegWavelet:
-    __slots__ = ("lo", "hi", "lo_open", "hi_open", "line", "key", "dir", "node")
-
-    def __init__(self, lo, hi, lo_open, hi_open, line, key, dir, node):
-        self.lo = lo
-        self.hi = hi
-        self.lo_open = lo_open
-        self.hi_open = hi_open
-        self.line = line
-        self.key = key
-        self.dir = dir
-        self.node = node
 
 
 class _Engine:
@@ -198,7 +196,7 @@ class _Engine:
             ycap = vstop.point[1] if vstop else (yhi if sy > 0 else ylo)
             rect = (min(p[0], xcap), max(p[0], xcap), min(p[1], ycap), max(p[1], ycap))
             w = PointWavelet(t, rect)
-            w.origin, w.t0, w.dir, w.src = p, t, d, src
+            w.dir, w.src = d, src
             self._push(t, _RANK_POINT, ("pw", w))
             w.rank = (t - sx * p[0] - sy * p[1], self.seq)
             self.stats.point_wavelets += 1
@@ -212,11 +210,11 @@ class _Engine:
     def _cap_pieces(self, w: PointWavelet, edge_idx: int, vertical_sweep: bool):
         """Accessible part of a root's cap edge: one flat front waiting out the
         edge, plus wait fans at the piece endpoints.  The cap stops the
-        origin's axis ray, so the accessible interval holds the origin's cross
+        source's axis ray, so the accessible interval holds the source's cross
         coordinate, as does the region's side range: the piece is never empty.
         """
         e = self.edges[edge_idx]
-        alo, ahi = self.stop.accessible_on(edge_idx, w.origin, w.t0)
+        alo, ahi = self.stop.accessible_on(edge_idx, w.src.point, w.src.time)
         rlo, rhi = (w.rect[0], w.rect[1]) if vertical_sweep else (w.rect[2], w.rect[3])
         alo, ahi = max(alo, rlo), min(ahi, rhi)
         sx, sy = _DIAG_SIGNS[w.dir]
@@ -224,9 +222,7 @@ class _Engine:
             sd = "N" if sy > 0 else "S"
         else:
             sd = "E" if sx > 0 else "W"
-        node = SegNode("piece", sd, e.line, e.td, w.src, edge_idx)
-        sw = SegWavelet(alo, ahi, False, False, e.line, e.td, sd, node)
-        self._push(e.td, _RANK_SEGMENT, ("sw", sw))
+        self._push(e.td, _RANK_SEGMENT, ("sw", SegNode("piece", sd, e.line, e.td, w.src, edge_idx, alo, ahi)))
         self.stats.segment_wavelets += 1
         for c in ([alo] if alo == ahi else [alo, ahi]):
             fp = (c, e.line) if vertical_sweep else (e.line, c)
@@ -270,7 +266,7 @@ class _Engine:
         self._claim(v, _arrival(w.root, v), w.root.src)
         return v
 
-    def _do_segment(self, w: SegWavelet):
+    def _do_segment(self, w: SegNode):
         s, horizontal = _DIR_INFO[w.dir]
         hit = self.stop.stop_drag(w.lo, w.hi, w.line, w.key, w.dir)
         if hit is not None:
@@ -292,29 +288,26 @@ class _Engine:
         if self.trace is not None:  # the whole band, open ends and line included
             across = (w.line, reach) if s > 0 else (reach, w.line)
             rect = (w.lo, w.hi) + across if horizontal else across + (w.lo, w.hi)
-            self.trace.append((rect, w.dir, w.node))
+            self.trace.append((rect, w.dir, w))
         xlo, xhi, ylo, yhi = claimed
         dx, dy = self.dest
         if xlo <= dx <= xhi and ylo <= dy <= yhi:
-            self._claim(self.dest, w.key + abs((dy if horizontal else dx) - w.line), w.node)
+            self._claim(self.dest, w.key + abs((dy if horizontal else dx) - w.line), w)
         for v in self.drm.report(claimed):
-            self._claim(v, w.key + abs(v[1 if horizontal else 0] - w.line), w.node)
+            self._claim(v, w.key + abs(v[1 if horizontal else 0] - w.line), w)
         if hit is None:
             return
         clip_lo, clip_hi = max(w.lo, e.lo), min(w.hi, e.hi)
-        node = SegNode("successor", w.dir, e.line, e.td, w.node, edge_idx)
-        succ = SegWavelet(clip_lo, clip_hi, False, False, e.line, e.td, w.dir, node)
+        succ = SegNode("successor", w.dir, e.line, e.td, w, edge_idx, clip_lo, clip_hi)
         self._push(e.td, _RANK_SEGMENT, ("sw", succ))
         self.stats.segment_wavelets += 1
         if w.lo < clip_lo:
-            rn = SegNode("remainder", w.dir, e.line, tau, w.node, edge_idx)
-            rw = SegWavelet(w.lo, clip_lo, w.lo_open, True, e.line, tau, w.dir, rn)
-            self._push(tau, _RANK_SEGMENT, ("sw", rw))
+            rn = SegNode("remainder", w.dir, e.line, tau, w, edge_idx, w.lo, clip_lo, w.lo_open, True)
+            self._push(tau, _RANK_SEGMENT, ("sw", rn))
             self.stats.segment_wavelets += 1
         if clip_hi < w.hi:
-            rn = SegNode("remainder", w.dir, e.line, tau, w.node, edge_idx)
-            rw = SegWavelet(clip_hi, w.hi, True, w.hi_open, e.line, tau, w.dir, rn)
-            self._push(tau, _RANK_SEGMENT, ("sw", rw))
+            rn = SegNode("remainder", w.dir, e.line, tau, w, edge_idx, clip_hi, w.hi, True, w.hi_open)
+            self._push(tau, _RANK_SEGMENT, ("sw", rn))
             self.stats.segment_wavelets += 1
 
     # -- main loop ------------------------------------------------------------

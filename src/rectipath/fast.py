@@ -137,7 +137,7 @@ class _FastEngine(_Engine):
         # nearest in the region cuts w by the region of the root registered
         # there when that root ranks below w's.
         root = w.root
-        skip = None if root.src.kind == "wait" else root.origin
+        skip = None if root.src.kind == "wait" else root.src.point
         p, v = self.drm.nearest(w.rect, _NEAREST_CORNER[root.dir], skip)
         if v is None:
             # No live vertex: this region and all it would be cut or split

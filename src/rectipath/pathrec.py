@@ -33,10 +33,16 @@ start ("y") or takes the start out of row 1's entries ("x").  The cost is
 O((n + k) log n) for n edges in the box and k intervals touched, against the
 full columns x rows grid this replaces.
 
+A straight hop is the same sweep on a box one column wide (w = 0: only the
+fences across that column block it) or one row high (h = 0: only the walls
+on row 0).  A forced axis across a straight hop leaves no route: "x" empties
+row 1's entries when w = 0, and "y" holds row 0's reach at the start when
+h = 0.
+
 A robot that waited on an edge departs perpendicular to it: the wait point
 and its departure time are where and when the sweep spawned the wait's
 wavelets, so the hop out of it is the one forced staircase from there.  If
-that staircase does not exist, or the target lies on the host's own line,
+that staircase does not exist, the target on the host's own line included,
 the hop raises instead of moving the wait or departing early.
 
 A chain that cannot be replayed, or a replay that misses its label's point
@@ -167,9 +173,7 @@ def _staircase(edges, tris, target, host=None):
     forced = None
     if host is not None and arrive0 < t0:
         forced = "y" if edges[host].horizontal else "x"
-    # _route's straight moves ignore forced, so the host's line is ruled out here
-    on_host_line = (forced == "y" and target[1] == p0[1]) or (forced == "x" and target[0] == p0[0])
-    corners = None if on_host_line else _route(edges, p0, t0, target, forced)
+    corners = _route(edges, p0, t0, target, forced)
     if corners is None:
         raise WitnessError(f"no staircase {p0}@{t0} -> {target}")
     _emit(tris, corners, t0)
@@ -189,10 +193,8 @@ def _route(edges, a, t0, b, forced) -> Optional[List[Tuple[int, int]]]:
     """Corners of a legal full-speed monotone staircase from (a, t0) to b,
     including b, or None.  forced restricts the first move's axis."""
     box = _clip(edges, a, b)
-    if a[0] == b[0] or a[1] == b[1]:
-        return [b] if _move_ok(box, a, b, t0) else None
-    sx = 1 if b[0] > a[0] else -1
-    sy = 1 if b[1] > a[1] else -1
+    sx = 1 if b[0] >= a[0] else -1
+    sy = 1 if b[1] >= a[1] else -1
     w, h = sx * (b[0] - a[0]), sy * (b[1] - a[1])
     fences = {}  # row -> open column intervals where north steps are blocked
     walls = []  # (p, q, column): east steps from column are blocked on rows in (p, q)
@@ -327,30 +329,3 @@ def _extend(spans, active, w):
             out.append((lo, end))
     return out
 
-
-def _move_ok(edges, a, b, t) -> bool:
-    """Axis move a -> b departing at t.  A crossing counts at the departure
-    column (leaving a contact) but not at the arrival column."""
-    if a[1] == b[1]:
-        y = a[1]
-        step = 1 if b[0] > a[0] else -1
-        for e in edges:
-            if e.horizontal:
-                continue
-            off = (e.line - a[0]) * step
-            if off < 0 or (b[0] - e.line) * step <= 0:
-                continue
-            if e.lo < y < e.hi and e.ta < t + off < e.td:
-                return False
-    else:
-        x = a[0]
-        step = 1 if b[1] > a[1] else -1
-        for e in edges:
-            if not e.horizontal:
-                continue
-            off = (e.line - a[1]) * step
-            if off < 0 or (b[1] - e.line) * step <= 0:
-                continue
-            if e.lo < x < e.hi and e.ta < t + off < e.td:
-                return False
-    return True

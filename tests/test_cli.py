@@ -134,17 +134,6 @@ def test_fuzz_reports_mismatch(monkeypatch, capsys):
     assert "mismatch on seed 7" in out and "reproduce" in out
 
 
-def test_bench_schema(capsys):
-    assert cli.main(["bench", "--sizes", "4,8", "--seed", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "n,algo,arrival,point_wavelets,segment_wavelets,narrows,wall_ns"
-    assert len(lines) == 5
-    rows = [ln.split(",") for ln in lines[1:]]
-    assert [r[:2] for r in rows] == [["4", "naive"], ["4", "fast"], ["8", "naive"], ["8", "fast"]]
-    assert rows[0][2] == rows[1][2]  # same arrival both algorithms
-    assert all(int(r[6]) > 0 for r in rows)
-
-
 def test_bench_json_layers(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert cli.main(["bench", "--sizes", "4,8", "--seed", "2", "--json", str(out)]) == 0
@@ -199,6 +188,26 @@ def test_usage_errors_exit_64(capsys):
     assert cli.main(["fuzz", "--seed", "1", "--count", "2", "--max-edges", "3", "--check", "psychic"]) == 64
     assert cli.main(["oracle", "x.json", "--target", "1;2"]) == 64
     capsys.readouterr()
+
+
+def test_bad_counts_exit_64(tmp_path, capsys):
+    # Sizes, scene counts and edge caps must be non-negative integers; a
+    # bench run also needs its output file.  None of these starts any work.
+    out = tmp_path / "b.json"
+    for argv in (
+        ["bench", "--sizes", "4,x", "--json", str(out)],
+        ["bench", "--sizes", "-3", "--json", str(out)],
+        ["bench", "--sizes", "4,-8", "--json", str(out)],
+        ["bench", "--sizes", "4"],
+        ["fuzz", "--seed", "1", "--count", "2", "--max-edges", "-1"],
+        ["fuzz", "--seed", "1", "--count", "-2", "--max-edges", "3"],
+        ["fuzz", "--seed", "1", "--count", "two", "--max-edges", "3"],
+    ):
+        assert cli.main(argv) == 64, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    for word in ("'x'", "'-3'", "'-8'", "--json", "'-1'", "'-2'", "'two'"):
+        assert word in captured.err, word
 
 
 def test_bad_scenario_exits_1(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 import sys
 from dataclasses import replace
 
-from rectipath.engine import DIAGS, _DIAG_SIGNS, PointWavelet, _arrival, _Engine, naive_plan
+from rectipath.engine import DIAGS, _DIAG_SIGNS, PointWavelet, SrcNode, _arrival, _Engine, naive_plan
 from rectipath.fast import _FastEngine, fast_plan, replacement_rects
 from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path, validate_scene
 from rectipath.oracle import oracle_plan, random_scene
@@ -52,7 +52,7 @@ def test_replacement_rects_cover_the_difference_exactly():
 def _piece(rng, root):
     """A random piece of root's lineage as splits make it: a sub-rectangle of
     root's region, either anywhere in it or in the quadrant of a region
-    point, queued at root's arrival at its corner nearest the origin."""
+    point, queued at root's arrival at its corner nearest the source."""
     sx, sy = _DIAG_SIGNS[root.dir]
     xlo, xhi, ylo, yhi = root.rect
     if rng.random() < 0.5:
@@ -62,7 +62,7 @@ def _piece(rng, root):
     x0, x1 = sorted((rng.randint(xlo, xhi), rng.randint(xlo, xhi)))
     y0, y1 = sorted((rng.randint(ylo, yhi), rng.randint(ylo, yhi)))
     corner = (x0 if sx > 0 else x1, y0 if sy > 0 else y1)
-    return PointWavelet(root.t0 + l1_distance(root.origin, corner), (x0, x1, y0, y1), root)
+    return PointWavelet(root.src.time + l1_distance(root.src.point, corner), (x0, x1, y0, y1), root)
 
 
 def test_lower_ranked_root_is_no_later_anywhere_in_the_overlap():
@@ -76,8 +76,8 @@ def test_lower_ranked_root_is_no_later_anywhere_in_the_overlap():
     rng = random.Random(5)
     roots = {d: [] for d in DIAGS}
     for _ in range(40):
-        p = (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
-        for w in eng._spawn_arrangement(p, rng.randrange(0, 12), None):
+        p, t = (rng.randint(xlo, xhi), rng.randint(ylo, yhi)), rng.randrange(0, 12)
+        for w in eng._spawn_arrangement(p, t, SrcNode("vertex", p, t)):
             roots[w.dir].append(w)
     done = 0
     while done < 300:
@@ -94,8 +94,8 @@ def test_lower_ranked_root_is_no_later_anywhere_in_the_overlap():
         for x in range(xlo, xhi + 1):
             for y in range(ylo, yhi + 1):
                 # each root's own departure plus distance, and its value function
-                a_win = win.t0 + l1_distance(win.origin, (x, y))
-                a_lose = lose.t0 + l1_distance(lose.origin, (x, y))
+                a_win = win.src.time + l1_distance(win.src.point, (x, y))
+                a_lose = lose.src.time + l1_distance(lose.src.point, (x, y))
                 assert a_win == _arrival(win, (x, y)) and a_lose == _arrival(lose, (x, y))
                 assert a_win <= a_lose, (win.rect, lose.rect, d, (x, y))
 

@@ -1,5 +1,6 @@
 """Staircase routing by the interval row sweep, against the grid search it
-replaced, and witness failures that raise instead of asserting."""
+replaced and the crossing rule of validate_path, and witness failures that
+raise instead of asserting."""
 
 import random
 import subprocess
@@ -9,20 +10,19 @@ from fractions import Fraction
 
 import pytest
 
-from rectipath.geometry import IntEdge, ScaledScene, Scene, validate_path
+from rectipath.geometry import IntEdge, ScaledScene, Scene, ValidationReport, _crossing_issues, validate_path
 from rectipath.oracle import bench_scene, random_scene
-from rectipath.pathrec import WitnessError, _move_ok, _route, _staircase
+from rectipath.pathrec import WitnessError, _route, _staircase
 from rectipath.spm import build_spm
 
 
 def _grid_route(edges, a, t0, b, forced):
     """Reference: reachability sweep over the full grid of edge lines, edge
     ends and window-crossing columns/rows in the box between a and b (the
-    route search before the row sweep).  Same contract as pathrec._route."""
+    route search before the row sweep).  Same contract as pathrec._route; a
+    straight hop is a grid of one column or one row."""
     sx = 1 if b[0] >= a[0] else -1
     sy = 1 if b[1] >= a[1] else -1
-    if a[0] == b[0] or a[1] == b[1]:
-        return [b] if _move_ok(edges, a, b, t0) else None
     mx, nx = min(a[0], b[0]), max(a[0], b[0])
     my, ny = min(a[1], b[1]), max(a[1], b[1])
     xs = {a[0], b[0]}
@@ -95,8 +95,9 @@ def _grid_route(edges, a, t0, b, forced):
     return corners
 
 
-def _check_staircase(edges, a, t0, b, forced, corners):
-    """A legal full-speed monotone staircase from (a, t0) ending at b."""
+def _check_staircase(sc, a, t0, b, forced, corners):
+    """A legal full-speed monotone staircase from (a, t0) ending at b, each
+    leg checked by validate_path's crossing rule in scene units."""
     assert corners and corners[-1] == b
     pts = [a] + corners
     lo_x, hi_x = min(a[0], b[0]), max(a[0], b[0])
@@ -109,19 +110,25 @@ def _check_staircase(edges, a, t0, b, forced, corners):
         assert p[0] == q[0] or p[1] == q[1], (p, q)
         assert (q[0] - p[0]) * sx >= 0 and (q[1] - p[1]) * sy >= 0, (p, q)
         assert lo_x <= q[0] <= hi_x and lo_y <= q[1] <= hi_y, q
-        if k == 0 and a[0] != b[0] and a[1] != b[1]:
+        if k == 0:
             if forced == "x":
                 assert p[1] == q[1]
             elif forced == "y":
                 assert p[0] == q[0]
-        assert _move_ok(edges, p, q, t), (p, q, t)
+        rep = ValidationReport()
+        _crossing_issues(rep, sc.scene, sc.point_out(p), sc.point_out(q), sc.time_out(t))
+        assert rep.ok, (p, q, t, rep)
         t += abs(q[0] - p[0]) + abs(q[1] - p[1])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_route_agrees_with_the_grid_reference(seed):
+    # Free hops, straight hops along a column or a row, and hops from an
+    # edge's end along its own line (a wait's host line), each under every
+    # forced first axis; a fifth of the targets are moved off the integer
+    # grid along the hop, as map queries may be.
     rng = random.Random(seed)
-    found = missed = 0
+    found = missed = straight = refused = 0
     for s in range(15):
         sc = ScaledScene(random_scene(100 * seed + s, rng.choice((6, 15, 30, 45))))
         edges = sc.edges
@@ -133,11 +140,26 @@ def test_route_agrees_with_the_grid_reference(seed):
                 return rng.choice(verts)
             return (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
 
-        for _ in range(20):
+        for _ in range(30):
             a, b = point(), point()
-            if rng.random() < 0.2:  # map queries may end off the integer grid
-                b = (b[0] + Fraction(rng.randint(1, 3), 4), b[1])
+            r = rng.random()
+            if r < 0.2:
+                b = (a[0], b[1])
+            elif r < 0.4:
+                b = (b[0], a[1])
+            elif r < 0.55 and edges:
+                e = rng.choice(edges)
+                a = rng.choice(e.endpoints)
+                c = rng.randint(xlo, xhi) if e.horizontal else rng.randint(ylo, yhi)
+                b = (c, e.line) if e.horizontal else (e.line, c)
+            if rng.random() < 0.2:
+                off = Fraction(rng.randint(1, 3), 4)
+                b = (b[0], b[1] + off) if a[0] == b[0] else (b[0] + off, b[1])
+            if a == b:
+                continue
             t0 = rng.randint(0, 100)
+            is_straight = a[0] == b[0] or a[1] == b[1]
+            straight += is_straight
             for forced in (None, "x", "y"):
                 got = _route(edges, a, t0, b, forced)
                 want = _grid_route(edges, a, t0, b, forced)
@@ -146,8 +168,11 @@ def test_route_agrees_with_the_grid_reference(seed):
                     missed += 1
                 else:
                     found += 1
-                    _check_staircase(edges, a, t0, b, forced, got)
-    assert found and missed  # both outcomes are exercised
+                    _check_staircase(sc, a, t0, b, forced, got)
+                if is_straight and forced == ("x" if a[0] == b[0] else "y"):
+                    assert got is None, (a, t0, b, forced, got)  # across the hop's only axis
+                    refused += 1
+    assert found and missed and straight > 200 and refused == straight
 
 
 def test_a_wait_departs_perpendicular_to_its_host():

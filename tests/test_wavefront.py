@@ -8,7 +8,6 @@ import pytest
 from rectipath.engine import (
     PointWavelet,
     SegNode,
-    SegWavelet,
     SrcNode,
     _Engine,
     naive_plan,
@@ -67,7 +66,7 @@ def test_initial_wavelets_cover_the_four_quadrants():
         "SE": (0, 1, -1, 0),
         "SW": (-1, 0, -1, 0),
     }
-    assert all(w.origin == (0, 0) and w.key == 0 for w in ws)
+    assert all(w.src.point == (0, 0) and w.src.time == 0 and w.key == 0 for w in ws)
 
 
 def test_initial_wavelets_capped_by_blocking_edge():
@@ -79,7 +78,7 @@ def test_initial_wavelets_capped_by_blocking_edge():
     # the north cap edge is queued with the roots, once per capped root; the
     # southern roots meet no cap
     flats = [item[1] for _, item in _heap_items(eng, "sw")]
-    assert [(f.lo, f.hi, f.line, f.key, f.dir, f.node.edge) for f in flats] == [
+    assert [(f.lo, f.hi, f.line, f.key, f.dir, f.edge) for f in flats] == [
         (0, 5, 5, 20, "N", 0),
         (-5, 0, 5, 20, "N", 0),
     ]
@@ -119,7 +118,7 @@ def test_accessible_part_spawns_flat_front_and_endpoint_fans():
     # queued with the roots: one flat front per capped root, waiting out the
     # cap from its disappearance, and one wait fan per distinct piece end
     flats = [item[1] for _, item in _heap_items(eng, "sw")]
-    assert [(f.lo, f.hi, f.node.kind, f.node.parent) for f in flats] == [
+    assert [(f.lo, f.hi, f.kind, f.parent) for f in flats] == [
         (0, 5, "piece", root),
         (-5, 0, "piece", root),
     ]
@@ -141,11 +140,10 @@ def test_stop_clips_successor_and_leaves_remainder():
         dest=(30, 30),
     )
     eng = _Engine(scene)
-    node = SegNode("piece", "N", 0, 3, parent=SrcNode("start", (0, 0), 0), edge=0)
-    eng._do_segment(SegWavelet(0, 4, False, False, 0, 3, "N", node))
+    eng._do_segment(SegNode("piece", "N", 0, 3, parent=SrcNode("start", (0, 0), 0), edge=0, lo=0, hi=4))
     assert [(key, item[1]) for key, item in _heap_items(eng, "settle")] == [(9, (2, 6))]
     flats = [item[1] for _, item in _heap_items(eng, "sw")]
-    assert [(f.lo, f.hi, f.lo_open, f.hi_open, f.line, f.key, f.node.kind) for f in flats] == [
+    assert [(f.lo, f.hi, f.lo_open, f.hi_open, f.line, f.key, f.kind) for f in flats] == [
         (0, 2, False, True, 6, 9, "remainder"),
         (2, 4, False, False, 6, 99, "successor"),
     ]
@@ -153,8 +151,7 @@ def test_stop_clips_successor_and_leaves_remainder():
 
 def test_flat_front_records_destination_candidate():
     eng = _Engine(canonical_scene("S1"))
-    node = SegNode("piece", "N", 5, 20, parent=SrcNode("start", (0, 0), 0), edge=0)
-    eng._do_segment(SegWavelet(-2, 2, False, False, 5, 20, "N", node))
+    eng._do_segment(SegNode("piece", "N", 5, 20, parent=SrcNode("start", (0, 0), 0), edge=0, lo=-2, hi=2))
     assert [(key, item[1]) for key, item in _heap_items(eng, "settle")] == [(25, (0, 10))]
     assert _heap_items(eng, "sw") == []  # nothing above to stop on
 
@@ -172,12 +169,12 @@ def test_band_claims_nothing_on_its_line_or_at_an_open_end():
         TransientEdge(2, (5, -3), (5, 0), 0, 1),
         TransientEdge(3, (3, 6), (3, 8), 0, 1),
     )
-    node = SegNode("piece", "N", 0, 0, parent=SrcNode("start", (-5, -5), 0), edge=0)
+    start = SrcNode("start", (-5, -5), 0)
 
     def claims(lo_open, hi_open, dest=(-5, 9)):
         eng = _Engine(Scene(edges=edges, vmax=1, source=(-5, -5), dest=dest))
         assert eng.sc.point_out((7, 9)) == (7, 9) and eng.bbox[3] >= 9
-        eng._do_segment(SegWavelet(0, 10, lo_open, hi_open, 0, 0, "N", node))
+        eng._do_segment(SegNode("piece", "N", 0, 0, start, 0, 0, 10, lo_open, hi_open))
         return sorted((item[1], key) for key, item in _heap_items(eng, "settle"))
 
     assert claims(True, True) == [((3, 6), 6), ((3, 8), 8)]
