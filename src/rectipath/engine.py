@@ -48,9 +48,11 @@ _RANK_SETTLE, _RANK_SEGMENT, _RANK_POINT, _RANK_FAN = 0, 1, 2, 3
 
 @dataclass
 class WaveletStats:
+    # point-wavelet queue events: the arrangement roots, plus the plain
+    # engine's split children or the narrowing engine's lineage requeues
     point_wavelets: int = 0
     segment_wavelets: int = 0
-    narrows: int = 0  # root-order cuts, plus registry overlaps resolved without one
+    narrows: int = 0  # the narrowing engine's root-order cuts that cleared bits
     expands: int = 0  # no engine expands; kept because perfbench/worker.py reads it
 
 
@@ -122,10 +124,11 @@ class PointWavelet:
     src.time.  With (sx, sy) the signs of dir, the arrival at any (x, y) of
     the rect is c + sx * x + sy * y, where c = rank[0] = time - sx * px -
     sy * py of the source; rank orders roots by (c, spawn order).  Every
-    piece lies in its root's closed quadrant.  Splits and cuts keep the root
-    source for path purposes: every claim value telescopes to root time +
+    piece lies in its root's closed quadrant.  Splits keep the root source
+    for path purposes: every claim value telescopes to root time +
     distance, and staircases are guaranteed from the root, not from an
-    intermediate vertex."""
+    intermediate vertex.  The narrowing engine makes no pieces: it queues
+    the root itself again for each claim (fast.py)."""
 
     __slots__ = ("key", "rect", "root", "dir", "src", "rank")
 
@@ -236,7 +239,7 @@ class _Engine:
         root = w.root
         xlo, xhi, ylo, yhi = w.rect
         if self.trace is not None and root is w:
-            # arrangement cones only: a split or cut piece lies inside its
+            # arrangement cones only: a split child lies inside its
             # arrangement's record with the same node, so the map would drop it
             self.trace.append((w.rect, w.dir, w.src))
         dx, dy = self.dest

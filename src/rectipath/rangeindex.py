@@ -8,9 +8,12 @@ Two structures:
   answers every stop query of the stop oracle (whose open shadow windows it
   stores as closed integer rectangles) and the map's point location.
 * :class:`CornerWeightedVertices` -- a fixed set of distinct points under
-  deletion, query = the point in a closed rectangle nearest one of its
-  corners, among all of them (optionally leaving one out) and among the
-  live ones, both from one pass.
+  deletion, query = the point in a closed rectangle, or in a bitset of its
+  points, nearest one of its corners, among all of them and among the live
+  ones, both from one pass.  The bitsets are
+  masks of the index's own: a closed rectangle's points, a rectangle's
+  strict interior, and the points at or after a given one in a corner's
+  order, which the narrowing sweep's lineages shrink their sets with.
 
 Both keep their items as bits of Python ints and one prefix bitset per
 distinct key of each sorted order they bisect: the stabber four orders of
@@ -149,11 +152,12 @@ class _RankSpace:
     ``px[k]`` and ``py[k]`` the bits of the points whose x, or y, is at most
     the k-th of them (:func:`_key_prefixes`), so the points of a closed x
     range and a closed y range are two prefix differences ANDed.  ``live``
-    holds the points not yet removed, ``start[r]`` is the first rank whose d
-    equals rank r's, and ``by_rank[r]`` is the point of rank r.
+    holds the points not yet removed, ranks ``start[r]`` up to ``stop[r]``
+    (exclusive) are those whose d equals rank r's, and ``by_rank[r]`` is the
+    point of rank r.
     """
 
-    __slots__ = ("rank", "start", "by_rank", "xs", "ys", "px", "py", "live")
+    __slots__ = ("rank", "start", "stop", "by_rank", "xs", "ys", "px", "py", "live")
 
     def __init__(self, diag, points, y_order):
         """diag[i]: d of points[i], the points in (x, y) order; y_order: the
@@ -162,10 +166,13 @@ class _RankSpace:
         order = sorted(range(n), key=diag.__getitem__)  # stable: ties by (x, y)
         self.rank = rank = [0] * n
         self.start = start = [0] * n
+        self.stop = stop = [n] * n
         self.by_rank = [points[i] for i in order]
         for r, i in enumerate(order):
             rank[i] = r
             start[r] = start[r - 1] if r and diag[order[r - 1]] == diag[i] else r
+        for r in range(n - 2, -1, -1):
+            stop[r] = stop[r + 1] if start[r + 1] == start[r] else r + 1
         self.xs, self.px = _key_prefixes(zip([p[0] for p in points], rank))
         self.ys, self.py = _key_prefixes((points[i][1], rank[i]) for i in y_order)
         self.live = (1 << n) - 1
@@ -206,31 +213,68 @@ class CornerWeightedVertices:
         for space in (self.plus, self.minus):
             space.live &= ~(1 << space.rank[i])
 
-    def _mask(self, space, rect) -> int:
-        """Bits of space's vertices inside the closed rect, removed or not;
-        none when the rect is empty or inverted."""
+    def _mask(self, space, rect, strict=False) -> int:
+        """Bits of space's vertices inside the closed rect, removed or not,
+        or with strict set only those inside its open interior; none when
+        the rect (or its interior) holds no point."""
         xlo, xhi, ylo, yhi = rect
         xs, ys = space.xs, space.ys
-        a, b = bisect_left(xs, xlo), bisect_right(xs, xhi)
-        c, d = bisect_left(ys, ylo), bisect_right(ys, yhi)
+        if strict:
+            a, b = bisect_right(xs, xlo), bisect_left(xs, xhi)
+            c, d = bisect_right(ys, ylo), bisect_left(ys, yhi)
+        else:
+            a, b = bisect_left(xs, xlo), bisect_right(xs, xhi)
+            c, d = bisect_left(ys, ylo), bisect_right(ys, yhi)
         if a >= b or c >= d:
             return 0
         return (space.px[b] ^ space.px[a]) & (space.py[d] ^ space.py[c])
 
-    def nearest(self, rect, corner: str, skip=None):
-        """The pair (vertex in the closed rect nearest the given corner,
-        removed or not; nearest live vertex there), from one mask, or
-        (None, None) when rect holds no live vertex.  The point ``skip`` is
-        left out of the first answer only (a vertex the caller stands on);
-        the live answer still counts it."""
+    def _without(self, space, bits: int, p) -> int:
+        """bits without the point p's bit; unchanged when p is no vertex."""
+        i = self.index.get(p)
+        return bits if i is None else bits & ~(1 << space.rank[i])
+
+    def region(self, rect, corner: str, skip=None) -> int:
+        """Bits, in the given corner's rank space, of the vertices inside the
+        closed rect, removed or not, with the point ``skip`` left out."""
+        space = self.corners[corner][0]
+        return self._without(space, self._mask(space, rect), skip)
+
+    def interior(self, rect, corner: str) -> int:
+        """Bits, in the given corner's rank space, of the vertices strictly
+        inside the rect; those on its boundary are left out."""
+        return self._mask(self.corners[corner][0], rect, strict=True)
+
+    def suffix(self, p, corner: str) -> int:
+        """Bits, in the given corner's rank space, of the vertices at or
+        after the vertex at point p in the corner's order: by L1 distance to
+        the corner, then (x, y), the order in which :meth:`nearest` picks
+        them.  For SW and SE that is every rank from p's on; for NE and NW,
+        whose order takes the diagonal groups from the highest down, it is
+        every lower group and the ranks from p's to the end of its own."""
         space, start = self.corners[corner]
-        m = self._mask(space, rect)
+        r = space.rank[self.index[p]]
+        if start is None:
+            return -1 << r
+        return ((1 << start[r]) - 1) | ((1 << space.stop[r]) - 1) >> r << r
+
+    def live(self, bits: int, corner: str, skip=None) -> int:
+        """The live vertices of a bitset of the given corner's rank space,
+        with the point ``skip`` left out."""
+        space = self.corners[corner][0]
+        return self._without(space, bits & space.live, skip)
+
+    def nearest(self, region, corner: str):
+        """The pair (vertex in the region nearest the given corner, removed
+        or not; nearest live vertex there), from one mask, or (None, None)
+        when the region holds no live vertex.  The region is a closed rect
+        (nearest its corner), or a bitset of the corner's rank space such as
+        :meth:`region` makes (first in the corner's order)."""
+        space, start = self.corners[corner]
+        m = region if type(region) is int else self._mask(space, region)
         lm = m & space.live
         if not lm:
             return None, None
-        i = self.index.get(skip)
-        if i is not None:
-            m &= ~(1 << space.rank[i])
         return _pick(m, space.by_rank, start), _pick(lm, space.by_rank, start)
 
     def report(self, rect) -> List[Tuple[int, int]]:

@@ -3,8 +3,8 @@ rectangle stabs.
 
 The narrowing planner's exhaustive sweep leaves a trace of everything it
 swept: cones (a point source covering a rectangle of its diagonal quadrant,
-recorded once per arrangement, since every piece the sweep later splits or
-narrows it into lies inside it with the same value function) and flat bands
+recorded once per root, since all its lineage later claims lies inside it
+with the same value function) and flat bands
 (a front sliding off an edge across a strip).  Each trace
 record is an achievable arrival time over a closed rectangle, and every
 point's true optimum is the value of the record that swept it first, so the
@@ -22,14 +22,17 @@ rectilinear subdivision, since a north-east cone x + y + c1 and a south-west
 cone -x - y + c2 trade places along a diagonal.  Witness paths replay the
 winning record's provenance chain the same way settled labels do.
 
-Serialized form (JSON, version 3): the scene, one table of provenance nodes
+Serialized form (JSON, version 4): the scene, one table of provenance nodes
 and the cell list, all in scaled integer units.  Every node row names its
 parent by index, and the parent is always an earlier row, so a loader builds
 the nodes in one forward pass; a cell names its node the same way.  Rows
 store no times: a node's time, or its line and key, follows from the scene
 and its parent, and a cell's value function from its node, so the loader
-derives them and checks the rest against the scene.  A loaded map answers
-exactly like the one that was dumped.
+derives them and checks the rest against the scene.  The last field is the
+SHA-256 of every byte before it, which the loader checks over the bytes it
+read: the cell list is the sweep's choice, which no check against the scene
+can confirm, so an edited or corrupted file must not load.  A loaded map
+answers exactly like the one that was dumped.
 """
 
 from __future__ import annotations
@@ -37,6 +40,17 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from typing import Dict, List, Tuple
+
+# CPython's own SHA-256, which hashlib falls back to without OpenSSL: importing
+# hashlib loads OpenSSL, about 3.6 MiB resident in every process that imports
+# the package, for two hashes per map file
+try:
+    from _sha2 import sha256  # CPython 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .engine import _DIAG_SIGNS, DIAGS, SegNode, SrcNode
 from .fast import _FastEngine
@@ -47,7 +61,10 @@ from .scenario import scene_from_dict, scene_to_dict
 from .stopindex import _DIR_INFO
 
 _FORMAT = "rectipath-spm"
-_VERSION = 3
+_VERSION = 4
+# a map file ends with its digest field: _DIGEST_KEY, 64 hex digits, _DIGEST_END
+_DIGEST_KEY = b',"sha256":"'
+_DIGEST_END = b'"}\n'
 
 # class index -> value gradient; cones first so they win boundary ties
 # against the flats that depart from those same boundary lines
@@ -327,11 +344,15 @@ def _cell(row, nodes, where) -> Cell:
     return Cell(rect, node.dir, node)
 
 
-def _spm_from_dict(doc) -> ShortestPathMap:
+def _check_version(doc) -> None:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise MapFormatError("not a shortest-path map file")
     if doc.get("version") != _VERSION:
         raise MapFormatError("unsupported map version %r" % (doc.get("version"),))
+
+
+def _spm_from_dict(doc) -> ShortestPathMap:
+    _check_version(doc)
     scene = scene_from_dict(doc.get("scene"))
     sc = ScaledScene(scene)
     verts = {p for e in sc.edges for p in e.endpoints}
@@ -362,18 +383,36 @@ def _spm_from_dict(doc) -> ShortestPathMap:
     return ShortestPathMap(sc, cells)
 
 
-def dump_spm(spm: ShortestPathMap, path) -> None:
+def _map_bytes(doc) -> bytes:
+    """The bytes of a map file for a document that has no digest yet: its
+    compact JSON, with the SHA-256 of every byte before it as the last
+    field."""
     # json.dumps runs the C encoder in one pass; json.dump to a file runs the
     # pure-Python chunked encoder for the same bytes
-    text = json.dumps(_spm_to_dict(spm), separators=(",", ":")) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    body = json.dumps(doc, separators=(",", ":")).encode("utf-8")[:-1]  # without its "}"
+    return body + _DIGEST_KEY + sha256(body).hexdigest().encode("ascii") + _DIGEST_END
+
+
+def _check_digest(data: bytes) -> None:
+    """data must end with the digest field of every byte before it."""
+    body, key, tail = data.rpartition(_DIGEST_KEY)
+    digest = sha256(body).hexdigest().encode("ascii")
+    if not key or tail != digest + _DIGEST_END:
+        raise MapFormatError("map digest mismatch: the file was edited or corrupted")
+
+
+def dump_spm(spm: ShortestPathMap, path) -> None:
+    with open(path, "wb") as fh:
+        fh.write(_map_bytes(_spm_to_dict(spm)))
 
 
 def load_spm(path) -> ShortestPathMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise MapFormatError(str(exc)) from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:
+        raise MapFormatError(str(exc)) from exc
+    _check_version(doc)
+    _check_digest(data)
     return _spm_from_dict(doc)

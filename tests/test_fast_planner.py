@@ -5,54 +5,18 @@ import sys
 from dataclasses import replace
 
 from rectipath.engine import DIAGS, _DIAG_SIGNS, PointWavelet, SrcNode, _arrival, _Engine, naive_plan
-from rectipath.fast import _FastEngine, fast_plan, replacement_rects
+from rectipath.fast import _FastEngine, fast_plan
 from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path, validate_scene
 from rectipath.oracle import oracle_plan, random_scene
 from rectipath.pathrec import build_path
 from rectipath.scenario import canonical_scene
 
 
-def _rand_rect(rng):
-    xlo = rng.randrange(0, 10)
-    ylo = rng.randrange(0, 10)
-    return (xlo, xlo + rng.randrange(0, 6), ylo, ylo + rng.randrange(0, 6))
-
-
-def test_replacement_rects_cover_the_difference_exactly():
-    rng = random.Random(3)
-    for _ in range(400):
-        r1 = _rand_rect(rng)
-        r2 = _rand_rect(rng)
-        reps = replacement_rects(r1, r2)
-        for r in reps:
-            assert r[0] <= r[1] and r[2] <= r[3]
-            assert r2[0] <= r[0] and r[1] <= r2[1] and r2[2] <= r[2] and r[3] <= r2[3]
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                a, b = reps[i], reps[j]
-                ox = (max(a[0], b[0]), min(a[1], b[1]))
-                oy = (max(a[2], b[2]), min(a[3], b[3]))
-                assert ox[0] >= ox[1] or oy[0] >= oy[1], (r1, r2)
-        for x in range(r2[0], r2[1] + 1):
-            for y in range(r2[2], r2[3] + 1):
-                covered = any(r[0] <= x <= r[1] and r[2] <= y <= r[3] for r in reps)
-                if r1[0] < x < r1[1] and r1[2] < y < r1[3]:
-                    assert not covered, (r1, r2, x, y)
-                elif not (r1[0] <= x <= r1[1] and r1[2] <= y <= r1[3]):
-                    assert covered, (r1, r2, x, y)
-                # r1 boundary points belong to the dominant region either way
-        for x in range(r2[0], r2[1]):
-            for y in range(r2[2], r2[3]):
-                c = (x + 0.5, y + 0.5)
-                covered = any(r[0] <= c[0] <= r[1] and r[2] <= c[1] <= r[3] for r in reps)
-                in_r1 = r1[0] <= c[0] <= r1[1] and r1[2] <= c[1] <= r1[3]
-                assert covered == (not in_r1), (r1, r2, c)
-
-
 def _piece(rng, root):
-    """A random piece of root's lineage as splits make it: a sub-rectangle of
-    root's region, either anywhere in it or in the quadrant of a region
-    point, queued at root's arrival at its corner nearest the source."""
+    """A random piece of root's region as the plain engine's splits make it:
+    a sub-rectangle of root's region, either anywhere in it or in the
+    quadrant of a region point, queued at root's arrival at its corner
+    nearest the source."""
     sx, sy = _DIAG_SIGNS[root.dir]
     xlo, xhi, ylo, yhi = root.rect
     if rng.random() < 0.5:
@@ -231,3 +195,20 @@ def test_terminals_on_edge_endpoints():
             res = plan(scene)
             assert res.arrival == want, (seed, which, plan.__name__)
             assert validate_path(scene, res.path, res.arrival).ok, (seed, which, plan.__name__)
+
+
+def test_whole_box_labels_with_terminals_on_edge_endpoints():
+    # A lineage leaves its root's own vertex out of its bitset; at a source
+    # on an endpoint that vertex is the source itself.  Over the whole box
+    # the fast sweep settles every point at the plain engine's label, and
+    # fast_plan's witnesses hold.
+    for seed, which, scene in endpoint_terminal_scenes(range(1, 61)):
+        labels = []
+        for engine_cls in (_FastEngine, _Engine):
+            eng = engine_cls(scene)
+            eng.run(stop_at_dest=False)
+            labels.append({p: t for p, (t, _node) in eng.labels.items()})
+        assert labels[0] == labels[1], (seed, which)
+        res = fast_plan(scene)
+        assert res.arrival == eng.sc.time_out(labels[1][eng.dest]), (seed, which)
+        assert validate_path(scene, res.path, res.arrival).ok, (seed, which)

@@ -231,7 +231,7 @@ def test_empty_or_inverted_rect_masks_nothing():
         assert cw._mask(cw.plus, rect) == cw._mask(cw.minus, rect) == 0, rect
         assert cw.report(rect) == []
         for corner in CORNERS:
-            assert cw.nearest(rect, corner, skip=(2, 2)) == (None, None)
+            assert cw.nearest(cw.region(rect, corner, (2, 2)), corner) == (None, None)
     # a rect between the points holds none of them
     assert cw.report((3, 3, 0, 6)) == [] and cw.nearest((1, 1, 1, 1), "SW") == (None, None)
 
@@ -301,7 +301,7 @@ def _closed(rect, sides):
 def test_index_under_removal_vs_linear_scan():
     # Hundreds of points on a small grid, so that many share a column or a
     # row, removed one by one while both answers for every corner of a
-    # closed rect (with and without a vertex left out of the first one) and
+    # closed rect (and of its region bitset with one vertex left out) and
     # reports on the closed rects of every openness are checked.
     rng = random.Random(46)
     corner_of = {
@@ -333,11 +333,12 @@ def test_index_under_removal_vs_linear_scan():
                 # a region with no live vertex answers (None, None)
                 want_all = nearest(pts) if want_live is not None else None
                 assert cw.nearest(rect, corner) == (want_all, want_live)
-                # one vertex left out of the first answer only: mostly the
-                # one it would give, else any vertex, live or removed
+                # one vertex left out of the region: mostly the one the
+                # first answer would give, else any vertex, live or removed
                 out = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(pts)
-                want_rest = nearest([p for p in pts if p != out]) if want_live is not None else None
-                assert cw.nearest(rect, corner, skip=out) == (want_rest, want_live)
+                live_rest = nearest([p for p in live if p != out])
+                want_rest = nearest([p for p in pts if p != out]) if live_rest is not None else None
+                assert cw.nearest(cw.region(rect, corner, out), corner) == (want_rest, live_rest)
             if step % 8 == 0:
                 for s in all_sides:
                     want_pts = sorted(p for p in live if _in_rect(p, rect, s))
@@ -378,7 +379,7 @@ def test_nearest_vertex_ties_on_both_diagonals():
     assert [_nearest(small, box, c) for c in CORNERS] == [(2, 2), (3, 1), (2, 2), (2, 2)]
     small.remove((2, 2))
     assert _nearest(small, box, "NW") == _nearest(small, box, "NE") == (3, 1)
-    assert small.nearest(box, "NE", skip=(2, 2)) == ((1, 3), (3, 1))
+    assert small.nearest(small.region(box, "NE", (2, 2)), "NE") == ((1, 3), (3, 1))
 
     # Every point of a 5 x 5 grid: every x + y line is an SW/NE tie and
     # every y - x line an SE/NW tie, checked against a scan before and after
@@ -400,8 +401,9 @@ def test_nearest_vertex_ties_on_both_diagonals():
                 assert _nearest(cw, rect, corner) == want_live
                 skip = want_all if want_all is not None and rng.random() < 0.5 else rng.choice(pts)
                 want_rest = _scan([p for p in pts if p != skip], rect, corner)
-                want = (want_rest if want_live is not None else None, want_live)
-                assert cw.nearest(rect, corner, skip=skip) == want
+                live_rest = _scan([p for p in live if p != skip], rect, corner)
+                want = (want_rest if live_rest is not None else None, live_rest)
+                assert cw.nearest(cw.region(rect, corner, skip), corner) == want
         if gone is not None:
             cw.remove(gone)
             live.remove(gone)
@@ -432,8 +434,9 @@ def test_vertex_index_on_a_bench_scene_vs_linear_scan():
             assert _nearest(cw, rect, corner) == want_live
             skip = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(pts)
             want_rest = _scan([p for p in inside_all if p != skip], rect, corner)
-            want = (want_rest if want_live is not None else None, want_live)
-            assert cw.nearest(rect, corner, skip=skip) == want
+            live_rest = _scan([p for p in inside_live if p != skip], rect, corner)
+            want = (want_rest if live_rest is not None else None, live_rest)
+            assert cw.nearest(cw.region(rect, corner, skip), corner) == want
         if step % 16 == 0:
             for sides in all_sides:
                 want = sorted(p for p in live if _in_rect(p, rect, sides))
@@ -442,3 +445,104 @@ def test_vertex_index_on_a_bench_scene_vs_linear_scan():
         live.discard(gone)
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
     assert cw.report((min(xs), max(xs), min(ys), max(ys))) == []
+
+
+# ----- the bitsets of a sweep lineage ---------------------------------------
+
+# the order in which a corner's nearest-vertex query picks points: by L1
+# distance to the corner (a diagonal coordinate), then (x, y)
+_CORNER_ORDER = {
+    "SW": lambda p: (p[0] + p[1], p),
+    "NE": lambda p: (-p[0] - p[1], p),
+    "SE": lambda p: (p[1] - p[0], p),
+    "NW": lambda p: (p[0] - p[1], p),
+}
+
+
+def _points_of(cw, bits, corner):
+    """The points of a bitset of the corner's rank space, in corner order."""
+    by_rank = cw.corners[corner][0].by_rank
+    pts = [p for r, p in enumerate(by_rank) if bits >> r & 1]
+    return sorted(pts, key=_CORNER_ORDER[corner])
+
+
+def _lineage_point_sets():
+    rng = random.Random(50)
+    # ties on one diagonal only: x + y = 6 for SW and NE, none for SE and NW
+    yield [(x, 6 - x) for x in range(7)]
+    yield [(x, 6 - x) for x in range(7)] + [(0, 0), (6, 6), (2, 1), (5, 3)]
+    # ties on y - x = 1 only, for SE and NW
+    yield [(x, x + 1) for x in range(6)] + [(3, 0), (0, 5)]
+    # every line of a grid ties
+    yield [(x, y) for x in range(5) for y in range(5)]
+    for _ in range(6):
+        yield sorted({(rng.randrange(0, 12), rng.randrange(0, 12)) for _ in range(40)})
+
+
+def test_suffix_mask_is_the_corner_order_from_a_vertex():
+    # For every corner and vertex, the suffix mask holds exactly the
+    # vertices at or after it in a sorted list of the corner's order, and a
+    # nearest-vertex query on a bitset so cut picks that vertex first.
+    for pts in _lineage_point_sets():
+        cw = CornerWeightedVertices(pts)
+        for corner in CORNERS:
+            order = sorted(pts, key=_CORNER_ORDER[corner])
+            every = cw.region((-1, 99, -1, 99), corner)
+            assert _points_of(cw, every, corner) == order
+            for i, p in enumerate(order):
+                suffix = cw.suffix(p, corner)
+                assert _points_of(cw, every & suffix, corner) == order[i:], (corner, p)
+                assert cw.nearest(every & suffix, corner) == (p, p)
+
+
+def test_interior_mask_leaves_the_boundary_out():
+    # Strict-interior masks of rects spanning, touching and missing the
+    # points, degenerate ones included, against a scan, for all four corners.
+    rng = random.Random(51)
+    for pts in _lineage_point_sets():
+        cw = CornerWeightedVertices(pts)
+        xs = sorted({p[0] for p in pts}) + [-1, 99]
+        ys = sorted({p[1] for p in pts}) + [-1, 99]
+        for _ in range(60):
+            x1, x2 = sorted(rng.choice(xs) + rng.choice((0, 0, 1)) for _ in range(2))
+            y1, y2 = sorted(rng.choice(ys) + rng.choice((0, 0, 1)) for _ in range(2))
+            rect = (x1, x2, y1, y2)
+            inside = [p for p in pts if x1 < p[0] < x2 and y1 < p[1] < y2]
+            closed = [p for p in pts if x1 <= p[0] <= x2 and y1 <= p[1] <= y2]
+            for corner in CORNERS:
+                key = _CORNER_ORDER[corner]
+                assert _points_of(cw, cw.interior(rect, corner), corner) == sorted(inside, key=key)
+                # a cut keeps the boundary: the closed rect minus the interior
+                kept = cw.region(rect, corner) & ~cw.interior(rect, corner)
+                want = sorted(set(closed) - set(inside), key=key)
+                assert _points_of(cw, kept, corner) == want, (rect, corner)
+
+
+def test_region_bitsets_under_removal():
+    # A region bitset with a vertex left out, its live part (with another
+    # vertex left out), and both picks of a nearest-vertex query on it,
+    # against a scan as vertices go.
+    rng = random.Random(52)
+    pts = [(x, y) for x in range(6) for y in range(6)]
+    cw = CornerWeightedVertices(pts)
+    live = set(pts)
+    order = list(pts)
+    rng.shuffle(order)
+    for gone in order:
+        x1, x2 = sorted(rng.randrange(-1, 7) for _ in range(2))
+        y1, y2 = sorted(rng.randrange(-1, 7) for _ in range(2))
+        rect = (x1, x2, y1, y2)
+        skip = rng.choice(pts)
+        closed = [p for p in pts if x1 <= p[0] <= x2 and y1 <= p[1] <= y2 and p != skip]
+        for corner in CORNERS:
+            key = _CORNER_ORDER[corner]
+            bits = cw.region(rect, corner, skip)
+            assert _points_of(cw, bits, corner) == sorted(closed, key=key)
+            live_in = sorted((p for p in closed if p in live), key=key)
+            assert _points_of(cw, cw.live(bits, corner), corner) == live_in
+            other = rng.choice(pts)
+            assert _points_of(cw, cw.live(bits, corner, other), corner) == [p for p in live_in if p != other]
+            want = (min(closed, key=key), live_in[0]) if live_in else (None, None)
+            assert cw.nearest(bits, corner) == want
+        cw.remove(gone)
+        live.discard(gone)

@@ -19,7 +19,7 @@ from rectipath.spm import (
     MapFormatError,
     OutsideBoundingBox,
     ShortestPathMap,
-    _spm_from_dict,
+    _map_bytes,
     _spm_to_dict,
     build_spm,
     dump_spm,
@@ -201,6 +201,41 @@ def test_load_rejects_other_files(tmp_path):
         load_spm(f)
 
 
+def _resigned(f, doc):
+    """Write doc to f with a digest of its own, as a forger would: the
+    loader's checks against the scene are what must catch the edit."""
+    doc.pop("sha256", None)
+    f.write_bytes(_map_bytes(doc))
+
+
+def test_load_rejects_edited_or_corrupted_files(tmp_path):
+    f = tmp_path / "map.json"
+    dump_spm(build_spm(random_scene(4, 10)), f)
+    data = f.read_bytes()
+    doc = json.loads(data)
+    assert len(doc["sha256"]) == 64 and data.endswith(b'"}\n')
+    edited = dict(doc, cells=doc["cells"][1:])
+    corrupt = {
+        "edited": json.dumps(edited, separators=(",", ":")).encode() + b"\n",
+        "reformatted": json.dumps(doc).encode(),
+        "byte-flipped": data[:40] + bytes([data[40] ^ 1]) + data[41:],
+        "digest-flipped": data[:-5] + (b"0" if data[-5:-4] != b"0" else b"1") + data[-4:],
+        "truncated": data[: len(data) // 2],
+        "no-digest": json.dumps({k: v for k, v in doc.items() if k != "sha256"}).encode(),
+    }
+    for what, body in corrupt.items():
+        f.write_bytes(body)
+        with pytest.raises(MapFormatError):
+            load_spm(f)
+    # the digest names the mismatch; a resigned edit loads, and answers from
+    # the cells it was given
+    f.write_bytes(corrupt["edited"])
+    with pytest.raises(MapFormatError, match="digest"):
+        load_spm(f)
+    _resigned(f, edited)
+    assert len(load_spm(f).cells) == len(doc["cells"]) - 1
+
+
 _FRONTS = ("piece", "successor", "remainder")
 
 
@@ -363,7 +398,7 @@ def test_load_rejects_bad_provenance_references(tmp_path, edit, match):
     dump_spm(build_spm(random_scene(4, 10)), f)
     doc = json.loads(f.read_text())
     edit(doc)
-    f.write_text(json.dumps(doc))
+    _resigned(f, doc)
     with pytest.raises(MapFormatError, match=match):
         load_spm(f)
 
@@ -378,7 +413,7 @@ def test_load_rejects_a_cycle_through_the_fronts(tmp_path):
     nodes.append({"kind": "remainder", "edge": 0, "parent": k + 1})
     nodes.append({"kind": "remainder", "edge": 0, "parent": k})
     doc["cells"][0] = {"rect": [-1, 1, 5, 11], "node": k}
-    f.write_text(json.dumps(doc))
+    _resigned(f, doc)
     with pytest.raises(MapFormatError):
         load_spm(f)
 
@@ -400,15 +435,29 @@ def _int_fields(doc):
     return out
 
 
-def test_edited_maps_fail_to_load_or_answer():
-    # A map edited by one small shift either fails to load or answers; the
-    # loader derives every time, so nothing is left that a query trips over.
+def _load_or_none(f):
+    try:
+        return load_spm(f)
+    except MapFormatError:
+        return None
+
+
+def test_edited_maps_fail_to_load_or_answer(tmp_path):
+    # A map edited by one small shift either fails to load or answers every
+    # query exactly as the unedited map.  The cell list is the sweep's
+    # choice, which the loader cannot check against the scene, so the digest
+    # must turn every edit away.  Resigned, as a forger would, the edit
+    # either fails to load or answers; the loader derives every time, so
+    # nothing is left that a query trips over.
+    f = tmp_path / "map.json"
     for seed in (4, 7, 11, 19, 23):
-        base = json.dumps(_spm_to_dict(build_spm(random_scene(seed, 10))))
+        dump_spm(build_spm(random_scene(seed, 10)), f)
+        data = f.read_bytes()
+        unedited = load_spm(f)
         rng = random.Random(seed)
-        fields = _int_fields(json.loads(base))
+        fields = _int_fields(json.loads(data))
         for _ in range(300):
-            doc = json.loads(base)
+            doc = json.loads(data)
             rows, i, key, j = rng.choice(fields)
             by = rng.choice((-3, -2, -1, 1, 2, 3))
             row = doc[rows][i]
@@ -418,20 +467,26 @@ def test_edited_maps_fail_to_load_or_answer():
                 row[key] += by
             else:
                 row[key][j] += by
-            try:
-                m = _spm_from_dict(doc)
-            except MapFormatError:
+            f.write_bytes(json.dumps(doc, separators=(",", ":")).encode() + b"\n")
+            edited = _load_or_none(f)
+            _resigned(f, doc)
+            forged = _load_or_none(f)
+            if edited is None and forged is None:
                 continue
-            xlo, xhi, ylo, yhi = m.sc.bbox
+            xlo, xhi, ylo, yhi = unedited.sc.bbox
             for _ in range(30):
-                m.query(m.sc.point_out((rng.randint(xlo, xhi), rng.randint(ylo, yhi))))
+                q = unedited.sc.point_out((rng.randint(xlo, xhi), rng.randint(ylo, yhi)))
+                if edited is not None:
+                    assert edited.query(q)[0] == unedited.query(q)[0], (seed, rows, i, key, q)
+                if forged is not None:
+                    forged.query(q)
 
 
 def test_map_file_lists_parents_first(tmp_path):
     f = tmp_path / "map.json"
     dump_spm(build_spm(random_scene(4, 10)), f)
     doc = json.loads(f.read_text())
-    assert doc["version"] == 3 and set(doc) == {"format", "version", "scene", "nodes", "cells"}
+    assert doc["version"] == 4 and set(doc) == {"format", "version", "scene", "nodes", "cells", "sha256"}
     parents = [r["parent"] for r in doc["nodes"]]
     assert parents[0] is None and all(0 <= p < i for i, p in enumerate(parents) if i)
     # rows hold only the sweep's choices; every time is derived on load
