@@ -48,9 +48,11 @@ _RANK_SETTLE, _RANK_SEGMENT, _RANK_POINT, _RANK_FAN = 0, 1, 2, 3
 
 @dataclass
 class WaveletStats:
-    # point-wavelet queue events: the arrangement roots, plus the plain
-    # engine's split children or the narrowing engine's lineage requeues
+    # point-wavelet events: every arrangement root spawned, queued or not,
+    # plus the plain engine's split children or the narrowing engine's
+    # lineage requeues
     point_wavelets: int = 0
+    dominated: int = 0  # roots the narrowing engine refused at spawn, never queued
     segment_wavelets: int = 0
     narrows: int = 0  # the narrowing engine's root-order cuts that cleared bits
     expands: int = 0  # no engine expands; kept because perfbench/worker.py reads it
@@ -186,8 +188,9 @@ class _Engine:
     # -- wavelet creation ---------------------------------------------------
 
     def _spawn_arrangement(self, p, t, src) -> List[PointWavelet]:
-        """Enqueue the four diagonal root wavelets departing (p, t), and the
-        flat fronts and wait fans of the edges that cap their axis rays."""
+        """Spawn the four diagonal root wavelets departing (p, t), queueing
+        those _admit admits, and enqueue the flat fronts and wait fans of the
+        edges that cap their axis rays."""
         stops = {d: self.stop.stop_point(p, t, d) for d in ("N", "S", "E", "W")}
         xlo, xhi, ylo, yhi = self.bbox
         made = []
@@ -200,8 +203,12 @@ class _Engine:
             rect = (min(p[0], xcap), max(p[0], xcap), min(p[1], ycap), max(p[1], ycap))
             w = PointWavelet(t, rect)
             w.dir, w.src = d, src
-            self._push(t, _RANK_POINT, ("pw", w))
-            w.rank = (t - sx * p[0] - sy * p[1], self.seq)
+            # the push's own seq, consumed whether or not w is queued
+            w.rank = (t - sx * p[0] - sy * p[1], self.seq + 1)
+            if self._admit(p, w):
+                self._push(t, _RANK_POINT, ("pw", w))
+            else:
+                self.seq += 1
             self.stats.point_wavelets += 1
             if vstop:
                 self._cap_pieces(w, vstop.edge_index, True)
@@ -209,6 +216,11 @@ class _Engine:
                 self._cap_pieces(w, hstop.edge_index, False)
             made.append(w)
         return made
+
+    def _admit(self, p, w: PointWavelet) -> bool:
+        """Whether root w, spawned at p, is queued; the plain engine queues
+        every root."""
+        return True
 
     def _cap_pieces(self, w: PointWavelet, edge_idx: int, vertical_sweep: bool):
         """Accessible part of a root's cap edge: one flat front waiting out the

@@ -15,18 +15,20 @@ the whole overlap of two same-direction regions the root with the smaller c
 is the earlier, by the same margin everywhere, and one comparison decides
 it.  Roots are ranked by (c, spawn order), a total order (PointWavelet.rank).
 
-Lineages.  A root is queued once at its spawn and, after each vertex it
-claims, once more at that claim's arrival.  Its first pop records it for the
-map, claims the destination if the region holds it, and fills the lineage's
-bitset with the region's vertices (CornerWeightedVertices.region), its own
-vertex left out: a start or vertex root sits at the source corner of its
-region, on a vertex settled with its point's own label node.  A wait root's
-point keeps its bit: it is a vertex only when a fan ends on an edge
-endpoint, which may still be live there.  The corner's order of the bitset is the root's arrival order, so each pop picks the first
-vertex of any kind p and the first live one v, claims v at the root's
-arrival there, keeps the bits at or after v (the ones before it are settled
-already), and requeues the lineage at v's arrival.  The plain engine splits
-the region into three overlapping children at v instead and queues each.
+Lineages.  A root is queued once at its spawn, unless it is dominated there
+(below), and, after each vertex it claims, once more at that claim's
+arrival.  Its first pop records it for the map, claims the destination if
+the region holds it, and fills the lineage's bitset with the region's
+vertices (CornerWeightedVertices.region), its own vertex left out: a start
+or vertex root sits at the source corner of its region, on a vertex settled
+with its point's own label node.  A wait root's point keeps its bit: it is
+a vertex only when a fan ends on an edge endpoint, which may still be live
+there.  The corner's order of the bitset is the root's arrival order, so
+each pop picks the first vertex of any kind p and the first live one v,
+claims v at the root's arrival there, keeps the bits at or after v (the
+ones before it are settled already), and requeues the lineage at v's
+arrival.  The plain engine splits the region into three overlapping
+children at v instead and queues each.
 
 Cuts.  A registry maps (vertex, direction) to the lowest ranked root among
 the vertex's claimants and the roots spawned there.  Both cuts follow the
@@ -50,6 +52,18 @@ every point at the same label, over the whole box as at the destination
 differ.  Lineages keep their root source and flat fronts keep the plain
 engine's provenance chains, so plans and maps are witnessed by the same path
 reconstruction as naive_plan.
+
+Dominated roots.  A root w spawned at p is refused when the registry's root
+at (p, w.dir) ranks below it and that root's closed region contains w's:
+w is never queued, claims nothing, the destination included, and leaves no
+trace record, while its cap pieces and wait fans are spawned as for any
+root.  This is the lowest-root argument again: the registered root ranks
+lower and holds every point of w's region, so w is the lowest ranked root
+of none of them and the argument never calls on it.  Each of those points,
+the destination too, is offered no later by the lowest ranked root that
+contains it, and the registered root's record covers w's in the map with
+no larger values.  A refused root still takes its spawn order, so every
+root keeps the rank it has in the plain engine.
 
 Dead ends.  A lineage whose bitset holds no live vertex ends, and its bitset
 is dropped with it: at a pop, or already at a claim that leaves no live
@@ -88,13 +102,17 @@ class _FastEngine(_Engine):
         # and once the lineage ends
         self.lineages = {}
 
-    def _spawn_arrangement(self, p, t, src):
-        made = super()._spawn_arrangement(p, t, src)
-        for w in made:
-            prev = self.registry.get((p, w.dir))
-            if prev is None or w.rank < prev.rank:
-                self.registry[(p, w.dir)] = w
-        return made
+    def _admit(self, p, w):
+        prev = self.registry.get((p, w.dir))
+        if prev is None or w.rank < prev.rank:
+            self.registry[(p, w.dir)] = w
+            return True
+        xlo, xhi, ylo, yhi = w.rect
+        pxlo, pxhi, pylo, pyhi = prev.rect
+        if pxlo <= xlo and xhi <= pxhi and pylo <= ylo and yhi <= pyhi:
+            self.stats.dominated += 1
+            return False
+        return True
 
     def _do_point(self, w: PointWavelet):
         drm, corner = self.drm, _NEAREST_CORNER[w.dir]

@@ -400,7 +400,8 @@ def validate_path(scene: Scene, path: TimedPath, claimed_arrival: Coord) -> Vali
 def _denoms(values) -> int:
     m = 1
     for v in values:
-        m = math.lcm(m, Fraction(v).denominator)
+        if type(v) is not int:  # an int's denominator is 1
+            m = math.lcm(m, Fraction(v).denominator)
     return m
 
 
@@ -434,19 +435,30 @@ class ScaledScene:
     """
 
     def __init__(self, scene: Scene):
+        # Integer coordinates, times and vmax skip Fraction: they scale to
+        # the same ints by int arithmetic.  A float product would round, so
+        # fractions and floats keep the Fraction formula.
         vm = scene.vmax
+        int_vm = type(vm) is int
+
+        def tv(t):  # t * vmax, exactly
+            return t * vm if int_vm and type(t) is int else Fraction(t) * vm
+
         vals = [scene.source[0], scene.source[1], scene.dest[0], scene.dest[1]]
         tvals = []
         for e in scene.edges:
             vals.extend((e.p1[0], e.p1[1], e.p2[0], e.p2[1]))
-            tvals.extend((Fraction(e.appear) * vm, Fraction(e.disappear) * vm))
+            tvals.extend((tv(e.appear), tv(e.disappear)))
         s = math.lcm(_denoms(vals), _denoms(tvals))
         self.scene = scene
         self.coord_scale = s
         self.time_scale = Fraction(s) * vm  # t_int = t * time_scale
 
         def cx(v):
-            return int(Fraction(v) * s)
+            return v * s if type(v) is int else int(Fraction(v) * s)
+
+        def ct(t):
+            return t * vm * s if int_vm and type(t) is int else int(Fraction(t) * self.time_scale)
 
         self.source = (cx(scene.source[0]), cx(scene.source[1]))
         self.dest = (cx(scene.dest[0]), cx(scene.dest[1]))
@@ -460,8 +472,8 @@ class ScaledScene:
                     line=cx(e.line_coord),
                     lo=cx(lo),
                     hi=cx(hi),
-                    ta=int(Fraction(e.appear) * self.time_scale),
-                    td=int(Fraction(e.disappear) * self.time_scale),
+                    ta=ct(e.appear),
+                    td=ct(e.disappear),
                 )
             )
         xs = [self.source[0], self.dest[0]]

@@ -4,11 +4,13 @@ rectangle stabs.
 The narrowing planner's exhaustive sweep leaves a trace of everything it
 swept: cones (a point source covering a rectangle of its diagonal quadrant,
 recorded once per root, since all its lineage later claims lies inside it
-with the same value function) and flat bands
-(a front sliding off an edge across a strip).  Each trace
-record is an achievable arrival time over a closed rectangle, and every
-point's true optimum is the value of the record that swept it first, so the
-map is the lower envelope of the records.
+with the same value function) and flat bands (a front sliding off an edge
+across a strip).  A root dominated at its spawn leaves no record: the
+lower ranked root of its vertex and diagonal whose region holds its whole
+region has one, and is nowhere later than it there.  Each trace record is
+an achievable arrival time over a closed rectangle, and every point's true
+optimum is the value of the record that swept it first, so the map is the
+lower envelope of the records.
 
 Within one sweep direction a record's value is offset + g . q with a fixed
 gradient g (the four diagonal cone classes, the four axial flat classes), so

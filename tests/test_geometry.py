@@ -1,6 +1,10 @@
+import math
 from fractions import Fraction
 
+import pytest
+
 from rectipath.geometry import (
+    IntEdge,
     ScaledScene,
     Scene,
     TimedPath,
@@ -10,6 +14,7 @@ from rectipath.geometry import (
     validate_path,
     validate_scene,
 )
+from rectipath.oracle import random_scene
 
 
 def edge(eid, p1, p2, ta, td):
@@ -206,3 +211,73 @@ def test_scaled_scene_integer_identity():
     assert ss.source == (0, 0) and ss.dest == (0, 10)
     assert ss.bbox == (-6, 6, -1, 11)
     assert ss.edges[0].ta == 0 and ss.edges[0].td == 6
+
+
+def _all_fraction_scaling(scene):
+    """ScaledScene's figures with every coordinate, time and vmax taken
+    through Fraction: (source, dest, edges, bbox, time_scale)."""
+    vm = Fraction(scene.vmax)
+    vals = [*scene.source, *scene.dest] + [c for e in scene.edges for c in (*e.p1, *e.p2)]
+    tvals = [Fraction(t) * vm for e in scene.edges for t in (e.appear, e.disappear)]
+    s = 1
+    for v in vals + tvals:
+        s = math.lcm(s, Fraction(v).denominator)
+    ts = s * vm
+
+    def cx(v):
+        return int(Fraction(v) * s)
+
+    edges = [
+        IntEdge(e.id, e.horizontal, cx(e.line_coord), cx(e.span[0]), cx(e.span[1]),
+                int(Fraction(e.appear) * ts), int(Fraction(e.disappear) * ts))
+        for e in scene.edges
+    ]
+    pts = [(cx(x), cx(y)) for x, y in [scene.source, scene.dest]] + [p for e in edges for p in e.endpoints]
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    bbox = (min(xs) - s, max(xs) + s, min(ys) - s, max(ys) + s)
+    return (cx(scene.source[0]), cx(scene.source[1])), (cx(scene.dest[0]), cx(scene.dest[1])), edges, bbox, ts
+
+
+def _rescaled(scene, coord=1, time=1, vmax=None):
+    """scene with every coordinate times coord and every time times time."""
+
+    def pt(p):
+        return (p[0] * coord, p[1] * coord)
+
+    edges = tuple(
+        TransientEdge(e.id, pt(e.p1), pt(e.p2), e.appear * time, e.disappear * time) for e in scene.edges
+    )
+    return Scene(edges=edges, vmax=scene.vmax if vmax is None else vmax, source=pt(scene.source), dest=pt(scene.dest))
+
+
+@pytest.mark.parametrize(
+    "coord, time, vmax",
+    [
+        (1, 1, 1),  # integers throughout
+        (1, 1, 3),  # an integer vmax other than 1
+        (Fraction(1, 2), 1, 1),  # fractional coordinates
+        (Fraction(5, 3), 1, 2),
+        (1, Fraction(1, 3), 1),  # fractional times
+        (1, Fraction(1, 3), 3),  # an integer vmax cancelling the times' denominator
+        (1, Fraction(2, 7), Fraction(7, 4)),
+        (1, 1, Fraction(2, 3)),  # a fractional vmax
+        (Fraction(3, 4), Fraction(1, 6), Fraction(5, 2)),
+        # a float vmax multiplies in float arithmetic, which is exact only
+        # for the dyadic ones
+        (1, 1, 0.75),  # float vmax
+        (1, Fraction(1, 3), 1.5),
+        (1, 0.5, 3),  # float times, each taken as its exact binary fraction
+        (1, 0.1, 1),
+        (0.25, 1, 1),  # float coordinates
+    ],
+)
+def test_scaled_scene_equals_the_all_fraction_scaling(coord, time, vmax):
+    for seed in (1, 2, 3):
+        sc = _rescaled(random_scene(seed, 12), coord, time, vmax)
+        ss = ScaledScene(sc)
+        source, dest, edges, bbox, ts = _all_fraction_scaling(sc)
+        assert (ss.source, ss.dest, ss.edges, ss.bbox, ss.time_scale) == (source, dest, edges, bbox, ts)
+        scaled = [*ss.source, *ss.dest, *ss.bbox] + [
+            v for e in ss.edges for v in (e.line, e.lo, e.hi, e.ta, e.td)
+        ]
+        assert all(type(v) is int for v in scaled), (coord, time, vmax)

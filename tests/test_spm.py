@@ -8,7 +8,7 @@ from test_exact_labels import _ladder_scenes
 
 import rectipath
 from rectipath.engine import DIAGS, SegNode, SrcNode, _Engine
-from rectipath.fast import fast_plan
+from rectipath.fast import _FastEngine, fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
 from rectipath.oracle import bench_scene, oracle_arrivals, random_scene
 from rectipath.scenario import canonical_scene
@@ -19,6 +19,7 @@ from rectipath.spm import (
     MapFormatError,
     OutsideBoundingBox,
     ShortestPathMap,
+    _harvest,
     _map_bytes,
     _spm_to_dict,
     build_spm,
@@ -546,6 +547,52 @@ def test_locate_is_the_minimum_over_all_cells():
                 m._locate((x, y))
         else:
             assert m._locate((x, y)) == want, (x, y)
-    # 3403 cells since equal (key, rank) events pop in push order alone: a
-    # front or fan may then take another equal-time claimant as its source
-    assert len(m.cells) == 3403 and 0 < outside < len(pts)
+    # 2789 cells: a root whose registered lower root's region holds its own
+    # is never queued and leaves no record, and since equal (key, rank)
+    # events pop in push order alone, a front or fan may take another
+    # equal-time claimant as its source
+    assert len(m.cells) == 2789 and 0 < outside < len(pts)
+
+
+class _AdmitEveryRoot(_FastEngine):
+    """The sweep queueing every root, dominated ones too."""
+
+    def _admit(self, p, w):
+        super()._admit(p, w)  # the registry update alone
+        return True
+
+
+def test_dominated_roots_change_no_map_answer():
+    # Maps with and without the roots refused at spawn, at every cell
+    # corner of either and its eight neighbours inside the box, and at the
+    # map benchmark's query lattice, where the witnesses are checked.  On
+    # the ladders some map witnesses bend between vertex visits with or
+    # without the refusal (ROADMAP item 1); they must be invalid at the
+    # same points and for that reason alone.
+    ns = _ladder_scenes()
+    ladders = (ns["ladder_scene"](rectipath, 0), ns["ladder_scene"](rectipath, 16))
+    for scene, allowed in [(bench_scene(1, 200), set())] + [(s, {"NonMonotoneSubpath"}) for s in ladders]:
+        m = build_spm(scene)
+        eng = _AdmitEveryRoot(scene, trace=True)
+        eng.run(stop_at_dest=False)
+        full = ShortestPathMap(eng.sc, _harvest(eng.trace))
+        assert len(m.cells) < len(full.cells)
+        xlo, xhi, ylo, yhi = m.sc.bbox
+        pts = set()
+        for c in m.cells + full.cells:
+            for x in c.rect[:2]:
+                for y in c.rect[2:]:
+                    pts.update(
+                        (x + dx, y + dy)
+                        for dx in (-1, 0, 1)
+                        for dy in (-1, 0, 1)
+                        if xlo <= x + dx <= xhi and ylo <= y + dy <= yhi
+                    )
+        for q in map(m.sc.point_out, sorted(pts)):
+            assert m.arrival(q) == full.arrival(q), q
+        for q in ns["serve_points"](rectipath, scene, 1):
+            codes = []
+            for mm in (m, full):
+                t, path = mm.query(q)
+                codes.append(validate_path(_retarget(scene, q), path, t).codes())
+            assert codes[0] == codes[1] and codes[0] <= allowed, q
