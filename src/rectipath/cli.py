@@ -221,7 +221,7 @@ def _map_phases(scene, points, file):
     t.append(clock())
     cells = _harvest(eng.trace)
     t.append(clock())
-    m = ShortestPathMap(eng.sc, cells)
+    m = ShortestPathMap(eng.sc, cells, eng.stop)
     t.append(clock())
     for ask in (m.arrival, m.query):
         for q in points:
@@ -283,7 +283,7 @@ def _cmd_bench(args) -> int:
             map_seconds, m = _medians(runs, _map_phases, scene, points, file)
             file_kib = os.path.getsize(file) / 1024
         tracemalloc.start()
-        index = ShortestPathMap(m.sc, m.cells)
+        index = ShortestPathMap(m.sc, m.cells, m.stop)
         index_mib = tracemalloc.get_traced_memory()[0] / 2**20
         tracemalloc.stop()
         del index

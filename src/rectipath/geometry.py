@@ -437,8 +437,9 @@ class ScaledScene:
     def __init__(self, scene: Scene):
         # Integer coordinates, times and vmax skip Fraction: they scale to
         # the same ints by int arithmetic.  A float product would round, so
-        # fractions and floats keep the Fraction formula.
-        vm = scene.vmax
+        # fractions and floats keep the Fraction formula, and a float vmax
+        # is taken as its exact binary fraction first.
+        vm = Fraction(scene.vmax) if type(scene.vmax) is float else scene.vmax
         int_vm = type(vm) is int
 
         def tv(t):  # t * vmax, exactly
@@ -453,6 +454,9 @@ class ScaledScene:
         self.scene = scene
         self.coord_scale = s
         self.time_scale = Fraction(s) * vm  # t_int = t * time_scale
+        # the integer divisor of time_out's fast path, or 0 when time_scale
+        # is no integer
+        self._time_div = self.time_scale.numerator if self.time_scale.denominator == 1 else 0
 
         def cx(v):
             return v * s if type(v) is int else int(Fraction(v) * s)
@@ -487,12 +491,21 @@ class ScaledScene:
 
     # -- mapping back to scene units ------------------------------------
 
+    # An int that an integer scale divides maps back to the same int by
+    # integer division; everything else takes the Fraction formula.
+
     def time_out(self, t_int: int) -> Coord:
+        d = self._time_div
+        if d and type(t_int) is int and t_int % d == 0:
+            return t_int // d
         f = Fraction(t_int, 1) / self.time_scale
         return int(f) if f.denominator == 1 else f
 
     def coord_out(self, c_int: int) -> Coord:
-        f = Fraction(c_int, self.coord_scale)
+        s = self.coord_scale
+        if type(c_int) is int and c_int % s == 0:
+            return c_int // s
+        f = Fraction(c_int, s)
         return int(f) if f.denominator == 1 else f
 
     def point_out(self, p) -> Point:

@@ -3,7 +3,8 @@
 Every settled label and map cell carries a provenance chain, a node whose
 parent links lead back to the start: staircase hops between point sources
 (start, settled vertices, wait points) and flat hops along waited-out edges.
-Replay needs only the chain and the scene's edge list.
+Replay needs only the chain and the scene's stop oracle, whose edge list
+names the wait hosts and whose stabbers list each hop's possible blockers.
 
 A staircase hop from a, departing at t0, toward b runs at full speed, so in
 coordinates u = sx*(x - a.x) and v = sy*(y - a.y) (signs pointing at b) the
@@ -29,9 +30,18 @@ target is reachable when the top row's reach ends at it; the backtrack walks
 down from it and enters each row at the leftmost entry from which no active
 wall separates the column the walk must reach, so the staircase turns north
 as early as it can.  A wait's forced first axis keeps row 0's reach at the
-start ("y") or takes the start out of row 1's entries ("x").  The cost is
-O((n + k) log n) for n edges in the box and k intervals touched, against the
-full columns x rows grid this replaces.
+start ("y") or takes the start out of row 1's entries ("x").
+
+The edges come from one blocker query of the stop oracle
+(:meth:`~rectipath.stopindex.StopOracle.blockers`), not from a scan of the
+scene: its shadow transform keeps only the edges on a line in [0, h) (or
+[0, w)) whose open span meets the hop's cross range and whose open window
+meets the hop's crossing times, a superset of the edges the sweep keeps.
+The checks below still drop the rest, so routes do not depend on how many
+extra candidates come back.  A hop costs O(log n) bisects and a few
+word-parallel big-int operations on the stabbers' bits, plus O((m + k) log m)
+for its m candidates and k intervals touched; no step scans the scene's
+edges.
 
 A straight hop is the same sweep on a box one column wide (w = 0: only the
 fences across that column block it) or one row high (h = 0: only the walls
@@ -69,7 +79,7 @@ class WitnessError(RuntimeError):
 def build_path(engine) -> TimedPath:
     sc = engine.sc
     t, node = engine.labels[engine.dest]
-    tris = _from_source(engine.edges, node)
+    tris = _from_source(engine.stop, node)
     if tris[-1][0] != engine.dest or tris[-1][1] != t:
         raise WitnessError(f"witness ends at {tris[-1][0]}@{tris[-1][1]}, label {engine.dest}@{t}")
     wps = tuple(Waypoint(sc.point_out(p), sc.time_out(a), sc.time_out(b)) for p, a, b in tris)
@@ -80,18 +90,19 @@ def _host_of(src_node):
     return src_node.host if src_node.kind == "wait" else None
 
 
-def _from_source(edges, node) -> List[Tri]:
-    """Timed points from the start to the point source node."""
-    return _replay(edges, ("src", node))
+def _from_source(stop, node) -> List[Tri]:
+    """Timed points from the start to the point source node; stop is the
+    scene's StopOracle."""
+    return _replay(stop, ("src", node))
 
 
-def _from_flat(edges, node, cross, target_perp) -> List[Tri]:
+def _from_flat(stop, node, cross, target_perp) -> List[Tri]:
     """Timed points from the start to where the flat front node reaches
     the line perp = target_perp at crossing coordinate cross."""
-    return _replay(edges, ("flat", node, cross, target_perp))
+    return _replay(stop, ("flat", node, cross, target_perp))
 
 
-def _replay(edges, item) -> List[Tri]:
+def _replay(stop, item) -> List[Tri]:
     """Walk a provenance chain back to its start, then replay it forward.
 
     item is ("src", SrcNode) or ("flat", SegNode, cross, target_perp).  The
@@ -132,18 +143,18 @@ def _replay(edges, item) -> List[Tri]:
     for step in reversed(todo):
         kind, node = step[0], step[1]
         if kind == "wait":
-            _staircase(edges, tris, node.point, host=_host_of(node.parent))
+            _staircase(stop, tris, node.point, host=_host_of(node.parent))
             if tris[-1][1] > node.time:
                 raise WitnessError(f"wait point {node.point} reached after its host vanished")
             tris[-1][2] = node.time
         elif kind == "vertex":
-            _staircase(edges, tris, node.point, host=_host_of(node.parent))
+            _staircase(stop, tris, node.point, host=_host_of(node.parent))
         elif kind == "arrived":
             if tris[-1][0] != node.point or tris[-1][1] != node.time:
                 raise WitnessError(f"replay reaches {tris[-1][0]}@{tris[-1][1]}, label {node.point}@{node.time}")
         elif kind == "piece":
             target = _on_line(node, step[2], node.line)
-            _staircase(edges, tris, target, host=_host_of(node.parent))
+            _staircase(stop, tris, target, host=_host_of(node.parent))
             if tris[-1][1] > node.key:
                 raise WitnessError(f"piece point {target} reached after its edge vanished")
         else:  # front: depart the front's line and cross to the target line
@@ -161,19 +172,20 @@ def _on_line(seg, cross, pv):
     return (cross, pv) if seg.dir in ("N", "S") else (pv, cross)
 
 
-def _staircase(edges, tris, target, host=None):
+def _staircase(stop, tris, target, host=None):
     """Extend tris with a full-speed monotone staircase to target, departing
-    at the tail's depart time.  host: edge index if the tail is a wait point
-    there; a tail that waited (arrive < depart) must first move
-    perpendicular to the host, so a target on the host's line has no route.
+    at the tail's depart time.  host: edge index (into stop.edges) if the
+    tail is a wait point there; a tail that waited (arrive < depart) must
+    first move perpendicular to the host, so a target on the host's line has
+    no route.
     """
     p0, arrive0, t0 = tris[-1]
     if target == p0:
         return
     forced = None
     if host is not None and arrive0 < t0:
-        forced = "y" if edges[host].horizontal else "x"
-    corners = _route(edges, p0, t0, target, forced)
+        forced = "y" if stop.edges[host].horizontal else "x"
+    corners = _route(stop, p0, t0, target, forced)
     if corners is None:
         raise WitnessError(f"no staircase {p0}@{t0} -> {target}")
     _emit(tris, corners, t0)
@@ -189,16 +201,16 @@ def _emit(tris, corners, t):
         prev = c
 
 
-def _route(edges, a, t0, b, forced) -> Optional[List[Tuple[int, int]]]:
+def _route(stop, a, t0, b, forced) -> Optional[List[Tuple[int, int]]]:
     """Corners of a legal full-speed monotone staircase from (a, t0) to b,
-    including b, or None.  forced restricts the first move's axis."""
-    box = _clip(edges, a, b)
+    including b, or None, among the blockers stop lists for the hop.
+    forced restricts the first move's axis."""
     sx = 1 if b[0] >= a[0] else -1
     sy = 1 if b[1] >= a[1] else -1
     w, h = sx * (b[0] - a[0]), sy * (b[1] - a[1])
     fences = {}  # row -> open column intervals where north steps are blocked
     walls = []  # (p, q, column): east steps from column are blocked on rows in (p, q)
-    for e in box:
+    for e in stop.blockers(a, t0, b):
         if e.horizontal:
             v = sy * (e.line - a[1])
             lo, hi = sx * (e.lo - a[0]), sx * (e.hi - a[0])
@@ -264,20 +276,6 @@ def _route(edges, a, t0, b, forced) -> Optional[List[Tuple[int, int]]]:
     if not corners or corners[-1] != b:
         corners.append(b)
     return corners
-
-
-def _clip(edges, a, b):
-    """The edges whose closed extent meets the closed box spanned by a and b."""
-    mx, nx = min(a[0], b[0]), max(a[0], b[0])
-    my, ny = min(a[1], b[1]), max(a[1], b[1])
-    out = []
-    for e in edges:
-        if e.horizontal:
-            if my <= e.line <= ny and e.lo <= nx and mx <= e.hi:
-                out.append(e)
-        elif mx <= e.line <= nx and e.lo <= ny and my <= e.hi:
-            out.append(e)
-    return out
 
 
 def _wall_rows(walls, rows):

@@ -4,9 +4,11 @@ Two structures:
 
 * :class:`RectStabber` -- static set of weighted closed rectangles, query =
   minimum weight rectangle holding a point or meeting a closed horizontal
-  segment, optionally restricted to weights strictly above a floor.  It
+  segment, optionally restricted to weights strictly above a floor, and
+  report = every rectangle meeting a closed box within a weight range.  It
   answers every stop query of the stop oracle (whose open shadow windows it
-  stores as closed integer rectangles) and the map's point location.
+  stores as closed integer rectangles), the oracle's blocker query for
+  witness hops, and the map's point location.
 * :class:`CornerWeightedVertices` -- a fixed set of distinct points under
   deletion, query = the point in a closed rectangle, or in a bitset of its
   points, nearest one of its corners, among all of them and among the live
@@ -101,7 +103,10 @@ class RectStabber:
     its sorted distinct keys and one prefix bitset per distinct key
     (:func:`_key_prefixes`).  A query ANDs the four prefixes and shifts out
     the ranks of weight up to the floor; the lowest set bit left is the
-    answer.
+    answer.  A closed box [a, b] x [c, d] meets a rectangle when ``xlo <=
+    b``, ``xhi >= a``, ``ylo <= d`` and ``yhi >= c``: the same four orders
+    at other bounds, so a report ANDs four prefixes too and keeps every set
+    bit within its weight range.
     """
 
     __slots__ = ("rects", "weights", "keys", "prefixes")
@@ -142,6 +147,30 @@ class RectStabber:
         if not bits:
             return None
         return self.rects[(bits & -bits).bit_length() - 1 + skip]
+
+    def report(self, box, wlo, whi) -> List[WeightedRect]:
+        """Every stored rectangle that meets the closed box (xlo, xhi, ylo,
+        yhi) and whose weight lies in [wlo, whi), in rank order.  The weight
+        range is the run of ranks between two bisects of the weights."""
+        skip = bisect_left(self.weights, wlo)
+        n = bisect_left(self.weights, whi) - skip
+        if n <= 0:
+            return []
+        xlo, xhi, ylo, yhi = box
+        (kxlo, kxhi, kylo, kyhi), (pxlo, pxhi, pylo, pyhi) = self.keys, self.prefixes
+        bits = (
+            pxlo[bisect_right(kxlo, xhi)]
+            & pxhi[bisect_right(kxhi, -xlo)]
+            & pylo[bisect_right(kylo, yhi)]
+            & pyhi[bisect_right(kyhi, -ylo)]
+        ) >> skip & ((1 << n) - 1)
+        rects = self.rects
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(rects[low.bit_length() - 1 + skip])
+            bits ^= low
+        return out
 
 
 class _RankSpace:

@@ -22,7 +22,9 @@ the class's cells.  A query takes the minimum over the eight classes of the
 located offset plus the class's linear term; the classes cannot share one
 rectilinear subdivision, since a north-east cone x + y + c1 and a south-west
 cone -x - y + c2 trade places along a diagonal.  Witness paths replay the
-winning record's provenance chain the same way settled labels do.
+winning record's provenance chain the same way settled labels do, each hop
+routed among the blockers the scene's stop oracle lists for it: the map
+keeps the sweep's oracle, and a loaded map builds its own.
 
 Serialized form (JSON, version 4): the scene, one table of provenance nodes
 and the cell list, all in scaled integer units.  Every node row names its
@@ -60,7 +62,7 @@ from .geometry import ScaledScene, Scene, TimedPath, Waypoint
 from .pathrec import WitnessError, _from_flat, _from_source, _host_of, _staircase
 from .rangeindex import RectStabber, WeightedRect
 from .scenario import scene_from_dict, scene_to_dict
-from .stopindex import _DIR_INFO
+from .stopindex import _DIR_INFO, StopOracle
 
 _FORMAT = "rectipath-spm"
 _VERSION = 4
@@ -112,11 +114,13 @@ class Cell:
 
 class ShortestPathMap:
     """Immutable arrival-time map over the cells of one scaled scene; safe
-    for concurrent queries."""
+    for concurrent queries.  stop is the scene's StopOracle, which routes
+    the witness hops."""
 
-    def __init__(self, sc: ScaledScene, cells):
+    def __init__(self, sc: ScaledScene, cells, stop: StopOracle):
         self.scene = sc.scene
         self.sc = sc
+        self.stop = stop
         self.cells: List = list(cells)
         per_class: Dict[str, List[WeightedRect]] = {}
         for i, c in enumerate(self.cells):
@@ -126,10 +130,12 @@ class ShortestPathMap:
     # -- queries ----------------------------------------------------------
 
     def _scale_in(self, q):
-        x = Fraction(q[0]) * self.sc.coord_scale
-        y = Fraction(q[1]) * self.sc.coord_scale
-        x = int(x) if x.denominator == 1 else x
-        y = int(y) if y.denominator == 1 else y
+        # an int scales to an int; anything else through Fraction
+        s = self.sc.coord_scale
+        x = q[0] * s if type(q[0]) is int else Fraction(q[0]) * s
+        y = q[1] * s if type(q[1]) is int else Fraction(q[1]) * s
+        x = x if type(x) is int or x.denominator != 1 else int(x)
+        y = y if type(y) is int or y.denominator != 1 else int(y)
         xlo, xhi, ylo, yhi = self.sc.bbox
         if not (xlo <= x <= xhi and ylo <= y <= yhi):
             raise OutsideBoundingBox(repr(q))
@@ -162,15 +168,15 @@ class ShortestPathMap:
         qs = self._scale_in(q)
         val, _ci, idx = self._locate(qs)
         cell = self.cells[idx]
-        edges = self.sc.edges
+        stop = self.stop
         if isinstance(cell.node, SrcNode):
-            tris = _from_source(edges, cell.node)
-            _staircase(edges, tris, qs, host=_host_of(cell.node))
+            tris = _from_source(stop, cell.node)
+            _staircase(stop, tris, qs, host=_host_of(cell.node))
         else:
             horizontal = cell.dir in ("N", "S")
             cross = qs[0] if horizontal else qs[1]
             perp = qs[1] if horizontal else qs[0]
-            tris = _from_flat(edges, cell.node, cross, perp)
+            tris = _from_flat(stop, cell.node, cross, perp)
         if tris[-1][0] != qs or tris[-1][1] != val:
             raise WitnessError(f"witness ends at {tris[-1][0]}@{tris[-1][1]}, map says {qs}@{val}")
         sc = self.sc
@@ -200,7 +206,7 @@ def build_spm(scene: Scene) -> ShortestPathMap:
     """Sweep the whole bounding box from the source and index the trace."""
     eng = _FastEngine(scene, trace=True)
     eng.run(stop_at_dest=False)
-    return ShortestPathMap(eng.sc, _harvest(eng.trace))
+    return ShortestPathMap(eng.sc, _harvest(eng.trace), eng.stop)
 
 
 # -- serialization ----------------------------------------------------------
@@ -382,7 +388,7 @@ def _spm_from_dict(doc) -> ShortestPathMap:
         except MapFormatError as exc:
             raise MapFormatError("%s: %s" % (where, exc)) from None
     cells = [_cell(row, nodes, "cell %d" % i) for i, row in enumerate(_rows(doc, "cells"))]
-    return ShortestPathMap(sc, cells)
+    return ShortestPathMap(sc, cells, StopOracle(sc.edges))
 
 
 def _map_bytes(doc) -> bytes:

@@ -21,13 +21,28 @@ closed range being empty.
 Weights are floored strictly above s*u so edges behind the source (or sharing
 its line) never match.
 
+A witness hop asks the same stabbers, through the same shadow transform,
+for the edges that may block it (:meth:`StopOracle.blockers`).  Take y as
+the hop's travel axis.  A full-speed monotone staircase from a, departing
+at t0, toward b reaches an edge's line at cross coordinate x at time
+c + w + |x - a_x|, where c = t0 - s*a_y.  So the edge can block the hop only
+when w lies in [s*a_y, s*b_y), its line on or ahead of a's and short of
+b's; when its open span meets the hop's closed cross range; and when its
+open tau window meets [c, c + |b_x - a_x|].  Those are the stored closed
+ranges that one box meets within one run of weight ranks: one
+:meth:`~rectipath.rangeindex.RectStabber.report` per travel axis.  A map
+target may be fractional, and the closed ranges are exact only for integer
+bounds, so every lower bound is floored and every upper one ceiled; the
+answer stays a superset of the edges that can block.
+
 Built once per scene from integer-scaled edges; all queries are exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .geometry import IntEdge
 from .rangeindex import RectStabber, WeightedRect
@@ -90,6 +105,25 @@ class StopOracle:
         tau = t - floor
         r = self._stab[d].query((lo, tau), floor, hi)
         return None if r is None else (r.payload, tau + r.weight)
+
+    def blockers(self, a, t0, b) -> List[IntEdge]:
+        """The edges that may block a full-speed monotone staircase from a,
+        departing at time t0, to b: every edge on a line from a's up to but
+        not including b's, whose open span meets the hop's closed cross range
+        and whose open window meets the hop's crossing times there.  A
+        superset of the edges the staircase router keeps; horizontals first,
+        each axis in rank order."""
+        out = []
+        for travel, dirs in ((1, "NS"), (0, "EW")):  # horizontals, then verticals
+            if a[travel] == b[travel]:
+                continue  # no line lies in [s*a, s*b)
+            s = 1 if b[travel] > a[travel] else -1
+            lo, hi = sorted((a[1 - travel], b[1 - travel]))
+            c = t0 - s * a[travel]
+            box = (math.floor(lo), math.ceil(hi), math.floor(c), math.ceil(c + hi - lo))
+            hits = self._stab[dirs[s < 0]].report(box, math.floor(s * a[travel]), math.ceil(s * b[travel]))
+            out.extend(self.edges[r.payload] for r in hits)
+        return out
 
     def accessible_on(self, edge_index: int, src, t: int) -> Tuple[int, int]:
         """Closed part (lo, hi) of the edge span reachable from (src, t) while

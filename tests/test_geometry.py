@@ -204,6 +204,24 @@ def test_scaled_scene_roundtrip():
     assert ss.time_out(l1_distance(ss.source, ss.dest)) == l1_distance(sc.source, sc.dest) / sc.vmax
 
 
+@pytest.mark.parametrize(
+    "coord, time, vmax",
+    [(1, 1, 1), (1, 1, 3), (Fraction(1, 2), 1, 1), (1, Fraction(1, 3), 1), (1, 1, Fraction(2, 3)), (1, 0.1, 0.1)],
+)
+def test_scaling_back_equals_the_fraction_formula(coord, time, vmax):
+    # time_out and coord_out take ints that an integer scale divides by
+    # integer division; every answer, its type included, is the one the
+    # Fraction formula gives
+    ss = ScaledScene(_rescaled(random_scene(1, 12), coord, time, vmax))
+    values = list(range(-40, 41)) + [Fraction(k, 3) for k in range(-10, 11)]
+    values += [ss.coord_scale * k for k in (-7, 1, 13)] + [e.ta for e in ss.edges] + [e.td for e in ss.edges]
+    for v in values:
+        pairs = ((ss.time_out(v), Fraction(v, 1) / ss.time_scale), (ss.coord_out(v), Fraction(v) / ss.coord_scale))
+        for got, f in pairs:
+            want = int(f) if f.denominator == 1 else f
+            assert (type(got), got) == (type(want), want), (v, coord, time, vmax)
+
+
 def test_scaled_scene_integer_identity():
     sc = crossbar_scene(0, 6)
     ss = ScaledScene(sc)
@@ -262,10 +280,12 @@ def _rescaled(scene, coord=1, time=1, vmax=None):
         (1, Fraction(2, 7), Fraction(7, 4)),
         (1, 1, Fraction(2, 3)),  # a fractional vmax
         (Fraction(3, 4), Fraction(1, 6), Fraction(5, 2)),
-        # a float vmax multiplies in float arithmetic, which is exact only
-        # for the dyadic ones
+        # a float vmax is taken as its exact binary fraction, dyadic or not
         (1, 1, 0.75),  # float vmax
         (1, Fraction(1, 3), 1.5),
+        (1, 1, 0.1),  # non-dyadic float vmax
+        (1, Fraction(1, 3), 0.3),
+        (1, 0.1, 0.7),  # float times and a non-dyadic float vmax
         (1, 0.5, 3),  # float times, each taken as its exact binary fraction
         (1, 0.1, 1),
         (0.25, 1, 1),  # float coordinates

@@ -14,6 +14,7 @@ from rectipath.geometry import IntEdge, ScaledScene, Scene, ValidationReport, _c
 from rectipath.oracle import bench_scene, random_scene
 from rectipath.pathrec import WitnessError, _route, _staircase
 from rectipath.spm import build_spm
+from rectipath.stopindex import StopOracle
 
 
 def _grid_route(edges, a, t0, b, forced):
@@ -132,6 +133,7 @@ def test_route_agrees_with_the_grid_reference(seed):
     for s in range(15):
         sc = ScaledScene(random_scene(100 * seed + s, rng.choice((6, 15, 30, 45))))
         edges = sc.edges
+        stop = StopOracle(edges)
         xlo, xhi, ylo, yhi = sc.bbox
         verts = [p for e in edges for p in e.endpoints] + [sc.source, sc.dest]
 
@@ -161,7 +163,7 @@ def test_route_agrees_with_the_grid_reference(seed):
             is_straight = a[0] == b[0] or a[1] == b[1]
             straight += is_straight
             for forced in (None, "x", "y"):
-                got = _route(edges, a, t0, b, forced)
+                got = _route(stop, a, t0, b, forced)
                 want = _grid_route(edges, a, t0, b, forced)
                 assert (got is None) == (want is None), (a, t0, b, forced, got, want)
                 if got is None:
@@ -175,6 +177,82 @@ def test_route_agrees_with_the_grid_reference(seed):
     assert found and missed and straight > 200 and refused == straight
 
 
+class _BoxScan:
+    """Reference edge source for the router: a scan for every edge whose
+    closed extent meets the closed box of the hop."""
+
+    def __init__(self, edges):
+        self.edges = edges
+
+    def blockers(self, a, t0, b):
+        mx, nx = min(a[0], b[0]), max(a[0], b[0])
+        my, ny = min(a[1], b[1]), max(a[1], b[1])
+        out = []
+        for e in self.edges:
+            if e.horizontal:
+                if my <= e.line <= ny and e.lo <= nx and mx <= e.hi:
+                    out.append(e)
+            elif mx <= e.line <= nx and e.lo <= ny and my <= e.hi:
+                out.append(e)
+        return out
+
+
+def _kept(e, a, t0, b):
+    """Whether the row sweep turns edge e into a fence or a wall of the hop
+    from (a, t0) to b: on a line in [0, h) (or [0, w)) and blocking an open
+    interval that meets the hop's closed cross range."""
+    sx = 1 if b[0] >= a[0] else -1
+    sy = 1 if b[1] >= a[1] else -1
+    w, h = sx * (b[0] - a[0]), sy * (b[1] - a[1])
+    if e.horizontal:
+        s, t, cross, depth, span, along = sy, 1, 0, h, w, sx
+    else:
+        s, t, cross, depth, span, along = sx, 0, 1, w, h, sy
+    d = s * (e.line - a[t])
+    lo, hi = sorted((along * (e.lo - a[cross]), along * (e.hi - a[cross])))
+    p, q = max(lo, e.ta - t0 - d), min(hi, e.td - t0 - d)
+    return 0 <= d < depth and p < q and 0 < q and p < span
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_blockers_hold_every_edge_the_route_keeps(seed):
+    # Free and straight hops (w = 0 or h = 0), from vertices, edge ends and
+    # lattice points to integer and half-unit targets: the edges the row
+    # sweep turns into fences or walls are all among the oracle's
+    # candidates, and the routes under every forced first axis are those
+    # the box scan gives.
+    rng = random.Random(1000 + seed)
+    kept = candidates = boxed = 0
+    for s in range(12):
+        sc = ScaledScene(random_scene(500 * seed + s, rng.choice((8, 20, 40))))
+        stop, scan = StopOracle(sc.edges), _BoxScan(sc.edges)
+        xlo, xhi, ylo, yhi = sc.bbox
+        verts = [p for e in sc.edges for p in e.endpoints] + [sc.source]
+        for _ in range(40):
+            a = rng.choice(verts) if rng.random() < 0.6 else (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
+            b = (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
+            r = rng.random()
+            if r < 0.2:
+                b = (a[0], b[1])
+            elif r < 0.4:
+                b = (b[0], a[1])
+            if rng.random() < 0.4:  # half-unit targets along either axis or both
+                half = Fraction(1, 2)
+                b = rng.choice(((b[0] + half, b[1]), (b[0], b[1] + half), (b[0] + half, b[1] + half)))
+            if a == b:
+                continue
+            t0 = rng.randint(0, 60)
+            got = stop.blockers(a, t0, b)
+            must = [e for e in sc.edges if _kept(e, a, t0, b)]
+            assert set(must) <= set(got), (a, t0, b)
+            kept += len(must)
+            candidates += len(got)
+            boxed += len(scan.blockers(a, t0, b))
+            for forced in (None, "x", "y"):
+                assert _route(stop, a, t0, b, forced) == _route(scan, a, t0, b, forced), (a, t0, b, forced)
+    assert 0 < kept < candidates < boxed
+
+
 def test_a_wait_departs_perpendicular_to_its_host():
     # The robot sat at (5, 5), the east end of edge 0, from time 10 to 20.
     # It leaves north first.  Where only an east-first staircase exists (the
@@ -184,14 +262,14 @@ def test_a_wait_departs_perpendicular_to_its_host():
     host = IntEdge(id=0, horizontal=True, line=5, lo=-5, hi=5, ta=0, td=20)
     wall = IntEdge(id=1, horizontal=False, line=7, lo=3, hi=9, ta=22, td=30)
     tris = [[(5, 5), 10, 20]]
-    _staircase([host], tris, (8, 7), host=0)
+    _staircase(StopOracle([host]), tris, (8, 7), host=0)
     assert tris[1][0] == (5, 7) and tris[-1] == [(8, 7), 25, 25]
     for edges, target in (([host, wall], (8, 7)), ([host], (8, 5)), ([host], (2, 5))):
         with pytest.raises(WitnessError, match="no staircase"):
-            _staircase(edges, [[(5, 5), 10, 20]], target, host=0)
-    assert _route([host, wall], (5, 5), 20, (8, 7), None) is not None
+            _staircase(StopOracle(edges), [[(5, 5), 10, 20]], target, host=0)
+    assert _route(StopOracle([host, wall]), (5, 5), 20, (8, 7), None) is not None
     tris = [[(5, 5), 20, 20]]  # no wait, so any first axis
-    _staircase([host, wall], tris, (8, 7), host=0)
+    _staircase(StopOracle([host, wall]), tris, (8, 7), host=0)
     assert tris[-1] == [(8, 7), 25, 25]
 
 
@@ -217,6 +295,26 @@ def test_map_witnesses_on_the_serve_lattice_are_valid():
     for p in points:
         t, path = m.query(p)
         assert t == m.arrival(p)
+        rep = validate_path(Scene(scene.edges, scene.vmax, scene.source, p), path, t)
+        assert rep.ok, (p, rep)
+
+
+def test_map_witnesses_at_half_unit_points_are_valid():
+    # Fractional map targets: the blocker query floors and ceils its bounds
+    # around them.  Half a unit off the serve lattice along x, along y and
+    # along both.
+    scene = bench_scene(1, 200)
+    m = build_spm(scene)
+    half = Fraction(1, 2)
+    on_edge = lambda p: any(e.contains_point(p) for e in scene.edges)  # noqa: E731
+    lattice = _serve_lattice(scene, 2)
+    points = [(x + half, y) for x, y in lattice[0::3]] + [(x, y + half) for x, y in lattice[1::3]]
+    points += [(x + half, y + half) for x, y in lattice[2::3]]
+    points = [p for p in points if not on_edge(p)]
+    assert len(points) > 700
+    for p in points:
+        t, path = m.query(p)
+        assert t == m.arrival(p) and path.waypoints[-1].point == p
         rep = validate_path(Scene(scene.edges, scene.vmax, scene.source, p), path, t)
         assert rep.ok, (p, rep)
 

@@ -129,6 +129,51 @@ def test_rect_stab_shared_bounds_vs_linear():
             assert _key(st.query((a, y), floor, b)) == _key(brute_stab(rects, (a, y), floor, b)), (a, b, y)
 
 
+def brute_report(rects, box, wlo, whi):
+    """The rectangles meeting the closed box whose weight is in [wlo, whi),
+    by (weight, payload)."""
+    xlo, xhi, ylo, yhi = box
+    hits = [
+        r for r in rects if wlo <= r.weight < whi and r.xlo <= xhi and r.xhi >= xlo and r.ylo <= yhi and r.yhi >= ylo
+    ]
+    return sorted(_key(r) for r in hits)
+
+
+def test_rect_report_vs_linear():
+    # Weights drawn from a few values, so runs of tied weights share ranks
+    # that the weight range must take or leave whole; box bounds and weight
+    # bounds sit on, beside and between the rectangles' own, and some
+    # rectangles are empty (low bound past high), as the stop oracle stores
+    # a span or window of length 1.
+    rng = random.Random(43)
+    for rep in range(200):
+        rects = []
+        for i in range(rng.randrange(0, 40)):
+            x1, x2 = sorted(rng.randrange(0, 20) for _ in range(2))
+            y1, y2 = sorted(rng.randrange(0, 20) for _ in range(2))
+            if rng.random() < 0.1:
+                x1, x2 = x1 + 1, x1
+            rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 6), rng.randrange(0, 50)))
+        st = RectStabber(rects)
+
+        def bound(axis):
+            if rects and rng.random() < 0.7:
+                r = rng.choice(rects)
+                return rng.choice((r.xlo, r.xhi) if axis == 0 else (r.ylo, r.yhi)) + rng.choice((-1, 0, 1))
+            return rng.randrange(-2, 22)
+
+        for _ in range(30):
+            xlo, xhi = sorted((bound(0), bound(0)))
+            ylo, yhi = sorted((bound(1), bound(1)))
+            if rng.random() < 0.5:  # between bounds: a half-unit box
+                xlo, xhi = xlo + Fraction(1, 2), xhi + Fraction(1, 2)
+            wlo = rng.randrange(-1, 7)
+            whi = wlo + rng.randrange(-1, 5)
+            box = (xlo, xhi, ylo, yhi)
+            got = st.report(box, wlo, whi)
+            assert [_key(r) for r in got] == brute_report(rects, box, wlo, whi), (box, wlo, whi)
+
+
 # ----- the map's point location ---------------------------------------------
 #
 # The map asks a stabber for the lower envelope of a class's closed cells at

@@ -165,10 +165,39 @@ def test_query_outside_the_box_raises():
         m.query((0, -999))
 
 
+def test_scale_in_equals_the_fraction_formula():
+    # ints take an integer fast path; every point, its coordinate types
+    # included, scales to what the Fraction formula gives
+    scene = random_scene(3, 10)
+
+    def halved(p):
+        return (Fraction(p[0], 2), Fraction(p[1], 2))
+
+    edges = [TransientEdge(e.id, halved(e.p1), halved(e.p2), e.appear, e.disappear) for e in scene.edges]
+    half = Scene(edges=edges, vmax=scene.vmax, source=halved(scene.source), dest=halved(scene.dest))
+    xlo, xhi, ylo, yhi = _hull(scene)
+    lo, hi = min(xlo, ylo) - 1, max(xhi, yhi) + 1
+    vals = list(range(lo, hi + 1)) + [Fraction(v, 3) for v in range(3 * lo, 3 * hi)] + [0.5, 1.25, 2.0, -0.75]
+    checked = 0
+    for m in (build_spm(scene), build_spm(half)):
+        for x, y in zip(vals, reversed(vals)):
+            fx, fy = Fraction(x) * m.sc.coord_scale, Fraction(y) * m.sc.coord_scale
+            want = tuple(int(f) if f.denominator == 1 else f for f in (fx, fy))
+            try:
+                got = m._scale_in((x, y))
+            except OutsideBoundingBox:
+                bxlo, bxhi, bylo, byhi = m.sc.bbox
+                assert not (bxlo <= want[0] <= bxhi and bylo <= want[1] <= byhi), (x, y)
+                continue
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (x, y)
+            checked += 1
+    assert checked > 100
+
+
 def test_values_do_not_depend_on_cell_order():
     scene = random_scene(15, 9)
     m = build_spm(scene)
-    rev = ShortestPathMap(m.sc, list(reversed(m.cells)))
+    rev = ShortestPathMap(m.sc, list(reversed(m.cells)), m.stop)
     rng = random.Random(1)
     xlo, xhi, ylo, yhi = _hull(scene)
     for _ in range(60):
@@ -575,7 +604,7 @@ def test_dominated_roots_change_no_map_answer():
         m = build_spm(scene)
         eng = _AdmitEveryRoot(scene, trace=True)
         eng.run(stop_at_dest=False)
-        full = ShortestPathMap(eng.sc, _harvest(eng.trace))
+        full = ShortestPathMap(eng.sc, _harvest(eng.trace), eng.stop)
         assert len(m.cells) < len(full.cells)
         xlo, xhi, ylo, yhi = m.sc.bbox
         pts = set()
