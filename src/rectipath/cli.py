@@ -240,7 +240,8 @@ def _map_phases(scene, points, file):
 
 def _medians(runs, phases, *args):
     """Median seconds per layer of runs calls of phases(*args), collector
-    off, and what the last call built."""
+    off, with each layer's first and third quartile over the runs beside it
+    ("seconds", "seconds_q1", "seconds_q3"), and what the last call built."""
     samples = []
     gc.collect()
     gc.disable()
@@ -250,7 +251,13 @@ def _medians(runs, phases, *args):
             samples.append(seconds)
     finally:
         gc.enable()
-    return {k: statistics.median(s[k] for s in samples) for k in seconds}, built
+    spread = {"seconds": {}, "seconds_q1": {}, "seconds_q3": {}}
+    for k in seconds:
+        values = [s[k] for s in samples]
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        spread["seconds"][k] = statistics.median(values)
+        spread["seconds_q1"][k], spread["seconds_q3"][k] = q1, q3
+    return spread, built
 
 
 def _cmd_bench(args) -> int:
@@ -260,7 +267,8 @@ def _cmd_bench(args) -> int:
         "version": 2,
         "what": (
             "fast_plan and build_spm on bench_scene(seed, n): median wall seconds per layer of %d runs, "
-            "collector off; map arrival and witness seconds are per query over a seeded lattice" % runs
+            "collector off, with the first and third quartiles of the runs (seconds_q1, seconds_q3); "
+            "map arrival and witness seconds are per query over a seeded lattice" % runs
         ),
         "seed": seed,
         "machine": {
@@ -273,14 +281,14 @@ def _cmd_bench(args) -> int:
     }
     for n in args.sizes:
         scene = bench_scene(seed, n)
-        seconds, eng = _medians(runs, _fast_plan_phases, scene)
+        spread, eng = _medians(runs, _fast_plan_phases, scene)
         # a seeded 20 x 20 lattice of integer points of the scaled box
         rng, (xlo, xhi, ylo, yhi) = random.Random(seed), eng.sc.bbox
         xs, ys = (sorted(rng.randint(lo, hi) for _ in range(20)) for lo, hi in ((xlo, xhi), (ylo, yhi)))
         points = [eng.sc.point_out((x, y)) for x in xs for y in ys]
         with tempfile.TemporaryDirectory() as tmp:
             file = os.path.join(tmp, "map.json")
-            map_seconds, m = _medians(runs, _map_phases, scene, points, file)
+            map_spread, m = _medians(runs, _map_phases, scene, points, file)
             file_kib = os.path.getsize(file) / 1024
         tracemalloc.start()
         index = ShortestPathMap(m.sc, m.cells, m.stop)
@@ -292,18 +300,18 @@ def _cmd_bench(args) -> int:
                 "n": n,
                 "vertices": len(eng.verts),
                 "arrival": str(eng.sc.time_out(eng.labels[eng.dest][0])),
-                "seconds": seconds,
+                **spread,
                 "counters": dataclasses.asdict(eng.stats),
                 "map": {
                     "cells": len(m.cells),
                     "queries": len(points),
-                    "seconds": map_seconds,
+                    **map_spread,
                     "file_kib": file_kib,
                     "index_mib": index_mib,
                 },
             }
         )
-        print("n=%d plan %.3f s, map sweep %.3f s" % (n, seconds["plan"], map_seconds["sweep"]))
+        print("n=%d plan %.3f s, map sweep %.3f s" % (n, spread["seconds"]["plan"], map_spread["seconds"]["sweep"]))
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
@@ -358,7 +366,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("bench", help="per-layer wall times of fast_plan and build_spm")
     sp.add_argument("--sizes", type=_counts, required=True, help="comma-separated edge counts")
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--json", required=True, help="write the median seconds per layer here")
+    sp.add_argument("--json", required=True, help="write the median seconds per layer and their quartiles here")
     sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("render", help="SVG of scene and path on stdout")

@@ -132,12 +132,14 @@ class PointWavelet:
     intermediate vertex.  The narrowing engine makes no pieces: it queues
     the root itself again for each claim (fast.py)."""
 
-    __slots__ = ("key", "rect", "root", "dir", "src", "rank")
+    __slots__ = ("key", "rect", "root", "dir", "src", "rank", "cut")
 
     def __init__(self, key, rect, root=None):
         self.key = key
         self.rect = rect  # (xlo, xhi, ylo, yhi), closed
         self.root = self if root is None else root
+        # the narrowing engine's cut mask of a registered root, set at most once
+        self.cut = None
 
 
 def _arrival(root: PointWavelet, p) -> int:
@@ -190,16 +192,22 @@ class _Engine:
     def _spawn_arrangement(self, p, t, src) -> List[PointWavelet]:
         """Spawn the four diagonal root wavelets departing (p, t), queueing
         those _admit admits, and enqueue the flat fronts and wait fans of the
-        edges that cap their axis rays."""
-        stops = {d: self.stop.stop_point(p, t, d) for d in ("N", "S", "E", "W")}
+        edges that cap their axis rays.  Each axis ray's stop and its edge's
+        accessible interval are asked once and shared by the two roots the
+        stop caps."""
+        stop = self.stop
+        caps = {}  # axis direction -> (stop hit, accessible interval), or None
+        for d in ("N", "S", "E", "W"):
+            hit = stop.stop_point(p, t, d)
+            caps[d] = None if hit is None else (hit, stop.accessible_on(hit.edge_index, p, t))
         xlo, xhi, ylo, yhi = self.bbox
         made = []
         for d in DIAGS:
             sx, sy = _DIAG_SIGNS[d]
-            hstop = stops["E"] if sx > 0 else stops["W"]
-            vstop = stops["N"] if sy > 0 else stops["S"]
-            xcap = hstop.point[0] if hstop else (xhi if sx > 0 else xlo)
-            ycap = vstop.point[1] if vstop else (yhi if sy > 0 else ylo)
+            hcap = caps["E"] if sx > 0 else caps["W"]
+            vcap = caps["N"] if sy > 0 else caps["S"]
+            xcap = hcap[0].point[0] if hcap else (xhi if sx > 0 else xlo)
+            ycap = vcap[0].point[1] if vcap else (yhi if sy > 0 else ylo)
             rect = (min(p[0], xcap), max(p[0], xcap), min(p[1], ycap), max(p[1], ycap))
             w = PointWavelet(t, rect)
             w.dir, w.src = d, src
@@ -210,10 +218,10 @@ class _Engine:
             else:
                 self.seq += 1
             self.stats.point_wavelets += 1
-            if vstop:
-                self._cap_pieces(w, vstop.edge_index, True)
-            if hstop:
-                self._cap_pieces(w, hstop.edge_index, False)
+            if vcap:
+                self._cap_pieces(w, vcap, True)
+            if hcap:
+                self._cap_pieces(w, hcap, False)
             made.append(w)
         return made
 
@@ -222,14 +230,17 @@ class _Engine:
         every root."""
         return True
 
-    def _cap_pieces(self, w: PointWavelet, edge_idx: int, vertical_sweep: bool):
+    def _cap_pieces(self, w: PointWavelet, cap, vertical_sweep: bool):
         """Accessible part of a root's cap edge: one flat front waiting out the
-        edge, plus wait fans at the piece endpoints.  The cap stops the
-        source's axis ray, so the accessible interval holds the source's cross
-        coordinate, as does the region's side range: the piece is never empty.
+        edge, plus wait fans at the piece endpoints.  cap is the stop hit of
+        the root's axis ray and its edge's accessible interval from the root's
+        source.  The cap stops the source's axis ray, so the accessible
+        interval holds the source's cross coordinate, as does the region's
+        side range: the piece is never empty.
         """
+        hit, (alo, ahi) = cap
+        edge_idx = hit.edge_index
         e = self.edges[edge_idx]
-        alo, ahi = self.stop.accessible_on(edge_idx, w.src.point, w.src.time)
         rlo, rhi = (w.rect[0], w.rect[1]) if vertical_sweep else (w.rect[2], w.rect[3])
         alo, ahi = max(alo, rlo), min(ahi, rhi)
         sx, sy = _DIAG_SIGNS[w.dir]

@@ -30,10 +30,14 @@ ones before it are settled already), and requeues the lineage at v's
 arrival.  The plain engine splits the region into three overlapping
 children at v instead and queues each.
 
-Cuts.  A registry maps (vertex, direction) to the lowest ranked root among
-the vertex's claimants and the roots spawned there.  Both cuts follow the
-root order and clear, from the lineage's bitset, the vertices strictly
-inside the registered root's region; the vertices on its boundary stay:
+Cuts.  A registry maps, per diagonal, each vertex to the lowest ranked root
+among the vertex's claimants and the roots spawned there.  Both cuts follow
+the root order and clear, from the lineage's bitset, the vertices strictly
+inside the registered root's region; the vertices on its boundary stay.
+That root's cut mask, every vertex but its region's interior, is built at
+its first use as a cutter and kept on the root (PointWavelet.cut): neither
+its region nor the index's rank space ever changes, so each later cut by it
+is one AND.  The cuts:
 - when p is settled and its registered root ranks below the lineage's, the
   lineage is cut by that root's region and picks again;
 - when v is registered to a lower ranked root, the lineage is cut by that
@@ -74,12 +78,14 @@ first pop made.
 One index pass.  Each pop asks the vertex index once, and once more after
 each cut, with the lineage's bitset (CornerWeightedVertices.nearest), for
 both picks from one mask; a bitset with no live vertex ends that pass before
-either is picked.
+either is picked.  A cut itself asks the index for its mask only at the
+cutter's first cut; every later one reuses the mask kept on the cutter.
 """
 
 from __future__ import annotations
 
 from .engine import (
+    DIAGS,
     _NEAREST_CORNER,
     _RANK_POINT,
     PlanResult,
@@ -91,21 +97,33 @@ from .engine import (
 from .geometry import Scene
 
 
+def _cut_mask(drm, root: PointWavelet, corner: str) -> int:
+    """The bits, in the corner's rank space, of every vertex but those
+    strictly inside root's region: built at the root's first use as a
+    cutter and kept on it, since neither its region nor the index's rank
+    space changes."""
+    cut = root.cut
+    if cut is None:
+        cut = root.cut = ~drm.interior(root.rect, corner)
+    return cut
+
+
 class _FastEngine(_Engine):
     def __init__(self, scene: Scene, trace: bool = False):
         super().__init__(scene, trace)
-        # (vertex, diagonal) -> the root ranking lowest among the vertex's
+        # diagonal -> vertex -> the root ranking lowest among the vertex's
         # claimants and the roots spawned there
-        self.registry = {}
+        self.registry = {d: {} for d in DIAGS}
         # root -> bitset of the vertices its queued lineage may still claim,
         # in the rank space of its nearest corner; absent before the first pop
         # and once the lineage ends
         self.lineages = {}
 
     def _admit(self, p, w):
-        prev = self.registry.get((p, w.dir))
+        registry = self.registry[w.dir]
+        prev = registry.get(p)
         if prev is None or w.rank < prev.rank:
-            self.registry[(p, w.dir)] = w
+            registry[p] = w
             return True
         xlo, xhi, ylo, yhi = w.rect
         pxlo, pxhi, pylo, pyhi = prev.rect
@@ -115,7 +133,7 @@ class _FastEngine(_Engine):
         return True
 
     def _do_point(self, w: PointWavelet):
-        drm, corner = self.drm, _NEAREST_CORNER[w.dir]
+        drm, corner, registry = self.drm, _NEAREST_CORNER[w.dir], self.registry[w.dir]
         bits = self.lineages.pop(w, None)
         if bits is None:
             if self.trace is not None:
@@ -129,10 +147,10 @@ class _FastEngine(_Engine):
         # p differs from v only when p is settled: the live set shrinks only
         # as vertices settle
         while v is not None and p != v:
-            resident = self.registry[(p, w.dir)]
+            resident = registry[p]
             if not resident.rank < w.rank:
                 break
-            kept = bits & ~drm.interior(resident.rect, corner)
+            kept = bits & _cut_mask(drm, resident, corner)
             if kept == bits:
                 break
             self.stats.narrows += 1
@@ -142,12 +160,12 @@ class _FastEngine(_Engine):
             return  # a dead end: nothing live is left to claim
         tprime = _arrival(w, v)
         self._claim(v, tprime, w.src)
-        prev = self.registry.get((v, w.dir))
+        prev = registry.get(v)
         if prev is None or not prev.rank < w.rank:
             # w's own entry too: a wait root standing on a live vertex
-            self.registry[(v, w.dir)] = w
+            registry[v] = w
         else:
-            kept = bits & ~drm.interior(prev.rect, corner)
+            kept = bits & _cut_mask(drm, prev, corner)
             if kept != bits:
                 self.stats.narrows += 1
                 bits = kept

@@ -41,8 +41,7 @@ Built once per scene from integer-scaled edges; all queries are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import IntEdge
 from .rangeindex import RectStabber, WeightedRect
@@ -53,8 +52,12 @@ DIRS = ("N", "S", "E", "W")
 _DIR_INFO = {"N": (1, True), "S": (-1, True), "E": (1, False), "W": (-1, False)}
 
 
-@dataclass(frozen=True)
-class StopHit:
+class StopHit(NamedTuple):
+    """The first edge blocking a ray (:meth:`StopOracle.stop_point`): the
+    edge's index, the point where the ray meets the edge's line, and the
+    arrival there.  A named tuple, immutable like any tuple and built at
+    tuple cost: each arrangement spawn of the sweep asks for four."""
+
     edge_index: int
     point: Tuple[int, int]
     arrival: int

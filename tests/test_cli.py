@@ -147,6 +147,9 @@ def test_bench_json_layers(tmp_path, capsys):
         parts = ("scaled_scene", "stop_oracle", "vertex_index", "init", "sweep", "path", "plan")
         assert set(s["seconds"]) == set(parts) and all(s["seconds"][k] > 0 for k in parts)
         assert s["seconds"]["plan"] >= s["seconds"]["sweep"]
+        for part in (s, s["map"]):
+            for k, median in part["seconds"].items():
+                assert part["seconds_q1"][k] <= median <= part["seconds_q3"][k], k
         m = build_spm(bench_scene(2, n))
         assert s["map"]["cells"] == len(m.cells) and s["map"]["queries"] > 0
         parts = ("sweep", "harvest", "index", "arrival", "witness", "dump", "load")

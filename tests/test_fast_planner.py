@@ -4,10 +4,23 @@ import random
 import sys
 from dataclasses import replace
 
-from rectipath.engine import DIAGS, _DIAG_SIGNS, PointWavelet, SrcNode, _arrival, _Engine, naive_plan
+from test_exact_labels import _ladder_scenes
+
+import rectipath
+from rectipath import engine
+from rectipath.engine import (
+    DIAGS,
+    _DIAG_SIGNS,
+    _NEAREST_CORNER,
+    PointWavelet,
+    SrcNode,
+    _arrival,
+    _Engine,
+    naive_plan,
+)
 from rectipath.fast import _FastEngine, fast_plan
 from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path, validate_scene
-from rectipath.oracle import oracle_plan, random_scene
+from rectipath.oracle import bench_scene, oracle_plan, random_scene
 from rectipath.pathrec import build_path
 from rectipath.scenario import canonical_scene
 
@@ -212,3 +225,81 @@ def test_whole_box_labels_with_terminals_on_edge_endpoints():
         res = fast_plan(scene)
         assert res.arrival == eng.sc.time_out(labels[1][eng.dest]), (seed, which)
         assert validate_path(scene, res.path, res.arrival).ok, (seed, which)
+
+
+class _Recorded(_FastEngine):
+    """The narrowing sweep, logging every root it spawns and every push."""
+
+    def __init__(self, scene):
+        super().__init__(scene)
+        self.roots, self.pushes = [], []
+
+    def _spawn_arrangement(self, p, t, src):
+        made = super()._spawn_arrangement(p, t, src)
+        self.roots.extend(made)
+        return made
+
+    def _push(self, key, rank, item):
+        kind, what = item[0], item[1]
+        if kind == "pw":
+            what = (what.dir, what.rank)
+        elif kind == "sw":
+            what = (what.kind, what.dir, what.line, what.key, what.edge, what.lo, what.hi, what.lo_open, what.hi_open)
+        self.pushes.append((key, rank, self.seq + 1, kind, what))
+        super()._push(key, rank, item)
+
+
+class _Uncut(PointWavelet):
+    """A root that never keeps its cut mask, so every cut builds it anew."""
+
+    __slots__ = ()
+    cut = property(lambda self: None, lambda self, mask: None)
+
+
+def test_cut_masks_are_built_once_and_change_no_event(monkeypatch):
+    # A registered root keeps its strict-interior cut mask from its first
+    # use as a cutter on.  Every kept mask is that root's interior in its
+    # diagonal's corner space, each was built by one index call, and the
+    # sweep spawns the same roots and queues the same events in the same
+    # order as one that builds every mask anew at every cut.
+    ns = _ladder_scenes()
+    scenes = [bench_scene(1, 200)] + [ns["ladder_scene"](rectipath, s) for s in (0, 16)]
+    for scene in scenes:
+        eng = _Recorded(scene)
+        interior, built = eng.drm.interior, []
+        eng.drm.interior = lambda rect, corner: built.append(rect) or interior(rect, corner)
+        eng.run(stop_at_dest=False)
+        held = [w for w in eng.roots if w.cut is not None]
+        assert held and len(built) == len(held)
+        for w in held:
+            assert w.cut == ~interior(w.rect, _NEAREST_CORNER[w.dir])
+        with monkeypatch.context() as m:
+            m.setattr(engine, "PointWavelet", _Uncut)
+            fresh = _Recorded(scene)
+            fresh.run(stop_at_dest=False)
+        assert all(type(w) is _Uncut for w in fresh.roots)
+        assert [(w.dir, w.rank, w.rect) for w in eng.roots] == [(w.dir, w.rank, w.rect) for w in fresh.roots]
+        assert eng.pushes == fresh.pushes
+        assert eng.stats == fresh.stats
+        assert {p: t for p, (t, _node) in eng.labels.items()} == {p: t for p, (t, _node) in fresh.labels.items()}
+
+
+def test_each_cap_edge_is_asked_once_per_spawn():
+    # The two roots a stop caps share its edge's accessible interval: one
+    # accessible_on call per stop of a spawn, whatever the roots clip.
+    eng = _FastEngine(bench_scene(1, 200))
+    stop, calls = eng.stop, {"stop": 0, "accessible": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            out = fn(*args)
+            calls[name] += out is not None
+            return out
+
+        return call
+
+    stop.stop_point = counted("stop", stop.stop_point)
+    stop.accessible_on = counted("accessible", stop.accessible_on)
+    eng.run(stop_at_dest=False)
+    assert calls["accessible"] == calls["stop"] > 0
+    assert eng.stats.segment_wavelets >= 2 * calls["stop"]

@@ -25,6 +25,15 @@ def test_stop_point_examples():
     assert so.stop_point((0, 0), 0, "N") is None
 
 
+def test_stop_hit_is_an_immutable_record():
+    hit = StopOracle([hedge(3, 2, 8, 5, 3, 7)]).stop_point((4, 1), 2, "N")
+    assert (hit.edge_index, hit.point, hit.arrival) == (0, (4, 5), 6)
+    assert hit == (0, (4, 5), 6)
+    for field in ("edge_index", "point", "arrival"):
+        with pytest.raises(AttributeError):
+            setattr(hit, field, 0)
+
+
 def test_stop_point_boundary_times_pass():
     # Crossing exactly at appearance or disappearance is legal, so no stop.
     so = StopOracle([hedge(0, -5, 5, 5, 5, 9)])
