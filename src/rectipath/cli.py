@@ -109,7 +109,7 @@ def _path_doc(arrival, path) -> dict:
 
 def _cmd_plan(args) -> int:
     scene = load_scene(args.scene)
-    res = (naive_plan if args.algorithm == "naive" else fast_plan)(scene)
+    res = fast_plan(scene)
     print(_fmt_time(res.arrival))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -339,7 +339,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("plan", help="minimum arrival time and a witness path")
     sp.add_argument("scene")
-    sp.add_argument("--algorithm", choices=("naive", "fast"), default="fast")
     sp.add_argument("--out", help="write the timestamped path as JSON")
     sp.add_argument("--svg", help="write a picture of the scene and path")
     sp.set_defaults(func=_cmd_plan)

@@ -1,12 +1,15 @@
 """Scene and path primitives for rectilinear planning among transient segment obstacles.
 
 All coordinates and times are exact rationals (``fractions.Fraction`` or plain
-``int``; the two interoperate).  An obstacle is a closed axis-parallel segment
-that exists during a closed time interval ``[appear, disappear]``.  A moving
-point may touch an obstacle at any time and may slide along it, but it must not
-cross one transversally through its relative interior at a time strictly inside
-``(appear, disappear)``.  Crossing exactly at the appearance or disappearance
-instant is legal, and passing through a segment endpoint is always legal.
+``int``; the two interoperate).  A float given to an edge or a scene is taken
+as its exact binary fraction when the edge or scene is built, so every
+planner, check and file sees the same number.  An obstacle is a closed
+axis-parallel segment that exists during a closed time interval
+``[appear, disappear]``.  A moving point may touch an obstacle at any time and
+may slide along it, but it must not cross one transversally through its
+relative interior at a time strictly inside ``(appear, disappear)``.  Crossing
+exactly at the appearance or disappearance instant is legal, and passing
+through a segment endpoint is always legal.
 
 To keep the planners free of rational arithmetic, :class:`ScaledScene` rescales
 a scene to integer coordinates with unit speed; results are mapped back exactly.
@@ -24,6 +27,15 @@ Coord = Union[int, Fraction]
 Point = Tuple[Coord, Coord]
 
 
+def _exact(v):
+    """v, or the exact binary fraction of a float."""
+    return Fraction(v) if isinstance(v, float) else v
+
+
+def _exact_point(p):
+    return (_exact(p[0]), _exact(p[1])) if isinstance(p[0], float) or isinstance(p[1], float) else p
+
+
 def l1_distance(p: Point, q: Point) -> Coord:
     """Rectilinear (L1) distance between two points."""
     return abs(p[0] - q[0]) + abs(p[1] - q[1])
@@ -38,6 +50,12 @@ class TransientEdge:
     p2: Point
     appear: Coord
     disappear: Coord
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p1", _exact_point(self.p1))
+        object.__setattr__(self, "p2", _exact_point(self.p2))
+        object.__setattr__(self, "appear", _exact(self.appear))
+        object.__setattr__(self, "disappear", _exact(self.disappear))
 
     @property
     def horizontal(self) -> bool:
@@ -100,10 +118,13 @@ class Scene:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "vmax", _exact(self.vmax))
+        object.__setattr__(self, "source", _exact_point(self.source))
+        object.__setattr__(self, "dest", _exact_point(self.dest))
         if self.bbox is None:
-            object.__setattr__(
-                self, "bbox", _auto_bbox(self.edges, (self.source, self.dest))
-            )
+            object.__setattr__(self, "bbox", _auto_bbox(self.edges, (self.source, self.dest)))
+        else:
+            object.__setattr__(self, "bbox", tuple(map(_exact, self.bbox)))
 
     @property
     def vertices(self) -> Tuple[Point, ...]:
@@ -436,10 +457,8 @@ class ScaledScene:
 
     def __init__(self, scene: Scene):
         # Integer coordinates, times and vmax skip Fraction: they scale to
-        # the same ints by int arithmetic.  A float product would round, so
-        # fractions and floats keep the Fraction formula, and a float vmax
-        # is taken as its exact binary fraction first.
-        vm = Fraction(scene.vmax) if type(scene.vmax) is float else scene.vmax
+        # the same ints by int arithmetic; fractions keep the Fraction formula.
+        vm = scene.vmax
         int_vm = type(vm) is int
 
         def tv(t):  # t * vmax, exactly

@@ -3,8 +3,15 @@
 Every settled label and map cell carries a provenance chain, a node whose
 parent links lead back to the start: staircase hops between point sources
 (start, settled vertices, wait points) and flat hops along waited-out edges.
-Replay needs only the chain and the scene's stop oracle, whose edge list
-names the wait hosts and whose stabbers list each hop's possible blockers.
+One walk (`_from_source`) replays every witness.  It goes back from the
+last node to the start, one step per node, then forward, replaying each
+step by the node's class and kind.  A plan's last node is the destination's
+label; a map query's is the query point itself, a vertex-kind node at the
+map's value whose parent is the winning cell's node, so the staircase or
+flat crossing into the query point is the chain's last step and the
+vertex's arrival check is the witness's end check.  Replay needs only the
+chain and the scene's stop oracle, whose edge list names the wait hosts and
+whose stabbers list each hop's possible blockers.
 
 A staircase hop from a, departing at t0, toward b runs at full speed, so in
 coordinates u = sx*(x - a.x) and v = sy*(y - a.y) (signs pointing at b) the
@@ -55,8 +62,9 @@ wavelets, so the hop out of it is the one forced staircase from there.  If
 that staircase does not exist, the target on the host's own line included,
 the hop raises instead of moving the wait or departing early.
 
-A chain that cannot be replayed, or a replay that misses its label's point
-or time, raises `WitnessError`; the checks do not depend on asserts.
+A chain that cannot be replayed, or a replay that misses a vertex's point or
+time (a label's, or the map's value at its query point), raises
+`WitnessError`; the checks do not depend on asserts.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from .engine import SrcNode
+from .engine import SegNode, SrcNode
 from .geometry import TimedPath, Waypoint
 
 Tri = List  # [point, arrive, depart], mutable while building
@@ -77,13 +85,13 @@ class WitnessError(RuntimeError):
 
 
 def build_path(engine) -> TimedPath:
-    sc = engine.sc
-    t, node = engine.labels[engine.dest]
-    tris = _from_source(engine.stop, node)
-    if tris[-1][0] != engine.dest or tris[-1][1] != t:
-        raise WitnessError(f"witness ends at {tris[-1][0]}@{tris[-1][1]}, label {engine.dest}@{t}")
-    wps = tuple(Waypoint(sc.point_out(p), sc.time_out(a), sc.time_out(b)) for p, a, b in tris)
-    return TimedPath(wps)
+    """The witness of the destination's label: its node's chain, replayed."""
+    return _timed_path(engine.sc, _from_source(engine.stop, engine.labels[engine.dest][1]))
+
+
+def _timed_path(sc, tris) -> TimedPath:
+    """Replayed scaled points as a path in scene units."""
+    return TimedPath(tuple(Waypoint(sc.point_out(p), sc.time_out(a), sc.time_out(b)) for p, a, b in tris))
 
 
 def _host_of(src_node):
@@ -91,80 +99,56 @@ def _host_of(src_node):
 
 
 def _from_source(stop, node) -> List[Tri]:
-    """Timed points from the start to the point source node; stop is the
-    scene's StopOracle."""
-    return _replay(stop, ("src", node))
+    """Timed points from the start to the point source node, replayed one
+    step per node; stop is the scene's StopOracle.
+
+    Walking back, a flat front's step records the crossing coordinate of the
+    point it leads to and the line it crosses to: the claimed vertex's line,
+    or the line of the successor it hit.  A remainder crosses its edge's
+    line without stopping and takes no step.  The steps sit on a list, not
+    on the call stack, so long chains need no recursion depth.
+    """
+    steps = []
+    cross = target = None
+    while node.kind != "start":
+        if isinstance(node, SrcNode):
+            steps.append((node, None, None))
+            if isinstance(node.parent, SegNode):  # claimed by a flat front
+                cross, target = node.point if node.parent.dir in ("N", "S") else node.point[::-1]
+        elif node.kind != "remainder":
+            steps.append((node, cross, target))
+            if node.kind == "successor":  # the parent front reaches its line first
+                target = node.line
+        node = node.parent
+    tris = [[node.point, 0, 0]]
+    for node, cross, target in reversed(steps):
+        if isinstance(node, SrcNode):
+            _staircase(stop, tris, node.point, host=_host_of(node.parent))
+            if node.kind == "wait":
+                if tris[-1][1] > node.time:
+                    raise WitnessError(f"wait point {node.point} reached after its host vanished")
+                tris[-1][2] = node.time
+            elif tris[-1][0] != node.point or tris[-1][1] != node.time:
+                raise WitnessError(f"replay reaches {tris[-1][0]}@{tris[-1][1]}, label {node.point}@{node.time}")
+            continue
+        if node.kind == "piece":
+            p = _on_line(node, cross, node.line)
+            _staircase(stop, tris, p, host=_host_of(node.parent))
+            if tris[-1][1] > node.key:
+                raise WitnessError(f"piece point {p} reached after its edge vanished")
+        tris[-1][2] = node.key
+        if target == node.line:
+            raise WitnessError(f"front on line {node.line} has no line to cross to")
+        t = node.key + abs(target - node.line)
+        tris.append([_on_line(node, cross, target), t, t])
+    return tris
 
 
 def _from_flat(stop, node, cross, target_perp) -> List[Tri]:
     """Timed points from the start to where the flat front node reaches
     the line perp = target_perp at crossing coordinate cross."""
-    return _replay(stop, ("flat", node, cross, target_perp))
-
-
-def _replay(stop, item) -> List[Tri]:
-    """Walk a provenance chain back to its start, then replay it forward.
-
-    item is ("src", SrcNode) or ("flat", SegNode, cross, target_perp).  The
-    steps still to replay are kept on a list, not on the call stack, so long
-    chains need no recursion depth.
-    """
-    todo = []
-    while True:
-        if item[0] == "src":
-            node = item[1]
-            if node.kind == "start":
-                break
-            if node.kind == "wait":
-                todo.append(("wait", node))
-                item = ("src", node.parent)
-            elif isinstance(node.parent, SrcNode):  # claimed by a point wavelet
-                todo.append(("arrived", node))
-                todo.append(("vertex", node))
-                item = ("src", node.parent)
-            else:  # claimed by a flat front
-                horizontal = node.parent.dir in ("N", "S")
-                cross = node.point[0] if horizontal else node.point[1]
-                perp = node.point[1] if horizontal else node.point[0]
-                todo.append(("arrived", node))
-                item = ("flat", node.parent, cross, perp)
-        else:
-            _, seg, cross, perp = item
-            if seg.kind == "remainder":
-                item = ("flat", seg.parent, cross, perp)
-                continue
-            todo.append(("front", seg, cross, perp))
-            if seg.kind == "piece":
-                todo.append(("piece", seg, cross))
-                item = ("src", seg.parent)
-            else:  # successor: the parent front reaches its line first
-                item = ("flat", seg.parent, cross, seg.line)
-    tris = [[node.point, 0, 0]]
-    for step in reversed(todo):
-        kind, node = step[0], step[1]
-        if kind == "wait":
-            _staircase(stop, tris, node.point, host=_host_of(node.parent))
-            if tris[-1][1] > node.time:
-                raise WitnessError(f"wait point {node.point} reached after its host vanished")
-            tris[-1][2] = node.time
-        elif kind == "vertex":
-            _staircase(stop, tris, node.point, host=_host_of(node.parent))
-        elif kind == "arrived":
-            if tris[-1][0] != node.point or tris[-1][1] != node.time:
-                raise WitnessError(f"replay reaches {tris[-1][0]}@{tris[-1][1]}, label {node.point}@{node.time}")
-        elif kind == "piece":
-            target = _on_line(node, step[2], node.line)
-            _staircase(stop, tris, target, host=_host_of(node.parent))
-            if tris[-1][1] > node.key:
-                raise WitnessError(f"piece point {target} reached after its edge vanished")
-        else:  # front: depart the front's line and cross to the target line
-            target_perp = step[3]
-            tris[-1][2] = node.key
-            if target_perp == node.line:
-                raise WitnessError(f"front on line {node.line} has no line to cross to")
-            t = node.key + abs(target_perp - node.line)
-            tris.append([_on_line(node, step[2], target_perp), t, t])
-    return tris
+    t = node.key + abs(target_perp - node.line)
+    return _from_source(stop, SrcNode("vertex", _on_line(node, cross, target_perp), t, node))
 
 
 def _on_line(seg, cross, pv):

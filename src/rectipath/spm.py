@@ -22,9 +22,10 @@ the class's cells.  A query takes the minimum over the eight classes of the
 located offset plus the class's linear term; the classes cannot share one
 rectilinear subdivision, since a north-east cone x + y + c1 and a south-west
 cone -x - y + c2 trade places along a diagonal.  Witness paths replay the
-winning record's provenance chain the same way settled labels do, each hop
-routed among the blockers the scene's stop oracle lists for it: the map
-keeps the sweep's oracle, and a loaded map builds its own.
+winning record's provenance chain, with the query point as its last node,
+in the walk that replays settled labels.  Each hop is routed among the
+blockers the scene's stop oracle lists for it: the map keeps the sweep's
+oracle, and a loaded map builds its own.
 
 Serialized form (JSON, version 4): the scene, one table of provenance nodes
 and the cell list, all in scaled integer units.  Every node row names its
@@ -58,8 +59,9 @@ except ImportError:
 
 from .engine import _DIAG_SIGNS, DIAGS, SegNode, SrcNode
 from .fast import _FastEngine
-from .geometry import ScaledScene, Scene, TimedPath, Waypoint
-from .pathrec import WitnessError, _from_flat, _from_source, _host_of, _staircase
+from .geometry import ScaledScene, Scene, TimedPath
+# _from_flat and _staircase are not called here: perfbench's tracer wraps them on this module
+from .pathrec import WitnessError, _from_flat, _from_source, _staircase, _timed_path
 from .rangeindex import RectStabber, WeightedRect
 from .scenario import scene_from_dict, scene_to_dict
 from .stopindex import _DIR_INFO, StopOracle
@@ -164,26 +166,14 @@ class ShortestPathMap:
         return self.sc.time_out(val)
 
     def query(self, q) -> Tuple[object, TimedPath]:
-        """Arrival time at q plus a witness path achieving it."""
+        """Arrival time at q plus a witness path achieving it: the query
+        point is replayed as the last node of the winning cell's chain, a
+        vertex at the map's value whose parent is the cell's node, so the
+        chain's own arrival check holds the witness to that value."""
         qs = self._scale_in(q)
         val, _ci, idx = self._locate(qs)
-        cell = self.cells[idx]
-        stop = self.stop
-        if isinstance(cell.node, SrcNode):
-            tris = _from_source(stop, cell.node)
-            _staircase(stop, tris, qs, host=_host_of(cell.node))
-        else:
-            horizontal = cell.dir in ("N", "S")
-            cross = qs[0] if horizontal else qs[1]
-            perp = qs[1] if horizontal else qs[0]
-            tris = _from_flat(stop, cell.node, cross, perp)
-        if tris[-1][0] != qs or tris[-1][1] != val:
-            raise WitnessError(f"witness ends at {tris[-1][0]}@{tris[-1][1]}, map says {qs}@{val}")
-        sc = self.sc
-        wps = tuple(
-            Waypoint(sc.point_out(p), sc.time_out(a), sc.time_out(b)) for p, a, b in tris
-        )
-        return sc.time_out(val), TimedPath(wps)
+        tris = _from_source(self.stop, SrcNode("vertex", qs, val, self.cells[idx].node))
+        return self.sc.time_out(val), _timed_path(self.sc, tris)
 
 
 def _harvest(trace) -> List:

@@ -55,19 +55,12 @@ def test_scene_rejects_unknown_and_unversioned():
 
 
 def test_plan_canonical(scene_file, capsys):
-    assert cli.main(["plan", scene_file("S0")]) == 0
+    f = scene_file("S0")
+    assert cli.main(["plan", f]) == 0
     assert capsys.readouterr().out == "10\n"
-
-
-def test_plan_algorithms_agree_bytewise(scene_file, capsys):
-    f = scene_file("S1")
-    assert cli.main(["plan", f, "--algorithm", "naive"]) == 0
-    naive_out = capsys.readouterr().out
-    assert cli.main(["plan", f, "--algorithm", "fast"]) == 0
-    assert capsys.readouterr().out == naive_out
     # and stable across repeated runs
-    assert cli.main(["plan", f, "--algorithm", "fast"]) == 0
-    assert capsys.readouterr().out == naive_out
+    assert cli.main(["plan", f]) == 0
+    assert capsys.readouterr().out == "10\n"
 
 
 def test_plan_prints_rational_and_decimal(scene_file, capsys):

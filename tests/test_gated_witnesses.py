@@ -3,14 +3,18 @@ whose answers wait at several bars, plus two repros) as a tier-1 gate:
 fast_plan answers each as naive_plan does, and every witness but ladder 8's
 passes validate_path.  Ladder 8's still fails with NonMonotoneSubpath, since
 wait points sit at fan endpoints (ROADMAP item 1); no other scene and no
-other code may fail."""
+other code may fail.  The map's witnesses at every integer point of the two
+repros are held to the same rule."""
+
+from dataclasses import replace
 
 from test_exact_labels import _ladder_scenes
 
 import rectipath
 from rectipath.engine import naive_plan
 from rectipath.fast import fast_plan
-from rectipath.geometry import validate_path
+from rectipath.geometry import validate_path, validate_scene
+from rectipath.spm import build_spm
 
 
 def test_gated_plans_match_naive_and_their_witnesses_validate():
@@ -24,3 +28,32 @@ def test_gated_plans_match_naive_and_their_witnesses_validate():
         if codes:
             invalid[label] = codes
     assert invalid == {"ladder-8": {"NonMonotoneSubpath"}}
+
+
+def test_map_witnesses_at_every_integer_point_of_the_repros():
+    # Every point of the scene's box that is a valid destination.  Wait
+    # points at fan endpoints still cost some witnesses NonMonotoneSubpath
+    # (ROADMAP item 1); they are counted, printed and held to at most 85 of
+    # 710 and 10 of 111 points.
+    ns = _ladder_scenes()
+    counts = {}
+    for name in ("early_settle_repro", "fallback_repro"):
+        scene = ns[name](rectipath)
+        m = build_spm(scene)
+        xlo, xhi, ylo, yhi = scene.bbox
+        points = non_monotone = 0
+        for x in range(xlo, xhi + 1):
+            for y in range(ylo, yhi + 1):
+                at = replace(scene, dest=(x, y), bbox=None)
+                if not validate_scene(at).ok:
+                    continue
+                points += 1
+                t, path = m.query((x, y))
+                assert t == fast_plan(at).arrival, (name, (x, y))
+                codes = validate_path(at, path, t).codes()
+                assert codes <= {"NonMonotoneSubpath"}, (name, (x, y), codes)
+                non_monotone += bool(codes)
+        counts[name] = (non_monotone, points)
+    print("NonMonotoneSubpath map witnesses (of points):", counts)
+    assert counts["early_settle_repro"][1] == 710 and counts["early_settle_repro"][0] <= 85, counts
+    assert counts["fallback_repro"][1] == 111 and counts["fallback_repro"][0] <= 10, counts

@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from rectipath.fast import fast_plan
 from rectipath.geometry import (
     IntEdge,
     ScaledScene,
@@ -14,7 +16,7 @@ from rectipath.geometry import (
     validate_path,
     validate_scene,
 )
-from rectipath.oracle import random_scene
+from rectipath.oracle import oracle_plan, random_scene
 
 
 def edge(eid, p1, p2, ta, td):
@@ -301,3 +303,29 @@ def test_scaled_scene_equals_the_all_fraction_scaling(coord, time, vmax):
             v for e in ss.edges for v in (e.line, e.lo, e.hi, e.ta, e.td)
         ]
         assert all(type(v) is int for v in scaled), (coord, time, vmax)
+
+
+def test_float_inputs_are_taken_as_their_exact_fractions():
+    # The witness moves at exactly the binary fraction of vmax 1.1, so
+    # validate_path must check it against that number, not the float.
+    scene = Scene(edges=(edge(0, (-5, 5), (5, 5), 0, 6),), vmax=1.1, source=(0, 0), dest=(3, 10))
+    assert type(scene.vmax) is Fraction and scene.vmax == 1.1
+    res = fast_plan(scene)
+    assert validate_path(scene, res.path, res.arrival).ok
+
+
+def _float_scaled(seed):
+    """random_scene(seed, 5 + seed % 10) with its coordinates and its times
+    each times a float, under a float or integer vmax."""
+    rng = random.Random(seed)
+    coord, time = rng.choice((0.1, 0.3, 0.7, 1.1)), rng.choice((0.1, 0.3, 0.7, 1.1))
+    return _rescaled(random_scene(seed, 5 + seed % 10), coord, time, rng.choice((1, 0.3, 1.1, 2.5)))
+
+
+def test_float_scaled_scenes_plan_exactly():
+    for seed in range(1, 61):
+        scene = _float_scaled(seed)
+        res = fast_plan(scene)
+        assert validate_path(scene, res.path, res.arrival).ok, seed
+        want = oracle_plan(scene)
+        assert type(want) in (int, Fraction) and want >= res.arrival, (seed, want, res.arrival)

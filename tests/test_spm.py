@@ -11,7 +11,7 @@ from rectipath.engine import DIAGS, SegNode, SrcNode, _Engine
 from rectipath.fast import _FastEngine, fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
 from rectipath.oracle import bench_scene, oracle_arrivals, random_scene
-from rectipath.scenario import canonical_scene
+from rectipath.scenario import canonical_scene, dump_scene, load_scene
 from rectipath.pathrec import WitnessError
 from rectipath.spm import (
     _CLASSES,
@@ -219,6 +219,30 @@ def test_dump_load_round_trip(tmp_path):
         t2, p2 = m2.query(q)
         assert t1 == t2 and p1 == p2
         assert validate_path(_retarget(scene, q), p2, t2).ok
+
+
+def test_float_scene_and_its_map_round_trip(tmp_path):
+    # Floats are taken as their exact binary fractions, so both files hold
+    # exact numbers and load back to the same scene and the same answers.
+    base = random_scene(21, 10)
+    pt = lambda p: (p[0] * 0.1, p[1] * 0.1)  # noqa: E731
+    edges = tuple(TransientEdge(e.id, pt(e.p1), pt(e.p2), e.appear * 0.3, e.disappear * 0.3) for e in base.edges)
+    scene = Scene(edges=edges, vmax=1.1, source=pt(base.source), dest=pt(base.dest))
+    f = tmp_path / "scene.json"
+    dump_scene(scene, f)
+    assert load_scene(f) == scene
+    m = build_spm(scene)
+    f = tmp_path / "map.json"
+    dump_spm(m, f)
+    m2 = load_spm(f)
+    rng = random.Random(3)
+    xlo, xhi, ylo, yhi = _hull(base)
+    for _ in range(40):
+        q = pt((rng.randint(xlo, xhi), rng.randint(ylo, yhi)))
+        t, path = m.query(q)
+        assert m2.query(q) == (t, path) and m2.arrival(q) == t
+        if not any(e.contains_point(q) for e in scene.edges):
+            assert validate_path(_retarget(scene, q), path, t).ok, q
 
 
 def test_load_rejects_other_files(tmp_path):

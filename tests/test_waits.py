@@ -7,7 +7,9 @@ oracle, every map arrival on a small lattice the oracle, and no witness may
 fail to replay.  Ladder witnesses may still fail validate_path with
 NonMonotoneSubpath (wait points at fan endpoints, ROADMAP item 1); those are
 counted, printed and held to at most 1 plan and 21 map witnesses, and no
-other code is allowed anywhere.
+other code is allowed anywhere.  A seeded fuzz over random scenes on
+fractional scales holds plans and map witnesses to the same answers and
+accepts no invalid witness at all.
 """
 
 import random
@@ -18,7 +20,7 @@ from test_fast_planner import _bars
 
 from rectipath.engine import naive_plan
 from rectipath.fast import fast_plan
-from rectipath.geometry import Scene, validate_path, validate_scene
+from rectipath.geometry import Scene, TransientEdge, validate_path, validate_scene
 from rectipath.oracle import oracle_arrivals, oracle_plan, random_scene
 from rectipath.spm import build_spm
 
@@ -129,3 +131,36 @@ def test_waits_and_degenerate_placements_match_the_oracle():
             non_monotone["map"] += bool(codes)
     print("NonMonotoneSubpath witnesses on ladders:", non_monotone)
     assert non_monotone["plan"] <= 1 and non_monotone["map"] <= 21, non_monotone
+
+
+def _fractional(seed):
+    """random_scene(seed, 4 + seed % 9) with its coordinates divided by 2 or
+    3, its times by 2 or 3 and vmax 1, 1/2 or 2; in about a third of the
+    scenes a terminal moves onto an edge endpoint."""
+    rng = random.Random(seed)
+    base = random_scene(seed, 4 + seed % 9)
+    c, t = Fraction(1, rng.choice((2, 3))), Fraction(1, rng.choice((2, 3)))
+    pt = lambda p: (p[0] * c, p[1] * c)  # noqa: E731
+    edges = tuple(TransientEdge(e.id, pt(e.p1), pt(e.p2), e.appear * t, e.disappear * t) for e in base.edges)
+    ends = {"source": pt(base.source), "dest": pt(base.dest)}
+    if rng.random() < 1 / 3:
+        which, other = rng.choice((("source", "dest"), ("dest", "source")))
+        ends[which] = rng.choice([q for e in edges for q in e.endpoints if q != ends[other]])
+    scene = Scene(edges, SPEEDS[rng.randrange(3)], **ends)
+    assert validate_scene(scene).ok
+    return scene
+
+
+def test_fractional_scales_match_across_engines_and_the_map():
+    for seed in range(1, 121):
+        scene = _fractional(seed)
+        res = fast_plan(scene)
+        assert res.arrival == naive_plan(scene).arrival, seed
+        assert res.arrival <= oracle_plan(scene), seed
+        assert validate_path(scene, res.path, res.arrival).ok, seed
+        m = build_spm(scene)
+        for p in [scene.dest] + _lattice(scene):
+            t, path = m.query(p)
+            if p == scene.dest:
+                assert t == res.arrival, seed
+            assert not _codes(scene, p, path, t), (seed, p)
