@@ -53,7 +53,8 @@ class WaveletStats:
     # lineage requeues
     point_wavelets: int = 0
     dominated: int = 0  # roots the narrowing engine refused at spawn, never queued
-    segment_wavelets: int = 0
+    segment_wavelets: int = 0  # flat fronts pushed, dropped ones included
+    fronts_dropped: int = 0  # flat fronts the narrowing engine dropped at their pop
     narrows: int = 0  # the narrowing engine's root-order cuts that cleared bits
     expands: int = 0  # no engine expands; kept because perfbench/worker.py reads it
 

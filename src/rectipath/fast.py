@@ -2,10 +2,12 @@
 order of roots.
 
 The sweep is the plain engine's continuous Dijkstra, point wavelets and flat
-fronts alike, with one device that tames its quadratic point-wavelet count
-without changing any label: each root's point wavelet is one lineage that
-claims its region's vertices one at a time, and same-direction lineages that
-overlap are cut against each other, in one fixed order.
+fronts alike, with two devices that tame its wavelet counts without
+changing any label: each root's point wavelet is one lineage that claims its
+region's vertices one at a time, and same-direction lineages that overlap
+are cut against each other, in one fixed order; and a flat front that an
+earlier front of its (direction, line, key) already holds is dropped at its
+pop.
 
 Root order.  A root is the arrangement wavelet spawned at a settled vertex
 or a wait point, and it holds the front's value function: with (sx, sy) the
@@ -53,8 +55,8 @@ the least arrival of the same roots and flat fronts, so by induction on the
 settle order both engines spawn the same roots at the same times and settle
 every point at the same label, over the whole box as at the destination
 (tests/test_exact_labels.py).  Only the provenance of equal-time ties may
-differ.  Lineages keep their root source and flat fronts keep the plain
-engine's provenance chains, so plans and maps are witnessed by the same path
+differ.  Lineages keep their root source and flat fronts the plain engine's
+kinds of provenance node, so plans and maps are witnessed by the same path
 reconstruction as naive_plan.
 
 Dominated roots.  A root w spawned at p is refused when the registry's root
@@ -75,6 +77,32 @@ vertex besides v, which settles by v's arrival.  The live vertex set only
 shrinks, so it could claim nothing more; and its map record is the one its
 first pop made.
 
+Flat fronts.  A front on line L moving toward d with key k arrives at
+k + s * (distance from L) wherever it sweeps, so every front of one
+(d, L, k) group has the same value function; a front's key is its queue
+key, so a group's fronts all pop in one bucket.  A front is dropped at its
+pop when one front of its group popped before it holds its whole span,
+open ends respected: an open end of the holder at the same coordinate holds
+only an open end.  The dropped front makes no stop query, claim, trace
+record, successor or remainder, so the cascade below it goes too.  Its
+columns are claimed no later, through the holder's sweep, successor and
+remainder chain, which has the same value function.  Every edge that blocks
+the dropped front's span blocks the holder's at the same instant, so the
+holder stops on a line no farther away.  Up to that line the holder's band
+covers the dropped one's.  If both stop at one edge, the holder's successor
+and remainders hold the dropped front's, group by group.  If the holder
+stops at an edge the dropped front passes, that edge's open span misses the
+dropped front's columns, which go on in the holder's remainder at the same
+values; only a column at the edge's endpoint falls on the remainder's open
+end, and the holder claims that endpoint on its stop line at the same
+value, so the endpoint's own roots carry the column on.  Past the holder's
+stop line these claims are pushed later than the dropped front would have
+pushed them, so another claimant of equal time may win the tie there: the
+labels are the plain engine's, which keeps every front, and only the
+provenance of such ties may differ.  Only single fronts hold: matching
+against the union of a group's spans would drop more fronts but move more
+ties.
+
 One index pass.  Each pop asks the vertex index once, and once more after
 each cut, with the lineage's bitset (CornerWeightedVertices.nearest), for
 both picks from one mask; a bitset with no live vertex ends that pass before
@@ -90,6 +118,7 @@ from .engine import (
     _RANK_POINT,
     PlanResult,
     PointWavelet,
+    SegNode,
     _arrival,
     _Engine,
     run_plan,
@@ -108,6 +137,15 @@ def _cut_mask(drm, root: PointWavelet, corner: str) -> int:
     return cut
 
 
+def _holds(h: SegNode, w: SegNode) -> bool:
+    """Whether front h's span holds front w's, open ends respected: an
+    open end of h holds only an open end of w at the same coordinate."""
+    return (
+        (h.lo < w.lo or h.lo == w.lo and (w.lo_open or not h.lo_open))
+        and (w.hi < h.hi or w.hi == h.hi and (w.hi_open or not h.hi_open))
+    )
+
+
 class _FastEngine(_Engine):
     def __init__(self, scene: Scene, trace: bool = False):
         super().__init__(scene, trace)
@@ -118,6 +156,10 @@ class _FastEngine(_Engine):
         # in the rank space of its nearest corner; absent before the first pop
         # and once the lineage ends
         self.lineages = {}
+        # (direction, line) -> the flat fronts swept so far at swept_key; a
+        # front's key is its queue key, so a group's fronts all pop in one
+        # bucket
+        self.swept_key, self.swept = None, {}
 
     def _admit(self, p, w):
         registry = self.registry[w.dir]
@@ -174,6 +216,16 @@ class _FastEngine(_Engine):
             self.lineages[w] = bits
             self._push(tprime, _RANK_POINT, ("pw", w))
             self.stats.point_wavelets += 1
+
+    def _do_segment(self, w: SegNode):
+        if w.key != self.swept_key:
+            self.swept_key, self.swept = w.key, {}
+        group = self.swept.setdefault((w.dir, w.line), [])
+        if any(_holds(h, w) for h in group):
+            self.stats.fronts_dropped += 1
+            return
+        group.append(w)
+        super()._do_segment(w)
 
 
 def fast_plan(scene: Scene) -> PlanResult:

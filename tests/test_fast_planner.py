@@ -17,12 +17,14 @@ from rectipath.engine import (
     _arrival,
     _Engine,
     naive_plan,
+    run_plan,
 )
 from rectipath.fast import _FastEngine, fast_plan
 from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path, validate_scene
 from rectipath.oracle import bench_scene, oracle_plan, random_scene
 from rectipath.pathrec import build_path
 from rectipath.scenario import canonical_scene
+from rectipath.spm import ShortestPathMap, _harvest, build_spm
 
 
 def _piece(rng, root):
@@ -147,6 +149,7 @@ def test_unobstructed_scene_stats():
     stats = fast_plan(canonical_scene("S0")).stats
     assert stats.point_wavelets == 4
     assert stats.segment_wavelets == 0
+    assert stats.fronts_dropped == 0
 
 
 def test_stats_are_deterministic():
@@ -303,3 +306,51 @@ def test_each_cap_edge_is_asked_once_per_spawn():
     eng.run(stop_at_dest=False)
     assert calls["accessible"] == calls["stop"] > 0
     assert eng.stats.segment_wavelets >= 2 * calls["stop"]
+
+
+class _EveryFront(_FastEngine):
+    """The narrowing sweep keeping every flat front, as the plain engine
+    does."""
+
+    _do_segment = _Engine._do_segment
+
+
+def _kinds(node):
+    """The kinds of node's provenance chain, back to the start."""
+    out = []
+    while node is not None:
+        out.append(node.kind)
+        node = node.parent
+    return out
+
+
+def test_dropped_flat_fronts_change_no_answer():
+    # A flat front that an earlier front of its (direction, line, key) holds
+    # is dropped at its pop.  Every gated plan, the whole-box labels with
+    # their provenance kinds, and the map's arrivals and witnesses at the
+    # map benchmark's query lattice equal those of the same sweep keeping
+    # every front.
+    ns = _ladder_scenes()
+    dropped = 0
+    for label, scene in ns["gated_corpus"](rectipath):
+        got, want = fast_plan(scene), run_plan(_EveryFront(scene))
+        assert (got.arrival, got.path.waypoints) == (want.arrival, want.path.waypoints), label
+        dropped += got.stats.fronts_dropped
+    assert dropped > 0
+    for scene in [bench_scene(1, 200)] + [ns["ladder_scene"](rectipath, s) for s in (0, 16)]:
+        labels = []
+        for engine_cls in (_FastEngine, _EveryFront):
+            eng = engine_cls(scene)
+            eng.run(stop_at_dest=False)
+            labels.append({p: (t, _kinds(node)) for p, (t, node) in eng.labels.items()})
+        assert labels[0] == labels[1]
+    scene = bench_scene(1, 200)
+    m = build_spm(scene)
+    eng = _EveryFront(scene, trace=True)
+    eng.run(stop_at_dest=False)
+    every = ShortestPathMap(eng.sc, _harvest(eng.trace), eng.stop)
+    assert len(m.cells) < len(every.cells)
+    for q in ns["serve_points"](rectipath, scene, 1):
+        assert m.arrival(q) == every.arrival(q), q
+        (t, path), (t_every, path_every) = m.query(q), every.query(q)
+        assert (t, path.waypoints) == (t_every, path_every.waypoints), q
