@@ -55,6 +55,7 @@ class WaveletStats:
     dominated: int = 0  # roots the narrowing engine refused at spawn, never queued
     segment_wavelets: int = 0  # flat fronts pushed, dropped ones included
     fronts_dropped: int = 0  # flat fronts the narrowing engine dropped at their pop
+    fans_refused: int = 0  # wait fans the narrowing engine refused at their pop
     narrows: int = 0  # the narrowing engine's root-order cuts that cleared bits
     expands: int = 0  # no engine expands; kept because perfbench/worker.py reads it
 
@@ -337,6 +338,11 @@ class _Engine:
             self._push(tau, _RANK_SEGMENT, ("sw", rn))
             self.stats.segment_wavelets += 1
 
+    def _do_fan(self, key, fp, edge_idx, parent):
+        """The wait arrangement at fp on edge edge_idx, departing at the
+        edge's disappearance key; the plain engine keeps every fan."""
+        self._spawn_arrangement(fp, key, SrcNode("wait", fp, key, parent, host=edge_idx))
+
     # -- main loop ------------------------------------------------------------
 
     def run(self, stop_at_dest: bool = True):
@@ -378,9 +384,7 @@ class _Engine:
                 elif kind == "sw":
                     self._do_segment(item[1])
                 else:  # "fan"
-                    _, fp, edge_idx, parent = item
-                    node = SrcNode("wait", fp, key, parent, host=edge_idx)
-                    self._spawn_arrangement(fp, key, node)
+                    self._do_fan(key, *item[1:])
             del buckets[key]
         if stop_at_dest and dest not in labels:
             raise AssertionError("queue exhausted before the destination settled")

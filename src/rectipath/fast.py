@@ -2,12 +2,13 @@
 order of roots.
 
 The sweep is the plain engine's continuous Dijkstra, point wavelets and flat
-fronts alike, with two devices that tame its wavelet counts without
+fronts alike, with three devices that tame its wavelet counts without
 changing any label: each root's point wavelet is one lineage that claims its
 region's vertices one at a time, and same-direction lineages that overlap
-are cut against each other, in one fixed order; and a flat front that an
+are cut against each other, in one fixed order; a flat front that an
 earlier front of its (direction, line, key) already holds is dropped at its
-pop.
+pop; and a wait fan strictly inside the union of its edge's pieces is
+refused at its pop.
 
 Root order.  A root is the arrangement wavelet spawned at a settled vertex
 or a wait point, and it holds the front's value function: with (sx, sy) the
@@ -103,6 +104,48 @@ provenance of such ties may differ.  Only single fronts hold: matching
 against the union of a group's spans would drop more fronts but move more
 ties.
 
+Wait fans.  A root whose axis ray stops at edge e pushes a piece, the part of
+e its staircases reach while e stands, sweeping away from the root's side
+from e's disappearance td, and a fan at each end of the piece, which spawns
+the four roots of a wait at td.  Every piece of e is pushed before td, since
+a ray that meets e at or after td passes it, so all of them pop at (td,
+_RANK_SEGMENT), before any fan of e at (td, _RANK_FAN).  The sweep records
+each piece as it pops, dropped or not, and the first fan of e that asks
+merges each sweep direction's pieces once into runs, the maximal closed
+spans of their union.  A fan is refused when its point lies strictly inside
+one run, of either direction: it spawns nothing.  Take a fan at f strictly
+inside a run [a, b] that sweeps toward d; the robot stands at every point of
+[a, b] on e's far side from d by td, each point reached by the staircases of
+a piece's root.  The fan's two cones toward d are its forward cones.  A point
+of them over [a, b] is offered by the run's fronts at td plus its distance
+from e's line, no more than the fan's td + its L1 distance from f; where an
+edge stops the fronts short of it but not the fan's staircase, that edge
+ends between f's column and the point's, and its endpoint, claimed on the
+fronts' stop line at their value, carries the point on through its own
+roots, as in the flat fronts above.  A point past the run's end b is offered
+no later from b, which departs at td too and is nearer by |b - f|: b is
+strictly inside no run toward d, as runs of one direction are disjoint, so
+its fan is kept, or it lies strictly inside a run toward -d, where its cones
+toward d are back cones.  The fan's two other cones, its back cones, point to
+the side the robot came from, and their staircases leave e's line without
+crossing it: they never needed e gone.  Inside the region of the root whose
+piece holds f, that root arrives at f by td and runs at slope one, so it
+offers each back-cone point no later than the fan; past the region, the
+fan's staircase leaves it at a point that root reached earlier, and the same
+route taken from there at once, waiting only in front of edges that block
+it, is at every point no later, so its labels are those of routes that never
+wait at f, which the sweep's other sources offer.  By induction on the settle
+order, as for the lowest roots, the sweep settles every point at the plain
+engine's label, and the plain engine keeps every fan
+(tests/test_exact_labels.py holds the whole-box labels of both equal,
+ladders wide and tall included).  One fan strictly inside a run is kept: the
+one on its parent's own column, where the axis ray of a parent that is not a
+wait hit e.  That choice is about witness shape, not labels, as keeping a fan
+is always sound: a wait moved off the ray's hit point to the union's end
+makes the replayed chain walk back and forth (ladder 1's plan witness did),
+while keeping the hit points of waits' rays as well leaves the benchmark's
+gated plans 27 % more point wavelets.
+
 One index pass.  Each pop asks the vertex index once, and once more after
 each cut, with the lineage's bitset (CornerWeightedVertices.nearest), for
 both picks from one mask; a bitset with no live vertex ends that pass before
@@ -111,6 +154,8 @@ cutter's first cut; every later one reuses the mask kept on the cutter.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .engine import (
     DIAGS,
@@ -146,6 +191,22 @@ def _holds(h: SegNode, w: SegNode) -> bool:
     )
 
 
+def _runs(pieces) -> list:
+    """The runs of one edge's pieces: per sweep direction, the maximal
+    closed spans their union covers."""
+    pieces = sorted((p.dir, p.lo, p.hi) for p in pieces)
+    runs = []
+    d, lo, hi = pieces[0]
+    for pd, a, b in pieces:
+        if pd == d and a <= hi:
+            hi = max(hi, b)
+        else:
+            runs.append((lo, hi))
+            d, lo, hi = pd, a, b
+    runs.append((lo, hi))
+    return runs
+
+
 class _FastEngine(_Engine):
     def __init__(self, scene: Scene, trace: bool = False):
         super().__init__(scene, trace)
@@ -160,6 +221,9 @@ class _FastEngine(_Engine):
         # front's key is its queue key, so a group's fronts all pop in one
         # bucket
         self.swept_key, self.swept = None, {}
+        # edge -> its cap pieces as they pop, until a fan of the edge asks
+        # for its runs; then edge -> the runs
+        self.pieces, self.runs = defaultdict(list), {}
 
     def _admit(self, p, w):
         registry = self.registry[w.dir]
@@ -217,7 +281,21 @@ class _FastEngine(_Engine):
             self._push(tprime, _RANK_POINT, ("pw", w))
             self.stats.point_wavelets += 1
 
+    def _do_fan(self, key, fp, edge_idx, parent):
+        i = 0 if self.edges[edge_idx].horizontal else 1
+        c = fp[i]
+        if parent.kind == "wait" or parent.point[i] != c:
+            runs = self.runs.get(edge_idx)
+            if runs is None:
+                runs = self.runs[edge_idx] = _runs(self.pieces.pop(edge_idx))
+            if any(lo < c < hi for lo, hi in runs):
+                self.stats.fans_refused += 1
+                return
+        super()._do_fan(key, fp, edge_idx, parent)
+
     def _do_segment(self, w: SegNode):
+        if w.kind == "piece":
+            self.pieces[w.edge].append(w)
         if w.key != self.swept_key:
             self.swept_key, self.swept = w.key, {}
         group = self.swept.setdefault((w.dir, w.line), [])

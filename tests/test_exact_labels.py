@@ -1,7 +1,8 @@
 """Exact labels: the map's whole-box sweep settles every point at the plain
 engine's label, the engines and the map answer a ladder whose answers need
-crossing instants off the Hanan grid, and flat fronts on tall ladders grow
-near-linearly with the bars."""
+crossing instants off the Hanan grid, flat fronts on tall ladders grow
+near-linearly with the bars, and refused wait fans keep a wide ladder's plan
+small."""
 
 from pathlib import Path
 
@@ -58,6 +59,26 @@ def _tall_ladder(k):
 def test_whole_box_labels_on_tall_ladders():
     for k in (6, 10, 14):
         _check_labels(_tall_ladder(k), "%d bars" % k)
+
+
+def _wide_ladder(k):
+    """The tall ladder's k bars, each 10k units wide: (-5k, 2i+1)-(5k, 2i+1)."""
+    edges = tuple(TransientEdge(i, (-5 * k, 2 * i + 1), (5 * k, 2 * i + 1), 0, 5 * (i + 1)) for i in range(k))
+    return Scene(edges=edges, vmax=1, source=(0, 0), dest=(0, 2 * k + 1))
+
+
+def test_whole_box_labels_on_wide_ladders():
+    for k in range(4, 13):
+        _check_labels(_wide_ladder(k), "%d wide bars" % k)
+
+
+def test_wait_fans_on_a_wide_ladder():
+    # Every root under a bar caps on it, so a plan keeping every wait fan
+    # spawned 3k^2 fans and pushed 121,056 point wavelets at 80 bars; a fan
+    # strictly inside its bar's piece union is refused at its pop.
+    res = fast_plan(_wide_ladder(80))
+    assert res.arrival == 402
+    assert res.stats.fans_refused > 0 and res.stats.point_wavelets <= 10_000, res.stats
 
 
 def test_flat_fronts_on_tall_ladders_grow_near_linearly():

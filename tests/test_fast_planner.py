@@ -150,6 +150,7 @@ def test_unobstructed_scene_stats():
     assert stats.point_wavelets == 4
     assert stats.segment_wavelets == 0
     assert stats.fronts_dropped == 0
+    assert stats.fans_refused == 0
 
 
 def test_stats_are_deterministic():
@@ -312,7 +313,9 @@ class _EveryFront(_FastEngine):
     """The narrowing sweep keeping every flat front, as the plain engine
     does."""
 
-    _do_segment = _Engine._do_segment
+    def _do_segment(self, w):
+        self.swept_key = None  # no front swept before w holds it
+        super()._do_segment(w)
 
 
 def _kinds(node):
@@ -354,3 +357,39 @@ def test_dropped_flat_fronts_change_no_answer():
         assert m.arrival(q) == every.arrival(q), q
         (t, path), (t_every, path_every) = m.query(q), every.query(q)
         assert (t, path.waypoints) == (t_every, path_every.waypoints), q
+
+
+class _EveryFan(_FastEngine):
+    """The narrowing sweep keeping every wait fan, as the plain engine does."""
+
+    _do_fan = _Engine._do_fan
+
+
+def test_refused_fans_change_no_answer():
+    # A wait fan strictly inside a run of its edge's pieces is refused at its
+    # pop, unless it stands on the column of its parent vertex's axis ray.
+    # Every gated plan's arrival, the whole-box labels and the map's arrivals
+    # at the map benchmark's query lattice equal those of the same sweep
+    # keeping every fan; witnesses may take other waits.
+    ns = _ladder_scenes()
+    refused = 0
+    for label, scene in ns["gated_corpus"](rectipath):
+        got = fast_plan(scene)
+        assert got.arrival == run_plan(_EveryFan(scene)).arrival, label
+        refused += got.stats.fans_refused
+    assert refused > 0
+    for scene in [bench_scene(1, 200)] + [ns["ladder_scene"](rectipath, s) for s in (0, 16)]:
+        labels = []
+        for engine_cls in (_FastEngine, _EveryFan):
+            eng = engine_cls(scene)
+            eng.run(stop_at_dest=False)
+            labels.append({p: t for p, (t, _node) in eng.labels.items()})
+        assert labels[0] == labels[1]
+    scene = bench_scene(1, 200)
+    m = build_spm(scene)
+    eng = _EveryFan(scene, trace=True)
+    eng.run(stop_at_dest=False)
+    every = ShortestPathMap(eng.sc, _harvest(eng.trace), eng.stop)
+    assert len(m.cells) < len(every.cells)
+    for q in ns["serve_points"](rectipath, scene, 1):
+        assert m.arrival(q) == every.arrival(q), q

@@ -600,12 +600,13 @@ def test_locate_is_the_minimum_over_all_cells():
                 m._locate((x, y))
         else:
             assert m._locate((x, y)) == want, (x, y)
-    # 2788 cells: a root whose registered lower root's region holds its own
+    # 2579 cells: a root whose registered lower root's region holds its own
     # is never queued and leaves no record, nor is a flat front that an
-    # earlier front of its (direction, line, key) holds, and since equal
-    # (key, rank) events pop in push order alone, a front or fan may take
-    # another equal-time claimant as its source
-    assert len(m.cells) == 2788 and 0 < outside < len(pts)
+    # earlier front of its (direction, line, key) holds, nor a wait fan
+    # strictly inside its edge's piece union, and since equal (key, rank)
+    # events pop in push order alone, a front or fan may take another
+    # equal-time claimant as its source
+    assert len(m.cells) == 2579 and 0 < outside < len(pts)
 
 
 class _AdmitEveryRoot(_FastEngine):
