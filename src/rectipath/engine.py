@@ -9,6 +9,8 @@ source and the stop points of its two axis rays (bounding box side where a ray
 is never blocked).  A segment wavelet is a flat front sweeping perpendicularly
 away from an edge the robot waited on.  Everything a front reaches is claimed
 at source time + L1 distance; claims become permanent labels in key order.
+The plain engine pops each point wavelet once, at its departure, and claims
+every live vertex of its region then; a flat front claims its band at its pop.
 
 Why region claims are sound: along a full-speed monotone staircase the robot
 crosses position (x, y) at the fixed time t0 + |x-sx| + |y-sy|, so the blocked
@@ -17,9 +19,11 @@ off if blocked sub-segments chained across the whole region, which needs
 either two touching edges (validate_scene rejects those) or an in-window hit
 on an axis ray, and the latter caps the region short of the hit.
 
-Event order at equal keys: settle events run before wavelets.  A split wavelet
-re-queried at the same key would otherwise re-find the vertex it was split at
-and split again, forever.  Events of equal key and rank pop in push order.
+Event order at equal keys: settle events run before wavelets.  The narrowing
+engine (fast.py) requeues a root's lineage at the arrival of the vertex it
+has just claimed; popped before that claim settles, the lineage would find
+the vertex still live, claim it again and requeue at the same key, forever.
+Events of equal key and rank pop in push order.
 The queue is Dial's bucket queue for integer keys: a small heap of
 (rank, seq, item) per distinct key plus one heap of the keys, so events pop
 in the (key, rank, seq) order of one heap of them all while each heap
@@ -41,7 +45,6 @@ from .stopindex import _DIR_INFO, StopOracle
 
 DIAGS = ("NE", "NW", "SE", "SW")
 _DIAG_SIGNS = {"NE": (1, 1), "NW": (-1, 1), "SE": (1, -1), "SW": (-1, -1)}
-_NEAREST_CORNER = {"NE": "SW", "NW": "SE", "SE": "NW", "SW": "NE"}
 
 _RANK_SETTLE, _RANK_SEGMENT, _RANK_POINT, _RANK_FAN = 0, 1, 2, 3
 
@@ -49,8 +52,7 @@ _RANK_SETTLE, _RANK_SEGMENT, _RANK_POINT, _RANK_FAN = 0, 1, 2, 3
 @dataclass
 class WaveletStats:
     # point-wavelet events: every arrangement root spawned, queued or not,
-    # plus the plain engine's split children or the narrowing engine's
-    # lineage requeues
+    # plus the narrowing engine's lineage requeues
     point_wavelets: int = 0
     dominated: int = 0  # roots the narrowing engine refused at spawn, never queued
     segment_wavelets: int = 0  # flat fronts pushed, dropped ones included
@@ -121,25 +123,20 @@ class SegNode:
 
 
 class PointWavelet:
-    """A diagonal front over a closed rect of its root's region.  The root is
-    the arrangement wavelet spawned at a departed point source (itself for a
-    root), and only roots carry the diagonal dir, the source node src and
-    the rank; the front's origin and departure time are src.point and
-    src.time.  With (sx, sy) the signs of dir, the arrival at any (x, y) of
-    the rect is c + sx * x + sy * y, where c = rank[0] = time - sx * px -
-    sy * py of the source; rank orders roots by (c, spawn order).  Every
-    piece lies in its root's closed quadrant.  Splits keep the root source
-    for path purposes: every claim value telescopes to root time +
-    distance, and staircases are guaranteed from the root, not from an
-    intermediate vertex.  The narrowing engine makes no pieces: it queues
-    the root itself again for each claim (fast.py)."""
+    """A root: the diagonal front of the arrangement wavelet spawned at a
+    departed point source, over its closed region rect.  It carries the
+    diagonal dir, the source node src and the rank; the front's origin and
+    departure time are src.point and src.time.  With (sx, sy) the signs of
+    dir, the arrival at any (x, y) of the region is c + sx * x + sy * y,
+    where c = rank[0] = time - sx * px - sy * py of the source; rank orders
+    roots by (c, spawn order).  The plain engine claims the whole region at
+    the root's first pop; the narrowing engine queues the root again for
+    each claim (fast.py)."""
 
-    __slots__ = ("key", "rect", "root", "dir", "src", "rank", "cut")
+    __slots__ = ("rect", "dir", "src", "rank", "cut")
 
-    def __init__(self, key, rect, root=None):
-        self.key = key
+    def __init__(self, rect):
         self.rect = rect  # (xlo, xhi, ylo, yhi), closed
-        self.root = self if root is None else root
         # the narrowing engine's cut mask of a registered root, set at most once
         self.cut = None
 
@@ -211,7 +208,7 @@ class _Engine:
             xcap = hcap[0].point[0] if hcap else (xhi if sx > 0 else xlo)
             ycap = vcap[0].point[1] if vcap else (yhi if sy > 0 else ylo)
             rect = (min(p[0], xcap), max(p[0], xcap), min(p[1], ycap), max(p[1], ycap))
-            w = PointWavelet(t, rect)
+            w = PointWavelet(rect)
             w.dir, w.src = d, src
             # the push's own seq, consumed whether or not w is queued
             w.rank = (t - sx * p[0] - sy * p[1], self.seq + 1)
@@ -261,38 +258,16 @@ class _Engine:
     # -- propagation ---------------------------------------------------------
 
     def _do_point(self, w: PointWavelet):
-        root = w.root
-        xlo, xhi, ylo, yhi = w.rect
-        if self.trace is not None and root is w:
-            # arrangement cones only: a split child lies inside its
-            # arrangement's record with the same node, so the map would drop it
+        """A root's only pop: it claims every live vertex of its region, and
+        the destination if the region holds it, at its own arrival there."""
+        if self.trace is not None:
             self.trace.append((w.rect, w.dir, w.src))
+        xlo, xhi, ylo, yhi = w.rect
         dx, dy = self.dest
         if xlo <= dx <= xhi and ylo <= dy <= yhi:
-            self._claim(self.dest, _arrival(root, self.dest), root.src)
-        v = self._split_vertex(w)
-        if v is None:
-            return
-        tprime = _arrival(root, v)
-        sx, sy = _DIAG_SIGNS[root.dir]
-        vx, vy = v
-        # w lies in the root's quadrant: the columns up to v's, the rows up
-        # to v's and the quadrant past v
-        for rect in (
-            (xlo, vx, ylo, yhi) if sx > 0 else (vx, xhi, ylo, yhi),
-            (xlo, xhi, ylo, vy) if sy > 0 else (xlo, xhi, vy, yhi),
-            ((vx, xhi) if sx > 0 else (xlo, vx)) + ((vy, yhi) if sy > 0 else (ylo, vy)),
-        ):
-            self._push(tprime, _RANK_POINT, ("pw", PointWavelet(tprime, rect, root)))
-            self.stats.point_wavelets += 1
-
-    def _split_vertex(self, w: PointWavelet):
-        """The vertex w's region splits at, claimed from w, or None."""
-        v = self.drm.nearest(w.rect, _NEAREST_CORNER[w.root.dir])[1]
-        if v is None:
-            return None
-        self._claim(v, _arrival(w.root, v), w.root.src)
-        return v
+            self._claim(self.dest, _arrival(w, self.dest), w.src)
+        for v in self.drm.report(w.rect):
+            self._claim(v, _arrival(w, v), w.src)
 
     def _do_segment(self, w: SegNode):
         s, horizontal = _DIR_INFO[w.dir]
@@ -350,8 +325,9 @@ class _Engine:
         if self.source == self.dest and stop_at_dest:
             return
         if self.source in self.verts:
-            # a source on an edge endpoint is settled like any vertex; left
-            # live it would be the split vertex of its own wavelets forever
+            # a source on an edge endpoint leaves the live set like any
+            # settled vertex; left live, a lineage holding it would claim it
+            # again at every pop, forever
             self.drm.remove(self.source)
         self._spawn_arrangement(self.source, 0, self.labels[self.source][1])
         buckets, keys, labels, dest = self.buckets, self.keys, self.labels, self.dest
@@ -400,5 +376,6 @@ def run_plan(eng) -> PlanResult:
 
 def naive_plan(scene: Scene) -> PlanResult:
     """Minimum arrival time at the destination plus a witness path, by plain
-    wavefront propagation (quadratic wavelet count, log-factor queries)."""
+    wavefront propagation: four roots per departed source, each claiming
+    every live vertex of its region at its one pop."""
     return run_plan(_Engine(scene))

@@ -30,8 +30,8 @@ there.  The corner's order of the bitset is the root's arrival order, so
 each pop picks the first vertex of any kind p and the first live one v,
 claims v at the root's arrival there, keeps the bits at or after v (the
 ones before it are settled already), and requeues the lineage at v's
-arrival.  The plain engine splits the region into three overlapping
-children at v instead and queues each.
+arrival.  The plain engine instead claims every live vertex of the region
+at the root's one pop.
 
 Cuts.  A registry maps, per diagonal, each vertex to the lowest ranked root
 among the vertex's claimants and the roots spawned there.  Both cuts follow
@@ -159,7 +159,6 @@ from collections import defaultdict
 
 from .engine import (
     DIAGS,
-    _NEAREST_CORNER,
     _RANK_POINT,
     PlanResult,
     PointWavelet,
@@ -169,6 +168,8 @@ from .engine import (
     run_plan,
 )
 from .geometry import Scene
+
+_NEAREST_CORNER = {"NE": "SW", "NW": "SE", "SE": "NW", "SW": "NE"}
 
 
 def _cut_mask(drm, root: PointWavelet, corner: str) -> int:

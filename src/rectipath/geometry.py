@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 Coord = Union[int, Fraction]
 Point = Tuple[Coord, Coord]
@@ -100,12 +100,6 @@ class TransientEdge:
 BBox = Tuple[Coord, Coord, Coord, Coord]  # xlo, xhi, ylo, yhi
 
 
-def _auto_bbox(edges: Sequence[TransientEdge], pts: Sequence[Point]) -> BBox:
-    xs = [p[0] for e in edges for p in e.endpoints] + [p[0] for p in pts]
-    ys = [p[1] for e in edges for p in e.endpoints] + [p[1] for p in pts]
-    return (min(xs), max(xs), min(ys), max(ys))
-
-
 @dataclass(frozen=True)
 class Scene:
     """A planning instance: obstacles, speed bound and the two terminals."""
@@ -114,17 +108,19 @@ class Scene:
     vmax: Coord
     source: Point
     dest: Point
-    bbox: Optional[BBox] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "vmax", _exact(self.vmax))
         object.__setattr__(self, "source", _exact_point(self.source))
         object.__setattr__(self, "dest", _exact_point(self.dest))
-        if self.bbox is None:
-            object.__setattr__(self, "bbox", _auto_bbox(self.edges, (self.source, self.dest)))
-        else:
-            object.__setattr__(self, "bbox", tuple(map(_exact, self.bbox)))
+
+    @property
+    def bbox(self) -> BBox:
+        """The tight box around the edge endpoints and both terminals."""
+        pts = [p for e in self.edges for p in e.endpoints] + [self.source, self.dest]
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        return (min(xs), max(xs), min(ys), max(ys))
 
     @property
     def vertices(self) -> Tuple[Point, ...]:

@@ -21,9 +21,7 @@ that contains a in its relative interior and tau falls strictly inside the
 edge's existence interval.  This is memoryless and slightly conservative: it
 also delays a retreat back to the side the path came from, which the
 continuous model allows but which never improves the optimum (the retreat is
-replaceable by waiting at the previous node).  ``oracle_plan_relaxed`` keeps
-the arrival side in the state and delays true crossings only; both return
-identical values, which the test suite checks on a batch of random scenes.
+replaceable by waiting at the previous node).
 
 All arithmetic is exact (ints and fractions); nothing here shares code with
 the planners.
@@ -35,7 +33,7 @@ import heapq
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .geometry import Point, Scene, TransientEdge
 from .scenario import check_scene
@@ -123,70 +121,6 @@ def oracle_plan(scene: Scene, target: Optional[Point] = None):
     """oracle_arrivals at one target (default: dest), an upper bound on the
     earliest arrival there."""
     return oracle_arrivals(scene, [scene.dest if target is None else target])[0]
-
-
-def oracle_plan_relaxed(scene: Scene, target: Optional[Point] = None):
-    """Like oracle_plan but with the arrival side kept in the Dijkstra state,
-    so a retreat to the side the path came from is never delayed.  Exists to
-    document that the memoryless delay rule is value-preserving."""
-    goal = scene.dest if target is None else target
-    xs, ys, node_id, host_h, host_v = _grid(scene, [goal])
-    nx, ny = len(xs), len(ys)
-    vm = scene.vmax
-
-    # State: (node, came_from) with came_from in {-1: start/none, 0: west,
-    # 1: east, 2: south, 3: north, 4: slid along hosting line}.
-    start = node_id(*scene.source)
-    dist: dict = {(start, -1): 0}
-    heap = [(0, start, -1)]
-    goal_id = node_id(*goal)
-    best = None
-    while heap:
-        t, u, came = heapq.heappop(heap)
-        if dist.get((u, came)) != t:
-            continue
-        if u == goal_id:
-            best = t if best is None or t < best else best
-            continue
-        i, j = divmod(u, ny)
-        x, y = xs[i], ys[j]
-        for move, (di, dj) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
-            i2, j2 = i + di, j + dj
-            if not (0 <= i2 < nx and 0 <= j2 < ny):
-                continue
-            vertical_move = di == 0
-            host = host_h.get(u) if vertical_move else host_v.get(u)
-            dep = t
-            if host is not None and host.appear < t < host.disappear:
-                # A touch-and-retreat (straight back to the side the last
-                # move came from) is not a crossing; everything else is.
-                if vertical_move:
-                    retreat = (came == 2 and dj == -1) or (came == 3 and dj == 1)
-                else:
-                    retreat = (came == 0 and di == -1) or (came == 1 and di == 1)
-                if not retreat:
-                    dep = host.disappear
-            cost = Fraction(abs(xs[i2] - x) + abs(ys[j2] - y)) / vm
-            cand = dep + cost
-            v = i2 * ny + j2
-            host2 = host_h.get(v) if vertical_move else host_v.get(v)
-            if vertical_move:
-                came2 = 2 if dj == 1 else 3
-            else:
-                came2 = 0 if di == 1 else 1
-            if host2 is None:
-                hostpar = host_v.get(v) if vertical_move else host_h.get(v)
-                came2 = 4 if hostpar is not None else came2
-            key = (v, came2)
-            if key not in dist or cand < dist[key]:
-                dist[key] = cand
-                heapq.heappush(heap, (cand, v, came2))
-    if best is None:
-        vals = [t for (u, _c), t in dist.items() if u == goal_id]
-        best = min(vals) if vals else None
-    if isinstance(best, Fraction) and best.denominator == 1:
-        best = int(best)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ Two structures:
   stores as closed integer rectangles), the oracle's blocker query for
   witness hops, and the map's point location.
 * :class:`CornerWeightedVertices` -- a fixed set of distinct points under
-  deletion, query = the point in a closed rectangle, or in a bitset of its
-  points, nearest one of its corners, among all of them and among the live
-  ones, both from one pass.  The bitsets are
-  masks of the index's own: a closed rectangle's points, a rectangle's
-  strict interior, and the points at or after a given one in a corner's
-  order, which the narrowing sweep's lineages shrink their sets with.
+  deletion, query = the first point of a bitset of its points in a corner's
+  order (for a rectangle's points, the one nearest that corner), among all
+  of them and among the live ones, both from one pass, and report = every
+  live point in a closed rectangle.  The bitsets are masks of the index's
+  own: a closed rectangle's points, a rectangle's strict interior, and the
+  points at or after a given one in a corner's order, which the narrowing
+  sweep's lineages shrink their sets with.
 
 Both keep their items as bits of Python ints and one prefix bitset per
 distinct key of each sorted order they bisect: the stabber four orders of
@@ -214,11 +215,11 @@ class CornerWeightedVertices:
     A vertex in the rectangle is nearest its SW corner when x + y is least,
     nearest NE when x + y is greatest, and nearest SE or NW when y - x is
     least or greatest.  So two :class:`_RankSpace` s, on x + y and on y - x,
-    answer all four corners: a query masks the rectangle's vertices in the
-    corner's space and takes the lowest set bit (SW, SE) or, for NE and NW,
-    the lowest bit of the highest diagonal group present.  Either way the
-    answer is least by (L1 distance to the corner, x, y).  Answers are the
-    points themselves.
+    answer all four corners: a query takes a bitset of the corner's space,
+    such as the rectangle's vertices (:meth:`region`), and picks its lowest
+    set bit (SW, SE) or, for NE and NW, the lowest bit of the highest
+    diagonal group present.  Either way the answer is least by (L1 distance
+    to the corner, x, y).  Answers are the points themselves.
     """
 
     def __init__(self, points):
@@ -293,18 +294,16 @@ class CornerWeightedVertices:
         space = self.corners[corner][0]
         return self._without(space, bits & space.live, skip)
 
-    def nearest(self, region, corner: str):
-        """The pair (vertex in the region nearest the given corner, removed
-        or not; nearest live vertex there), from one mask, or (None, None)
-        when the region holds no live vertex.  The region is a closed rect
-        (nearest its corner), or a bitset of the corner's rank space such as
-        :meth:`region` makes (first in the corner's order)."""
+    def nearest(self, bits: int, corner: str):
+        """The pair (first vertex of a bitset of the given corner's rank
+        space, such as :meth:`region` makes, removed or not; first live
+        vertex there), first in the corner's order, or (None, None) when the
+        bitset holds no live vertex."""
         space, start = self.corners[corner]
-        m = region if type(region) is int else self._mask(space, region)
-        lm = m & space.live
+        lm = bits & space.live
         if not lm:
             return None, None
-        return _pick(m, space.by_rank, start), _pick(lm, space.by_rank, start)
+        return _pick(bits, space.by_rank, start), _pick(lm, space.by_rank, start)
 
     def report(self, rect) -> List[Tuple[int, int]]:
         """All live vertices inside the closed rect, in no particular order."""

@@ -253,7 +253,7 @@ def test_criterion_7_range_structures_vs_linear_scan():
             ]
             if want[1] is None:
                 want[0] = None  # a region with no live vertex answers (None, None)
-            assert list(cw.nearest(rect, corner)) == want
+            assert list(cw.nearest(cw.region(rect, corner), corner)) == want
 
     # the map's point location: minimum (weight, payload) closed rectangle,
     # no floor, with repeated weights and queries on and beside the bounds

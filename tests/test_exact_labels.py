@@ -57,7 +57,7 @@ def _tall_ladder(k):
 
 
 def test_whole_box_labels_on_tall_ladders():
-    for k in (6, 10, 14):
+    for k in (6, 10, 14, 20, 40, 80):
         _check_labels(_tall_ladder(k), "%d bars" % k)
 
 

@@ -11,7 +11,6 @@ from rectipath import engine
 from rectipath.engine import (
     DIAGS,
     _DIAG_SIGNS,
-    _NEAREST_CORNER,
     PointWavelet,
     SrcNode,
     _arrival,
@@ -19,7 +18,7 @@ from rectipath.engine import (
     naive_plan,
     run_plan,
 )
-from rectipath.fast import _FastEngine, fast_plan
+from rectipath.fast import _NEAREST_CORNER, _FastEngine, fast_plan
 from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path, validate_scene
 from rectipath.oracle import bench_scene, oracle_plan, random_scene
 from rectipath.pathrec import build_path
@@ -27,11 +26,10 @@ from rectipath.scenario import canonical_scene
 from rectipath.spm import ShortestPathMap, _harvest, build_spm
 
 
-def _piece(rng, root):
-    """A random piece of root's region as the plain engine's splits make it:
-    a sub-rectangle of root's region, either anywhere in it or in the
-    quadrant of a region point, queued at root's arrival at its corner
-    nearest the source."""
+def _piece(rng, roots):
+    """A random root of roots and a random closed rectangle of its region,
+    either anywhere in the region or in the quadrant of a region point."""
+    root = rng.choice(roots)
     sx, sy = _DIAG_SIGNS[root.dir]
     xlo, xhi, ylo, yhi = root.rect
     if rng.random() < 0.5:
@@ -40,14 +38,13 @@ def _piece(rng, root):
         ylo, yhi = (o[1], yhi) if sy > 0 else (ylo, o[1])
     x0, x1 = sorted((rng.randint(xlo, xhi), rng.randint(xlo, xhi)))
     y0, y1 = sorted((rng.randint(ylo, yhi), rng.randint(ylo, yhi)))
-    corner = (x0 if sx > 0 else x1, y0 if sy > 0 else y1)
-    return PointWavelet(root.src.time + l1_distance(root.src.point, corner), (x0, x1, y0, y1), root)
+    return root, (x0, x1, y0, y1)
 
 
 def test_lower_ranked_root_is_no_later_anywhere_in_the_overlap():
     # Roots made by the engine's own arrangement spawns at random points and
-    # times of an open box; pieces of their lineages drawn as splits make
-    # them.  Wherever two same-direction pieces overlap, the one whose root
+    # times of an open box; a random piece of each root's region is drawn.
+    # Wherever two pieces of same-direction roots overlap, the root that
     # ranks lower arrives no later, so a cut by the lower root never removes
     # the earliest arrival.
     eng = _Engine(Scene(edges=(), vmax=1, source=(-8, -8), dest=(8, 8)))
@@ -61,15 +58,15 @@ def test_lower_ranked_root_is_no_later_anywhere_in_the_overlap():
     done = 0
     while done < 300:
         d = rng.choice(DIAGS)
-        a, b = (_piece(rng, rng.choice(roots[d])) for _ in range(2))
-        if a.root is b.root:
+        (a, ra), (b, rb) = (_piece(rng, roots[d]) for _ in range(2))
+        if a is b:
             continue
-        xlo, xhi = max(a.rect[0], b.rect[0]), min(a.rect[1], b.rect[1])
-        ylo, yhi = max(a.rect[2], b.rect[2]), min(a.rect[3], b.rect[3])
+        xlo, xhi = max(ra[0], rb[0]), min(ra[1], rb[1])
+        ylo, yhi = max(ra[2], rb[2]), min(ra[3], rb[3])
         if xlo > xhi or ylo > yhi:
             continue
         done += 1
-        win, lose = (a.root, b.root) if a.root.rank < b.root.rank else (b.root, a.root)
+        win, lose = (a, b) if a.rank < b.rank else (b, a)
         for x in range(xlo, xhi + 1):
             for y in range(ylo, yhi + 1):
                 # each root's own departure plus distance, and its value function

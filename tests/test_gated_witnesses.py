@@ -44,7 +44,7 @@ def test_map_witnesses_at_every_integer_point_of_the_repros():
         points = non_monotone = 0
         for x in range(xlo, xhi + 1):
             for y in range(ylo, yhi + 1):
-                at = replace(scene, dest=(x, y), bbox=None)
+                at = replace(scene, dest=(x, y))
                 if not validate_scene(at).ok:
                     continue
                 points += 1

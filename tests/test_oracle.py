@@ -8,7 +8,6 @@ from rectipath.oracle import (
     ParamsInfeasible,
     oracle_arrivals,
     oracle_plan,
-    oracle_plan_relaxed,
     random_scene,
 )
 from rectipath.scenario import canonical_scene
@@ -19,11 +18,6 @@ def test_canonical_scenes():
     assert oracle_plan(canonical_scene("S1")) == 20
     assert oracle_plan(canonical_scene("S2")) == 11
     assert oracle_plan(canonical_scene("S3")) == 10
-
-
-def test_canonical_scenes_relaxed():
-    for name, want in (("S0", 10), ("S1", 20), ("S2", 11), ("S3", 10)):
-        assert oracle_plan_relaxed(canonical_scene(name)) == want
 
 
 def test_tip_crossing_is_free():
@@ -134,15 +128,6 @@ def test_axis_symmetry_invariance():
         want = oracle_plan(scene)
         for f in maps:
             assert oracle_plan(_mapped(scene, f)) == want
-
-
-def test_relaxed_rule_matches_memoryless_rule():
-    # The conservative departure rule also delays same-side retreats; this
-    # documents that doing so never changes the optimal arrival.
-    for seed in range(200):
-        n = seed % 9
-        scene = random_scene(seed, n, coord_max=40, time_max=60)
-        assert oracle_plan_relaxed(scene) == oracle_plan(scene), seed
 
 
 def test_random_scene_determinism():

@@ -245,7 +245,7 @@ def test_envelope_random_vs_linear():
 
 
 def _nearest(cw, rect, corner):
-    return cw.nearest(rect, corner)[1]
+    return cw.nearest(cw.region(rect, corner), corner)[1]
 
 
 def test_nearest_vertex_examples():
@@ -278,7 +278,7 @@ def test_empty_or_inverted_rect_masks_nothing():
         for corner in CORNERS:
             assert cw.nearest(cw.region(rect, corner, (2, 2)), corner) == (None, None)
     # a rect between the points holds none of them
-    assert cw.report((3, 3, 0, 6)) == [] and cw.nearest((1, 1, 1, 1), "SW") == (None, None)
+    assert cw.report((3, 3, 0, 6)) == [] and cw.nearest(cw.region((1, 1, 1, 1), "SW"), "SW") == (None, None)
 
 
 def test_nearest_vertex_translation_invariance():
@@ -377,7 +377,7 @@ def test_index_under_removal_vs_linear_scan():
                 want_live = nearest(live)
                 # a region with no live vertex answers (None, None)
                 want_all = nearest(pts) if want_live is not None else None
-                assert cw.nearest(rect, corner) == (want_all, want_live)
+                assert cw.nearest(cw.region(rect, corner), corner) == (want_all, want_live)
                 # one vertex left out of the region: mostly the one the
                 # first answer would give, else any vertex, live or removed
                 out = want_all if want_all is not None and rng.random() < 0.7 else rng.choice(pts)
@@ -395,7 +395,7 @@ def test_index_under_removal_vs_linear_scan():
             cw.remove(gone)
         with pytest.raises(DeleteMissing):
             cw.remove((-5, -5))
-        assert cw.nearest((0, 23, 0, 23), "SW") == (None, None)
+        assert cw.nearest(cw.region((0, 23, 0, 23), "SW"), "SW") == (None, None)
 
 
 _CORNER_AT = {

@@ -84,7 +84,7 @@ def degenerate(scene, seed):
         p = _on_line_outside(scene, rng)
     if p is None or p == other:
         p = getattr(scene, which)
-    out = replace(scene, vmax=SPEEDS[seed % 3], bbox=None, **{which: p})
+    out = replace(scene, vmax=SPEEDS[seed % 3], **{which: p})
     assert validate_scene(out).ok
     return out
 

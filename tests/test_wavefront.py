@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from rectipath.engine import (
-    PointWavelet,
     SegNode,
     SrcNode,
     _Engine,
@@ -58,7 +57,7 @@ def _initial_wavelets(scene):
 
 
 def test_initial_wavelets_cover_the_four_quadrants():
-    _, ws = _initial_wavelets(canonical_scene("S0"))
+    eng, ws = _initial_wavelets(canonical_scene("S0"))
     got = {w.dir: w.rect for w in ws}
     assert got == {
         "NE": (0, 1, 0, 11),
@@ -66,7 +65,8 @@ def test_initial_wavelets_cover_the_four_quadrants():
         "SE": (0, 1, -1, 0),
         "SW": (-1, 0, -1, 0),
     }
-    assert all(w.src.point == (0, 0) and w.src.time == 0 and w.key == 0 for w in ws)
+    assert all(w.src.point == (0, 0) and w.src.time == 0 for w in ws)
+    assert [(key, item[1]) for key, item in _heap_items(eng, "pw")] == [(0, w) for w in ws]
 
 
 def test_initial_wavelets_capped_by_blocking_edge():
@@ -84,32 +84,32 @@ def test_initial_wavelets_capped_by_blocking_edge():
     ]
 
 
-def test_split_into_three_regions_at_nearest_vertex():
+def test_root_claims_every_live_vertex_of_its_region_at_its_pop():
     scene = Scene(
-        edges=(TransientEdge(0, (3, 4), (3, 9), 50, 60),),
+        edges=(
+            TransientEdge(0, (3, 4), (3, 9), 50, 60),
+            TransientEdge(1, (6, 12), (10, 12), 50, 60),
+        ),
         vmax=1,
         source=(0, 0),
         dest=(30, 30),
     )
-    eng = _Engine(scene)
-    src = SrcNode("start", (0, 0), 0)
-    root = eng._spawn_arrangement((0, 0), 0, src)[0]
+    eng, (root, *_) = _initial_wavelets(scene)
     assert root.dir == "NE" and root.rect == (0, 31, 0, 31)
     eng.buckets.clear()
     eng.keys.clear()
-    # a piece of the root's region off its origin corner splits by its own
-    # sides: the columns up to v's, the rows up to v's, the quadrant past v
-    w = PointWavelet(1, (1, 10, 0, 10), root)
-    eng._do_point(w)
-    settles = _heap_items(eng, "settle")
-    assert [(key, item[1]) for key, item in settles] == [(7, (3, 4))]
-    splits = [item[1] for _, item in _heap_items(eng, "pw")]
-    assert [(s.key, s.rect) for s in splits] == [
-        (7, (1, 3, 0, 10)),
-        (7, (1, 10, 0, 4)),
-        (7, (3, 10, 4, 10)),
+    eng.drm.remove((3, 9))  # settled already, so never claimed again
+    # one pop claims the destination and every live vertex of the region,
+    # each at the root's own arrival there, and queues no point wavelet
+    eng._do_point(root)
+    settles = [(key, item[1], item[2]) for key, item in _heap_items(eng, "settle")]
+    assert settles == [
+        (7, (3, 4), root.src),
+        (18, (6, 12), root.src),
+        (22, (10, 12), root.src),
+        (60, (30, 30), root.src),
     ]
-    assert all(s.root is w.root is root for s in splits)
+    assert _heap_items(eng, "pw") == []
 
 
 def test_accessible_part_spawns_flat_front_and_endpoint_fans():
