@@ -7,8 +7,8 @@ changing any label: each root's point wavelet is one lineage that claims its
 region's vertices one at a time, and same-direction lineages that overlap
 are cut against each other, in one fixed order; a flat front that an
 earlier front of its (direction, line, key) already holds is dropped at its
-pop; and a wait fan strictly inside the union of its edge's pieces is
-refused at its pop.
+pop; and a wait fan strictly inside the union of the fronts that leave its
+edge's line at its key is refused at its pop.
 
 Root order.  A root is the arrangement wavelet spawned at a settled vertex
 or a wait point, and it holds the front's value function: with (sx, sy) the
@@ -107,44 +107,52 @@ ties.
 Wait fans.  A root whose axis ray stops at edge e pushes a piece, the part of
 e its staircases reach while e stands, sweeping away from the root's side
 from e's disappearance td, and a fan at each end of the piece, which spawns
-the four roots of a wait at td.  Every piece of e is pushed before td, since
-a ray that meets e at or after td passes it, so all of them pop at (td,
-_RANK_SEGMENT), before any fan of e at (td, _RANK_FAN).  The sweep records
-each piece as it pops, dropped or not, and the first fan of e that asks
-merges each sweep direction's pieces once into runs, the maximal closed
-spans of their union.  A fan is refused when its point lies strictly inside
-one run, of either direction: it spawns nothing.  Take a fan at f strictly
-inside a run [a, b] that sweeps toward d; the robot stands at every point of
-[a, b] on e's far side from d by td, each point reached by the staircases of
-a piece's root.  The fan's two cones toward d are its forward cones.  A point
-of them over [a, b] is offered by the run's fronts at td plus its distance
-from e's line, no more than the fan's td + its L1 distance from f; where an
-edge stops the fronts short of it but not the fan's staircase, that edge
-ends between f's column and the point's, and its endpoint, claimed on the
-fronts' stop line at their value, carries the point on through its own
-roots, as in the flat fronts above.  A point past the run's end b is offered
-no later from b, which departs at td too and is nearer by |b - f|: b is
-strictly inside no run toward d, as runs of one direction are disjoint, so
-its fan is kept, or it lies strictly inside a run toward -d, where its cones
-toward d are back cones.  The fan's two other cones, its back cones, point to
-the side the robot came from, and their staircases leave e's line without
-crossing it: they never needed e gone.  Inside the region of the root whose
-piece holds f, that root arrives at f by td and runs at slope one, so it
-offers each back-cone point no later than the fan; past the region, the
-fan's staircase leaves it at a point that root reached earlier, and the same
-route taken from there at once, waiting only in front of edges that block
-it, is at every point no later, so its labels are those of routes that never
-wait at f, which the sweep's other sources offer.  By induction on the settle
-order, as for the lowest roots, the sweep settles every point at the plain
-engine's label, and the plain engine keeps every fan
-(tests/test_exact_labels.py holds the whole-box labels of both equal,
-ladders wide and tall included).  One fan strictly inside a run is kept: the
-one on its parent's own column, where the axis ray of a parent that is not a
-wait hit e.  That choice is about witness shape, not labels, as keeping a fan
-is always sound: a wait moved off the ray's hit point to the union's end
-makes the replayed chain walk back and forth (ladder 1's plan witness did),
-while keeping the hit points of waits' rays as well leaves the benchmark's
-gated plans 27 % more point wavelets.
+the four roots of a wait at td.  A front stopped by e pushes a successor, its
+clip of e, departing at td too.  So the groups (d, e's line, td) of the flat
+fronts above, one per sweep direction d across e, hold e's pieces and
+successors; remainders on e's line depart before td, where e still blocks,
+and no other edge shares the line.  At a fan's pop at (td, _RANK_FAN) those
+groups hold every front that leaves e's line at td, and a front dropped as
+held has its holder there.  The rule needs this one condition: no front of
+another key pops between a key's fronts and its fans, which would reset the
+groups.  It holds as every front is pushed at a key later than the pop that
+pushes it (a disappearance after the hit, or a later arrival at the next
+line), so td's fronts are all queued before td's bucket opens, and fronts
+rank before fans.  A run is a maximal closed span of one group's union.  A
+fan is refused when its point lies strictly inside one run, of either
+direction: it spawns nothing.  Take a fan at f strictly inside a run [a, b]
+that sweeps toward d; the robot stands at every point of [a, b] on e's far
+side from d by td.  The fan's two cones toward d are its forward cones.
+Every front of the group leaves the line at td with one value function, so
+a point of them over [a, b] is offered by the run's fronts at td plus its
+distance from e's line, no more than the fan's td + its L1 distance from f;
+where an edge stops the fronts short of it but not the fan's staircase,
+that edge ends between f's column and the point's, and its endpoint,
+claimed on the fronts' stop line at their value, carries the point on
+through its own roots, as in the flat fronts above.  A point past the run's
+end b is offered no later from b, which departs at td too and is nearer by
+|b - f|: b is strictly inside no run toward d, as runs of one direction are
+disjoint, so its fan is kept, or it lies strictly inside a run toward -d,
+where its cones toward d are back cones.  The fan's two other cones, its
+back cones, point to the side the robot came from, and their staircases
+leave e's line without crossing it: they never needed e gone.  The front of
+the group that holds f came from a source on that side: a piece from the
+root whose staircases reach it, a successor from its parent front's band.
+Inside that root's region or that band, the source arrives at f by td and
+runs at slope one, so it offers each back-cone point no later than the fan;
+past it, the fan's staircase leaves it at a point the source reached
+earlier, and the same route taken from there at once, waiting only in front
+of edges that block it, is at every point no later, so its labels are those
+of routes that never wait at f, which the sweep's other sources offer.  By
+induction on the settle order, as for the lowest roots, the sweep settles
+every point at the plain engine's label, and the plain engine keeps every
+fan (tests/test_exact_labels.py holds the whole-box labels of both equal,
+ladders wide, tall and turned included).  One fan strictly inside a run is
+kept: the one on its parent's own column, where the axis ray of a parent
+that is not a wait hit e.  That choice is about witness shape, not labels,
+as keeping a fan is always sound: a wait moved off the ray's hit point to
+the union's end makes the replayed chain walk back and forth (ladder 1's
+plan witness did).
 
 One index pass.  Each pop asks the vertex index once, and once more after
 each cut, with the lineage's bitset (CornerWeightedVertices.nearest), for
@@ -154,8 +162,6 @@ cutter's first cut; every later one reuses the mask kept on the cutter.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from .engine import (
     DIAGS,
@@ -192,19 +198,15 @@ def _holds(h: SegNode, w: SegNode) -> bool:
     )
 
 
-def _runs(pieces) -> list:
-    """The runs of one edge's pieces: per sweep direction, the maximal
-    closed spans their union covers."""
-    pieces = sorted((p.dir, p.lo, p.hi) for p in pieces)
+def _runs(group) -> list:
+    """The runs of one group of flat fronts: the maximal closed spans their
+    union covers."""
     runs = []
-    d, lo, hi = pieces[0]
-    for pd, a, b in pieces:
-        if pd == d and a <= hi:
-            hi = max(hi, b)
+    for lo, hi in sorted((w.lo, w.hi) for w in group):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
         else:
-            runs.append((lo, hi))
-            d, lo, hi = pd, a, b
-    runs.append((lo, hi))
+            runs.append([lo, hi])
     return runs
 
 
@@ -218,13 +220,10 @@ class _FastEngine(_Engine):
         # in the rank space of its nearest corner; absent before the first pop
         # and once the lineage ends
         self.lineages = {}
-        # (direction, line) -> the flat fronts swept so far at swept_key; a
-        # front's key is its queue key, so a group's fronts all pop in one
-        # bucket
+        # (direction, line) -> the flat fronts swept so far at swept_key,
+        # dropped ones left out; a front's key is its queue key, so a group's
+        # fronts all pop in one bucket, before the wait fans of that key
         self.swept_key, self.swept = None, {}
-        # edge -> its cap pieces as they pop, until a fan of the edge asks
-        # for its runs; then edge -> the runs
-        self.pieces, self.runs = defaultdict(list), {}
 
     def _admit(self, p, w):
         registry = self.registry[w.dir]
@@ -283,20 +282,17 @@ class _FastEngine(_Engine):
             self.stats.point_wavelets += 1
 
     def _do_fan(self, key, fp, edge_idx, parent):
-        i = 0 if self.edges[edge_idx].horizontal else 1
+        e = self.edges[edge_idx]
+        i = 0 if e.horizontal else 1
         c = fp[i]
         if parent.kind == "wait" or parent.point[i] != c:
-            runs = self.runs.get(edge_idx)
-            if runs is None:
-                runs = self.runs[edge_idx] = _runs(self.pieces.pop(edge_idx))
-            if any(lo < c < hi for lo, hi in runs):
+            dirs = ("N", "S") if e.horizontal else ("E", "W")
+            if any(lo < c < hi for d in dirs for lo, hi in _runs(self.swept.get((d, e.line), ()))):
                 self.stats.fans_refused += 1
                 return
         super()._do_fan(key, fp, edge_idx, parent)
 
     def _do_segment(self, w: SegNode):
-        if w.kind == "piece":
-            self.pieces[w.edge].append(w)
         if w.key != self.swept_key:
             self.swept_key, self.swept = w.key, {}
         group = self.swept.setdefault((w.dir, w.line), [])

@@ -270,36 +270,26 @@ def _crossing_issues(rep, scene: Scene, a: Point, b: Point, depart: Coord) -> No
     """
     vm = scene.vmax
     dep = depart * vm
-    if a[0] == b[0]:  # vertical move, may cross horizontal edges
-        x = a[0]
-        lo, hi = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-        for e in scene.edges:
-            if not e.horizontal:
-                continue
-            y = e.line_coord
-            s0, s1 = e.span
-            if not (s0 < x < s1):
-                continue  # misses the interior (tip passage is legal)
-            if not (lo <= y <= hi) or y == b[1]:
-                continue
-            t = dep + abs(y - a[1])
-            if e.appear * vm < t < e.disappear * vm:
-                rep.add("CollisionAt", f"move {a}->{b} crosses edge {e.id} at scaled time {t}")
-    elif a[1] == b[1]:  # horizontal move, may cross vertical edges
-        y = a[1]
-        lo, hi = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-        for e in scene.edges:
-            if not e.vertical:
-                continue
-            x = e.line_coord
-            s0, s1 = e.span
-            if not (s0 < y < s1):
-                continue
-            if not (lo <= x <= hi) or x == b[0]:
-                continue
-            t = dep + abs(x - a[0])
-            if e.appear * vm < t < e.disappear * vm:
-                rep.add("CollisionAt", f"move {a}->{b} crosses edge {e.id} at scaled time {t}")
+    if a[0] == b[0]:
+        k = 1  # vertical move, may cross horizontal edges
+    elif a[1] == b[1]:
+        k = 0  # horizontal move, may cross vertical edges
+    else:
+        return
+    c = a[1 - k]  # the move's fixed coordinate
+    lo, hi = (a[k], b[k]) if a[k] <= b[k] else (b[k], a[k])
+    for e in scene.edges:
+        if not (e.horizontal if k else e.vertical):
+            continue
+        line = e.line_coord
+        s0, s1 = e.span
+        if not (s0 < c < s1):
+            continue  # misses the interior (tip passage is legal)
+        if not (lo <= line <= hi) or line == b[k]:
+            continue
+        t = dep + abs(line - a[k])
+        if e.appear * vm < t < e.disappear * vm:
+            rep.add("CollisionAt", f"move {a}->{b} crosses edge {e.id} at scaled time {t}")
 
 
 def _monotone(vals) -> bool:

@@ -308,11 +308,13 @@ def test_each_cap_edge_is_asked_once_per_spawn():
 
 class _EveryFront(_FastEngine):
     """The narrowing sweep keeping every flat front, as the plain engine
-    does."""
+    does; each front still joins its group, which the fan rule reads."""
 
     def _do_segment(self, w):
-        self.swept_key = None  # no front swept before w holds it
-        super()._do_segment(w)
+        if w.key != self.swept_key:
+            self.swept_key, self.swept = w.key, {}
+        self.swept.setdefault((w.dir, w.line), []).append(w)
+        _Engine._do_segment(self, w)
 
 
 def _kinds(node):
@@ -363,8 +365,9 @@ class _EveryFan(_FastEngine):
 
 
 def test_refused_fans_change_no_answer():
-    # A wait fan strictly inside a run of its edge's pieces is refused at its
-    # pop, unless it stands on the column of its parent vertex's axis ray.
+    # A wait fan strictly inside a run of the fronts that leave its edge's
+    # line at its key is refused at its pop, unless it stands on the column
+    # of its parent vertex's axis ray.
     # Every gated plan's arrival, the whole-box labels and the map's arrivals
     # at the map benchmark's query lattice equal those of the same sweep
     # keeping every fan; witnesses may take other waits.

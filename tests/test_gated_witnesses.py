@@ -4,7 +4,7 @@ fast_plan answers each as naive_plan does, and every witness but ladder 8's
 passes validate_path.  Ladder 8's still fails with NonMonotoneSubpath, since
 wait points sit at fan endpoints (ROADMAP item 1); no other scene and no
 other code may fail.  The map's witnesses at every integer point of the two
-repros are held to the same rule."""
+repros must all pass."""
 
 from dataclasses import replace
 
@@ -31,10 +31,9 @@ def test_gated_plans_match_naive_and_their_witnesses_validate():
 
 
 def test_map_witnesses_at_every_integer_point_of_the_repros():
-    # Every point of the scene's box that is a valid destination.  Wait
-    # points at fan endpoints still cost some witnesses NonMonotoneSubpath
-    # (ROADMAP item 1); they are counted, printed and held to at most 20 of
-    # 710 and 4 of 111 points.
+    # Every point of the scene's box that is a valid destination; no
+    # witness may fail validate_path.  NonMonotoneSubpath failures are
+    # counted and printed, so that a regression shows where it is.
     ns = _ladder_scenes()
     counts = {}
     for name in ("early_settle_repro", "fallback_repro"):
@@ -55,5 +54,4 @@ def test_map_witnesses_at_every_integer_point_of_the_repros():
                 non_monotone += bool(codes)
         counts[name] = (non_monotone, points)
     print("NonMonotoneSubpath map witnesses (of points):", counts)
-    assert counts["early_settle_repro"][1] == 710 and counts["early_settle_repro"][0] <= 20, counts
-    assert counts["fallback_repro"][1] == 111 and counts["fallback_repro"][0] <= 4, counts
+    assert counts == {"early_settle_repro": (0, 710), "fallback_repro": (0, 111)}, counts

@@ -603,9 +603,9 @@ def test_locate_is_the_minimum_over_all_cells():
     # 2579 cells: a root whose registered lower root's region holds its own
     # is never queued and leaves no record, nor is a flat front that an
     # earlier front of its (direction, line, key) holds, nor a wait fan
-    # strictly inside its edge's piece union, and since equal (key, rank)
-    # events pop in push order alone, a front or fan may take another
-    # equal-time claimant as its source
+    # strictly inside the union of its edge's swept fronts, and since equal
+    # (key, rank) events pop in push order alone, a front or fan may take
+    # another equal-time claimant as its source
     assert len(m.cells) == 2579 and 0 < outside < len(pts)
 
 
