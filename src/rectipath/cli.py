@@ -213,7 +213,7 @@ def _fast_plan_phases(scene):
 def _map_phases(scene, points, file):
     """Wall seconds of each layer of one build_spm run, per query of an
     arrival and a witness pass over points, and of a dump to file and a
-    load back; and the map."""
+    load back; and the map with its sweep's counters."""
     clock = time.perf_counter
     t = [clock()]
     eng = _FastEngine(scene, trace=True)
@@ -235,7 +235,7 @@ def _map_phases(scene, points, file):
     seconds = {k: b - a for k, a, b in zip(names, t, t[1:])}
     seconds["arrival"] /= len(points)
     seconds["witness"] /= len(points)
-    return seconds, m
+    return seconds, (m, eng.stats)
 
 
 def _medians(runs, phases, *args):
@@ -288,7 +288,7 @@ def _cmd_bench(args) -> int:
         points = [eng.sc.point_out((x, y)) for x in xs for y in ys]
         with tempfile.TemporaryDirectory() as tmp:
             file = os.path.join(tmp, "map.json")
-            map_spread, m = _medians(runs, _map_phases, scene, points, file)
+            map_spread, (m, map_stats) = _medians(runs, _map_phases, scene, points, file)
             file_kib = os.path.getsize(file) / 1024
         tracemalloc.start()
         index = ShortestPathMap(m.sc, m.cells, m.stop)
@@ -306,6 +306,7 @@ def _cmd_bench(args) -> int:
                     "cells": len(m.cells),
                     "queries": len(points),
                     **map_spread,
+                    "counters": dataclasses.asdict(map_stats),
                     "file_kib": file_kib,
                     "index_mib": index_mib,
                 },

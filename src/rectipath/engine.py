@@ -24,6 +24,11 @@ engine (fast.py) requeues a root's lineage at the arrival of the vertex it
 has just claimed; popped before that claim settles, the lineage would find
 the vertex still live, claim it again and requeue at the same key, forever.
 Events of equal key and rank pop in push order.
+
+Early exit.  No route reaches the destination before the source's L1 distance,
+so a plan settles it at its first claim at that bound: settles of one key pop
+in (rank, seq) order and later claims get higher seqs, so the queue would too.
+
 The queue is Dial's bucket queue for integer keys: a small heap of
 (rank, seq, item) per distinct key plus one heap of the keys, so events pop
 in the (key, rank, seq) order of one heap of them all while each heap
@@ -38,7 +43,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import Scene, ScaledScene, TimedPath
+from .geometry import Scene, ScaledScene, TimedPath, l1_distance
 from .rangeindex import CornerWeightedVertices
 from .scenario import check_scene
 from .stopindex import _DIR_INFO, StopOracle
@@ -168,6 +173,7 @@ class _Engine:
         # direction and front node; spm turns them into cells
         self.trace: Optional[List] = [] if trace else None
         self.fan_seen = set()
+        self.exit_at = -1  # the destination's lower bound while a plan runs
 
     # -- queue ------------------------------------------------------------
 
@@ -183,6 +189,9 @@ class _Engine:
     def _claim(self, p, t, parent):
         """Offer p at time t; parent is the claiming wavelet's node."""
         if p in self.labels:
+            return
+        if t <= self.exit_at and p == self.dest:
+            self.labels[p] = (t, SrcNode("vertex", p, t, parent))
             return
         self._push(t, _RANK_SETTLE, ("settle", p, parent))
 
@@ -321,6 +330,7 @@ class _Engine:
     # -- main loop ------------------------------------------------------------
 
     def run(self, stop_at_dest: bool = True):
+        self.exit_at = l1_distance(self.source, self.dest) if stop_at_dest else -1
         self.labels[self.source] = (0, SrcNode("start", self.source, 0))
         if self.source == self.dest and stop_at_dest:
             return

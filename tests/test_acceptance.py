@@ -16,7 +16,7 @@ import time
 import pytest
 
 from rectipath.engine import naive_plan
-from rectipath.fast import fast_plan
+from rectipath.fast import _FastEngine, fast_plan
 from rectipath.geometry import validate_path
 from rectipath.oracle import bench_scene, oracle_arrivals, oracle_plan, random_scene
 from rectipath.rangeindex import CornerWeightedVertices, RectStabber, WeightedRect
@@ -93,13 +93,22 @@ def test_criterion_3_canonical_instances(canonical_runs):
     print("criterion 3 PASS: S0=10 S1=20 S2=11 S3=10 on oracle, naive, and fast")
 
 
+def _whole_box_point_wavelets(scene):
+    eng = _FastEngine(scene)
+    eng.run(stop_at_dest=False)
+    return eng.stats.point_wavelets
+
+
 def test_criterion_4_linear_point_wavelet_count():
+    # The whole-box sweep is counted: a plan stops at the destination's
+    # first claim at its L1 lower bound, after a prefix of the same events,
+    # so its count is never higher, and on these scenes it is a handful.
     seeds = range(1, 9)
     ratios = {}
     for n in (50, 100, 200, 400, 800):
         cm = max(60, 3 * n)
         counts = [
-            fast_plan(random_scene(seed, n, coord_max=cm, time_max=2 * cm, max_len=20)).stats.point_wavelets
+            _whole_box_point_wavelets(random_scene(seed, n, coord_max=cm, time_max=2 * cm, max_len=20))
             for seed in seeds
         ]
         ratios[n] = statistics.fmean(counts) / n

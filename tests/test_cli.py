@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rectipath import cli
-from rectipath.fast import fast_plan
+from rectipath.fast import _FastEngine, fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
 from rectipath.oracle import bench_scene
 from rectipath.scenario import (
@@ -145,6 +146,10 @@ def test_bench_json_layers(tmp_path, capsys):
                 assert part["seconds_q1"][k] <= median <= part["seconds_q3"][k], k
         m = build_spm(bench_scene(2, n))
         assert s["map"]["cells"] == len(m.cells) and s["map"]["queries"] > 0
+        # the map's sweep never exits early: its counters are a whole-box run's
+        whole = _FastEngine(bench_scene(2, n))
+        whole.run(stop_at_dest=False)
+        assert s["map"]["counters"] == dataclasses.asdict(whole.stats)
         parts = ("sweep", "harvest", "index", "arrival", "witness", "dump", "load")
         assert set(s["map"]["seconds"]) == set(parts) and all(s["map"]["seconds"][k] > 0 for k in parts)
         assert s["map"]["file_kib"] > 0 and s["map"]["index_mib"] > 0

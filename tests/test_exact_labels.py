@@ -87,14 +87,18 @@ def test_wait_fans_on_a_wide_ladder():
     # spawned 3k^2 fans and pushed 121,056 point wavelets at 80 bars; a fan
     # strictly inside the union of the fronts that leave its bar's line at
     # its key is refused at its pop, and the plan's point wavelets grow
-    # near-linearly with the bars.
-    counts = []
+    # near-linearly with the bars.  Its flat fronts (130 / 460 / 1,720 /
+    # 6,640) still grow near-quadratically; they are held to at most 4x per
+    # doubling.
+    counts, fronts = [], []
     for k in (10, 20, 40, 80):
         res = fast_plan(_wide_ladder(k))
         assert res.stats.fans_refused > 0, (k, res.stats)
         counts.append(res.stats.point_wavelets)
+        fronts.append(res.stats.segment_wavelets)
     assert res.arrival == 402
     assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
+    assert all(b <= 4.0 * a for a, b in zip(fronts, fronts[1:])), fronts
 
 
 def test_flat_fronts_on_tall_ladders_grow_near_linearly():

@@ -228,6 +228,104 @@ def test_whole_box_labels_with_terminals_on_edge_endpoints():
         assert validate_path(scene, res.path, res.arrival).ok, (seed, which)
 
 
+def _chain(node):
+    """node's provenance chain back to the start, as comparable values."""
+    out = []
+    while node is not None:
+        out.append(tuple(getattr(node, k) for k in node.__slots__ if k != "parent"))
+        node = node.parent
+    return out
+
+
+def _plan_and_whole_box(engine_cls, scene):
+    """A plan's engine and a whole-box run's, both run."""
+    plan, whole = engine_cls(scene), engine_cls(scene)
+    plan.run(stop_at_dest=True)
+    whole.run(stop_at_dest=False)
+    return plan, whole
+
+
+def _check_exit(plan, whole, what):
+    """The plan's destination label, its provenance and its witness are the
+    whole-box run's."""
+    (t, node), (t_whole, node_whole) = plan.labels[plan.dest], whole.labels[whole.dest]
+    assert (t, _chain(node)) == (t_whole, _chain(node_whole)), what
+    assert build_path(plan).waypoints == build_path(whole).waypoints, what
+
+
+def test_plans_at_the_lower_bound_equal_the_whole_box_run():
+    # A plan settles the destination at its first claim at the source's L1
+    # distance and returns at the next pop.  Wherever that exit is taken,
+    # by either engine, the label, its provenance and the witness are those
+    # of the sweep that never exits.
+    scenes = [("bench", s, n, bench_scene(s, n)) for s in (1, 2, 3) for n in (100, 400)]
+    scenes += [("random", seed, None, random_scene(seed, 5 + seed % 36)) for seed in range(1, 301)]
+    at_bound = 0
+    for engine_cls in (_FastEngine, _Engine):
+        for what in scenes:
+            plan, whole = _plan_and_whole_box(engine_cls, what[-1])
+            if plan.labels[plan.dest][0] == l1_distance(plan.source, plan.dest):
+                _check_exit(plan, whole, (engine_cls.__name__,) + what[:3])
+                assert plan.stats.point_wavelets <= whole.stats.point_wavelets, what[:3]
+                at_bound += 1
+    # arrivals are exact, so which plans meet their bound is fixed: all 6
+    # bench plans and 294 of the 300 random ones
+    assert at_bound == 2 * (6 + 294)
+
+
+def test_free_space_plan_stops_after_its_first_pops():
+    # The destination of bench_scene(1, 800) is claimed at the bound by the
+    # start's first root pop; the whole-box sweep counts 20,162 point
+    # wavelets.
+    assert fast_plan(bench_scene(1, 800)).stats.point_wavelets <= 8
+
+
+class _DestClaims(_FastEngine):
+    """The narrowing sweep, logging the key of every claim of the
+    destination while it is unsettled."""
+
+    def __init__(self, scene):
+        super().__init__(scene)
+        self.dest_claims = []
+
+    def _claim(self, p, t, parent):
+        if p == self.dest and p not in self.labels:
+            self.dest_claims.append(t)
+        super()._claim(p, t, parent)
+
+
+def test_exit_after_a_first_claim_above_the_bound():
+    # Found by a seeded search of random_scene: the destination's first
+    # claim lies above its L1 bound, a later one meets it, and the plan
+    # settles that one.
+    scene = random_scene(6, 11)
+    plan = _DestClaims(scene)
+    plan.run(stop_at_dest=True)
+    bound = l1_distance(plan.source, plan.dest)
+    assert plan.dest_claims[0] > bound == plan.dest_claims[-1] == plan.labels[plan.dest][0]
+    for engine_cls in (_FastEngine, _Engine):
+        _check_exit(*_plan_and_whole_box(engine_cls, scene), engine_cls.__name__)
+    res = fast_plan(scene)
+    assert res.arrival == oracle_plan(scene)
+    assert validate_path(scene, res.path, res.arrival).ok
+
+
+def test_exit_at_a_destination_on_an_edge_endpoint():
+    # The destination is a vertex.  A whole-box run settles it in the loop,
+    # removes it from the vertex index and spawns its roots; a plan settles
+    # it at its claim and returns, with the same label and witness.
+    _, _, scene = next(s for s in endpoint_terminal_scenes([1]) if s[1] == "dest")
+    for engine_cls in (_FastEngine, _Engine):
+        plan, whole = _plan_and_whole_box(engine_cls, scene)
+        assert plan.dest in plan.verts
+        assert plan.labels[plan.dest][0] == l1_distance(plan.source, plan.dest)
+        assert plan.stats.point_wavelets < whole.stats.point_wavelets
+        _check_exit(plan, whole, engine_cls.__name__)
+    res = fast_plan(scene)
+    assert res.arrival == oracle_plan(scene)
+    assert validate_path(scene, res.path, res.arrival).ok
+
+
 class _Recorded(_FastEngine):
     """The narrowing sweep, logging every root it spawns and every push."""
 
