@@ -28,6 +28,12 @@ Events of equal key and rank pop in push order.
 Early exit.  No route reaches the destination before the source's L1 distance,
 so a plan settles it at its first claim at that bound: settles of one key pop
 in (rank, seq) order and later claims get higher seqs, so the queue would too.
+Nothing runs after that claim: a root pop that makes it returns at once, as
+the loop returns at its next pop in any case and no later claim could
+settle.  A whole-box run has no exit and never takes that return.  The
+vertex index is built at its first use (_Engine._vertex_index), so a plan
+whose destination the first popped root claims at the bound never builds
+one.
 
 The queue is Dial's bucket queue for integer keys: a small heap of
 (rank, seq, item) per distinct key plus one heap of the keys, so events pop
@@ -161,7 +167,7 @@ class _Engine:
         self.source = self.sc.source
         self.dest = self.sc.dest
         self.verts = {p for e in self.edges for p in e.endpoints}
-        self.drm = CornerWeightedVertices(self.verts)
+        self.drm: Optional[CornerWeightedVertices] = None  # see _vertex_index
         self.labels: Dict[Tuple[int, int], Tuple[int, SrcNode]] = {}
         # the bucket queue: key -> heap of (rank, seq, item); heap of keys
         self.buckets: Dict[int, List] = {}
@@ -174,6 +180,22 @@ class _Engine:
         self.trace: Optional[List] = [] if trace else None
         self.fan_seen = set()
         self.exit_at = -1  # the destination's lower bound while a plan runs
+
+    def _vertex_index(self) -> CornerWeightedVertices:
+        """The vertex index, built at its first use: a plan whose destination
+        its first popped root claims at the bound returns before any, and
+        builds none.  The sweep reads it as ``self.drm or
+        self._vertex_index()``, one attribute read once it is built; a
+        ``functools.cached_property`` or a ``__getattr__`` hook would slow
+        CPython's reads of every attribute of the engine.  The source,
+        settled before the sweep, leaves the live set at once when it is a
+        vertex: left live, a lineage holding it would claim it again at
+        every pop, forever."""
+        if self.drm is None:
+            self.drm = CornerWeightedVertices(self.verts)
+            if self.source in self.verts:
+                self.drm.remove(self.source)
+        return self.drm
 
     # -- queue ------------------------------------------------------------
 
@@ -268,14 +290,17 @@ class _Engine:
 
     def _do_point(self, w: PointWavelet):
         """A root's only pop: it claims every live vertex of its region, and
-        the destination if the region holds it, at its own arrival there."""
+        the destination if the region holds it, at its own arrival there.
+        A claim that takes the plan's exit ends the pop."""
         if self.trace is not None:
             self.trace.append((w.rect, w.dir, w.src))
         xlo, xhi, ylo, yhi = w.rect
         dx, dy = self.dest
         if xlo <= dx <= xhi and ylo <= dy <= yhi:
             self._claim(self.dest, _arrival(w, self.dest), w.src)
-        for v in self.drm.report(w.rect):
+            if self.exit_at >= 0 and self.dest in self.labels:
+                return
+        for v in (self.drm or self._vertex_index()).report(w.rect):
             self._claim(v, _arrival(w, v), w.src)
 
     def _do_segment(self, w: SegNode):
@@ -305,7 +330,7 @@ class _Engine:
         dx, dy = self.dest
         if xlo <= dx <= xhi and ylo <= dy <= yhi:
             self._claim(self.dest, w.key + abs((dy if horizontal else dx) - w.line), w)
-        for v in self.drm.report(claimed):
+        for v in (self.drm or self._vertex_index()).report(claimed):
             self._claim(v, w.key + abs(v[1 if horizontal else 0] - w.line), w)
         if hit is None:
             return
@@ -334,11 +359,6 @@ class _Engine:
         self.labels[self.source] = (0, SrcNode("start", self.source, 0))
         if self.source == self.dest and stop_at_dest:
             return
-        if self.source in self.verts:
-            # a source on an edge endpoint leaves the live set like any
-            # settled vertex; left live, a lineage holding it would claim it
-            # again at every pop, forever
-            self.drm.remove(self.source)
         self._spawn_arrangement(self.source, 0, self.labels[self.source][1])
         buckets, keys, labels, dest = self.buckets, self.keys, self.labels, self.dest
         last_key = None
@@ -363,7 +383,7 @@ class _Engine:
                     labels[p] = (key, node)
                     if p not in self.verts:
                         continue  # a destination off every edge spawns nothing
-                    self.drm.remove(p)
+                    (self.drm or self._vertex_index()).remove(p)
                     self._spawn_arrangement(p, key, node)
                 elif kind == "pw":
                     self._do_point(item[1])

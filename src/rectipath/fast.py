@@ -239,7 +239,7 @@ class _FastEngine(_Engine):
         return True
 
     def _do_point(self, w: PointWavelet):
-        drm, corner, registry = self.drm, _NEAREST_CORNER[w.dir], self.registry[w.dir]
+        corner, registry = _NEAREST_CORNER[w.dir], self.registry[w.dir]
         bits = self.lineages.pop(w, None)
         if bits is None:
             if self.trace is not None:
@@ -248,7 +248,12 @@ class _FastEngine(_Engine):
             dx, dy = self.dest
             if xlo <= dx <= xhi and ylo <= dy <= yhi:
                 self._claim(self.dest, _arrival(w, self.dest), w.src)
-            bits = drm.region(w.rect, corner, None if w.src.kind == "wait" else w.src.point)
+                if self.exit_at >= 0 and self.dest in self.labels:
+                    return  # the plan's exit: nothing after it could settle
+            bits = (self.drm or self._vertex_index()).region(
+                w.rect, corner, None if w.src.kind == "wait" else w.src.point
+            )
+        drm = self.drm  # built at the lineage's first pop
         p, v = drm.nearest(bits, corner)
         # p differs from v only when p is settled: the live set shrinks only
         # as vertices settle

@@ -89,13 +89,6 @@ class TransientEdge:
             return p[1] == self.line_coord and lo <= p[0] <= hi
         return p[0] == self.line_coord and lo <= p[1] <= hi
 
-    def interior_contains(self, p: Point) -> bool:
-        """True when p lies on the edge but is not one of its endpoints."""
-        lo, hi = self.span
-        if self.horizontal:
-            return p[1] == self.line_coord and lo < p[0] < hi
-        return p[0] == self.line_coord and lo < p[1] < hi
-
 
 BBox = Tuple[Coord, Coord, Coord, Coord]  # xlo, xhi, ylo, yhi
 
@@ -177,9 +170,10 @@ class ValidationReport:
         return "<invalid: " + "; ".join(f"{i.code}: {i.message}" for i in self.issues) + ">"
 
 
-def _touching_pairs(edges):
-    """Sorted (i, j, overlap) for i < j: edges i and j share a supporting line
-    (overlap tells whether their closed spans meet) or cross (overlap True).
+def _touching_pairs(geos):
+    """Sorted (i, j, overlap) for i < j: the edges of geos[i] and geos[j],
+    each (horizontal, line, lo, hi), share a supporting line (overlap tells
+    whether their closed spans meet) or cross (overlap True).
 
     Collinear pairs come from grouping by line; crossings from a sweep over x
     that keeps the horizontal edges whose closed span holds x in y order, so
@@ -187,32 +181,29 @@ def _touching_pairs(edges):
     """
     pairs = []
     lines = {}
-    for i, e in enumerate(edges):
-        lines.setdefault((e.horizontal, e.line_coord), []).append(i)
-    for group in lines.values():
-        for pos, i in enumerate(group):
-            alo, ahi = edges[i].span
-            for j in group[pos + 1 :]:
-                blo, bhi = edges[j].span
-                pairs.append((i, j, alo <= bhi and blo <= ahi))
     events = []  # at equal x: horizontals enter, verticals query, horizontals leave
-    for i, e in enumerate(edges):
-        if e.horizontal:
-            lo, hi = e.span
+    for i, (horizontal, line, lo, hi) in enumerate(geos):
+        lines.setdefault((horizontal, line), []).append(i)
+        if horizontal:
             events.append((lo, 0, i))
             events.append((hi, 2, i))
         else:
-            events.append((e.line_coord, 1, i))
+            events.append((line, 1, i))
+    for group in lines.values():
+        for pos, i in enumerate(group):
+            alo, ahi = geos[i][2:]
+            for j in group[pos + 1 :]:
+                blo, bhi = geos[j][2:]
+                pairs.append((i, j, alo <= bhi and blo <= ahi))
     events.sort()
     live = []  # (y, index) of the horizontal edges spanning the sweep line
     for _, kind, i in events:
-        e = edges[i]
+        _, line, lo, hi = geos[i]
         if kind == 0:
-            insort(live, (e.line_coord, i))
+            insort(live, (line, i))
         elif kind == 2:
-            del live[bisect_left(live, (e.line_coord, i))]
+            del live[bisect_left(live, (line, i))]
         else:
-            lo, hi = e.span
             for k in range(bisect_left(live, (lo, -1)), len(live)):
                 y, j = live[k]
                 if y > hi:
@@ -226,29 +217,40 @@ def validate_scene(scene: Scene) -> ValidationReport:
     """Check the scene invariants.
 
     Issue codes: ``NonAxisParallel``, ``BadInterval``, ``OverlappingEdges``,
-    ``CollinearEdges``, ``TerminalOnEdge``, ``BadSpeed``.
+    ``CollinearEdges``, ``TerminalOnEdge``, ``BadSpeed``.  Each edge's
+    endpoints are read once, into the (horizontal, line, lo, hi) that every
+    later check works on.
     """
     rep = ValidationReport()
     if scene.vmax <= 0:
         rep.add("BadSpeed", f"vmax must be positive, got {scene.vmax}")
+    proper, geos = [], []  # the proper axis-parallel edges and their geometry
     for e in scene.edges:
-        if not (e.horizontal or e.vertical) or e.p1 == e.p2:
+        (x1, y1), (x2, y2) = e.p1, e.p2
+        if y1 == y2 and x1 != x2:
+            proper.append(e)
+            geos.append((True, y1, x1, x2) if x1 < x2 else (True, y1, x2, x1))
+        elif x1 == x2 and y1 != y2:
+            proper.append(e)
+            geos.append((False, x1, y1, y2) if y1 < y2 else (False, x1, y2, y1))
+        else:
             rep.add("NonAxisParallel", f"edge {e.id} is not a proper axis-parallel segment")
         if not (0 <= e.appear < e.disappear):
             rep.add(
                 "BadInterval",
                 f"edge {e.id} interval [{e.appear}, {e.disappear}] is not 0 <= appear < disappear",
             )
-    proper = [e for e in scene.edges if (e.horizontal or e.vertical) and e.p1 != e.p2]
-    for i, j, overlap in _touching_pairs(proper):
+    for i, j, overlap in _touching_pairs(geos):
         a, b = proper[i], proper[j]
         if overlap:
             rep.add("OverlappingEdges", f"edges {a.id} and {b.id} intersect")
         else:
             rep.add("CollinearEdges", f"edges {a.id} and {b.id} share a supporting line")
     for name, p in (("source", scene.source), ("dest", scene.dest)):
-        for e in proper:
-            if e.interior_contains(p):
+        px, py = p
+        for e, (horizontal, line, lo, hi) in zip(proper, geos):
+            # p on the edge's relative interior, endpoints left out
+            if (py == line and lo < px < hi) if horizontal else (px == line and lo < py < hi):
                 rep.add("TerminalOnEdge", f"{name} lies on the interior of edge {e.id}")
     return rep
 
@@ -412,9 +414,14 @@ def _denoms(values) -> int:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntEdge:
-    """Edge in scaled integer units (vmax = 1, time measured in distance units)."""
+    """Edge in scaled integer units (vmax = 1, time measured in distance units).
+
+    A slotted record built by plain assignment: a frozen dataclass would pay
+    an ``object.__setattr__`` call per field at each of a scene's builds.
+    Nothing writes to one after its build, so it hashes by value as a frozen
+    one would."""
 
     id: int
     horizontal: bool
@@ -446,16 +453,14 @@ class ScaledScene:
         # the same ints by int arithmetic; fractions keep the Fraction formula.
         vm = scene.vmax
         int_vm = type(vm) is int
-
-        def tv(t):  # t * vmax, exactly
-            return t * vm if int_vm and type(t) is int else Fraction(t) * vm
-
-        vals = [scene.source[0], scene.source[1], scene.dest[0], scene.dest[1]]
-        tvals = []
+        coords = [scene.source[0], scene.source[1], scene.dest[0], scene.dest[1]]
+        times = []
         for e in scene.edges:
-            vals.extend((e.p1[0], e.p1[1], e.p2[0], e.p2[1]))
-            tvals.extend((tv(e.appear), tv(e.disappear)))
-        s = math.lcm(_denoms(vals), _denoms(tvals))
+            coords += e.p1
+            coords += e.p2
+            times.append(e.appear)
+            times.append(e.disappear)
+        s = math.lcm(_denoms(coords), _denoms([t * vm for t in times]))
         self.scene = scene
         self.coord_scale = s
         self.time_scale = Fraction(s) * vm  # t_int = t * time_scale
@@ -471,26 +476,28 @@ class ScaledScene:
 
         self.source = (cx(scene.source[0]), cx(scene.source[1]))
         self.dest = (cx(scene.dest[0]), cx(scene.dest[1]))
-        self.edges = []
-        for e in scene.edges:
-            lo, hi = e.span
-            self.edges.append(
-                IntEdge(
-                    id=e.id,
-                    horizontal=e.horizontal,
-                    line=cx(e.line_coord),
-                    lo=cx(lo),
-                    hi=cx(hi),
-                    ta=ct(e.appear),
-                    td=ct(e.disappear),
-                )
-            )
+        # one pass over the edges: each edge's line and span as
+        # TransientEdge's horizontal, line_coord and span give them, scaled,
+        # and the box's coordinates
+        self.edges = edges = []
         xs = [self.source[0], self.dest[0]]
         ys = [self.source[1], self.dest[1]]
-        for e in self.edges:
-            for (px, py) in e.endpoints:
-                xs.append(px)
-                ys.append(py)
+        for e in scene.edges:
+            (x1, y1), (x2, y2) = e.p1, e.p2
+            horizontal = y1 == y2
+            if horizontal:
+                line, lo, hi = cx(y1), cx(x1), cx(x2)
+            else:
+                line, lo, hi = cx(x1), cx(y1), cx(y2)
+            if hi < lo:
+                lo, hi = hi, lo
+            edges.append(IntEdge(e.id, horizontal, line, lo, hi, ct(e.appear), ct(e.disappear)))
+            if horizontal:
+                xs += lo, hi
+                ys.append(line)
+            else:
+                xs.append(line)
+                ys += lo, hi
         pad = s
         self.bbox = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
 

@@ -33,11 +33,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WeightedRect:
+    """A closed rectangle with its weight and payload id: a slotted record
+    built by plain assignment, as a frozen dataclass would pay an
+    ``object.__setattr__`` call per field at each build.  Nothing writes to
+    one after its build, so it hashes by value as a frozen one would."""
+
     xlo: int
     xhi: int
     ylo: int
@@ -113,7 +119,7 @@ class RectStabber:
     __slots__ = ("rects", "weights", "keys", "prefixes")
 
     def __init__(self, rects):
-        rects = sorted(rects, key=lambda r: (r.weight, r.payload))
+        rects = sorted(rects, key=attrgetter("weight", "payload"))
         self.rects = rects
         self.weights = [r.weight for r in rects]
         self.keys = []

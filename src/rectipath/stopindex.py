@@ -74,15 +74,15 @@ class StopOracle:
 
     def __init__(self, edges: Sequence[IntEdge]):
         self.edges = list(edges)
-        self._stab = {}
-        for d in DIRS:
-            s, horizontal = _DIR_INFO[d]
-            rects = []
-            for i, e in enumerate(self.edges):
-                if e.horizontal == horizontal:
-                    w = s * e.line
-                    rects.append(WeightedRect(e.lo + 1, e.hi - 1, e.ta - w + 1, e.td - w - 1, w, i))
-            self._stab[d] = RectStabber(rects)
+        rects = {d: [] for d in DIRS}
+        for i, e in enumerate(self.edges):
+            # the edge's ranges toward its two directions, s = 1 (N or E)
+            # and s = -1 (S or W), each of weight w = s * line
+            lo, hi, ta, td, line = e.lo + 1, e.hi - 1, e.ta + 1, e.td - 1, e.line
+            pos, neg = ("N", "S") if e.horizontal else ("E", "W")
+            rects[pos].append(WeightedRect(lo, hi, ta - line, td - line, line, i))
+            rects[neg].append(WeightedRect(lo, hi, ta + line, td + line, -line, i))
+        self._stab = {d: RectStabber(rects[d]) for d in DIRS}
 
     def stop_point(self, p, t, d: str) -> Optional[StopHit]:
         """First edge blocking a ray from p departing at time t toward d."""

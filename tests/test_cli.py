@@ -138,9 +138,13 @@ def test_bench_json_layers(tmp_path, capsys):
         res = fast_plan(bench_scene(2, n))
         assert s["arrival"] == str(Fraction(res.arrival))
         assert s["counters"]["point_wavelets"] == res.stats.point_wavelets
-        parts = ("scaled_scene", "stop_oracle", "vertex_index", "init", "sweep", "path", "plan")
+        parts = ("check_scene", "scaled_scene", "stop_oracle", "vertex_index", "init", "sweep", "path", "plan")
         assert set(s["seconds"]) == set(parts) and all(s["seconds"][k] > 0 for k in parts)
         assert s["seconds"]["plan"] >= s["seconds"]["sweep"]
+        # the engine builds its vertex index at the sweep's first use of it
+        plan = _FastEngine(bench_scene(2, n))
+        plan.run(stop_at_dest=True)
+        assert s["vertex_index_built"] is (plan.drm is not None)
         for part in (s, s["map"]):
             for k, median in part["seconds"].items():
                 assert part["seconds_q1"][k] <= median <= part["seconds_q3"][k], k

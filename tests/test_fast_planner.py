@@ -280,6 +280,74 @@ def test_free_space_plan_stops_after_its_first_pops():
     assert fast_plan(bench_scene(1, 800)).stats.point_wavelets <= 8
 
 
+def _index_built(eng):
+    """Whether the engine has built its vertex index, which it does at the
+    index's first use (_Engine._vertex_index)."""
+    return eng.drm is not None
+
+
+def test_a_plan_that_exits_at_its_first_root_builds_no_vertex_index():
+    # The destination of these bench scenes lies in the start's first
+    # popped root, which claims it at the bound.  That pop returns at the
+    # claim, before the sweep uses the vertex index, so neither engine
+    # builds one, and the narrowing engine queues no lineage after it: the
+    # start's four roots are its only point wavelets.
+    for scene in (bench_scene(1, 100), bench_scene(2, 100), bench_scene(1, 800), bench_scene(2, 800)):
+        want = naive_plan(scene)
+        for engine_cls in (_FastEngine, _Engine):
+            eng = engine_cls(scene)
+            res = run_plan(eng)
+            t, node = eng.labels[eng.dest]
+            assert t == l1_distance(eng.source, eng.dest) and node.parent.kind == "start"
+            assert not _index_built(eng), engine_cls.__name__
+            assert (res.arrival, res.path) == (want.arrival, want.path), engine_cls.__name__
+            assert res.stats.point_wavelets == 4
+
+
+def _lazy_and_eager(engine_cls, scene, stop_at_dest):
+    """Two runs of the scene: one as the engine runs it, and one whose
+    vertex index was built before its sweep began."""
+    lazy, eager = engine_cls(scene), engine_cls(scene)
+    eager._vertex_index()
+    lazy.run(stop_at_dest=stop_at_dest)
+    eager.run(stop_at_dest=stop_at_dest)
+    return lazy, eager
+
+
+def test_runs_that_use_the_vertex_index_build_it_and_keep_their_labels():
+    # A destination in a later popped root of the start (the bench scenes
+    # with their terminals swapped, so the first popped root, NE, misses
+    # it), a source on an edge endpoint, plans above the bound (gated
+    # ladders) and whole-box runs all use the index.  Each builds it, with
+    # the source out of its live set, and settles every point at the label
+    # of a run that built it before its sweep, by the same events.
+    swapped = [replace(sc, source=sc.dest, dest=sc.source) for sc in (bench_scene(1, 200), bench_scene(2, 200))]
+    on_endpoint = [scene for _seed, which, scene in endpoint_terminal_scenes(range(1, 6)) if which == "source"]
+    ns = _ladder_scenes()
+    ladders = [ns["ladder_scene"](rectipath, s) for s in (0, 8)]
+    cases = [
+        ("later root", swapped, True),
+        ("source on an endpoint", on_endpoint, True),
+        ("above the bound", ladders, True),
+        ("whole box", swapped[:1] + on_endpoint[:1] + ladders[:1], False),
+    ]
+    for engine_cls in (_FastEngine, _Engine):
+        for what, scenes, stop_at_dest in cases:
+            for i, scene in enumerate(scenes):
+                where = (engine_cls.__name__, what, i)
+                lazy, eager = _lazy_and_eager(engine_cls, scene, stop_at_dest)
+                assert _index_built(lazy), where
+                sx, sy = lazy.source
+                assert lazy.drm.report((sx, sx, sy, sy)) == [], where
+                assert {p: t for p, (t, _n) in lazy.labels.items()} == {p: t for p, (t, _n) in eager.labels.items()}, where
+                assert lazy.stats == eager.stats, where
+                if stop_at_dest:
+                    assert build_path(lazy).waypoints == build_path(eager).waypoints, where
+                if what == "above the bound":
+                    assert lazy.labels[lazy.dest][0] > l1_distance(lazy.source, lazy.dest), where
+    assert on_endpoint and all(sc.source in _Engine(sc).verts for sc in on_endpoint)
+
+
 class _DestClaims(_FastEngine):
     """The narrowing sweep, logging the key of every claim of the
     destination while it is unsettled."""
@@ -365,8 +433,9 @@ def test_cut_masks_are_built_once_and_change_no_event(monkeypatch):
     scenes = [bench_scene(1, 200)] + [ns["ladder_scene"](rectipath, s) for s in (0, 16)]
     for scene in scenes:
         eng = _Recorded(scene)
-        interior, built = eng.drm.interior, []
-        eng.drm.interior = lambda rect, corner: built.append(rect) or interior(rect, corner)
+        drm = eng._vertex_index()
+        interior, built = drm.interior, []
+        drm.interior = lambda rect, corner: built.append(rect) or interior(rect, corner)
         eng.run(stop_at_dest=False)
         held = [w for w in eng.roots if w.cut is not None]
         assert held and len(built) == len(held)

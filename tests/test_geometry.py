@@ -72,6 +72,102 @@ def test_validate_scene_rejections():
     assert "BadSpeed" in validate_scene(sc).codes()
 
 
+def _all_pairs_issues(scene):
+    """validate_scene's (code, message) list from the definitions: every
+    pair of proper edges tested for a shared line or a crossing, and each
+    terminal against every proper edge, through TransientEdge's own
+    properties."""
+    out = []
+    if scene.vmax <= 0:
+        out.append(("BadSpeed", f"vmax must be positive, got {scene.vmax}"))
+    proper = []
+    for e in scene.edges:
+        if (e.horizontal or e.vertical) and e.p1 != e.p2:
+            proper.append(e)
+        else:
+            out.append(("NonAxisParallel", f"edge {e.id} is not a proper axis-parallel segment"))
+        if not (0 <= e.appear < e.disappear):
+            out.append(
+                ("BadInterval", f"edge {e.id} interval [{e.appear}, {e.disappear}] is not 0 <= appear < disappear")
+            )
+    for i, a in enumerate(proper):
+        for b in proper[i + 1 :]:
+            (alo, ahi), (blo, bhi) = a.span, b.span
+            if a.horizontal == b.horizontal:
+                if a.line_coord != b.line_coord:
+                    continue
+                meet = alo <= bhi and blo <= ahi
+            else:
+                h, v = (a, b) if a.horizontal else (b, a)
+                (hlo, hhi), (vlo, vhi) = h.span, v.span
+                if not (hlo <= v.line_coord <= hhi and vlo <= h.line_coord <= vhi):
+                    continue
+                meet = True
+            if meet:
+                out.append(("OverlappingEdges", f"edges {a.id} and {b.id} intersect"))
+            else:
+                out.append(("CollinearEdges", f"edges {a.id} and {b.id} share a supporting line"))
+    for name, p in (("source", scene.source), ("dest", scene.dest)):
+        for e in proper:
+            if e.contains_point(p) and p != e.p1 and p != e.p2:
+                out.append(("TerminalOnEdge", f"{name} lies on the interior of edge {e.id}"))
+    return out
+
+
+def _small_scene(rng):
+    """A small scene, valid or not, on a grid of integers and halves (ints,
+    Fractions and floats) so that lines, spans and terminals meet often:
+    horizontal, vertical and diagonal edges and edges of one point, either
+    endpoint first, with windows and a vmax that may be bad."""
+
+    def c():
+        v = rng.randint(0, 12)
+        if v % 2 == 0:
+            return v // 2
+        return v / 2 if rng.random() < 0.2 else Fraction(v, 2)
+
+    edges = []
+    for i in range(rng.randint(0, 8)):
+        kind = rng.choice("hhvvdp")
+        if kind == "h":
+            y = c()
+            p1, p2 = (c(), y), (c(), y)  # one point when the xs meet
+        elif kind == "v":
+            x = c()
+            p1, p2 = (x, c()), (x, c())
+        elif kind == "d":
+            p1, p2 = (c(), c()), (c(), c())
+        else:
+            p1 = p2 = (c(), c())
+        edges.append(TransientEdge(i, p1, p2, rng.randint(-1, 6), rng.randint(-1, 8)))
+
+    def terminal():
+        if edges and rng.random() < 0.4:  # on an edge: an endpoint or a point between
+            e = rng.choice(edges)
+            k = rng.choice((0, Fraction(1, 2), 1, Fraction(1, 3)))
+            return tuple(a + k * (b - a) for a, b in zip(e.p1, e.p2))
+        return (c(), c())
+
+    vmax = rng.choice((1, 1, 2, Fraction(1, 2), 0.5, 0, -1))
+    return Scene(edges=tuple(edges), vmax=vmax, source=terminal(), dest=terminal())
+
+
+def test_validate_scene_equals_the_all_pairs_definition():
+    # Seeded small scenes, valid and not: validate_scene's single pass over
+    # each edge's geometry and its line-grouping and sweep give the issues
+    # that every-pair tests give, codes, order and messages alike.
+    rng = random.Random(31)
+    seen, valid = set(), 0
+    for k in range(2000):
+        scene = _small_scene(rng)
+        got = [(i.code, i.message) for i in validate_scene(scene).issues]
+        assert got == _all_pairs_issues(scene), k
+        seen.update(code for code, _ in got)
+        valid += not got
+    assert seen == {"NonAxisParallel", "BadInterval", "OverlappingEdges", "CollinearEdges", "TerminalOnEdge", "BadSpeed"}
+    assert 100 <= valid <= 1900
+
+
 def test_terminal_at_edge_endpoint_is_fine():
     sc = Scene(edges=(edge(0, (0, 0), (4, 0), 1, 2),), vmax=1, source=(0, 0), dest=(9, 9))
     assert validate_scene(sc).ok
@@ -235,7 +331,7 @@ def test_scaled_scene_integer_identity():
 
 def _all_fraction_scaling(scene):
     """ScaledScene's figures with every coordinate, time and vmax taken
-    through Fraction: (source, dest, edges, bbox, time_scale)."""
+    through Fraction: (source, dest, edges, bbox, time_scale, coord_scale)."""
     vm = Fraction(scene.vmax)
     vals = [*scene.source, *scene.dest] + [c for e in scene.edges for c in (*e.p1, *e.p2)]
     tvals = [Fraction(t) * vm for e in scene.edges for t in (e.appear, e.disappear)]
@@ -255,7 +351,7 @@ def _all_fraction_scaling(scene):
     pts = [(cx(x), cx(y)) for x, y in [scene.source, scene.dest]] + [p for e in edges for p in e.endpoints]
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
     bbox = (min(xs) - s, max(xs) + s, min(ys) - s, max(ys) + s)
-    return (cx(scene.source[0]), cx(scene.source[1])), (cx(scene.dest[0]), cx(scene.dest[1])), edges, bbox, ts
+    return (cx(scene.source[0]), cx(scene.source[1])), (cx(scene.dest[0]), cx(scene.dest[1])), edges, bbox, ts, s
 
 
 def _rescaled(scene, coord=1, time=1, vmax=None):
@@ -297,12 +393,30 @@ def test_scaled_scene_equals_the_all_fraction_scaling(coord, time, vmax):
     for seed in (1, 2, 3):
         sc = _rescaled(random_scene(seed, 12), coord, time, vmax)
         ss = ScaledScene(sc)
-        source, dest, edges, bbox, ts = _all_fraction_scaling(sc)
-        assert (ss.source, ss.dest, ss.edges, ss.bbox, ss.time_scale) == (source, dest, edges, bbox, ts)
+        want = _all_fraction_scaling(sc)
+        assert (ss.source, ss.dest, ss.edges, ss.bbox, ss.time_scale, ss.coord_scale) == want
         scaled = [*ss.source, *ss.dest, *ss.bbox] + [
             v for e in ss.edges for v in (e.line, e.lo, e.hi, e.ta, e.td)
         ]
         assert all(type(v) is int for v in scaled), (coord, time, vmax)
+
+
+def test_scaled_scene_equals_the_all_fraction_scaling_with_endpoints_either_way():
+    # ScaledScene reads each edge's endpoints once, scales them and orders
+    # the span after scaling; with half the edges given high endpoint
+    # first, on integer, fractional and float scenes, its edges, box and
+    # scales are the all-Fraction figures of the edge's own span.
+    scalings = [(1, 1, 1), (1, 1, 3), (Fraction(1, 2), Fraction(1, 3), 2), (0.25, 0.1, 1.5), (0.7, 1, Fraction(2, 7))]
+    for seed in range(1, 41):
+        rng = random.Random(seed)
+        base = _rescaled(random_scene(seed, 4 + seed % 12), *rng.choice(scalings))
+        edges = tuple(
+            TransientEdge(e.id, e.p2, e.p1, e.appear, e.disappear) if rng.random() < 0.5 else e for e in base.edges
+        )
+        sc = Scene(edges=edges, vmax=base.vmax, source=base.source, dest=base.dest)
+        ss = ScaledScene(sc)
+        assert (ss.source, ss.dest, ss.edges, ss.bbox, ss.time_scale, ss.coord_scale) == _all_fraction_scaling(sc)
+        assert all(e.lo < e.hi for e in ss.edges), seed
 
 
 def test_float_inputs_are_taken_as_their_exact_fractions():

@@ -98,7 +98,7 @@ def test_root_claims_every_live_vertex_of_its_region_at_its_pop():
     assert root.dir == "NE" and root.rect == (0, 31, 0, 31)
     eng.buckets.clear()
     eng.keys.clear()
-    eng.drm.remove((3, 9))  # settled already, so never claimed again
+    eng._vertex_index().remove((3, 9))  # settled already, so never claimed again
     # one pop claims the destination and every live vertex of the region,
     # each at the root's own arrival there, and queues no point wavelet
     eng._do_point(root)
