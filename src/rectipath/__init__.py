@@ -11,7 +11,7 @@ from .geometry import (
     validate_path,
     validate_scene,
 )
-from .oracle import ParamsInfeasible, bench_scene, oracle_arrivals, oracle_plan, random_scene
+from .oracle import ParamsInfeasible, bench_scene, oracle_arrivals, oracle_plan, random_scene, walled_scene
 from .pathrec import WitnessError
 from .scenario import (
     ScenarioError,
@@ -48,6 +48,7 @@ __all__ = [
     "oracle_arrivals",
     "random_scene",
     "bench_scene",
+    "walled_scene",
     "ScenarioError",
     "canonical_scene",
     "load_scene",

@@ -28,7 +28,7 @@ from typing import List, Optional
 from .engine import DIAGS, naive_plan, run_plan
 from .fast import _FastEngine, fast_plan
 from .geometry import ScaledScene, Scene, validate_path
-from .oracle import bench_scene, oracle_plan, random_scene
+from .oracle import ParamsInfeasible, bench_scene, oracle_plan, random_scene, walled_scene
 from .pathrec import build_path
 from .rangeindex import CornerWeightedVertices
 from .scenario import ScenarioError, _enc_num, check_scene, load_scene
@@ -271,7 +271,8 @@ def _cmd_bench(args) -> int:
     out = {
         "version": 2,
         "what": (
-            "fast_plan and build_spm on bench_scene(seed, n): median wall seconds per layer of %d runs, "
+            "fast_plan and build_spm on bench_scene(seed, n), and fast_plan on walled_scene(seed, n): "
+            "median wall seconds per layer of %d runs, "
             "collector off, with the first and third quartiles of the runs (seconds_q1, seconds_q3); "
             "map arrival and witness seconds are per query over a seeded lattice" % runs
         ),
@@ -287,6 +288,7 @@ def _cmd_bench(args) -> int:
     for n in args.sizes:
         scene = bench_scene(seed, n)
         spread, eng = _medians(runs, _fast_plan_phases, scene)
+        walled, walled_eng = _medians(runs, _fast_plan_phases, walled_scene(seed, n))
         # a seeded 20 x 20 lattice of integer points of the scaled box
         rng, (xlo, xhi, ylo, yhi) = random.Random(seed), eng.sc.bbox
         xs, ys = (sorted(rng.randint(lo, hi) for _ in range(20)) for lo, hi in ((xlo, xhi), (ylo, yhi)))
@@ -310,6 +312,13 @@ def _cmd_bench(args) -> int:
                 "vertex_index_built": eng.drm is not None,
                 **spread,
                 "counters": dataclasses.asdict(eng.stats),
+                # a plan that must wait, so that its sweep shows: every
+                # bench_scene plan ends at its L1 bound
+                "walled": {
+                    "arrival": str(walled_eng.sc.time_out(walled_eng.labels[walled_eng.dest][0])),
+                    **walled,
+                    "counters": dataclasses.asdict(walled_eng.stats),
+                },
                 "map": {
                     "cells": len(m.cells),
                     "queries": len(points),
@@ -320,7 +329,10 @@ def _cmd_bench(args) -> int:
                 },
             }
         )
-        print("n=%d plan %.3f s, map sweep %.3f s" % (n, spread["seconds"]["plan"], map_spread["seconds"]["sweep"]))
+        print(
+            "n=%d plan %.3f s, walled plan %.3f s, map sweep %.3f s"
+            % (n, spread["seconds"]["plan"], walled["seconds"]["plan"], map_spread["seconds"]["sweep"])
+        )
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
@@ -393,7 +405,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _Usage as exc:
         print(str(exc), file=sys.stderr)
         return 64
-    except (ScenarioError, OutsideBoundingBox, OSError) as exc:
+    except (ScenarioError, OutsideBoundingBox, ParamsInfeasible, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

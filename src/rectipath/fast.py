@@ -82,9 +82,12 @@ Flat fronts.  A front on line L moving toward d with key k arrives at
 k + s * (distance from L) wherever it sweeps, so every front of one
 (d, L, k) group has the same value function; a front's key is its queue
 key, so a group's fronts all pop in one bucket.  A front is dropped at its
-pop when one front of its group popped before it holds its whole span,
-open ends respected: an open end of the holder at the same coordinate holds
-only an open end.  The dropped front makes no stop query, claim, trace
+pop when one front of its group popped before it holds its whole span:
+holding is containment, with left ends ordered as (lo, lo_open) and right
+ends as (hi, not hi_open).  It is transitive, so a group keeps only its
+maximal spans, whose ends rise together, and a front is held when the last
+kept span starting at or before it reaches as far right (_join).
+The dropped front makes no stop query, claim, trace
 record, successor or remainder, so the cascade below it goes too.  Its
 columns are claimed no later, through the holder's sweep, successor and
 remainder chain, which has the same value function.  Every edge that blocks
@@ -118,9 +121,11 @@ another key pops between a key's fronts and its fans, which would reset the
 groups.  It holds as every front is pushed at a key later than the pop that
 pushes it (a disappearance after the hit, or a later arrival at the next
 line), so td's fronts are all queued before td's bucket opens, and fronts
-rank before fans.  A run is a maximal closed span of one group's union.  A
-fan is refused when its point lies strictly inside one run, of either
-direction: it spawns nothing.  Take a fan at f strictly inside a run [a, b]
+rank before fans.  A run is a maximal closed span of one group's union,
+which held fronts leave as it is: c is strictly inside one when the last
+kept span starting before c reaches c and the last starting at or before c
+passes it (_inside).  A fan strictly inside a run of either direction is
+refused: it spawns nothing.  Take a fan at f strictly inside a run [a, b]
 that sweeps toward d; the robot stands at every point of [a, b] on e's far
 side from d by td.  The fan's two cones toward d are its forward cones.
 Every front of the group leaves the line at td with one value function, so
@@ -163,6 +168,8 @@ cutter's first cut; every later one reuses the mask kept on the cutter.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .engine import (
     DIAGS,
     _RANK_POINT,
@@ -189,25 +196,21 @@ def _cut_mask(drm, root: PointWavelet, corner: str) -> int:
     return cut
 
 
-def _holds(h: SegNode, w: SegNode) -> bool:
-    """Whether front h's span holds front w's, open ends respected: an
-    open end of h holds only an open end of w at the same coordinate."""
-    return (
-        (h.lo < w.lo or h.lo == w.lo and (w.lo_open or not h.lo_open))
-        and (w.hi < h.hi or w.hi == h.hi and (w.hi_open or not h.hi_open))
-    )
+def _join(los, his, w: SegNode) -> bool:
+    """Add front w to its group's record (Flat fronts) unless a kept span holds it; whether it did."""
+    lo, hi = (w.lo, w.lo_open), (w.hi, not w.hi_open)
+    j = bisect_right(los, lo)
+    if j and hi <= his[j - 1]:
+        return False
+    j, k = bisect_left(los, lo, 0, j), bisect_right(his, hi, j)
+    los[j:k], his[j:k] = [lo], [hi]
+    return True
 
 
-def _runs(group) -> list:
-    """The runs of one group of flat fronts: the maximal closed spans their
-    union covers."""
-    runs = []
-    for lo, hi in sorted((w.lo, w.hi) for w in group):
-        if runs and lo <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], hi)
-        else:
-            runs.append([lo, hi])
-    return runs
+def _inside(los, his, c) -> bool:
+    """Whether c lies strictly inside a run of the group's record (Wait fans)."""
+    i = bisect_left(los, (c, False))
+    return i > 0 and his[i - 1] >= (c, False) and his[bisect_right(los, (c, True), i) - 1] > (c, True)
 
 
 class _FastEngine(_Engine):
@@ -220,9 +223,8 @@ class _FastEngine(_Engine):
         # in the rank space of its nearest corner; absent before the first pop
         # and once the lineage ends
         self.lineages = {}
-        # (direction, line) -> the flat fronts swept so far at swept_key,
-        # dropped ones left out; a front's key is its queue key, so a group's
-        # fronts all pop in one bucket, before the wait fans of that key
+        # (direction, line) -> the record of the flat fronts swept at swept_key
+        # (_join): a group's fronts all pop in one bucket, before its wait fans
         self.swept_key, self.swept = None, {}
 
     def _admit(self, p, w):
@@ -291,8 +293,7 @@ class _FastEngine(_Engine):
         i = 0 if e.horizontal else 1
         c = fp[i]
         if parent.kind == "wait" or parent.point[i] != c:
-            dirs = ("N", "S") if e.horizontal else ("E", "W")
-            if any(lo < c < hi for d in dirs for lo, hi in _runs(self.swept.get((d, e.line), ()))):
+            if any(_inside(*self.swept.get((d, e.line), ((), ())), c) for d in ("NS" if e.horizontal else "EW")):
                 self.stats.fans_refused += 1
                 return
         super()._do_fan(key, fp, edge_idx, parent)
@@ -300,11 +301,9 @@ class _FastEngine(_Engine):
     def _do_segment(self, w: SegNode):
         if w.key != self.swept_key:
             self.swept_key, self.swept = w.key, {}
-        group = self.swept.setdefault((w.dir, w.line), [])
-        if any(_holds(h, w) for h in group):
+        if not _join(*self.swept.setdefault((w.dir, w.line), ([], [])), w):
             self.stats.fronts_dropped += 1
             return
-        group.append(w)
         super()._do_segment(w)
 
 

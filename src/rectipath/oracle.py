@@ -227,3 +227,36 @@ def bench_scene(seed: int, n: int) -> Scene:
     if s == d:
         raise ParamsInfeasible("the terminals coincide")
     return check_scene(Scene(edges=sc.edges, vmax=1, source=s, dest=d))
+
+
+def walled_scene(seed: int, n: int) -> Scene:
+    """bench_scene(seed, n - k) crossed by k = n // 20 long horizontal bars
+    that stand until after the robot could reach them, so that its plans
+    wait and end above their L1 bound, where bench_scene's end at it.
+
+    With side the base scene's side, each bar runs from x = -side to
+    2 side on a line y of [2, side - 2] that no horizontal edge, no vertical
+    edge's closed span and no terminal uses, and stands over
+    [0, y + side + r].  random.Random(seed) draws the k lines by sample,
+    then one r in 1..40 per bar.
+    """
+    k = n // 20
+    base = bench_scene(seed, n - k)
+    side = max(60, 3 * (n - k))
+    used = {base.source[1], base.dest[1]}
+    for e in base.edges:
+        if e.horizontal:
+            used.add(e.line_coord)
+        else:
+            lo, hi = e.span
+            used.update(range(lo, hi + 1))
+    lines = [y for y in range(2, side - 1) if y not in used]
+    if k > len(lines):
+        raise ParamsInfeasible("no room for %d bars" % k)
+    rng = random.Random(seed)
+    ys = rng.sample(lines, k)
+    m = len(base.edges)
+    bars = tuple(
+        TransientEdge(m + i, (-side, y), (2 * side, y), 0, y + side + rng.randint(1, 40)) for i, y in enumerate(ys)
+    )
+    return check_scene(Scene(edges=base.edges + bars, vmax=1, source=base.source, dest=base.dest))

@@ -8,7 +8,7 @@ import pytest
 from rectipath import cli
 from rectipath.fast import _FastEngine, fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
-from rectipath.oracle import bench_scene
+from rectipath.oracle import bench_scene, walled_scene
 from rectipath.scenario import (
     ScenarioError,
     canonical_scene,
@@ -157,6 +157,19 @@ def test_bench_json_layers(tmp_path, capsys):
         parts = ("sweep", "harvest", "index", "arrival", "witness", "dump", "load")
         assert set(s["map"]["seconds"]) == set(parts) and all(s["map"]["seconds"][k] > 0 for k in parts)
         assert s["map"]["file_kib"] > 0 and s["map"]["index_mib"] > 0
+        # one plan of the walled scene of the same seed and size
+        walled = fast_plan(walled_scene(2, n))
+        assert s["walled"]["arrival"] == str(Fraction(walled.arrival))
+        assert s["walled"]["counters"] == dataclasses.asdict(walled.stats)
+        assert set(s["walled"]["seconds"]) == set(s["seconds"])
+        for k, median in s["walled"]["seconds"].items():
+            assert s["walled"]["seconds_q1"][k] <= median <= s["walled"]["seconds_q3"][k], k
+
+
+def test_bench_size_without_a_scene_exits_1(tmp_path, capsys):
+    # walled_scene(7, 20) finds no free line for its bar
+    assert cli.main(["bench", "--sizes", "20", "--seed", "7", "--json", str(tmp_path / "b.json")]) == 1
+    assert "no room" in capsys.readouterr().err
 
 
 def test_render_svg_structure(scene_file, capsys):

@@ -3,6 +3,7 @@
 import random
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 from test_exact_labels import _ladder_scenes
 
@@ -12,13 +13,14 @@ from rectipath.engine import (
     DIAGS,
     _DIAG_SIGNS,
     PointWavelet,
+    SegNode,
     SrcNode,
     _arrival,
     _Engine,
     naive_plan,
     run_plan,
 )
-from rectipath.fast import _NEAREST_CORNER, _FastEngine, fast_plan
+from rectipath.fast import _NEAREST_CORNER, _FastEngine, _inside, _join, fast_plan
 from rectipath.geometry import Scene, TransientEdge, l1_distance, validate_path, validate_scene
 from rectipath.oracle import bench_scene, oracle_plan, random_scene
 from rectipath.pathrec import build_path
@@ -475,13 +477,68 @@ def test_each_cap_edge_is_asked_once_per_spawn():
 
 class _EveryFront(_FastEngine):
     """The narrowing sweep keeping every flat front, as the plain engine
-    does; each front still joins its group, which the fan rule reads."""
+    does; each front still joins its group's record, which the fan rule
+    reads (a held front leaves the record as it is)."""
 
     def _do_segment(self, w):
         if w.key != self.swept_key:
             self.swept_key, self.swept = w.key, {}
-        self.swept.setdefault((w.dir, w.line), []).append(w)
+        _join(*self.swept.setdefault((w.dir, w.line), ([], [])), w)
         _Engine._do_segment(self, w)
+
+
+def _holds(h, w):
+    """The all-pairs definition of holding: front h's span holds front w's,
+    open ends respected: an open end of h holds only an open end of w at
+    the same coordinate."""
+    return (h.lo < w.lo or h.lo == w.lo and (w.lo_open or not h.lo_open)) and (
+        w.hi < h.hi or w.hi == h.hi and (w.hi_open or not h.hi_open)
+    )
+
+
+def _runs(group):
+    """The all-pairs definition of a group's runs: the maximal closed spans
+    the union of its fronts covers."""
+    runs = []
+    for lo, hi in sorted((w.lo, w.hi) for w in group):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    return runs
+
+
+def test_the_flat_front_record_answers_as_the_all_pairs_definitions():
+    # A group's record keeps only its maximal spans, in two rising lists.
+    # Against every front of the group kept so far: a front is held (and
+    # left out) exactly when one of them holds it, the record is their
+    # maximal spans, and a point lies strictly inside the record's union
+    # exactly when it lies strictly inside one of their runs.  Spans have
+    # open ends and single points; fan points fall on and between ends.
+    rng = random.Random(32)
+    answers = {"held": set(), "inside": set()}
+    assert not any(_inside([], [], c) for c in (-1, 0, 1))
+    for _ in range(300):
+        width, kept, record = rng.choice((2, 4, 8, 20)), [], ([], [])
+        for _ in range(rng.randint(1, 30)):
+            lo = rng.randint(0, width)
+            hi = lo if rng.random() < 0.25 else rng.randint(lo, width)
+            w = SegNode("piece", "N", 0, 0, None, None, lo, hi, rng.random() < 0.3, rng.random() < 0.3)
+            held = any(_holds(h, w) for h in kept)
+            assert _join(*record, w) is not held
+            answers["held"].add(held)
+            if not held:
+                kept.append(w)
+            maximal = [h for h in kept if not any(g is not h and _holds(g, h) for g in kept)]
+            ends = sorted(((h.lo, h.lo_open), (h.hi, not h.hi_open)) for h in maximal)
+            assert list(zip(*record)) == ends
+            assert record[1] == sorted(record[1])
+            runs = _runs(kept)
+            for c in (Fraction(i, 2) for i in range(-1, 2 * width + 2)):
+                inside = any(lo < c < hi for lo, hi in runs)
+                assert _inside(*record, c) is inside, (c, runs, ends)
+                answers["inside"].add(inside)
+    assert answers == {"held": {False, True}, "inside": {False, True}}
 
 
 def _kinds(node):
