@@ -195,7 +195,7 @@ def _fast_plan_phases(scene):
     t2 = clock()
     StopOracle(sc.edges)
     t3 = clock()
-    CornerWeightedVertices({p for e in sc.edges for p in e.endpoints})
+    CornerWeightedVertices(sc.verts)
     t4 = clock()
     eng = _FastEngine(scene)
     t5 = clock()
@@ -305,8 +305,8 @@ def _cmd_bench(args) -> int:
         out["sizes"].append(
             {
                 "n": n,
-                "vertices": len(eng.verts),
-                "arrival": str(eng.sc.time_out(eng.labels[eng.dest][0])),
+                "vertices": len(eng.sc.verts),
+                "arrival": str(eng.sc.time_out(eng.labels[eng.dest].time)),
                 # whether the plan paid for the vertex index, which the
                 # engine builds at its first use (engine._Engine._vertex_index)
                 "vertex_index_built": eng.drm is not None,
@@ -315,7 +315,7 @@ def _cmd_bench(args) -> int:
                 # a plan that must wait, so that its sweep shows: every
                 # bench_scene plan ends at its L1 bound
                 "walled": {
-                    "arrival": str(walled_eng.sc.time_out(walled_eng.labels[walled_eng.dest][0])),
+                    "arrival": str(walled_eng.sc.time_out(walled_eng.labels[walled_eng.dest].time)),
                     **walled,
                     "counters": dataclasses.asdict(walled_eng.stats),
                 },

@@ -28,12 +28,12 @@ Events of equal key and rank pop in push order.
 Early exit.  No route reaches the destination before the source's L1 distance,
 so a plan settles it at its first claim at that bound: settles of one key pop
 in (rank, seq) order and later claims get higher seqs, so the queue would too.
-Nothing runs after that claim: a root pop that makes it returns at once, as
-the loop returns at its next pop in any case and no later claim could
-settle.  A whole-box run has no exit and never takes that return.  The
-vertex index is built at its first use (_Engine._vertex_index), so a plan
-whose destination the first popped root claims at the bound never builds
-one.
+Nothing runs after that claim: a root's first pop (_Engine._first_pop, one
+for both engines) returns at once when it makes it, as the loop returns at
+its next pop in any case and no later claim could settle.  A whole-box run
+has no exit and never takes that return.  The vertex index is built at its
+first use (_Engine._vertex_index), so a plan whose destination the first
+popped root claims at the bound never builds one.
 
 The queue is Dial's bucket queue for integer keys: a small heap of
 (rank, seq, item) per distinct key plus one heap of the keys, so events pop
@@ -166,9 +166,10 @@ class _Engine:
         self.bbox = self.sc.bbox
         self.source = self.sc.source
         self.dest = self.sc.dest
-        self.verts = {p for e in self.edges for p in e.endpoints}
         self.drm: Optional[CornerWeightedVertices] = None  # see _vertex_index
-        self.labels: Dict[Tuple[int, int], Tuple[int, SrcNode]] = {}
+        # point -> its label's node: node.time is the label, the node its
+        # provenance
+        self.labels: Dict[Tuple[int, int], SrcNode] = {}
         # the bucket queue: key -> heap of (rank, seq, item); heap of keys
         self.buckets: Dict[int, List] = {}
         self.keys: List[int] = []
@@ -192,8 +193,8 @@ class _Engine:
         vertex: left live, a lineage holding it would claim it again at
         every pop, forever."""
         if self.drm is None:
-            self.drm = CornerWeightedVertices(self.verts)
-            if self.source in self.verts:
+            self.drm = CornerWeightedVertices(self.sc.verts)
+            if self.source in self.sc.verts:
                 self.drm.remove(self.source)
         return self.drm
 
@@ -213,7 +214,7 @@ class _Engine:
         if p in self.labels:
             return
         if t <= self.exit_at and p == self.dest:
-            self.labels[p] = (t, SrcNode("vertex", p, t, parent))
+            self.labels[p] = SrcNode("vertex", p, t, parent)
             return
         self._push(t, _RANK_SETTLE, ("settle", p, parent))
 
@@ -288,18 +289,25 @@ class _Engine:
 
     # -- propagation ---------------------------------------------------------
 
-    def _do_point(self, w: PointWavelet):
-        """A root's only pop: it claims every live vertex of its region, and
-        the destination if the region holds it, at its own arrival there.
-        A claim that takes the plan's exit ends the pop."""
+    def _first_pop(self, w: PointWavelet) -> bool:
+        """What a root's first pop does in both engines: record the root for
+        the map and claim the destination if its region holds it, at the
+        root's arrival there; whether that claim took the plan's exit, after
+        which nothing could settle."""
         if self.trace is not None:
             self.trace.append((w.rect, w.dir, w.src))
         xlo, xhi, ylo, yhi = w.rect
         dx, dy = self.dest
         if xlo <= dx <= xhi and ylo <= dy <= yhi:
             self._claim(self.dest, _arrival(w, self.dest), w.src)
-            if self.exit_at >= 0 and self.dest in self.labels:
-                return
+            return self.exit_at >= 0 and self.dest in self.labels
+        return False
+
+    def _do_point(self, w: PointWavelet):
+        """A root's only pop: after its first pop's claims it claims every
+        live vertex of its region at its own arrival there."""
+        if self._first_pop(w):
+            return
         for v in (self.drm or self._vertex_index()).report(w.rect):
             self._claim(v, _arrival(w, v), w.src)
 
@@ -356,11 +364,11 @@ class _Engine:
 
     def run(self, stop_at_dest: bool = True):
         self.exit_at = l1_distance(self.source, self.dest) if stop_at_dest else -1
-        self.labels[self.source] = (0, SrcNode("start", self.source, 0))
+        self.labels[self.source] = start = SrcNode("start", self.source, 0)
         if self.source == self.dest and stop_at_dest:
             return
-        self._spawn_arrangement(self.source, 0, self.labels[self.source][1])
-        buckets, keys, labels, dest = self.buckets, self.keys, self.labels, self.dest
+        self._spawn_arrangement(self.source, 0, start)
+        buckets, keys, labels, dest, verts = self.buckets, self.keys, self.labels, self.dest, self.sc.verts
         last_key = None
         while keys:
             key = heapq.heappop(keys)
@@ -379,9 +387,8 @@ class _Engine:
                     _, p, parent = item
                     if p in labels:
                         continue
-                    node = SrcNode("vertex", p, key, parent)
-                    labels[p] = (key, node)
-                    if p not in self.verts:
+                    labels[p] = node = SrcNode("vertex", p, key, parent)
+                    if p not in verts:
                         continue  # a destination off every edge spawns nothing
                     (self.drm or self._vertex_index()).remove(p)
                     self._spawn_arrangement(p, key, node)
@@ -401,7 +408,7 @@ def run_plan(eng) -> PlanResult:
     from .pathrec import build_path
 
     eng.run(stop_at_dest=True)
-    return PlanResult(eng.sc.time_out(eng.labels[eng.dest][0]), build_path(eng), eng.stats)
+    return PlanResult(eng.sc.time_out(eng.labels[eng.dest].time), build_path(eng), eng.stats)
 
 
 def naive_plan(scene: Scene) -> PlanResult:

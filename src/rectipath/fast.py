@@ -20,13 +20,14 @@ it.  Roots are ranked by (c, spawn order), a total order (PointWavelet.rank).
 
 Lineages.  A root is queued once at its spawn, unless it is dominated there
 (below), and, after each vertex it claims, once more at that claim's
-arrival.  Its first pop records it for the map, claims the destination if
-the region holds it, and fills the lineage's bitset with the region's
-vertices (CornerWeightedVertices.region), its own vertex left out: a start
-or vertex root sits at the source corner of its region, on a vertex settled
-with its point's own label node.  A wait root's point keeps its bit: it is
-a vertex only when a fan ends on an edge endpoint, which may still be live
-there.  The corner's order of the bitset is the root's arrival order, so
+arrival.  Its first pop (_Engine._first_pop, as in the plain engine) records
+it for the map and claims the destination if the region holds it; then it
+fills the lineage's bitset with the region's vertices
+(CornerWeightedVertices.region), its own vertex left out: a start or vertex
+root sits at the source corner of its region, on a vertex settled with its
+point's own label node.  A wait root's point keeps its bit: it is a vertex
+only when a fan ends on an edge endpoint, which may still be live there.
+The corner's order of the bitset is the root's arrival order, so
 each pop picks the first vertex of any kind p and the first live one v,
 claims v at the root's arrival there, keeps the bits at or after v (the
 ones before it are settled already), and requeues the lineage at v's
@@ -244,14 +245,8 @@ class _FastEngine(_Engine):
         corner, registry = _NEAREST_CORNER[w.dir], self.registry[w.dir]
         bits = self.lineages.pop(w, None)
         if bits is None:
-            if self.trace is not None:
-                self.trace.append((w.rect, w.dir, w.src))
-            xlo, xhi, ylo, yhi = w.rect
-            dx, dy = self.dest
-            if xlo <= dx <= xhi and ylo <= dy <= yhi:
-                self._claim(self.dest, _arrival(w, self.dest), w.src)
-                if self.exit_at >= 0 and self.dest in self.labels:
-                    return  # the plan's exit: nothing after it could settle
+            if self._first_pop(w):
+                return  # the plan's exit: nothing after it could settle
             bits = (self.drm or self._vertex_index()).region(
                 w.rect, corner, None if w.src.kind == "wait" else w.src.point
             )

@@ -500,6 +500,7 @@ class ScaledScene:
                 ys += lo, hi
         pad = s
         self.bbox = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
+        self.verts = {p for e in edges for p in e.endpoints}  # the scene's vertices
 
     # -- mapping back to scene units ------------------------------------
 

@@ -86,7 +86,7 @@ class WitnessError(RuntimeError):
 
 def build_path(engine) -> TimedPath:
     """The witness of the destination's label: its node's chain, replayed."""
-    return _timed_path(engine.sc, _from_source(engine.stop, engine.labels[engine.dest][1]))
+    return _timed_path(engine.sc, _from_source(engine.stop, engine.labels[engine.dest]))
 
 
 def _timed_path(sc, tris) -> TimedPath:

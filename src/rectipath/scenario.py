@@ -126,16 +126,22 @@ def dumps_scene(scene: Scene) -> str:
 
 
 def loads_scene(text: str) -> Scene:
+    # json.loads recurses once per nesting level, and raises ValueError, not
+    # JSONDecodeError, on an integer too long to convert
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"not valid JSON: {exc}") from exc
     return scene_from_dict(doc)
 
 
 def load_scene(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_scene(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"not UTF-8 text: {exc}") from exc
+    return loads_scene(text)
 
 
 def dump_scene(scene: Scene, path) -> None:

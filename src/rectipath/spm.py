@@ -293,7 +293,7 @@ def _rows(doc, name) -> list:
     return rows
 
 
-def _node(kind, f, parent, sc, verts):
+def _node(kind, f, parent, sc):
     """The node of one row: its time, or its line and key, derived from the
     scene and the parent, and what the row chose checked against both."""
     if kind == "start":
@@ -306,7 +306,7 @@ def _node(kind, f, parent, sc, verts):
         return SrcNode(kind, p, e.td, parent, f["host"])
     if kind == "vertex":
         p = tuple(f["point"])
-        if p not in verts:
+        if p not in sc.verts:
             raise MapFormatError("vertex %r is not a scene vertex" % (p,))
         if isinstance(parent, SrcNode):
             return SrcNode(kind, p, parent.time + abs(p[0] - parent.point[0]) + abs(p[1] - parent.point[1]), parent)
@@ -353,7 +353,6 @@ def _spm_from_dict(doc) -> ShortestPathMap:
     _check_version(doc)
     scene = scene_from_dict(doc.get("scene"))
     sc = ScaledScene(scene)
-    verts = {p for e in sc.edges for p in e.endpoints}
     n_edges = len(sc.edges)
     checks = {
         "point": lambda v: _ints(v, 2),
@@ -374,7 +373,7 @@ def _spm_from_dict(doc) -> ShortestPathMap:
             parent = _ref(row, "parent", nodes, want, where)
         f = {name: _field(row, name, checks[name], where) for name in names}
         try:
-            nodes.append(_node(kind, f, parent, sc, verts))
+            nodes.append(_node(kind, f, parent, sc))
         except MapFormatError as exc:
             raise MapFormatError("%s: %s" % (where, exc)) from None
     cells = [_cell(row, nodes, "cell %d" % i) for i, row in enumerate(_rows(doc, "cells"))]
@@ -409,7 +408,7 @@ def load_spm(path) -> ShortestPathMap:
         data = fh.read()
     try:
         doc = json.loads(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise MapFormatError(str(exc)) from exc
     _check_version(doc)
     _check_digest(data)

@@ -14,6 +14,7 @@ from rectipath.scenario import (
     canonical_scene,
     dump_scene,
     dumps_scene,
+    load_scene,
     loads_scene,
 )
 from rectipath.spm import build_spm, load_spm
@@ -234,3 +235,13 @@ def test_bad_scenario_exits_1(tmp_path, capsys):
     assert cli.main(["plan", str(f)]) == 1
     assert cli.main(["plan", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+    # files the JSON decoder itself chokes on: nesting deeper than its
+    # recursion allows, a byte that is no UTF-8, an integer too long to
+    # convert
+    for data in (b"[" * 100000 + b"]" * 100000, b'{"vmax": "\xff"}', b'{"vmax": ' + b"1" * 5000 + b"}"):
+        f.write_bytes(data)
+        with pytest.raises(ScenarioError):
+            load_scene(f)
+        assert cli.main(["plan", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -26,7 +26,7 @@ def _ladder_scenes():
 def _whole_box_labels(engine_cls, scene):
     eng = engine_cls(scene)
     eng.run(stop_at_dest=False)
-    return {p: t for p, (t, _node) in eng.labels.items()}
+    return {p: node.time for p, node in eng.labels.items()}
 
 
 def _check_labels(scene, what):

@@ -223,7 +223,7 @@ def test_whole_box_labels_with_terminals_on_edge_endpoints():
         for engine_cls in (_FastEngine, _Engine):
             eng = engine_cls(scene)
             eng.run(stop_at_dest=False)
-            labels.append({p: t for p, (t, _node) in eng.labels.items()})
+            labels.append({p: node.time for p, node in eng.labels.items()})
         assert labels[0] == labels[1], (seed, which)
         res = fast_plan(scene)
         assert res.arrival == eng.sc.time_out(labels[1][eng.dest]), (seed, which)
@@ -250,8 +250,8 @@ def _plan_and_whole_box(engine_cls, scene):
 def _check_exit(plan, whole, what):
     """The plan's destination label, its provenance and its witness are the
     whole-box run's."""
-    (t, node), (t_whole, node_whole) = plan.labels[plan.dest], whole.labels[whole.dest]
-    assert (t, _chain(node)) == (t_whole, _chain(node_whole)), what
+    node, node_whole = plan.labels[plan.dest], whole.labels[whole.dest]
+    assert (node.time, _chain(node)) == (node_whole.time, _chain(node_whole)), what
     assert build_path(plan).waypoints == build_path(whole).waypoints, what
 
 
@@ -266,7 +266,7 @@ def test_plans_at_the_lower_bound_equal_the_whole_box_run():
     for engine_cls in (_FastEngine, _Engine):
         for what in scenes:
             plan, whole = _plan_and_whole_box(engine_cls, what[-1])
-            if plan.labels[plan.dest][0] == l1_distance(plan.source, plan.dest):
+            if plan.labels[plan.dest].time == l1_distance(plan.source, plan.dest):
                 _check_exit(plan, whole, (engine_cls.__name__,) + what[:3])
                 assert plan.stats.point_wavelets <= whole.stats.point_wavelets, what[:3]
                 at_bound += 1
@@ -299,8 +299,8 @@ def test_a_plan_that_exits_at_its_first_root_builds_no_vertex_index():
         for engine_cls in (_FastEngine, _Engine):
             eng = engine_cls(scene)
             res = run_plan(eng)
-            t, node = eng.labels[eng.dest]
-            assert t == l1_distance(eng.source, eng.dest) and node.parent.kind == "start"
+            node = eng.labels[eng.dest]
+            assert node.time == l1_distance(eng.source, eng.dest) and node.parent.kind == "start"
             assert not _index_built(eng), engine_cls.__name__
             assert (res.arrival, res.path) == (want.arrival, want.path), engine_cls.__name__
             assert res.stats.point_wavelets == 4
@@ -341,13 +341,13 @@ def test_runs_that_use_the_vertex_index_build_it_and_keep_their_labels():
                 assert _index_built(lazy), where
                 sx, sy = lazy.source
                 assert lazy.drm.report((sx, sx, sy, sy)) == [], where
-                assert {p: t for p, (t, _n) in lazy.labels.items()} == {p: t for p, (t, _n) in eager.labels.items()}, where
+                assert {p: n.time for p, n in lazy.labels.items()} == {p: n.time for p, n in eager.labels.items()}, where
                 assert lazy.stats == eager.stats, where
                 if stop_at_dest:
                     assert build_path(lazy).waypoints == build_path(eager).waypoints, where
                 if what == "above the bound":
-                    assert lazy.labels[lazy.dest][0] > l1_distance(lazy.source, lazy.dest), where
-    assert on_endpoint and all(sc.source in _Engine(sc).verts for sc in on_endpoint)
+                    assert lazy.labels[lazy.dest].time > l1_distance(lazy.source, lazy.dest), where
+    assert on_endpoint and all(sc.source in _Engine(sc).sc.verts for sc in on_endpoint)
 
 
 class _DestClaims(_FastEngine):
@@ -372,7 +372,7 @@ def test_exit_after_a_first_claim_above_the_bound():
     plan = _DestClaims(scene)
     plan.run(stop_at_dest=True)
     bound = l1_distance(plan.source, plan.dest)
-    assert plan.dest_claims[0] > bound == plan.dest_claims[-1] == plan.labels[plan.dest][0]
+    assert plan.dest_claims[0] > bound == plan.dest_claims[-1] == plan.labels[plan.dest].time
     for engine_cls in (_FastEngine, _Engine):
         _check_exit(*_plan_and_whole_box(engine_cls, scene), engine_cls.__name__)
     res = fast_plan(scene)
@@ -387,8 +387,8 @@ def test_exit_at_a_destination_on_an_edge_endpoint():
     _, _, scene = next(s for s in endpoint_terminal_scenes([1]) if s[1] == "dest")
     for engine_cls in (_FastEngine, _Engine):
         plan, whole = _plan_and_whole_box(engine_cls, scene)
-        assert plan.dest in plan.verts
-        assert plan.labels[plan.dest][0] == l1_distance(plan.source, plan.dest)
+        assert plan.dest in plan.sc.verts
+        assert plan.labels[plan.dest].time == l1_distance(plan.source, plan.dest)
         assert plan.stats.point_wavelets < whole.stats.point_wavelets
         _check_exit(plan, whole, engine_cls.__name__)
     res = fast_plan(scene)
@@ -451,7 +451,7 @@ def test_cut_masks_are_built_once_and_change_no_event(monkeypatch):
         assert [(w.dir, w.rank, w.rect) for w in eng.roots] == [(w.dir, w.rank, w.rect) for w in fresh.roots]
         assert eng.pushes == fresh.pushes
         assert eng.stats == fresh.stats
-        assert {p: t for p, (t, _node) in eng.labels.items()} == {p: t for p, (t, _node) in fresh.labels.items()}
+        assert {p: n.time for p, n in eng.labels.items()} == {p: n.time for p, n in fresh.labels.items()}
 
 
 def test_each_cap_edge_is_asked_once_per_spawn():
@@ -568,7 +568,7 @@ def test_dropped_flat_fronts_change_no_answer():
         for engine_cls in (_FastEngine, _EveryFront):
             eng = engine_cls(scene)
             eng.run(stop_at_dest=False)
-            labels.append({p: (t, _kinds(node)) for p, (t, node) in eng.labels.items()})
+            labels.append({p: (node.time, _kinds(node)) for p, node in eng.labels.items()})
         assert labels[0] == labels[1]
     scene = bench_scene(1, 200)
     m = build_spm(scene)
@@ -607,7 +607,7 @@ def test_refused_fans_change_no_answer():
         for engine_cls in (_FastEngine, _EveryFan):
             eng = engine_cls(scene)
             eng.run(stop_at_dest=False)
-            labels.append({p: t for p, (t, _node) in eng.labels.items()})
+            labels.append({p: node.time for p, node in eng.labels.items()})
         assert labels[0] == labels[1]
     scene = bench_scene(1, 200)
     m = build_spm(scene)

@@ -331,7 +331,8 @@ def test_scaled_scene_integer_identity():
 
 def _all_fraction_scaling(scene):
     """ScaledScene's figures with every coordinate, time and vmax taken
-    through Fraction: (source, dest, edges, bbox, time_scale, coord_scale)."""
+    through Fraction: (source, dest, edges, bbox, time_scale, coord_scale,
+    verts), verts the set of scaled edge endpoints."""
     vm = Fraction(scene.vmax)
     vals = [*scene.source, *scene.dest] + [c for e in scene.edges for c in (*e.p1, *e.p2)]
     tvals = [Fraction(t) * vm for e in scene.edges for t in (e.appear, e.disappear)]
@@ -351,7 +352,8 @@ def _all_fraction_scaling(scene):
     pts = [(cx(x), cx(y)) for x, y in [scene.source, scene.dest]] + [p for e in edges for p in e.endpoints]
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
     bbox = (min(xs) - s, max(xs) + s, min(ys) - s, max(ys) + s)
-    return (cx(scene.source[0]), cx(scene.source[1])), (cx(scene.dest[0]), cx(scene.dest[1])), edges, bbox, ts, s
+    verts = {(cx(x), cx(y)) for e in scene.edges for x, y in (e.p1, e.p2)}
+    return (cx(scene.source[0]), cx(scene.source[1])), (cx(scene.dest[0]), cx(scene.dest[1])), edges, bbox, ts, s, verts
 
 
 def _rescaled(scene, coord=1, time=1, vmax=None):
@@ -394,7 +396,7 @@ def test_scaled_scene_equals_the_all_fraction_scaling(coord, time, vmax):
         sc = _rescaled(random_scene(seed, 12), coord, time, vmax)
         ss = ScaledScene(sc)
         want = _all_fraction_scaling(sc)
-        assert (ss.source, ss.dest, ss.edges, ss.bbox, ss.time_scale, ss.coord_scale) == want
+        assert (ss.source, ss.dest, ss.edges, ss.bbox, ss.time_scale, ss.coord_scale, ss.verts) == want
         scaled = [*ss.source, *ss.dest, *ss.bbox] + [
             v for e in ss.edges for v in (e.line, e.lo, e.hi, e.ta, e.td)
         ]
@@ -404,8 +406,9 @@ def test_scaled_scene_equals_the_all_fraction_scaling(coord, time, vmax):
 def test_scaled_scene_equals_the_all_fraction_scaling_with_endpoints_either_way():
     # ScaledScene reads each edge's endpoints once, scales them and orders
     # the span after scaling; with half the edges given high endpoint
-    # first, on integer, fractional and float scenes, its edges, box and
-    # scales are the all-Fraction figures of the edge's own span.
+    # first, on integer, fractional and float scenes, its edges, box,
+    # scales and vertex set are the all-Fraction figures of the edge's own
+    # span.
     scalings = [(1, 1, 1), (1, 1, 3), (Fraction(1, 2), Fraction(1, 3), 2), (0.25, 0.1, 1.5), (0.7, 1, Fraction(2, 7))]
     for seed in range(1, 41):
         rng = random.Random(seed)
@@ -415,7 +418,8 @@ def test_scaled_scene_equals_the_all_fraction_scaling_with_endpoints_either_way(
         )
         sc = Scene(edges=edges, vmax=base.vmax, source=base.source, dest=base.dest)
         ss = ScaledScene(sc)
-        assert (ss.source, ss.dest, ss.edges, ss.bbox, ss.time_scale, ss.coord_scale) == _all_fraction_scaling(sc)
+        got = (ss.source, ss.dest, ss.edges, ss.bbox, ss.time_scale, ss.coord_scale, ss.verts)
+        assert got == _all_fraction_scaling(sc)
         assert all(e.lo < e.hi for e in ss.edges), seed
 
 

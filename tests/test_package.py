@@ -27,3 +27,38 @@ def test_import_loads_only_the_standard_library():
     tops = {m.partition(".")[0] for m in out} - {"__main__", "rectipath"}
     foreign = sorted(tops - sys.stdlib_module_names)
     assert foreign == []
+
+
+_INSTALL_TRACER = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import rectipath
+from tracer import _PATCHES, Tracer
+Tracer().install(rectipath)
+for owner_path, attrs, _namer, _after in _PATCHES:
+    mod, _, cls = owner_path.partition(".")
+    owner = rectipath if mod == "rp" else sys.modules["rectipath." + mod]
+    owner = getattr(owner, cls) if cls else owner
+    for attr in attrs:
+        fn = owner.__dict__[attr] if cls else getattr(owner, attr)
+        print(owner_path, attr, fn.__qualname__)
+"""
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # perfbench/tracer.py wraps library functions, methods and class-dict
+    # entries by name at install; a rename or a removal breaks it there.
+    # -B keeps the interpreter from writing bytecode under perfbench/.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rectipath.__file__)))
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", _INSTALL_TRACER, src, perfbench],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    wrapped = {tuple(line.split()[:2]) for line in out}
+    assert all(line.split()[2] == "Tracer.wrap.<locals>.traced" for line in out), out
+    for name in ("insert", "neighbors", "extract_range", "absorb"):
+        assert ("treap.RootSourceTree", name) in wrapped
+    assert ("fast._FastEngine", "__init__") in wrapped

@@ -128,7 +128,7 @@ def test_map_at_every_vertex_of_two_ladders_equals_the_naive_label():
         scene = _ladder_scenes()["ladder_scene"](rectipath, seed)
         eng = _Engine(scene)
         eng.run(stop_at_dest=False)
-        want = {eng.sc.point_out(p): eng.sc.time_out(t) for p, (t, _node) in eng.labels.items()}
+        want = {eng.sc.point_out(p): eng.sc.time_out(node.time) for p, node in eng.labels.items()}
         m = build_spm(scene)
         verts = sorted({p for e in scene.edges for p in (e.p1, e.p2)})
         assert [m.arrival(v) for v in verts] == [want[v] for v in verts], seed
@@ -253,6 +253,13 @@ def test_load_rejects_other_files(tmp_path):
     f.write_text("{not json")
     with pytest.raises(MapFormatError):
         load_spm(f)
+    # files the JSON decoder itself chokes on: nesting deeper than its
+    # recursion allows, a byte that is no UTF-8, an integer too long to
+    # convert
+    for data in (b"[" * 100000 + b"]" * 100000, b'{"format": "\xff"}', b'{"version": ' + b"1" * 5000 + b"}"):
+        f.write_bytes(data)
+        with pytest.raises(MapFormatError):
+            load_spm(f)
 
 
 def _resigned(f, doc):

@@ -52,7 +52,7 @@ def _initial_wavelets(scene):
     # queued, and those roots
     eng = _Engine(scene)
     root = SrcNode("start", eng.source, 0)
-    eng.labels[eng.source] = (0, root)
+    eng.labels[eng.source] = root
     return eng, eng._spawn_arrangement(eng.source, 0, root)
 
 
@@ -114,7 +114,7 @@ def test_root_claims_every_live_vertex_of_its_region_at_its_pop():
 
 def test_accessible_part_spawns_flat_front_and_endpoint_fans():
     eng, (ne, *_) = _initial_wavelets(canonical_scene("S1"))
-    root = eng.labels[eng.source][1]
+    root = eng.labels[eng.source]
     # queued with the roots: one flat front per capped root, waiting out the
     # cap from its disappearance, and one wait fan per distinct piece end
     flats = [item[1] for _, item in _heap_items(eng, "sw")]
@@ -193,8 +193,8 @@ def test_settled_labels_match_reference_arrivals():
         verts = sorted({p for e in scene.edges for p in (e.p1, e.p2)})
         want = oracle_arrivals(scene, verts)
         for p, w in zip(verts, want):
-            assert eng.sc.time_out(eng.labels[p][0]) == w, (seed, p)
-        assert eng.sc.time_out(eng.labels[eng.sc.dest][0]) == oracle_arrivals(scene, [scene.dest])[0]
+            assert eng.sc.time_out(eng.labels[p].time) == w, (seed, p)
+        assert eng.sc.time_out(eng.labels[eng.sc.dest].time) == oracle_arrivals(scene, [scene.dest])[0]
 
 
 def test_fuzz_matches_reference_and_paths_validate():
