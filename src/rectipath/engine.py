@@ -36,11 +36,14 @@ first use (_Engine._vertex_index), so a plan whose destination the first
 popped root claims at the bound never builds one.
 
 The queue is Dial's bucket queue for integer keys: a small heap of
-(rank, seq, item) per distinct key plus one heap of the keys, so events pop
-in the (key, rank, seq) order of one heap of them all while each heap
+(rank, seq, payload) per distinct key plus one heap of the keys, so events
+pop in the (key, rank, seq) order of one heap of them all while each heap
 operation works on one key's events only.  A bucket is drained in place and
 dropped only when a dispatch leaves it empty, so an event pushed at the key
-being drained joins the live bucket in that order.
+being drained joins the live bucket in that order.  An event's kind is its
+rank, and run dispatches on it: a settle's payload is the claimed point and
+its claimant's node, a root's the PointWavelet and a flat front's the
+SegNode themselves, and a wait fan's its point, edge and parent node.
 """
 
 from __future__ import annotations
@@ -52,10 +55,7 @@ from typing import Dict, List, Optional, Tuple
 from .geometry import Scene, ScaledScene, TimedPath, l1_distance
 from .rangeindex import CornerWeightedVertices
 from .scenario import check_scene
-from .stopindex import _DIR_INFO, StopOracle
-
-DIAGS = ("NE", "NW", "SE", "SW")
-_DIAG_SIGNS = {"NE": (1, 1), "NW": (-1, 1), "SE": (1, -1), "SW": (-1, -1)}
+from .stopindex import _DIR_INFO, _GRADS, DIAGS, DIRS, StopOracle
 
 _RANK_SETTLE, _RANK_SEGMENT, _RANK_POINT, _RANK_FAN = 0, 1, 2, 3
 
@@ -154,7 +154,7 @@ class PointWavelet:
 
 def _arrival(root: PointWavelet, p) -> int:
     """The arrival of root's front at p, c + sx * x + sy * y."""
-    sx, sy = _DIAG_SIGNS[root.dir]
+    sx, sy = _GRADS[root.dir]
     return root.rank[0] + sx * p[0] + sy * p[1]
 
 
@@ -170,7 +170,7 @@ class _Engine:
         # point -> its label's node: node.time is the label, the node its
         # provenance
         self.labels: Dict[Tuple[int, int], SrcNode] = {}
-        # the bucket queue: key -> heap of (rank, seq, item); heap of keys
+        # the bucket queue: key -> heap of (rank, seq, payload); heap of keys
         self.buckets: Dict[int, List] = {}
         self.keys: List[int] = []
         self.seq = 0
@@ -200,14 +200,14 @@ class _Engine:
 
     # -- queue ------------------------------------------------------------
 
-    def _push(self, key, rank, item):
+    def _push(self, key, rank, payload):
         self.seq += 1
         bucket = self.buckets.get(key)
         if bucket is None:
-            self.buckets[key] = [(rank, self.seq, item)]
+            self.buckets[key] = [(rank, self.seq, payload)]
             heapq.heappush(self.keys, key)
         else:
-            heapq.heappush(bucket, (rank, self.seq, item))
+            heapq.heappush(bucket, (rank, self.seq, payload))
 
     def _claim(self, p, t, parent):
         """Offer p at time t; parent is the claiming wavelet's node."""
@@ -216,7 +216,7 @@ class _Engine:
         if t <= self.exit_at and p == self.dest:
             self.labels[p] = SrcNode("vertex", p, t, parent)
             return
-        self._push(t, _RANK_SETTLE, ("settle", p, parent))
+        self._push(t, _RANK_SETTLE, (p, parent))
 
     # -- wavelet creation ---------------------------------------------------
 
@@ -228,15 +228,15 @@ class _Engine:
         stop caps."""
         stop = self.stop
         caps = {}  # axis direction -> (stop hit, accessible interval), or None
-        for d in ("N", "S", "E", "W"):
+        for d in DIRS:
             hit = stop.stop_point(p, t, d)
-            caps[d] = None if hit is None else (hit, stop.accessible_on(hit.edge_index, p, t))
+            caps[d] = None if hit is None else (hit, stop.accessible_on(hit))
         xlo, xhi, ylo, yhi = self.bbox
         made = []
         for d in DIAGS:
-            sx, sy = _DIAG_SIGNS[d]
-            hcap = caps["E"] if sx > 0 else caps["W"]
-            vcap = caps["N"] if sy > 0 else caps["S"]
+            sx, sy = _GRADS[d]
+            vd, hd = d  # the root's two axis rays: N or S, then E or W
+            vcap, hcap = caps[vd], caps[hd]
             xcap = hcap[0].point[0] if hcap else (xhi if sx > 0 else xlo)
             ycap = vcap[0].point[1] if vcap else (yhi if sy > 0 else ylo)
             rect = (min(p[0], xcap), max(p[0], xcap), min(p[1], ycap), max(p[1], ycap))
@@ -245,14 +245,14 @@ class _Engine:
             # the push's own seq, consumed whether or not w is queued
             w.rank = (t - sx * p[0] - sy * p[1], self.seq + 1)
             if self._admit(p, w):
-                self._push(t, _RANK_POINT, ("pw", w))
+                self._push(t, _RANK_POINT, w)
             else:
                 self.seq += 1
             self.stats.point_wavelets += 1
             if vcap:
-                self._cap_pieces(w, vcap, True)
+                self._cap_pieces(w, vd, vcap)
             if hcap:
-                self._cap_pieces(w, hcap, False)
+                self._cap_pieces(w, hd, hcap)
             made.append(w)
         return made
 
@@ -261,31 +261,26 @@ class _Engine:
         every root."""
         return True
 
-    def _cap_pieces(self, w: PointWavelet, cap, vertical_sweep: bool):
+    def _cap_pieces(self, w: PointWavelet, sd: str, cap):
         """Accessible part of a root's cap edge: one flat front waiting out the
         edge, plus wait fans at the piece endpoints.  cap is the stop hit of
-        the root's axis ray and its edge's accessible interval from the root's
-        source.  The cap stops the source's axis ray, so the accessible
-        interval holds the source's cross coordinate, as does the region's
-        side range: the piece is never empty.
+        the root's axis ray toward sd, the piece's direction, and its edge's
+        accessible interval from the root's source.  The cap stops that ray,
+        so the accessible interval holds the source's cross coordinate, as
+        does the region's side range: the piece is never empty.
         """
         hit, (alo, ahi) = cap
         edge_idx = hit.edge_index
         e = self.edges[edge_idx]
-        rlo, rhi = (w.rect[0], w.rect[1]) if vertical_sweep else (w.rect[2], w.rect[3])
+        rlo, rhi = (w.rect[0], w.rect[1]) if e.horizontal else (w.rect[2], w.rect[3])
         alo, ahi = max(alo, rlo), min(ahi, rhi)
-        sx, sy = _DIAG_SIGNS[w.dir]
-        if vertical_sweep:
-            sd = "N" if sy > 0 else "S"
-        else:
-            sd = "E" if sx > 0 else "W"
-        self._push(e.td, _RANK_SEGMENT, ("sw", SegNode("piece", sd, e.line, e.td, w.src, edge_idx, alo, ahi)))
+        self._push(e.td, _RANK_SEGMENT, SegNode("piece", sd, e.line, e.td, w.src, edge_idx, alo, ahi))
         self.stats.segment_wavelets += 1
         for c in ([alo] if alo == ahi else [alo, ahi]):
-            fp = (c, e.line) if vertical_sweep else (e.line, c)
+            fp = (c, e.line) if e.horizontal else (e.line, c)
             if (fp, e.td) not in self.fan_seen:
                 self.fan_seen.add((fp, e.td))
-                self._push(e.td, _RANK_FAN, ("fan", fp, edge_idx, w.src))
+                self._push(e.td, _RANK_FAN, (fp, edge_idx, w.src))
 
     # -- propagation ---------------------------------------------------------
 
@@ -319,11 +314,7 @@ class _Engine:
             e = self.edges[edge_idx]
             reach = e.line
         else:
-            xlo, xhi, ylo, yhi = self.bbox
-            if horizontal:
-                reach = yhi if s > 0 else ylo
-            else:
-                reach = xhi if s > 0 else xlo
+            reach = self.bbox[2 * horizontal + (s > 0)]  # the box side ahead
             tau = w.key + abs(reach - w.line)
         # What the band claims, as one closed integer rectangle: its span
         # without the open ends, and its reach without the front's own line.
@@ -344,16 +335,26 @@ class _Engine:
             return
         clip_lo, clip_hi = max(w.lo, e.lo), min(w.hi, e.hi)
         succ = SegNode("successor", w.dir, e.line, e.td, w, edge_idx, clip_lo, clip_hi)
-        self._push(e.td, _RANK_SEGMENT, ("sw", succ))
+        self._push(e.td, _RANK_SEGMENT, succ)
         self.stats.segment_wavelets += 1
         if w.lo < clip_lo:
             rn = SegNode("remainder", w.dir, e.line, tau, w, edge_idx, w.lo, clip_lo, w.lo_open, True)
-            self._push(tau, _RANK_SEGMENT, ("sw", rn))
+            self._push(tau, _RANK_SEGMENT, rn)
             self.stats.segment_wavelets += 1
         if clip_hi < w.hi:
             rn = SegNode("remainder", w.dir, e.line, tau, w, edge_idx, clip_hi, w.hi, True, w.hi_open)
-            self._push(tau, _RANK_SEGMENT, ("sw", rn))
+            self._push(tau, _RANK_SEGMENT, rn)
             self.stats.segment_wavelets += 1
+
+    def _do_settle(self, key, p, parent):
+        """A claim's pop: p settles at key unless it already has; a vertex spawns its roots."""
+        if p in self.labels:
+            return
+        self.labels[p] = node = SrcNode("vertex", p, key, parent)
+        if p not in self.sc.verts:
+            return  # a destination off every edge spawns nothing
+        (self.drm or self._vertex_index()).remove(p)
+        self._spawn_arrangement(p, key, node)
 
     def _do_fan(self, key, fp, edge_idx, parent):
         """The wait arrangement at fp on edge edge_idx, departing at the
@@ -368,7 +369,7 @@ class _Engine:
         if self.source == self.dest and stop_at_dest:
             return
         self._spawn_arrangement(self.source, 0, start)
-        buckets, keys, labels, dest, verts = self.buckets, self.keys, self.labels, self.dest, self.sc.verts
+        buckets, keys, labels, dest = self.buckets, self.keys, self.labels, self.dest
         last_key = None
         while keys:
             key = heapq.heappop(keys)
@@ -381,23 +382,15 @@ class _Engine:
             while bucket:
                 if stop_at_dest and dest in labels:
                     return
-                item = heapq.heappop(bucket)[2]
-                kind = item[0]
-                if kind == "settle":
-                    _, p, parent = item
-                    if p in labels:
-                        continue
-                    labels[p] = node = SrcNode("vertex", p, key, parent)
-                    if p not in verts:
-                        continue  # a destination off every edge spawns nothing
-                    (self.drm or self._vertex_index()).remove(p)
-                    self._spawn_arrangement(p, key, node)
-                elif kind == "pw":
-                    self._do_point(item[1])
-                elif kind == "sw":
-                    self._do_segment(item[1])
-                else:  # "fan"
-                    self._do_fan(key, *item[1:])
+                rank, _, payload = heapq.heappop(bucket)
+                if rank == _RANK_SETTLE:
+                    self._do_settle(key, *payload)
+                elif rank == _RANK_POINT:
+                    self._do_point(payload)
+                elif rank == _RANK_SEGMENT:
+                    self._do_segment(payload)
+                else:  # _RANK_FAN
+                    self._do_fan(key, *payload)
             del buckets[key]
         if stop_at_dest and dest not in labels:
             raise AssertionError("queue exhausted before the destination settled")

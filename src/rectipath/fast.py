@@ -280,7 +280,7 @@ class _FastEngine(_Engine):
         bits &= drm.suffix(v, corner)
         if drm.live(bits, corner, v):  # v itself settles by tprime
             self.lineages[w] = bits
-            self._push(tprime, _RANK_POINT, ("pw", w))
+            self._push(tprime, _RANK_POINT, w)
             self.stats.point_wavelets += 1
 
     def _do_fan(self, key, fp, edge_idx, parent):

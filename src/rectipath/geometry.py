@@ -468,8 +468,7 @@ class ScaledScene:
         # is no integer
         self._time_div = self.time_scale.numerator if self.time_scale.denominator == 1 else 0
 
-        def cx(v):
-            return v * s if type(v) is int else int(Fraction(v) * s)
+        cx = self.coord_in
 
         def ct(t):
             return t * vm * s if int_vm and type(t) is int else int(Fraction(t) * self.time_scale)
@@ -502,7 +501,14 @@ class ScaledScene:
         self.bbox = (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
         self.verts = {p for e in edges for p in e.endpoints}  # the scene's vertices
 
-    # -- mapping back to scene units ------------------------------------
+    # -- mapping to and from scene units ----------------------------------
+
+    def coord_in(self, v) -> Coord:
+        """A coordinate in scaled units, a Fraction only off the integer grid."""
+        if type(v) is int:
+            return v * self.coord_scale
+        f = Fraction(v) * self.coord_scale
+        return int(f) if f.denominator == 1 else f
 
     # An int that an integer scale divides maps back to the same int by
     # integer division; everything else takes the Fraction formula.

@@ -75,6 +75,7 @@ from typing import List, Optional, Tuple
 
 from .engine import SegNode, SrcNode
 from .geometry import TimedPath, Waypoint
+from .stopindex import _DIR_INFO
 
 Tri = List  # [point, arrive, depart], mutable while building
 
@@ -114,7 +115,7 @@ def _from_source(stop, node) -> List[Tri]:
         if isinstance(node, SrcNode):
             steps.append((node, None, None))
             if isinstance(node.parent, SegNode):  # claimed by a flat front
-                cross, target = node.point if node.parent.dir in ("N", "S") else node.point[::-1]
+                cross, target = node.point if _DIR_INFO[node.parent.dir][1] else node.point[::-1]
         elif node.kind != "remainder":
             steps.append((node, cross, target))
             if node.kind == "successor":  # the parent front reaches its line first
@@ -153,7 +154,7 @@ def _from_flat(stop, node, cross, target_perp) -> List[Tri]:
 
 def _on_line(seg, cross, pv):
     """The point at crossing coordinate cross on seg's perpendicular line pv."""
-    return (cross, pv) if seg.dir in ("N", "S") else (pv, cross)
+    return (cross, pv) if _DIR_INFO[seg.dir][1] else (pv, cross)
 
 
 def _staircase(stop, tris, target, host=None):
@@ -176,10 +177,9 @@ def _staircase(stop, tris, target, host=None):
 
 
 def _emit(tris, corners, t):
+    """Append a route's corners, which never repeat nor hold its start."""
     prev = tris[-1][0]
     for c in corners:
-        if c == prev:
-            continue
         t += abs(c[0] - prev[0]) + abs(c[1] - prev[1])
         tris.append([c, t, t])
         prev = c

@@ -66,9 +66,6 @@ class DeleteMissing(KeyError):
 # AND.  Each big-int operation is word-parallel: CPython's int digits hold
 # 30 bits, so it takes about N / 30 digit steps for N items.
 
-CORNERS = ("SW", "SE", "NW", "NE")
-
-
 def _key_prefixes(keyed) -> Tuple[list, List[int]]:
     """Sorted distinct keys and their prefixes from (key, rank) pairs sorted
     by key: out[j] has the bits of the ranks whose key is at most the j-th
@@ -88,10 +85,8 @@ def _key_prefixes(keyed) -> Tuple[list, List[int]]:
 
 
 def _pick(bits, by_rank, start):
-    """by_rank at the lowest set bit of bits, or None if there is none; with
-    ``start`` given, at the lowest set bit of the highest group instead."""
-    if not bits:
-        return None
+    """by_rank at the lowest set bit of the nonzero bits; with ``start``
+    given, at the lowest set bit of the highest group instead."""
     g = 0 if start is None else start[bits.bit_length() - 1]
     bits >>= g
     return by_rank[(bits & -bits).bit_length() - 1 + g]
@@ -135,20 +130,22 @@ class RectStabber:
             self.keys.append(keys)
             self.prefixes.append(prefixes)
 
+    def _meets(self, xlo, xhi, ylo, yhi) -> int:
+        """Bits of the rectangles meeting the closed box [xlo, xhi] x [ylo, yhi]."""
+        (kxlo, kxhi, kylo, kyhi), (pxlo, pxhi, pylo, pyhi) = self.keys, self.prefixes
+        return (
+            pxlo[bisect_right(kxlo, xhi)]
+            & pxhi[bisect_right(kxhi, -xlo)]
+            & pylo[bisect_right(kylo, yhi)]
+            & pyhi[bisect_right(kyhi, -ylo)]
+        )
+
     def query(self, q: Tuple[int, int], floor=None, b=None) -> Optional[WeightedRect]:
         """Minimum-weight stored rectangle (ties by payload) that meets the
         closed x range [q[0], b] at height q[1], by default the point q;
         with a floor, only rectangles of weight above it count."""
         a, y = q
-        if b is None:
-            b = a
-        (kxlo, kxhi, kylo, kyhi), (pxlo, pxhi, pylo, pyhi) = self.keys, self.prefixes
-        bits = (
-            pxlo[bisect_right(kxlo, b)]
-            & pxhi[bisect_right(kxhi, -a)]
-            & pylo[bisect_right(kylo, y)]
-            & pyhi[bisect_right(kyhi, -y)]
-        )
+        bits = self._meets(a, a if b is None else b, y, y)
         skip = 0 if floor is None else bisect_right(self.weights, floor)
         bits >>= skip
         if not bits:
@@ -163,14 +160,7 @@ class RectStabber:
         n = bisect_left(self.weights, whi) - skip
         if n <= 0:
             return []
-        xlo, xhi, ylo, yhi = box
-        (kxlo, kxhi, kylo, kyhi), (pxlo, pxhi, pylo, pyhi) = self.keys, self.prefixes
-        bits = (
-            pxlo[bisect_right(kxlo, xhi)]
-            & pxhi[bisect_right(kxhi, -xlo)]
-            & pylo[bisect_right(kylo, yhi)]
-            & pyhi[bisect_right(kyhi, -ylo)]
-        ) >> skip & ((1 << n) - 1)
+        bits = self._meets(*box) >> skip & ((1 << n) - 1)
         rects = self.rects
         out = []
         while bits:

@@ -43,7 +43,6 @@ answers exactly like the one that was dumped.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 # CPython's own SHA-256, which hashlib falls back to without OpenSSL: importing
@@ -57,34 +56,20 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .engine import _DIAG_SIGNS, DIAGS, SegNode, SrcNode
+from .engine import SegNode, SrcNode
 from .fast import _FastEngine
 from .geometry import ScaledScene, Scene, TimedPath
 # _from_flat and _staircase are not called here: perfbench's tracer wraps them on this module
 from .pathrec import WitnessError, _from_flat, _from_source, _staircase, _timed_path
 from .rangeindex import RectStabber, WeightedRect
 from .scenario import scene_from_dict, scene_to_dict
-from .stopindex import _DIR_INFO, StopOracle
+from .stopindex import _DIR_INFO, _GRADS, DIAGS, DIRS, StopOracle
 
 _FORMAT = "rectipath-spm"
 _VERSION = 4
 # a map file ends with its digest field: _DIGEST_KEY, 64 hex digits, _DIGEST_END
 _DIGEST_KEY = b',"sha256":"'
 _DIGEST_END = b'"}\n'
-
-# class index -> value gradient; cones first so they win boundary ties
-# against the flats that depart from those same boundary lines
-_CLASSES = ("NE", "NW", "SE", "SW", "N", "S", "E", "W")
-_GRADS = {
-    "NE": (1, 1),
-    "NW": (-1, 1),
-    "SE": (1, -1),
-    "SW": (-1, -1),
-    "N": (0, 1),
-    "S": (0, -1),
-    "E": (1, 0),
-    "W": (-1, 0),
-}
 
 
 class OutsideBoundingBox(ValueError):
@@ -132,12 +117,7 @@ class ShortestPathMap:
     # -- queries ----------------------------------------------------------
 
     def _scale_in(self, q):
-        # an int scales to an int; anything else through Fraction
-        s = self.sc.coord_scale
-        x = q[0] * s if type(q[0]) is int else Fraction(q[0]) * s
-        y = q[1] * s if type(q[1]) is int else Fraction(q[1]) * s
-        x = x if type(x) is int or x.denominator != 1 else int(x)
-        y = y if type(y) is int or y.denominator != 1 else int(y)
+        x, y = self.sc.coord_in(q[0]), self.sc.coord_in(q[1])
         xlo, xhi, ylo, yhi = self.sc.bbox
         if not (xlo <= x <= xhi and ylo <= y <= yhi):
             raise OutsideBoundingBox(repr(q))
@@ -145,14 +125,15 @@ class ShortestPathMap:
 
     def _locate(self, qs):
         best = None
-        for ci, d in enumerate(_CLASSES):
+        # class index -> direction in the table's order: cones first, so they
+        # win boundary ties against the flats that depart from those lines
+        for ci, (d, (gx, gy)) in enumerate(_GRADS.items()):
             stab = self._stab.get(d)
             if stab is None:
                 continue
             r = stab.query(qs)
             if r is None:
                 continue
-            gx, gy = _GRADS[d]
             cand = (r.weight + gx * qs[0] + gy * qs[1], ci, r.payload)
             if best is None or cand < best:
                 best = cand
@@ -316,7 +297,7 @@ def _node(kind, f, parent, sc):
         return SrcNode(kind, p, parent.key + ahead, parent)
     e = sc.edges[f["edge"]]
     d = f["dir"] if kind == "piece" else parent.dir
-    if e.horizontal != (d in ("N", "S")):
+    if e.horizontal != _DIR_INFO[d][1]:
         raise MapFormatError("%s front %s parallel to edge %d" % (kind, d, f["edge"]))
     ahead = _ahead(d, parent.point if kind == "piece" else parent.line, e.line)
     if ahead <= 0:
@@ -329,7 +310,7 @@ def _cell(row, nodes, where) -> Cell:
     node = _ref(row, "node", nodes, (SrcNode, SegNode), where)
     if isinstance(node, SrcNode):
         d = _field(row, "dir", DIAGS.__contains__, where)
-        sx, sy = _DIAG_SIGNS[d]
+        sx, sy = _GRADS[d]
         px, py = node.point
         if not ((rect[0] >= px if sx > 0 else rect[1] <= px) and (rect[2] >= py if sy > 0 else rect[3] <= py)):
             raise MapFormatError("%s: rect outside its node's %s quadrant" % (where, d))
@@ -357,7 +338,7 @@ def _spm_from_dict(doc) -> ShortestPathMap:
     checks = {
         "point": lambda v: _ints(v, 2),
         "host": lambda v: _is_int(v) and 0 <= v < n_edges,
-        "dir": ("N", "S", "E", "W").__contains__,
+        "dir": DIRS.__contains__,
         "edge": lambda v: _is_int(v) and 0 <= v < n_edges,
     }
     # One forward pass: nodes holds the rows before this one, so a parent

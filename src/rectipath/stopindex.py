@@ -1,4 +1,6 @@
-"""Shadow-transform stop queries in the four axis directions.
+"""Shadow-transform stop queries in the four axis directions, and the one
+direction table: ``_GRADS`` gives the sweep's eight directions their
+gradients, and ``DIAGS``, ``DIRS`` and ``_DIR_INFO`` are read from it.
 
 A source moving along an axis crosses a perpendicular edge's line at a time
 that depends only on its shadow coordinate tau = t - s*u, where u is the
@@ -35,6 +37,9 @@ target may be fractional, and the closed ranges are exact only for integer
 bounds, so every lower bound is floored and every upper one ceiled; the
 answer stays a superset of the edges that can block.
 
+A ray's stop hit alone gives the part of its edge that the ray's source
+reaches while the edge stands (:meth:`StopOracle.accessible_on`).
+
 Built once per scene from integer-scaled edges; all queries are exact.
 """
 
@@ -46,10 +51,17 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .geometry import IntEdge
 from .rangeindex import RectStabber, WeightedRect
 
-DIRS = ("N", "S", "E", "W")
+# direction -> gradient (gx, gy): a front toward it arrives at c + gx*x + gy*y;
+# the diagonals first, in spawn order, which sets the roots' ranks
+_GRADS = {
+    "NE": (1, 1), "NW": (-1, 1), "SE": (1, -1), "SW": (-1, -1),
+    "N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0),
+}
+DIAGS = tuple(_GRADS)[:4]
+DIRS = tuple(_GRADS)[4:]
 
-# (sign, edges are horizontal) per direction
-_DIR_INFO = {"N": (1, True), "S": (-1, True), "E": (1, False), "W": (-1, False)}
+# (sign, edges are horizontal) per axis direction
+_DIR_INFO = {d: (gx + gy, gx == 0) for d, (gx, gy) in _GRADS.items() if d in DIRS}
 
 
 class StopHit(NamedTuple):
@@ -128,21 +140,12 @@ class StopOracle:
             out.extend(self.edges[r.payload] for r in hits)
         return out
 
-    def accessible_on(self, edge_index: int, src, t: int) -> Tuple[int, int]:
-        """Closed part (lo, hi) of the edge span reachable from (src, t) while
-        the edge exists, assuming unobstructed L1 travel.
-
-        The edge must stop the axis ray from (src, t) toward it: the ray meets
-        the edge's line at time base = t + |line - src_travel| inside the open
-        window (ta, td), strictly inside the span.  Arrival at cross
-        coordinate c is base + |c - src_cross|, so the closed window admits
-        |c - src_cross| <= td - base: one interval around src_cross.  A call
-        for an edge that does not stop the ray raises ValueError.
-        """
-        e = self.edges[edge_index]
-        cross, travel = (src[0], src[1]) if e.horizontal else (src[1], src[0])
-        base = t + abs(e.line - travel)
-        if not (e.ta < base < e.td and e.lo < cross < e.hi):
-            raise ValueError(f"edge {edge_index} does not stop the axis ray from {src}@{t}")
-        r = e.td - base
+    def accessible_on(self, hit: StopHit) -> Tuple[int, int]:
+        """Closed part (lo, hi) of the span of the edge that stops a ray, hit
+        as :meth:`stop_point` reports it, reachable from the ray's source
+        while the edge exists: arrival at cross coordinate c is hit.arrival +
+        |c - cross|, cross the hit's, within the closed window up to td."""
+        e = self.edges[hit.edge_index]
+        cross = hit.point[0] if e.horizontal else hit.point[1]
+        r = e.td - hit.arrival
         return max(cross - r, e.lo), min(cross + r, e.hi)

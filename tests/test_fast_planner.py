@@ -11,7 +11,8 @@ import rectipath
 from rectipath import engine
 from rectipath.engine import (
     DIAGS,
-    _DIAG_SIGNS,
+    _RANK_POINT,
+    _RANK_SEGMENT,
     PointWavelet,
     SegNode,
     SrcNode,
@@ -26,13 +27,14 @@ from rectipath.oracle import bench_scene, oracle_plan, random_scene
 from rectipath.pathrec import build_path
 from rectipath.scenario import canonical_scene
 from rectipath.spm import ShortestPathMap, _harvest, build_spm
+from rectipath.stopindex import _GRADS
 
 
 def _piece(rng, roots):
     """A random root of roots and a random closed rectangle of its region,
     either anywhere in the region or in the quadrant of a region point."""
     root = rng.choice(roots)
-    sx, sy = _DIAG_SIGNS[root.dir]
+    sx, sy = _GRADS[root.dir]
     xlo, xhi, ylo, yhi = root.rect
     if rng.random() < 0.5:
         o = (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
@@ -408,14 +410,16 @@ class _Recorded(_FastEngine):
         self.roots.extend(made)
         return made
 
-    def _push(self, key, rank, item):
-        kind, what = item[0], item[1]
-        if kind == "pw":
+    def _push(self, key, rank, payload):
+        what = payload
+        if rank == _RANK_POINT:
             what = (what.dir, what.rank)
-        elif kind == "sw":
+        elif rank == _RANK_SEGMENT:
             what = (what.kind, what.dir, what.line, what.key, what.edge, what.lo, what.hi, what.lo_open, what.hi_open)
-        self.pushes.append((key, rank, self.seq + 1, kind, what))
-        super()._push(key, rank, item)
+        else:  # a settle's or a wait fan's point
+            what = payload[0]
+        self.pushes.append((key, rank, self.seq + 1, what))
+        super()._push(key, rank, payload)
 
 
 class _Uncut(PointWavelet):

@@ -7,12 +7,12 @@ import pytest
 from rectipath.geometry import ScaledScene
 from rectipath.oracle import bench_scene
 from rectipath.rangeindex import (
-    CORNERS,
     CornerWeightedVertices,
     DeleteMissing,
     RectStabber,
     WeightedRect,
 )
+from rectipath.stopindex import DIAGS
 
 
 # ----- rectangle stabbing ---------------------------------------------------
@@ -275,7 +275,7 @@ def test_empty_or_inverted_rect_masks_nothing():
         rect = (xlo, xhi, ylo, yhi)
         assert cw._mask(cw.plus, rect) == cw._mask(cw.minus, rect) == 0, rect
         assert cw.report(rect) == []
-        for corner in CORNERS:
+        for corner in DIAGS:
             assert cw.nearest(cw.region(rect, corner, (2, 2)), corner) == (None, None)
     # a rect between the points holds none of them
     assert cw.report((3, 3, 0, 6)) == [] and cw.nearest(cw.region((1, 1, 1, 1), "SW"), "SW") == (None, None)
@@ -419,9 +419,9 @@ def test_nearest_vertex_ties_on_both_diagonals():
     # corner takes the least (x, y) of its nearest line.
     small = CornerWeightedVertices([(1, 3), (3, 1), (2, 2)])
     box = (0, 4, 0, 4)
-    assert [_nearest(small, box, c) for c in CORNERS] == [(1, 3), (3, 1), (1, 3), (1, 3)]
+    assert [_nearest(small, box, c) for c in DIAGS] == [(1, 3), (1, 3), (3, 1), (1, 3)]
     small.remove((1, 3))
-    assert [_nearest(small, box, c) for c in CORNERS] == [(2, 2), (3, 1), (2, 2), (2, 2)]
+    assert [_nearest(small, box, c) for c in DIAGS] == [(2, 2), (2, 2), (3, 1), (2, 2)]
     small.remove((2, 2))
     assert _nearest(small, box, "NW") == _nearest(small, box, "NE") == (3, 1)
     assert small.nearest(small.region(box, "NE", (2, 2)), "NE") == ((1, 3), (3, 1))
@@ -440,7 +440,7 @@ def test_nearest_vertex_ties_on_both_diagonals():
             if x1 > x2 or y1 > y2 or rng.random() < 0.8:
                 continue
             rect = (x1, x2, y1, y2)
-            for corner in CORNERS:
+            for corner in DIAGS:
                 want_all = _scan(pts, rect, corner)
                 want_live = _scan(live, rect, corner)
                 assert _nearest(cw, rect, corner) == want_live
@@ -473,7 +473,7 @@ def test_vertex_index_on_a_bench_scene_vs_linear_scan():
         rect = (x1, x2, y1, y2)
         inside_all = [p for p in pts if _in_rect(p, rect, CLOSED)]
         inside_live = [p for p in inside_all if p in live]
-        for corner in CORNERS:
+        for corner in DIAGS:
             want_all = _scan(inside_all, rect, corner)
             want_live = _scan(inside_live, rect, corner)
             assert _nearest(cw, rect, corner) == want_live
@@ -530,7 +530,7 @@ def test_suffix_mask_is_the_corner_order_from_a_vertex():
     # nearest-vertex query on a bitset so cut picks that vertex first.
     for pts in _lineage_point_sets():
         cw = CornerWeightedVertices(pts)
-        for corner in CORNERS:
+        for corner in DIAGS:
             order = sorted(pts, key=_CORNER_ORDER[corner])
             every = cw.region((-1, 99, -1, 99), corner)
             assert _points_of(cw, every, corner) == order
@@ -554,7 +554,7 @@ def test_interior_mask_leaves_the_boundary_out():
             rect = (x1, x2, y1, y2)
             inside = [p for p in pts if x1 < p[0] < x2 and y1 < p[1] < y2]
             closed = [p for p in pts if x1 <= p[0] <= x2 and y1 <= p[1] <= y2]
-            for corner in CORNERS:
+            for corner in DIAGS:
                 key = _CORNER_ORDER[corner]
                 assert _points_of(cw, cw.interior(rect, corner), corner) == sorted(inside, key=key)
                 # a cut keeps the boundary: the closed rect minus the interior
@@ -579,7 +579,7 @@ def test_region_bitsets_under_removal():
         rect = (x1, x2, y1, y2)
         skip = rng.choice(pts)
         closed = [p for p in pts if x1 <= p[0] <= x2 and y1 <= p[1] <= y2 and p != skip]
-        for corner in CORNERS:
+        for corner in DIAGS:
             key = _CORNER_ORDER[corner]
             bits = cw.region(rect, corner, skip)
             assert _points_of(cw, bits, corner) == sorted(closed, key=key)

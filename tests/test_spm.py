@@ -10,12 +10,10 @@ import rectipath
 from rectipath.engine import DIAGS, SegNode, SrcNode, _Engine
 from rectipath.fast import _FastEngine, fast_plan
 from rectipath.geometry import Scene, TransientEdge, validate_path
-from rectipath.oracle import bench_scene, oracle_arrivals, random_scene
+from rectipath.oracle import bench_scene, oracle_arrivals, random_scene, walled_scene
 from rectipath.scenario import canonical_scene, dump_scene, load_scene
 from rectipath.pathrec import WitnessError
 from rectipath.spm import (
-    _CLASSES,
-    _GRADS,
     MapFormatError,
     OutsideBoundingBox,
     ShortestPathMap,
@@ -26,6 +24,7 @@ from rectipath.spm import (
     dump_spm,
     load_spm,
 )
+from rectipath.stopindex import _GRADS
 
 
 def _hull(scene):
@@ -219,6 +218,27 @@ def test_dump_load_round_trip(tmp_path):
         t2, p2 = m2.query(q)
         assert t1 == t2 and p1 == p2
         assert validate_path(_retarget(scene, q), p2, t2).ok
+
+
+def test_vertices_claimed_by_flat_fronts_round_trip(tmp_path):
+    # A vertex row whose parent is a flat front holds no time: the loader
+    # derives it as the front's key plus the vertex's distance ahead of the
+    # front's line.  The walled scene's map has such rows, and the loaded map
+    # answers every point of a seeded lattice exactly as the built one.
+    scene = walled_scene(1, 100)
+    m = build_spm(scene)
+    f = tmp_path / "map.json"
+    dump_spm(m, f)
+    rows = json.loads(f.read_text())["nodes"]
+    fronts = {"piece", "successor", "remainder"}
+    assert any(r["kind"] == "vertex" and rows[r["parent"]]["kind"] in fronts for r in rows)
+    m2 = load_spm(f)
+    rng = random.Random(34)
+    xlo, xhi, ylo, yhi = _hull(scene)
+    xs = [rng.randint(xlo + (xhi - xlo) * i // 20, xlo + (xhi - xlo) * (i + 1) // 20) for i in range(20)]
+    ys = [rng.randint(ylo + (yhi - ylo) * i // 15, ylo + (yhi - ylo) * (i + 1) // 15) for i in range(15)]
+    for q in ((x, y) for x in xs for y in ys):
+        assert m.query(q) == m2.query(q), q
 
 
 def test_float_scene_and_its_map_round_trip(tmp_path):
@@ -593,7 +613,7 @@ def test_locate_is_the_minimum_over_all_cells():
         for lo, hi in ((xlo, xhi), (ylo, yhi))
     )
     pts.update(m._scale_in((x, y)) for x in xs for y in ys)
-    cells = [(c.rect, c.off, _GRADS[c.dir], _CLASSES.index(c.dir), i) for i, c in enumerate(m.cells)]
+    cells = [(c.rect, c.off, _GRADS[c.dir], list(_GRADS).index(c.dir), i) for i, c in enumerate(m.cells)]
     column = {x: [c for c in cells if c[0][0] <= x <= c[0][1]] for x in {p[0] for p in pts}}
     outside = 0
     for x, y in pts:

@@ -241,9 +241,9 @@ def test_narrow_spans_and_windows_vs_brute_force():
 def test_accessible_examples():
     # asked only for an edge that stops the axis ray from the source
     so = StopOracle([hedge(0, -5, 5, 5, 0, 20)])
-    assert so.accessible_on(0, (0, 0), 0) == (-5, 5)
+    assert so.accessible_on(so.stop_point((0, 0), 0, "N")) == (-5, 5)
     so = StopOracle([hedge(0, -5, 5, 5, 0, 7)])
-    assert so.accessible_on(0, (0, 0), 0) == (-2, 2)
+    assert so.accessible_on(so.stop_point((0, 0), 0, "N")) == (-2, 2)
     for e, src in (
         (hedge(0, -5, 5, 5, 6, 7), (0, 0)),  # the ray passes before it appears
         (hedge(0, -5, 5, 5, 0, 4), (0, 0)),  # ... or after it vanished
@@ -252,23 +252,21 @@ def test_accessible_examples():
     ):
         so = StopOracle([e])
         assert so.stop_point(src, 0, "N") is None
-        with pytest.raises(ValueError):
-            so.accessible_on(0, src, 0)
 
 
 def test_accessible_window_is_closed():
     so = StopOracle([hedge(0, -9, 9, 5, 2, 8)])
     # base arrival 5; |c| up to 3, reached exactly at the disappearance
-    assert so.accessible_on(0, (0, 0), 0) == (-3, 3)
+    assert so.accessible_on(so.stop_point((0, 0), 0, "N")) == (-3, 3)
     # clipped to the span on one side only
-    assert so.accessible_on(0, (7, 0), 0) == (4, 9)
+    assert so.accessible_on(so.stop_point((7, 0), 0, "N")) == (4, 9)
     so = StopOracle([vedge(0, -9, 9, -4, 0, 12)])
-    assert so.accessible_on(0, (0, 1), 3) == (-4, 6)
+    assert so.accessible_on(so.stop_point((0, 1), 3, "W")) == (-4, 6)
 
 
 def test_accessible_matches_pointwise_scan():
     # every ray stop_point reports as blocked: the interval is exactly the
-    # span columns reached inside the closed window; every other ray raises
+    # span columns reached inside the closed window
     rng = random.Random(48)
     blocked = 0
     for rep in range(800):
@@ -280,12 +278,11 @@ def test_accessible_matches_pointwise_scan():
         p = (cross, travel) if e.horizontal else (travel, cross)
         t = max(0, e.ta - gap + rng.randrange(-3, e.td - e.ta + 4))  # near the window
         d = ("N" if travel < e.line else "S") if e.horizontal else ("E" if travel < e.line else "W")
-        if so.stop_point(p, t, d) is None:
-            with pytest.raises(ValueError):
-                so.accessible_on(0, p, t)
+        hit = so.stop_point(p, t, d)
+        if hit is None:
             continue
         blocked += 1
-        lo, hi = so.accessible_on(0, p, t)
+        lo, hi = so.accessible_on(hit)
         for c in range(e.lo - 1, e.hi + 2):
             arrival = t + abs(c - cross) + abs(e.line - travel)
             want = e.lo <= c <= e.hi and e.ta <= arrival <= e.td

@@ -6,6 +6,10 @@ from fractions import Fraction
 import pytest
 
 from rectipath.engine import (
+    _RANK_FAN,
+    _RANK_POINT,
+    _RANK_SEGMENT,
+    _RANK_SETTLE,
     SegNode,
     SrcNode,
     _Engine,
@@ -18,10 +22,10 @@ from rectipath.scenario import canonical_scene
 
 def _heap_items(eng, kind):
     return [
-        (key, item)
+        (key, payload)
         for key, bucket in sorted(eng.buckets.items())
-        for rank, seq, item in sorted(bucket)
-        if item[0] == kind
+        for rank, seq, payload in sorted(bucket)
+        if rank == kind
     ]
 
 
@@ -66,7 +70,7 @@ def test_initial_wavelets_cover_the_four_quadrants():
         "SW": (-1, 0, -1, 0),
     }
     assert all(w.src.point == (0, 0) and w.src.time == 0 for w in ws)
-    assert [(key, item[1]) for key, item in _heap_items(eng, "pw")] == [(0, w) for w in ws]
+    assert _heap_items(eng, _RANK_POINT) == [(0, w) for w in ws]
 
 
 def test_initial_wavelets_capped_by_blocking_edge():
@@ -77,7 +81,7 @@ def test_initial_wavelets_capped_by_blocking_edge():
     assert ws["SE"].rect == (0, 6, -1, 0)
     # the north cap edge is queued with the roots, once per capped root; the
     # southern roots meet no cap
-    flats = [item[1] for _, item in _heap_items(eng, "sw")]
+    flats = [front for _, front in _heap_items(eng, _RANK_SEGMENT)]
     assert [(f.lo, f.hi, f.line, f.key, f.dir, f.edge) for f in flats] == [
         (0, 5, 5, 20, "N", 0),
         (-5, 0, 5, 20, "N", 0),
@@ -102,14 +106,14 @@ def test_root_claims_every_live_vertex_of_its_region_at_its_pop():
     # one pop claims the destination and every live vertex of the region,
     # each at the root's own arrival there, and queues no point wavelet
     eng._do_point(root)
-    settles = [(key, item[1], item[2]) for key, item in _heap_items(eng, "settle")]
+    settles = [(key, p, parent) for key, (p, parent) in _heap_items(eng, _RANK_SETTLE)]
     assert settles == [
         (7, (3, 4), root.src),
         (18, (6, 12), root.src),
         (22, (10, 12), root.src),
         (60, (30, 30), root.src),
     ]
-    assert _heap_items(eng, "pw") == []
+    assert _heap_items(eng, _RANK_POINT) == []
 
 
 def test_accessible_part_spawns_flat_front_and_endpoint_fans():
@@ -117,19 +121,19 @@ def test_accessible_part_spawns_flat_front_and_endpoint_fans():
     root = eng.labels[eng.source]
     # queued with the roots: one flat front per capped root, waiting out the
     # cap from its disappearance, and one wait fan per distinct piece end
-    flats = [item[1] for _, item in _heap_items(eng, "sw")]
+    flats = [front for _, front in _heap_items(eng, _RANK_SEGMENT)]
     assert [(f.lo, f.hi, f.kind, f.parent) for f in flats] == [
         (0, 5, "piece", root),
         (-5, 0, "piece", root),
     ]
-    fans = [(key, item[1]) for key, item in _heap_items(eng, "fan")]
+    fans = [(key, fp) for key, (fp, _, _) in _heap_items(eng, _RANK_FAN)]
     assert fans == [(20, (0, 5)), (20, (5, 5)), (20, (-5, 5))]
     eng.buckets.clear()
     eng.keys.clear()
     eng._do_point(ne)
-    assert _heap_items(eng, "sw") == _heap_items(eng, "fan") == []
+    assert _heap_items(eng, _RANK_SEGMENT) == _heap_items(eng, _RANK_FAN) == []
     # the blocking edge's own vertex is also the nearest vertex in the region
-    assert [(key, item[1]) for key, item in _heap_items(eng, "settle")] == [(10, (5, 5))]
+    assert [(key, p) for key, (p, _) in _heap_items(eng, _RANK_SETTLE)] == [(10, (5, 5))]
 
 
 def test_stop_clips_successor_and_leaves_remainder():
@@ -141,8 +145,8 @@ def test_stop_clips_successor_and_leaves_remainder():
     )
     eng = _Engine(scene)
     eng._do_segment(SegNode("piece", "N", 0, 3, parent=SrcNode("start", (0, 0), 0), edge=0, lo=0, hi=4))
-    assert [(key, item[1]) for key, item in _heap_items(eng, "settle")] == [(9, (2, 6))]
-    flats = [item[1] for _, item in _heap_items(eng, "sw")]
+    assert [(key, p) for key, (p, _) in _heap_items(eng, _RANK_SETTLE)] == [(9, (2, 6))]
+    flats = [front for _, front in _heap_items(eng, _RANK_SEGMENT)]
     assert [(f.lo, f.hi, f.lo_open, f.hi_open, f.line, f.key, f.kind) for f in flats] == [
         (0, 2, False, True, 6, 9, "remainder"),
         (2, 4, False, False, 6, 99, "successor"),
@@ -152,8 +156,8 @@ def test_stop_clips_successor_and_leaves_remainder():
 def test_flat_front_records_destination_candidate():
     eng = _Engine(canonical_scene("S1"))
     eng._do_segment(SegNode("piece", "N", 5, 20, parent=SrcNode("start", (0, 0), 0), edge=0, lo=-2, hi=2))
-    assert [(key, item[1]) for key, item in _heap_items(eng, "settle")] == [(25, (0, 10))]
-    assert _heap_items(eng, "sw") == []  # nothing above to stop on
+    assert [(key, p) for key, (p, _) in _heap_items(eng, _RANK_SETTLE)] == [(25, (0, 10))]
+    assert _heap_items(eng, _RANK_SEGMENT) == []  # nothing above to stop on
 
 
 def test_band_claims_nothing_on_its_line_or_at_an_open_end():
@@ -175,7 +179,7 @@ def test_band_claims_nothing_on_its_line_or_at_an_open_end():
         eng = _Engine(Scene(edges=edges, vmax=1, source=(-5, -5), dest=dest))
         assert eng.sc.point_out((7, 9)) == (7, 9) and eng.bbox[3] >= 9
         eng._do_segment(SegNode("piece", "N", 0, 0, start, 0, 0, 10, lo_open, hi_open))
-        return sorted((item[1], key) for key, item in _heap_items(eng, "settle"))
+        return sorted((p, key) for key, (p, _) in _heap_items(eng, _RANK_SETTLE))
 
     assert claims(True, True) == [((3, 6), 6), ((3, 8), 8)]
     assert claims(False, True) == [((0, 2), 2), ((0, 4), 4), ((3, 6), 6), ((3, 8), 8)]
@@ -253,14 +257,17 @@ def test_plan_is_deterministic():
 
 def _queue_probe(rng):
     """An engine on an empty scene whose queue carries only probe events:
-    each is ("pw", (key, rank, seq)) and its dispatch records the pop."""
+    each payload is (key, rank, seq), and the dispatch of every rank hands
+    it to _do_point, which records the pop."""
     eng = _Engine(Scene(edges=(), vmax=1, source=(0, 0), dest=(9, 9)))
     eng._spawn_arrangement = lambda p, t, src: []
+    eng._do_segment = lambda token: eng._do_point(token)
+    eng._do_settle = eng._do_fan = lambda key, *token: eng._do_point(token)
 
     def push(key):
         rank = rng.randrange(4)
         token = (key, rank, eng.seq + 1)
-        eng._push(key, rank, ("pw", token))
+        eng._push(key, rank, token)
         return token
 
     return eng, push
