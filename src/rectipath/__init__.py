@@ -22,6 +22,7 @@ from .scenario import (
     loads_scene,
 )
 from .spm import (
+    MapFormatError,
     OutsideBoundingBox,
     ShortestPathMap,
     build_spm,
@@ -50,6 +51,7 @@ __all__ = [
     "bench_scene",
     "walled_scene",
     "ScenarioError",
+    "MapFormatError",
     "canonical_scene",
     "load_scene",
     "loads_scene",

@@ -27,11 +27,11 @@ from typing import List, Optional
 
 from .engine import DIAGS, naive_plan, run_plan
 from .fast import _FastEngine, fast_plan
-from .geometry import ScaledScene, Scene, validate_path
+from .geometry import ScaledScene, validate_path
 from .oracle import ParamsInfeasible, bench_scene, oracle_plan, random_scene, walled_scene
 from .pathrec import build_path
 from .rangeindex import CornerWeightedVertices
-from .scenario import ScenarioError, _enc_num, check_scene, load_scene
+from .scenario import ScenarioError, _dec_point, _enc_num, check_scene, load_scene
 from .spm import (
     OutsideBoundingBox,
     ShortestPathMap,
@@ -62,14 +62,6 @@ def _fmt_time(v) -> str:
     return "%s (%s)" % (f, format(float(f), ".15g"))
 
 
-def _num(text: str):
-    try:
-        f = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _Usage("not a number: %r" % text)
-    return int(f) if f.denominator == 1 else f
-
-
 def _count(text: str) -> int:
     """A non-negative integer option value; anything else is a usage error."""
     try:
@@ -86,10 +78,14 @@ def _counts(text: str) -> List[int]:
 
 
 def _parse_point(text: str):
+    """An x,y option value, its numbers read as a scene file's; else a usage error."""
     parts = text.split(",")
     if len(parts) != 2:
         raise _Usage("expected x,y, got %r" % text)
-    return (_num(parts[0]), _num(parts[1]))
+    try:
+        return _dec_point(parts, "point")
+    except ScenarioError as exc:
+        raise _Usage(str(exc)) from exc
 
 
 def _path_doc(arrival, path) -> dict:

@@ -220,7 +220,7 @@ class _Engine:
 
     # -- wavelet creation ---------------------------------------------------
 
-    def _spawn_arrangement(self, p, t, src) -> List[PointWavelet]:
+    def _spawn_arrangement(self, p, t, src):
         """Spawn the four diagonal root wavelets departing (p, t), queueing
         those _admit admits, and enqueue the flat fronts and wait fans of the
         edges that cap their axis rays.  Each axis ray's stop and its edge's
@@ -232,7 +232,6 @@ class _Engine:
             hit = stop.stop_point(p, t, d)
             caps[d] = None if hit is None else (hit, stop.accessible_on(hit))
         xlo, xhi, ylo, yhi = self.bbox
-        made = []
         for d in DIAGS:
             sx, sy = _GRADS[d]
             vd, hd = d  # the root's two axis rays: N or S, then E or W
@@ -253,8 +252,6 @@ class _Engine:
                 self._cap_pieces(w, vd, vcap)
             if hcap:
                 self._cap_pieces(w, hd, hcap)
-            made.append(w)
-        return made
 
     def _admit(self, p, w: PointWavelet) -> bool:
         """Whether root w, spawned at p, is queued; the plain engine queues

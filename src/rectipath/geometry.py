@@ -149,6 +149,9 @@ class ValidationIssue:
     code: str
     message: str
 
+    def __str__(self) -> str:
+        return f"{self.code}: {self.message}"
+
 
 @dataclass
 class ValidationReport:
@@ -167,7 +170,7 @@ class ValidationReport:
     def __repr__(self) -> str:  # keeps assertion failures readable
         if self.ok:
             return "<valid>"
-        return "<invalid: " + "; ".join(f"{i.code}: {i.message}" for i in self.issues) + ">"
+        return "<invalid: " + "; ".join(map(str, self.issues)) + ">"
 
 
 def _touching_pairs(geos):

@@ -2,13 +2,14 @@
 
 Two structures:
 
-* :class:`RectStabber` -- static set of weighted closed rectangles, query =
-  minimum weight rectangle holding a point or meeting a closed horizontal
-  segment, optionally restricted to weights strictly above a floor, and
-  report = every rectangle meeting a closed box within a weight range.  It
-  answers every stop query of the stop oracle (whose open shadow windows it
-  stores as closed integer rectangles), the oracle's blocker query for
-  witness hops, and the map's point location.
+* :class:`RectStabber` -- static set of rows (weight, payload, xlo, xhi,
+  ylo, yhi), each a weighted closed rectangle; query = the least (weight,
+  payload) holding a point or meeting a closed horizontal segment, with
+  weights optionally above a floor, and report = the payloads of those
+  meeting a closed box within a weight range.  It answers every stop query
+  of the stop oracle (whose open shadow windows it stores as closed integer
+  rectangles), its blocker query for witness hops, and the map's point
+  location.
 * :class:`CornerWeightedVertices` -- a fixed set of distinct points under
   deletion, query = the first point of a bitset of its points in a corner's
   order (for a rectangle's points, the one nearest that corner), among all
@@ -32,24 +33,7 @@ id, which callers choose to make results deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from operator import attrgetter
 from typing import List, Optional, Tuple
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class WeightedRect:
-    """A closed rectangle with its weight and payload id: a slotted record
-    built by plain assignment, as a frozen dataclass would pay an
-    ``object.__setattr__`` call per field at each build.  Nothing writes to
-    one after its build, so it hashes by value as a frozen one would."""
-
-    xlo: int
-    xhi: int
-    ylo: int
-    yhi: int
-    weight: int
-    payload: int
 
 
 class DeleteMissing(KeyError):
@@ -93,40 +77,40 @@ def _pick(bits, by_rank, start):
 
 
 class RectStabber:
-    """Minimum-weight closed rectangle holding a point or meeting a
-    horizontal segment.
+    """Least (weight, payload) of the closed rectangles holding a point or
+    meeting a horizontal segment.
 
-    Built once from :class:`WeightedRect` items.  The rectangles are ranked
-    by (weight, payload), input order breaking the last ties, and each is
-    one bit of a Python int.  Each of the four conditions ``xlo <= b``,
-    ``xhi >= a``, ``ylo <= y`` and ``yhi >= y`` holds on a prefix of one
-    sorted order of the rectangles, and a bisect_right of the bound always
-    ends that prefix at the end of a run of equal keys; so each order keeps
-    its sorted distinct keys and one prefix bitset per distinct key
-    (:func:`_key_prefixes`).  A query ANDs the four prefixes and shifts out
-    the ranks of weight up to the floor; the lowest set bit left is the
-    answer.  A closed box [a, b] x [c, d] meets a rectangle when ``xlo <=
-    b``, ``xhi >= a``, ``ylo <= d`` and ``yhi >= c``: the same four orders
-    at other bounds, so a report ANDs four prefixes too and keeps every set
-    bit within its weight range.
+    Built once from rows (weight, payload, xlo, xhi, ylo, yhi).  The rows
+    are ranked by (weight, payload), input order breaking the last ties,
+    and each is one bit of a Python int; only each rank's (weight, payload)
+    is kept.  Each of the four conditions ``xlo <= b``, ``xhi >= a``, ``ylo
+    <= y`` and ``yhi >= y`` holds on a prefix of one sorted order of the
+    rows, and a bisect_right of the bound always ends that prefix at the end
+    of a run of equal keys; so each order keeps its sorted distinct keys and
+    one prefix bitset per distinct key (:func:`_key_prefixes`).  A query
+    ANDs the four prefixes and shifts out the ranks of weight up to the
+    floor; the lowest set bit left is the answer.  A closed box [a, b] x [c,
+    d] meets a rectangle when ``xlo <= b``, ``xhi >= a``, ``ylo <= d`` and
+    ``yhi >= c``: the same four orders at other bounds, so a report ANDs
+    four prefixes too and keeps every set bit within its weight range.
     """
 
-    __slots__ = ("rects", "weights", "keys", "prefixes")
+    __slots__ = ("pairs", "weights", "keys", "prefixes")
 
-    def __init__(self, rects):
-        rects = sorted(rects, key=attrgetter("weight", "payload"))
-        self.rects = rects
-        self.weights = [r.weight for r in rects]
+    def __init__(self, rows):
+        rows = sorted(rows, key=lambda r: (r[0], r[1]))  # stable: ties by input order
+        self.pairs = [r[:2] for r in rows]
+        self.weights = [r[0] for r in rows]
         self.keys = []
         self.prefixes = []
         # conditions xlo <= b, -xhi <= -a, ylo <= y and -yhi <= -y
         for key in (
-            [r.xlo for r in rects],
-            [-r.xhi for r in rects],
-            [r.ylo for r in rects],
-            [-r.yhi for r in rects],
+            [r[2] for r in rows],
+            [-r[3] for r in rows],
+            [r[4] for r in rows],
+            [-r[5] for r in rows],
         ):
-            keys, prefixes = _key_prefixes(sorted(zip(key, range(len(rects)))))
+            keys, prefixes = _key_prefixes(sorted(zip(key, range(len(rows)))))
             self.keys.append(keys)
             self.prefixes.append(prefixes)
 
@@ -140,8 +124,8 @@ class RectStabber:
             & pyhi[bisect_right(kyhi, -ylo)]
         )
 
-    def query(self, q: Tuple[int, int], floor=None, b=None) -> Optional[WeightedRect]:
-        """Minimum-weight stored rectangle (ties by payload) that meets the
+    def query(self, q: Tuple[int, int], floor=None, b=None) -> Optional[Tuple[int, int]]:
+        """Least (weight, payload) of a stored rectangle that meets the
         closed x range [q[0], b] at height q[1], by default the point q;
         with a floor, only rectangles of weight above it count."""
         a, y = q
@@ -150,22 +134,23 @@ class RectStabber:
         bits >>= skip
         if not bits:
             return None
-        return self.rects[(bits & -bits).bit_length() - 1 + skip]
+        return self.pairs[(bits & -bits).bit_length() - 1 + skip]
 
-    def report(self, box, wlo, whi) -> List[WeightedRect]:
-        """Every stored rectangle that meets the closed box (xlo, xhi, ylo,
-        yhi) and whose weight lies in [wlo, whi), in rank order.  The weight
-        range is the run of ranks between two bisects of the weights."""
+    def report(self, box, wlo, whi) -> List[int]:
+        """The payload of every stored rectangle that meets the closed box
+        (xlo, xhi, ylo, yhi) and whose weight lies in [wlo, whi), in rank
+        order.  The weight range is the run of ranks between two bisects of
+        the weights."""
         skip = bisect_left(self.weights, wlo)
         n = bisect_left(self.weights, whi) - skip
         if n <= 0:
             return []
         bits = self._meets(*box) >> skip & ((1 << n) - 1)
-        rects = self.rects
+        pairs = self.pairs
         out = []
         while bits:
             low = bits & -bits
-            out.append(rects[low.bit_length() - 1 + skip])
+            out.append(pairs[low.bit_length() - 1 + skip][1])
             bits ^= low
         return out
 

@@ -21,6 +21,11 @@ class ScenarioError(ValueError):
     """Malformed scenario document."""
 
 
+# Fraction builds 10**k for an exponent k, which takes seconds from k = 10**7
+# on; int() and the JSON decoder stop integers at 4300 digits
+_MAX_EXPONENT = 4300
+
+
 def _enc_num(v: Union[int, Fraction]):
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else str(v)
@@ -33,6 +38,13 @@ def _dec_num(v: Any, where: str) -> Union[int, Fraction]:
     if isinstance(v, int):
         return v
     if isinstance(v, str):
+        _, e, exp = v.upper().partition("E")
+        try:
+            big = e and abs(int(exp)) > _MAX_EXPONENT
+        except ValueError:  # no exponent int() reads: Fraction refuses the string
+            big = False
+        if big:
+            raise ScenarioError(f"{where}: exponent beyond +-{_MAX_EXPONENT} in {v!r}")
         try:
             f = Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:

@@ -61,7 +61,7 @@ from .fast import _FastEngine
 from .geometry import ScaledScene, Scene, TimedPath
 # _from_flat and _staircase are not called here: perfbench's tracer wraps them on this module
 from .pathrec import WitnessError, _from_flat, _from_source, _staircase, _timed_path
-from .rangeindex import RectStabber, WeightedRect
+from .rangeindex import RectStabber
 from .scenario import scene_from_dict, scene_to_dict
 from .stopindex import _DIR_INFO, _GRADS, DIAGS, DIRS, StopOracle
 
@@ -109,9 +109,9 @@ class ShortestPathMap:
         self.sc = sc
         self.stop = stop
         self.cells: List = list(cells)
-        per_class: Dict[str, List[WeightedRect]] = {}
+        per_class: Dict[str, list] = {}
         for i, c in enumerate(self.cells):
-            per_class.setdefault(c.dir, []).append(WeightedRect(*c.rect, c.off, i))
+            per_class.setdefault(c.dir, []).append((c.off, i, *c.rect))
         self._stab = {d: RectStabber(rs) for d, rs in per_class.items()}
 
     # -- queries ----------------------------------------------------------
@@ -134,7 +134,8 @@ class ShortestPathMap:
             r = stab.query(qs)
             if r is None:
                 continue
-            cand = (r.weight + gx * qs[0] + gy * qs[1], ci, r.payload)
+            off, i = r
+            cand = (off + gx * qs[0] + gy * qs[1], ci, i)
             if best is None or cand < best:
                 best = cand
         if best is None:

@@ -13,12 +13,13 @@ ranges containing the shadow point therefore yields the first blocking edge,
 and arrival = tau + w.  A perpendicular segment [a, b] dragged along the axis
 is stopped by the same edges with the cross test widened to the open overlap
 e.lo < b and e.hi > a, which for a == b is the ray's test; so every stop
-query is one :class:`~rectipath.rangeindex.RectStabber` query.  Every query
-coordinate is an integer, so each open range is stored as the closed one of
-the integers inside it: e.lo < b and e.hi > a hold exactly when e.lo + 1 <= b
-and e.hi - 1 >= a, and likewise for the tau window.  An edge of span 1 still
-stops a drag across its gap, and a window of length 1 stops nothing, its
-closed range being empty.
+query is one :class:`~rectipath.rangeindex.RectStabber` query over rows
+(w, edge index, cross range, tau range), answering the least (w, edge
+index).  Every query coordinate is an integer, so each open range is stored
+as the closed one of the integers inside it: e.lo < b and e.hi > a hold
+exactly when e.lo + 1 <= b and e.hi - 1 >= a, and likewise for the tau
+window.  An edge of span 1 still stops a drag across its gap, and a window
+of length 1 stops nothing, its closed range being empty.
 
 Weights are floored strictly above s*u so edges behind the source (or sharing
 its line) never match.
@@ -32,10 +33,10 @@ when w lies in [s*a_y, s*b_y), its line on or ahead of a's and short of
 b's; when its open span meets the hop's closed cross range; and when its
 open tau window meets [c, c + |b_x - a_x|].  Those are the stored closed
 ranges that one box meets within one run of weight ranks: one
-:meth:`~rectipath.rangeindex.RectStabber.report` per travel axis.  A map
-target may be fractional, and the closed ranges are exact only for integer
-bounds, so every lower bound is floored and every upper one ceiled; the
-answer stays a superset of the edges that can block.
+:meth:`~rectipath.rangeindex.RectStabber.report` of edge indices per travel
+axis.  A map target may be fractional, and the closed ranges are exact only
+for integer bounds, so every lower bound is floored and every upper one
+ceiled; the answer stays a superset of the edges that can block.
 
 A ray's stop hit alone gives the part of its edge that the ray's source
 reaches while the edge stands (:meth:`StopOracle.accessible_on`).
@@ -49,7 +50,7 @@ import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import IntEdge
-from .rangeindex import RectStabber, WeightedRect
+from .rangeindex import RectStabber
 
 # direction -> gradient (gx, gy): a front toward it arrives at c + gx*x + gy*y;
 # the diagonals first, in spawn order, which sets the roots' ranks
@@ -86,15 +87,15 @@ class StopOracle:
 
     def __init__(self, edges: Sequence[IntEdge]):
         self.edges = list(edges)
-        rects = {d: [] for d in DIRS}
+        rows = {d: [] for d in DIRS}
         for i, e in enumerate(self.edges):
-            # the edge's ranges toward its two directions, s = 1 (N or E)
-            # and s = -1 (S or W), each of weight w = s * line
+            # the edge's rows toward its two directions, s = 1 (N or E) and
+            # s = -1 (S or W), each of weight w = s * line and payload i
             lo, hi, ta, td, line = e.lo + 1, e.hi - 1, e.ta + 1, e.td - 1, e.line
             pos, neg = ("N", "S") if e.horizontal else ("E", "W")
-            rects[pos].append(WeightedRect(lo, hi, ta - line, td - line, line, i))
-            rects[neg].append(WeightedRect(lo, hi, ta + line, td + line, -line, i))
-        self._stab = {d: RectStabber(rects[d]) for d in DIRS}
+            rows[pos].append((line, i, lo, hi, ta - line, td - line))
+            rows[neg].append((-line, i, lo, hi, ta + line, td + line))
+        self._stab = {d: RectStabber(rows[d]) for d in DIRS}
 
     def stop_point(self, p, t, d: str) -> Optional[StopHit]:
         """First edge blocking a ray from p departing at time t toward d."""
@@ -105,8 +106,9 @@ class StopOracle:
         r = self._stab[d].query((cross, tau), floor)
         if r is None:
             return None
-        line = self.edges[r.payload].line
-        return StopHit(r.payload, (cross, line) if horizontal else (line, cross), tau + r.weight)
+        w, i = r
+        line = self.edges[i].line
+        return StopHit(i, (cross, line) if horizontal else (line, cross), tau + w)
 
     def stop_drag(self, lo: int, hi: int, line: int, t: int, d: str):
         """First edge blocking a perpendicular segment [lo, hi] on the given
@@ -119,7 +121,7 @@ class StopOracle:
         floor = _DIR_INFO[d][0] * line
         tau = t - floor
         r = self._stab[d].query((lo, tau), floor, hi)
-        return None if r is None else (r.payload, tau + r.weight)
+        return None if r is None else (r[1], tau + r[0])
 
     def blockers(self, a, t0, b) -> List[IntEdge]:
         """The edges that may block a full-speed monotone staircase from a,
@@ -137,7 +139,7 @@ class StopOracle:
             c = t0 - s * a[travel]
             box = (math.floor(lo), math.ceil(hi), math.floor(c), math.ceil(c + hi - lo))
             hits = self._stab[dirs[s < 0]].report(box, math.floor(s * a[travel]), math.ceil(s * b[travel]))
-            out.extend(self.edges[r.payload] for r in hits)
+            out.extend(self.edges[i] for i in hits)
         return out
 
     def accessible_on(self, hit: StopHit) -> Tuple[int, int]:

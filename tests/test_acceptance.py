@@ -19,7 +19,7 @@ from rectipath.engine import naive_plan
 from rectipath.fast import _FastEngine, fast_plan
 from rectipath.geometry import validate_path
 from rectipath.oracle import bench_scene, oracle_arrivals, oracle_plan, random_scene
-from rectipath.rangeindex import CornerWeightedVertices, RectStabber, WeightedRect
+from rectipath.rangeindex import CornerWeightedVertices, RectStabber
 from rectipath.scenario import canonical_scene
 from rectipath.spm import build_spm
 
@@ -202,23 +202,22 @@ def test_criterion_7_range_structures_vs_linear_scan():
         for i in range(rng.randrange(0, 16)):
             x1, x2 = sorted(rng.randrange(0, 26) for _ in range(2))
             y1, y2 = sorted(rng.randrange(0, 26) for _ in range(2))
-            rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 9), i))
+            rects.append((rng.randrange(0, 9), i, x1, x2, y1, y2))
         st = RectStabber(rects)
         for _ in range(6):
             q = (rng.randrange(-2, 28), rng.randrange(-2, 28))
             floor = rng.choice([None, rng.randrange(0, 9)])
             want = min(
                 (
-                    (r.weight, r.payload)
-                    for r in rects
-                    if r.xlo <= q[0] <= r.xhi
-                    and r.ylo <= q[1] <= r.yhi
-                    and (floor is None or r.weight > floor)
+                    (w, p)
+                    for w, p, xlo, xhi, ylo, yhi in rects
+                    if xlo <= q[0] <= xhi
+                    and ylo <= q[1] <= yhi
+                    and (floor is None or w > floor)
                 ),
                 default=None,
             )
-            got = st.query(q, floor)
-            assert (None if got is None else (got.weight, got.payload)) == want
+            assert st.query(q, floor) == want
 
     corner_of = {
         "SW": lambda r: (r[0], r[2]),
@@ -272,21 +271,20 @@ def test_criterion_7_range_structures_vs_linear_scan():
         for i in range(rng.randrange(0, 16)):
             x1, x2 = sorted(rng.randrange(0, 26) for _ in range(2))
             y1, y2 = sorted(rng.randrange(0, 26) for _ in range(2))
-            rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 5), rng.randrange(0, 16)))
+            rects.append((rng.randrange(0, 5), rng.randrange(0, 16), x1, x2, y1, y2))
         st = RectStabber(rects)
         for _ in range(6):
             if rects and rng.random() < 0.5:
                 r = rng.choice(rects)
-                x = rng.choice((r.xlo, r.xhi)) + rng.choice((-1, 0, 1))
-                q = (x, rng.choice((r.ylo, r.yhi)) + rng.choice((-1, 0, 1)))
+                x = rng.choice(r[2:4]) + rng.choice((-1, 0, 1))
+                q = (x, rng.choice(r[4:6]) + rng.choice((-1, 0, 1)))
             else:
                 q = (rng.randrange(-2, 28), rng.randrange(-2, 28))
             want = min(
-                ((r.weight, r.payload) for r in rects if r.xlo <= q[0] <= r.xhi and r.ylo <= q[1] <= r.yhi),
+                ((w, p) for w, p, xlo, xhi, ylo, yhi in rects if xlo <= q[0] <= xhi and ylo <= q[1] <= yhi),
                 default=None,
             )
-            got = st.query(q)
-            assert (None if got is None else (got.weight, got.payload)) == want
+            assert st.query(q) == want
 
     print(
         "criterion 7 PASS: stabbing, nearest-vertex lookup and the map's point location "

@@ -245,3 +245,35 @@ def test_bad_scenario_exits_1(tmp_path, capsys):
         assert cli.main(["plan", str(f)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_huge_exponent_is_a_usage_error_or_a_bad_scene(scene_file, tmp_path, capsys):
+    # Option points are read as scene numbers are, so an exponent whose
+    # power of ten would take minutes to build is refused at once.
+    f = scene_file("S1")
+    assert cli.main(["spm", f, "--query", "1e100000,0"]) == 64
+    assert cli.main(["oracle", f, "--target", "0,-1e100000"]) == 64
+    assert cli.main(["oracle", f, "--target", "x,0"]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "point.x: exponent beyond +-4300 in '1e100000'",
+        "point.y: exponent beyond +-4300 in '-1e100000'",
+        "point.x: bad number string 'x'",
+    ]
+    bad = tmp_path / "bad.json"
+    doc = json.loads(dumps_scene(canonical_scene("S1")))
+    doc["vmax"] = "1e100000"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["plan", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: vmax: exponent beyond +-4300 in '1e100000'\n"
+
+
+def test_an_invalid_scene_is_reported_by_code_and_message(scene_file, capsys):
+    crossing = Scene(
+        edges=(TransientEdge(0, (-5, 5), (5, 5), 0, 6), TransientEdge(1, (2, 3), (2, 7), 0, 6)),
+        vmax=1,
+        source=(0, 0),
+        dest=(0, 10),
+    )
+    assert cli.main(["plan", scene_file("crossing", crossing)]) == 1
+    assert capsys.readouterr().err == "error: invalid scene: OverlappingEdges: edges 0 and 1 intersect\n"

@@ -55,10 +55,10 @@ def test_lower_ranked_root_is_no_later_anywhere_in_the_overlap():
     xlo, xhi, ylo, yhi = eng.bbox
     rng = random.Random(5)
     roots = {d: [] for d in DIAGS}
+    eng._admit = lambda p, w: roots[w.dir].append(w) or _Engine._admit(eng, p, w)  # logs every root spawned
     for _ in range(40):
         p, t = (rng.randint(xlo, xhi), rng.randint(ylo, yhi)), rng.randrange(0, 12)
-        for w in eng._spawn_arrangement(p, t, SrcNode("vertex", p, t)):
-            roots[w.dir].append(w)
+        eng._spawn_arrangement(p, t, SrcNode("vertex", p, t))
     done = 0
     while done < 300:
         d = rng.choice(DIAGS)
@@ -405,10 +405,9 @@ class _Recorded(_FastEngine):
         super().__init__(scene)
         self.roots, self.pushes = [], []
 
-    def _spawn_arrangement(self, p, t, src):
-        made = super()._spawn_arrangement(p, t, src)
-        self.roots.extend(made)
-        return made
+    def _admit(self, p, w):
+        self.roots.append(w)  # each root passes here, queued or dominated
+        return super()._admit(p, w)
 
     def _push(self, key, rank, payload):
         what = payload

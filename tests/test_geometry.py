@@ -257,6 +257,26 @@ def test_endpoint_and_arrival_mismatch():
     assert "ArrivalMismatch" in rep.codes()
 
 
+@pytest.mark.parametrize(
+    "stops, code, fragment",
+    [
+        ((), "EndpointMismatch", "empty path"),
+        ((((0, 0), 0, 0), ((0, 4), 4, 3), ((0, 10), 9, 9)), "BadWaitPoint", "waypoint (0, 4) departs before it arrives"),
+        ((((0, 0), 0, 0), ((0, 5), 5, 6)), "BadWaitPoint", "wait at (0, 5) has no departure move"),
+    ],
+    ids=["empty path", "departs before it arrives", "wait without a departure"],
+)
+def test_validate_path_names_each_defect(stops, code, fragment):
+    rep = validate_path(crossbar_scene(0, 6), path(*stops), 9)
+    assert any(i.code == code and i.message == fragment for i in rep.issues), rep
+
+
+def test_issues_read_as_code_and_message():
+    rep = validate_path(crossbar_scene(0, 6), path(), 0)
+    assert str(rep.issues[0]) == "EndpointMismatch: empty path"
+    assert repr(rep) == "<invalid: EndpointMismatch: empty path>"
+
+
 def test_nonmonotone_between_vertex_visits():
     sc = crossbar_scene(0, 6)
     p = path(

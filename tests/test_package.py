@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import rectipath
 
 _LIST_MODULES = """
@@ -62,3 +64,14 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
     for name in ("insert", "neighbors", "extract_range", "absorb"):
         assert ("treap.RootSourceTree", name) in wrapped
     assert ("fast._FastEngine", "__init__") in wrapped
+
+
+def test_map_format_error_is_exported_beside_scenario_error(tmp_path):
+    # load_spm raises it on a file that is no map, so callers catch it by
+    # the package's own name
+    assert rectipath.MapFormatError is rectipath.spm.MapFormatError
+    assert {"MapFormatError", "ScenarioError"} <= set(rectipath.__all__)
+    f = tmp_path / "map.json"
+    f.write_text("{}")
+    with pytest.raises(rectipath.MapFormatError):
+        rectipath.load_spm(f)

@@ -10,7 +10,6 @@ from rectipath.rangeindex import (
     CornerWeightedVertices,
     DeleteMissing,
     RectStabber,
-    WeightedRect,
 )
 from rectipath.stopindex import DIAGS
 
@@ -19,58 +18,55 @@ from rectipath.stopindex import DIAGS
 
 
 def brute_stab(rects, q, floor=None, b=None):
-    """Minimum (weight, payload) closed rectangle holding q, or with b given
-    meeting the closed x range [q[0], b] at height q[1]."""
-    best = None
+    """Minimum (weight, payload) of the rows (weight, payload, xlo, xhi, ylo,
+    yhi) whose closed rectangle holds q, or with b given meets the closed x
+    range [q[0], b] at height q[1]."""
     if b is None:
         b = q[0]
-    for r in rects:
-        if floor is not None and r.weight <= floor:
-            continue
-        if r.xlo <= b and r.xhi >= q[0] and r.ylo <= q[1] <= r.yhi:
-            if best is None or (r.weight, r.payload) < (best.weight, best.payload):
-                best = r
-    return best
-
-
-def _key(r):
-    return None if r is None else (r.weight, r.payload)
+    return min(
+        (
+            (w, p)
+            for w, p, xlo, xhi, ylo, yhi in rects
+            if (floor is None or w > floor) and xlo <= b and xhi >= q[0] and ylo <= q[1] <= yhi
+        ),
+        default=None,
+    )
 
 
 def test_rect_stab_basics():
     rects = [
-        WeightedRect(0, 4, 0, 4, 5, 0),  # A
-        WeightedRect(2, 6, 2, 6, 3, 1),  # B
+        (5, 0, 0, 4, 0, 4),  # A
+        (3, 1, 2, 6, 2, 6),  # B
     ]
     st = RectStabber(rects)
-    assert st.query((3, 3)).payload == 1
-    assert st.query((1, 1)).payload == 0
+    assert st.query((3, 3))[1] == 1
+    assert st.query((1, 1))[1] == 0
     assert st.query((7, 7)) is None
-    assert st.query((3, 3), floor=3).payload == 0  # weight must exceed the floor
+    assert st.query((3, 3), floor=3)[1] == 0  # weight must exceed the floor
     assert st.query((3, 3), floor=5) is None
 
 
 def test_rect_stab_bounds_are_closed():
-    st = RectStabber([WeightedRect(0, 4, 0, 4, 1, 0), WeightedRect(6, 6, 0, 9, 0, 1)])
-    assert st.query((0, 2)).payload == 0
-    assert st.query((2, 4)).payload == 0
-    assert st.query((4, 0)).payload == 0
-    assert st.query((2, 2)).payload == 0
-    assert st.query((6, 5)).payload == 1  # a segment holds its own points
+    st = RectStabber([(1, 0, 0, 4, 0, 4), (0, 1, 6, 6, 0, 9)])
+    assert st.query((0, 2))[1] == 0
+    assert st.query((2, 4))[1] == 0
+    assert st.query((4, 0))[1] == 0
+    assert st.query((2, 2))[1] == 0
+    assert st.query((6, 5))[1] == 1  # a segment holds its own points
     assert st.query((-1, 2)) is None
     assert st.query((5, 2)) is None
     assert st.query((2, 5)) is None
     # a drag meets what it touches at either end
-    assert st.query((-3, 2), b=0).payload == 0
-    assert st.query((5, 2), b=6).payload == 1
+    assert st.query((-3, 2), b=0)[1] == 0
+    assert st.query((5, 2), b=6)[1] == 1
     assert st.query((5, 2), b=5) is None
-    assert st.query((4, 5), b=7).payload == 1
+    assert st.query((4, 5), b=7)[1] == 1
     # a rectangle whose low bound passes its high one holds nothing
-    st = RectStabber([WeightedRect(3, 2, 0, 4, 0, 0), WeightedRect(0, 4, 3, 2, 0, 1)])
+    st = RectStabber([(0, 0, 3, 2, 0, 4), (0, 1, 0, 4, 3, 2)])
     for x in range(-1, 6):
         for y in range(-1, 6):
             assert st.query((x, y)) is None
-    assert st.query((2, 1), b=3).payload == 0  # only a drag across the gap
+    assert st.query((2, 1), b=3)[1] == 0  # only a drag across the gap
 
 
 def test_rect_stab_random_vs_linear():
@@ -80,28 +76,28 @@ def test_rect_stab_random_vs_linear():
         for i in range(rng.randrange(0, 24)):
             x1, x2 = sorted(rng.randrange(0, 30) for _ in range(2))
             y1, y2 = sorted(rng.randrange(0, 30) for _ in range(2))
-            rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 8), i))
+            rects.append((rng.randrange(0, 8), i, x1, x2, y1, y2))
         st = RectStabber(rects)
         for _ in range(20):
             if rects and rng.random() < 0.5:
                 # on and beside the bounds, where open and closed differ
                 r = rng.choice(rects)
                 q = (
-                    rng.choice((r.xlo, r.xhi)) + rng.choice((-1, 0, 1)),
-                    rng.choice((r.ylo, r.yhi)) + rng.choice((-1, 0, 1)),
+                    rng.choice(r[2:4]) + rng.choice((-1, 0, 1)),
+                    rng.choice(r[4:6]) + rng.choice((-1, 0, 1)),
                 )
             else:
                 q = (rng.randrange(-2, 32), rng.randrange(-2, 32))
             floor = rng.choice([None, rng.randrange(0, 8)])
-            assert _key(st.query(q, floor)) == _key(brute_stab(rects, q, floor))
+            assert st.query(q, floor) == brute_stab(rects, q, floor)
             # the closed x range [q[0], b], its far end on, beside or
             # between rectangle bounds
             if rects and rng.random() < 0.7:
-                b = rng.choice(rects).xhi if rng.random() < 0.5 else rng.choice(rects).xlo
+                b = rng.choice(rects)[3] if rng.random() < 0.5 else rng.choice(rects)[2]
                 b = max(q[0], b + rng.choice((-1, 0, 1)))
             else:
                 b = q[0] + rng.randrange(0, 6)
-            assert _key(st.query(q, floor, b)) == _key(brute_stab(rects, q, floor, b)), (q, b)
+            assert st.query(q, floor, b) == brute_stab(rects, q, floor, b), (q, b)
 
 
 def test_rect_stab_shared_bounds_vs_linear():
@@ -115,7 +111,7 @@ def test_rect_stab_shared_bounds_vs_linear():
         for i in range(rng.randrange(150, 300)):
             x1, x2 = sorted(rng.choice(coords) for _ in range(2))
             y1, y2 = sorted(rng.choice(coords) for _ in range(2))
-            rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 40), rng.randrange(0, 100)))
+            rects.append((rng.randrange(0, 40), rng.randrange(0, 100), x1, x2, y1, y2))
         st = RectStabber(rects)
         for keys, prefixes in zip(st.keys, st.prefixes):
             assert len(keys) <= len(coords) and len(prefixes) == len(keys) + 1
@@ -125,18 +121,19 @@ def test_rect_stab_shared_bounds_vs_linear():
             b = max(a, rng.choice(coords) + rng.choice((-1, 0, 0, 1)))
             y = rng.choice(coords) + rng.choice((-1, 0, 0, 1))
             floor = rng.choice([None, rng.randrange(0, 40)])
-            assert _key(st.query((a, y), floor)) == _key(brute_stab(rects, (a, y), floor)), (a, y)
-            assert _key(st.query((a, y), floor, b)) == _key(brute_stab(rects, (a, y), floor, b)), (a, b, y)
+            assert st.query((a, y), floor) == brute_stab(rects, (a, y), floor), (a, y)
+            assert st.query((a, y), floor, b) == brute_stab(rects, (a, y), floor, b), (a, b, y)
 
 
 def brute_report(rects, box, wlo, whi):
-    """The rectangles meeting the closed box whose weight is in [wlo, whi),
-    by (weight, payload)."""
+    """The payloads of the rows whose rectangle meets the closed box and
+    whose weight is in [wlo, whi), by (weight, payload)."""
     xlo, xhi, ylo, yhi = box
-    hits = [
-        r for r in rects if wlo <= r.weight < whi and r.xlo <= xhi and r.xhi >= xlo and r.ylo <= yhi and r.yhi >= ylo
-    ]
-    return sorted(_key(r) for r in hits)
+    hits = sorted(
+        (w, p) for w, p, rxlo, rxhi, rylo, ryhi in rects
+        if wlo <= w < whi and rxlo <= xhi and rxhi >= xlo and rylo <= yhi and ryhi >= ylo
+    )
+    return [p for _w, p in hits]
 
 
 def test_rect_report_vs_linear():
@@ -153,13 +150,13 @@ def test_rect_report_vs_linear():
             y1, y2 = sorted(rng.randrange(0, 20) for _ in range(2))
             if rng.random() < 0.1:
                 x1, x2 = x1 + 1, x1
-            rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 6), rng.randrange(0, 50)))
+            rects.append((rng.randrange(0, 6), rng.randrange(0, 50), x1, x2, y1, y2))
         st = RectStabber(rects)
 
         def bound(axis):
             if rects and rng.random() < 0.7:
                 r = rng.choice(rects)
-                return rng.choice((r.xlo, r.xhi) if axis == 0 else (r.ylo, r.yhi)) + rng.choice((-1, 0, 1))
+                return rng.choice(r[2:4] if axis == 0 else r[4:6]) + rng.choice((-1, 0, 1))
             return rng.randrange(-2, 22)
 
         for _ in range(30):
@@ -171,7 +168,7 @@ def test_rect_report_vs_linear():
             whi = wlo + rng.randrange(-1, 5)
             box = (xlo, xhi, ylo, yhi)
             got = st.report(box, wlo, whi)
-            assert [_key(r) for r in got] == brute_report(rects, box, wlo, whi), (box, wlo, whi)
+            assert got == brute_report(rects, box, wlo, whi), (box, wlo, whi)
 
 
 # ----- the map's point location ---------------------------------------------
@@ -184,7 +181,7 @@ def test_rect_report_vs_linear():
 def _envelope_matches(rects, points):
     st = RectStabber(rects)
     for q in points:
-        assert _key(st.query(q)) == _key(brute_stab(rects, q)), q
+        assert st.query(q) == brute_stab(rects, q), q
 
 
 def _near(rects):
@@ -193,8 +190,8 @@ def _near(rects):
     h = Fraction(1, 3)
     out = set()
     for r in rects:
-        for x in (r.xlo, r.xhi):
-            for y in (r.ylo, r.yhi):
+        for x in r[2:4]:
+            for y in r[4:6]:
                 for dx in (-1, -h, 0, h, 1):
                     for dy in (-1, -h, 0, h, 1):
                         out.add((x + dx, y + dy))
@@ -204,26 +201,26 @@ def _near(rects):
 def test_envelope_empty_and_degenerate():
     assert RectStabber([]).query((0, 0)) is None
     rects = [
-        WeightedRect(3, 3, 3, 3, 1, 0),  # a point
-        WeightedRect(0, 6, 5, 5, 2, 1),  # a horizontal segment
-        WeightedRect(4, 4, 0, 9, 0, 2),  # a vertical segment
+        (1, 0, 3, 3, 3, 3),  # a point
+        (2, 1, 0, 6, 5, 5),  # a horizontal segment
+        (0, 2, 4, 4, 0, 9),  # a vertical segment
     ]
     st = RectStabber(rects)
-    assert st.query((3, 3)).payload == 0
-    assert st.query((4, 5)).payload == 2
-    assert st.query((5, 5)).payload == 1
+    assert st.query((3, 3))[1] == 0
+    assert st.query((4, 5))[1] == 2
+    assert st.query((5, 5))[1] == 1
     assert st.query((3, Fraction(10, 3))) is None
-    assert st.query((4, Fraction(1, 2))).payload == 2
+    assert st.query((4, Fraction(1, 2)))[1] == 2
     _envelope_matches(rects, _near(rects))
 
 
 def test_envelope_equal_weights_break_by_payload():
-    rects = [WeightedRect(0, 4, 0, 4, 7, 5), WeightedRect(2, 6, 2, 6, 7, 3), WeightedRect(2, 2, 0, 9, 8, 0)]
+    rects = [(7, 5, 0, 4, 0, 4), (7, 3, 2, 6, 2, 6), (8, 0, 2, 2, 0, 9)]
     st = RectStabber(rects)
-    assert st.query((3, 3)).payload == 3
-    assert st.query((1, 1)).payload == 5
-    assert st.query((2, 2)).payload == 3
-    assert st.query((2, 8)).payload == 0
+    assert st.query((3, 3))[1] == 3
+    assert st.query((1, 1))[1] == 5
+    assert st.query((2, 2))[1] == 3
+    assert st.query((2, 8))[1] == 0
     _envelope_matches(rects, _near(rects))
 
 
@@ -234,7 +231,7 @@ def test_envelope_random_vs_linear():
         for i in range(rng.randrange(0, 30)):
             x1, x2 = sorted(rng.randrange(0, 25) for _ in range(2))
             y1, y2 = sorted(rng.randrange(0, 25) for _ in range(2))
-            rects.append(WeightedRect(x1, x2, y1, y2, rng.randrange(0, 6), rng.randrange(0, 40)))
+            rects.append((rng.randrange(0, 6), rng.randrange(0, 40), x1, x2, y1, y2))
         points = [(rng.randrange(-2, 27), rng.randrange(-2, 27)) for _ in range(20)]
         if rep % 10 == 0:
             points += _near(rects)

@@ -53,11 +53,13 @@ def test_wait_point_in_path():
 
 def _initial_wavelets(scene):
     # an engine with the four diagonal roots departing the source at time 0
-    # queued, and those roots
+    # queued, and those roots, read from its queue: the plain engine queues
+    # every root it spawns
     eng = _Engine(scene)
     root = SrcNode("start", eng.source, 0)
     eng.labels[eng.source] = root
-    return eng, eng._spawn_arrangement(eng.source, 0, root)
+    eng._spawn_arrangement(eng.source, 0, root)
+    return eng, [w for _, w in _heap_items(eng, _RANK_POINT)]
 
 
 def test_initial_wavelets_cover_the_four_quadrants():
@@ -70,7 +72,8 @@ def test_initial_wavelets_cover_the_four_quadrants():
         "SW": (-1, 0, -1, 0),
     }
     assert all(w.src.point == (0, 0) and w.src.time == 0 for w in ws)
-    assert _heap_items(eng, _RANK_POINT) == [(0, w) for w in ws]
+    # queued at the departure time, in spawn order
+    assert [(key, w.dir) for key, w in _heap_items(eng, _RANK_POINT)] == [(0, d) for d in ("NE", "NW", "SE", "SW")]
 
 
 def test_initial_wavelets_capped_by_blocking_edge():
@@ -260,7 +263,7 @@ def _queue_probe(rng):
     each payload is (key, rank, seq), and the dispatch of every rank hands
     it to _do_point, which records the pop."""
     eng = _Engine(Scene(edges=(), vmax=1, source=(0, 0), dest=(9, 9)))
-    eng._spawn_arrangement = lambda p, t, src: []
+    eng._spawn_arrangement = lambda p, t, src: None
     eng._do_segment = lambda token: eng._do_point(token)
     eng._do_settle = eng._do_fan = lambda key, *token: eng._do_point(token)
 
